@@ -23,15 +23,12 @@ COSINE_NORM_FLOOR = 1e-12
 class ContrastiveConfig:
     delta: int = 1
     alpha: float = 0.1
-    temperature: float = 1.0
 
     def __post_init__(self):
         if self.delta < 1:
             raise ContrastiveConfigError(f"delta must be >= 1, got {self.delta}")
         if self.alpha < 0:
             raise ContrastiveConfigError(f"alpha must be >= 0, got {self.alpha}")
-        if self.temperature != 1.0:
-            raise ContrastiveConfigError("temperature is fixed at 1.0")
 
 
 @dataclass
@@ -110,15 +107,18 @@ def _sum_scalars(terms: list[dc.Tensor]) -> dc.Tensor:
 
 def contrastive_loss(z_r: list[dc.Tensor], z_d: list[dc.Tensor],
                      cfg: ContrastiveConfig) -> dc.Tensor:
-    """Mean InfoNCE-style loss over all 2N (stream, window) anchors.
+    """Mean InfoNCE-style loss over all (stream, window) anchors.
 
     For anchor i of a stream, positives are the in-range same-stream windows
     at i - delta and i + delta (loss averaged when both exist). Each
     denominator holds the positive's own term once, every cross-stream
     window, and all same-stream windows outside {i, i - delta, i + delta}.
+    An empty ``z_d`` is the one-stream case: anchors come from ``z_r`` alone,
+    there are no cross-stream terms, and an anchor without negatives has
+    denominator exp(s_pos), so it contributes 0.
     """
     n = len(z_r)
-    if len(z_d) != n:
+    if z_d and len(z_d) != n:
         raise ShapeError(f"streams disagree on window count: {n} vs {len(z_d)}")
     if n < cfg.delta + 1:
         raise ContrastiveConfigError(
@@ -126,23 +126,26 @@ def contrastive_loss(z_r: list[dc.Tensor], z_d: list[dc.Tensor],
 
     norms_r = [_norm(z) for z in z_r]
     norms_d = [_norm(z) for z in z_d]
+    streams = [(z_r, z_d, norms_r, norms_d)]
+    if z_d:
+        streams.append((z_d, z_r, norms_d, norms_r))
     anchor_losses = []
-    for same, other, n_same, n_other in ((z_r, z_d, norms_r, norms_d),
-                                         (z_d, z_r, norms_d, norms_r)):
+    for same, other, n_same, n_other in streams:
         for i in range(n):
             positives = [p for p in (i - cfg.delta, i + cfg.delta) if 0 <= p < n]
             if not positives:
                 continue
             excluded = {i, i - cfg.delta, i + cfg.delta}
             terms = [dc.exp(_cosine(same[i], other[j], n_same[i], n_other[j]))
-                     for j in range(n)]
+                     for j in range(len(other))]
             terms += [dc.exp(_cosine(same[i], same[j], n_same[i], n_same[j]))
                       for j in range(n) if j not in excluded]
-            base = _sum_scalars(terms)
+            base = _sum_scalars(terms) if terms else None
             per_pos = []
             for p in positives:
                 s_pos = _cosine(same[i], same[p], n_same[i], n_same[p])
-                denom = dc.add(base, dc.exp(s_pos))
+                e_pos = dc.exp(s_pos)
+                denom = e_pos if base is None else dc.add(base, e_pos)
                 per_pos.append(dc.sub(dc.log(denom), s_pos))
             anchor_losses.append(dc.mul_scalar(_sum_scalars(per_pos),
                                                1.0 / len(per_pos)))

@@ -120,9 +120,9 @@ def _coerce(key: str, value):
     raise ConfigError(f"config key {key!r} expects {want.__name__}, got {value!r}")
 
 
-def resolve_config(config_path: str | None,
-                   overrides: list[str] | None) -> tuple[tv.TrainConfig, dict]:
-    """Defaults, then config file, then --set overrides; returns (cfg, paths)."""
+def resolve_config(config_path: str | None, overrides: list[str] | None,
+                   base: tv.TrainConfig = tv.TrainConfig()) -> tuple[tv.TrainConfig, dict]:
+    """``base``, then config file, then --set overrides; returns (cfg, paths)."""
     values: dict = {}
     if config_path is not None:
         if not os.path.isfile(config_path):
@@ -145,7 +145,7 @@ def resolve_config(config_path: str | None,
                 raise ConfigError(f"config key {key!r} expects a path string, got {path!r}")
             paths[key] = path
     kwargs = {key: _coerce(key, value) for key, value in values.items()}
-    return tv.TrainConfig(**kwargs), paths
+    return dataclasses.replace(base, **kwargs), paths
 
 
 # ------------------------------------------------------------- file plumbing
@@ -263,23 +263,7 @@ def _gradcheck_defaults() -> tv.TrainConfig:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.config is None and not args.set:
-        cfg = _gradcheck_defaults()
-    else:
-        base = _gradcheck_defaults()
-        values: dict = {}
-        if args.config is not None:
-            if not os.path.isfile(args.config):
-                raise ConfigError(f"config file not found: {args.config}")
-            with open(args.config, encoding="utf-8") as f:
-                values.update(parse_config_text(f.read(), source=args.config))
-        for item in args.set or []:
-            key, eq, rest = item.partition("=")
-            if not eq or key.strip() not in _FIELD_TYPES:
-                raise ConfigError(f"--set expects a known key=value, got {item!r}")
-            values[key.strip()] = _parse_value(rest, f"--set {key}")
-        kwargs = {k: _coerce(k, v) for k, v in values.items() if k in _FIELD_TYPES}
-        cfg = dataclasses.replace(base, **kwargs)
+    cfg, _ = resolve_config(args.config, args.set, base=_gradcheck_defaults())
     rng = np.random.default_rng(args.seed)
     signals = rng.standard_normal((GRADCHECK_TIMEPOINTS, GRADCHECK_ROIS))
     ts = RoiTimeSeries("gradcheck", signals, 1)
@@ -289,7 +273,7 @@ def cmd_gradcheck(args) -> int:
     ccfg = cfg.contrastive()
 
     def build_loss():
-        return model.subject_loss(store, dims, preps[0], ccfg)
+        return model.subject_loss_parts(store, dims, preps[0], ccfg)[0]
 
     coords = dc.sample_coords(store.items(), args.coords, rng)
     total = sum(len(ix) for ix in coords.values())

@@ -100,12 +100,6 @@ def write_roi_csv(path: str, signals: np.ndarray, header: bool = True) -> None:
     os.replace(tmp, path)
 
 
-def zscore_normalize(x: RoiTimeSeries) -> RoiTimeSeries:
-    """Center and scale each ROI column by its sample std; constant columns go to zero."""
-    normalized = zscore_columns(x.signals)
-    return RoiTimeSeries(subject_id=x.subject_id, signals=normalized, label=x.label)
-
-
 def zscore_columns(signals: np.ndarray) -> np.ndarray:
     signals = np.asarray(signals, dtype=np.float64)
     if signals.shape[0] < 2:

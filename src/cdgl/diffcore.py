@@ -145,14 +145,6 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
                  lambda g: ((m, np.outer(g, v.data)), (v, m.data.T @ g)))
 
 
-def vecmat(v: Tensor, m: Tensor) -> Tensor:
-    if m.data.ndim != 2 or v.data.shape != (m.data.shape[0],):
-        raise ShapeError(f"vecmat: {v.data.shape} @ {m.data.shape}")
-    out = v.data @ m.data
-    return _make(out, "vecmat", (v, m),
-                 lambda g: ((v, m.data @ g), (m, np.outer(v.data, g))))
-
-
 def dot(u: Tensor, v: Tensor) -> Tensor:
     if u.data.shape != v.data.shape or u.data.ndim != 1:
         raise ShapeError(f"dot: {u.data.shape} vs {v.data.shape}")
@@ -177,13 +169,6 @@ def sum_all(a: Tensor) -> Tensor:
     out = np.asarray(a.data.sum())
     return _make(out, "sum", (a,),
                  lambda g: ((a, np.full(a.data.shape, float(g))),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = np.asarray(a.data.mean())
-    return _make(out, "mean", (a,),
-                 lambda g: ((a, np.full(a.data.shape, float(g) / n)),))
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -295,19 +280,6 @@ def stack_rows(vectors: list[Tensor]) -> Tensor:
         return tuple((v, g[i]) for i, v in enumerate(vectors))
 
     return _make(out, "stack_rows", tuple(vectors), bk)
-
-
-def segment(v: Tensor, start: int, stop: int) -> Tensor:
-    if v.data.ndim != 1:
-        raise ShapeError("segment: 1-D only")
-    out = v.data[start:stop]
-
-    def bk(g):
-        gv = np.zeros_like(v.data)
-        gv[start:stop] = g
-        return ((v, gv),)
-
-    return _make(out, "segment", (v,), bk)
 
 
 def row(m: Tensor, i: int) -> Tensor:
@@ -506,9 +478,6 @@ class ParamStore:
             else:
                 p.grad.fill(0.0)
 
-    def n_coordinates(self) -> int:
-        return sum(p.data.size for p in self._params.values())
-
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
                    fan_in: int, fan_out: int) -> np.ndarray:
@@ -657,20 +626,26 @@ def load_params(path: str) -> dict[str, np.ndarray]:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint (bad magic)")
-        version, count = struct.unpack("<II", f.read(8))
-        if version != CHECKPOINT_SCHEMA_VERSION:
-            raise ParseError(f"{path}: unsupported checkpoint schema_version {version}")
-        out: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", f.read(2))
-            name = f.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", f.read(1))
-            shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-            n = int(np.prod(shape)) if ndim else 1
-            buf = f.read(8 * n)
-            if len(buf) != 8 * n:
-                raise ParseError(f"{path}: truncated checkpoint")
-            out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        # a file cut inside a header field gives short reads, which struct
+        # and utf-8 decoding report with their own exception types
+        try:
+            version, count = struct.unpack("<II", f.read(8))
+            if version != CHECKPOINT_SCHEMA_VERSION:
+                raise ParseError(f"{path}: unsupported checkpoint schema_version {version}")
+            out: dict[str, np.ndarray] = {}
+            for _ in range(count):
+                (nlen,) = struct.unpack("<H", f.read(2))
+                name = f.read(nlen).decode("utf-8")
+                (ndim,) = struct.unpack("<B", f.read(1))
+                shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
+                n = int(np.prod(shape)) if ndim else 1
+                buf = f.read(8 * n)
+                if len(buf) != 8 * n:
+                    raise ParseError(f"{path}: truncated checkpoint")
+                out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        except (struct.error, UnicodeDecodeError) as err:
+            raise ParseError(
+                f"{path}: truncated or corrupt checkpoint header ({err})") from None
     return out
 
 

@@ -1,4 +1,4 @@
-"""CBAM-style fusion over concatenated stream features, classifier, total loss.
+"""CBAM-style fusion over concatenated stream features, classifier, BCE.
 
 The fused matrix per GIN layer is H_f of shape (N_w, 2D): window t's row is
 [H_r(t) || H_d(t)]. Channel attention pools over windows and gates channels;
@@ -100,11 +100,3 @@ def bce(y_hat: dc.Tensor, y: int) -> dc.Tensor:
         return dc.neg(dc.log(y_hat))
     return dc.neg(dc.log(dc.sub(dc.const(1.0), y_hat)))
 
-
-def total_loss(y_hat: dc.Tensor, y: int, l_info: dc.Tensor | None,
-               alpha: float) -> dc.Tensor:
-    """BCE plus alpha-weighted contrastive term for one subject."""
-    loss = bce(y_hat, y)
-    if l_info is not None and alpha != 0.0:
-        loss = dc.add(loss, dc.mul_scalar(l_info, alpha))
-    return loss

@@ -232,54 +232,11 @@ def subject_loss_parts(
             raise WindowBudgetError(
                 f"subject {prep.subject_id!r}: {n_w} windows < delta+1="
                 f"{ccfg.delta + 1} required by the contrastive term")
-        if len(dims.streams) == 2:
-            l_info = cdgin.contrastive_loss(out.projections["r"],
-                                            out.projections["d"], ccfg)
-        else:
-            only = dims.streams[0]
-            l_info = contrastive_loss_single(out.projections[only], ccfg)
+        z = [out.projections[s] for s in dims.streams]
+        l_info = cdgin.contrastive_loss(z[0], z[1] if len(z) == 2 else [], ccfg)
     l_bce = fh.bce(out.y_hat, prep.label)
     total = l_bce
     if l_info is not None:
         total = dc.add(total, dc.mul_scalar(l_info, ccfg.alpha))
     return total, l_bce, l_info
 
-
-def subject_loss(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject,
-                 ccfg: cdgin.ContrastiveConfig) -> dc.Tensor:
-    """BCE plus the alpha-weighted contrastive term for one subject."""
-    return subject_loss_parts(store, dims, prep, ccfg)[0]
-
-
-def contrastive_loss_single(z: list[dc.Tensor],
-                            cfg: cdgin.ContrastiveConfig) -> dc.Tensor:
-    """Same-stream-only variant used when one stream is ablated.
-
-    Identical conventions minus the cross-stream denominator sum. Anchors
-    whose denominator would hold only the positive contribute -log(1) = 0.
-    """
-    n = len(z)
-    norms = [cdgin._norm(t) for t in z]
-    anchor_losses = []
-    for i in range(n):
-        positives = [p for p in (i - cfg.delta, i + cfg.delta) if 0 <= p < n]
-        if not positives:
-            continue
-        excluded = {i, i - cfg.delta, i + cfg.delta}
-        negs = [dc.exp(cdgin._cosine(z[i], z[j], norms[i], norms[j]))
-                for j in range(n) if j not in excluded]
-        per_pos = []
-        for p in positives:
-            s_pos = cdgin._cosine(z[i], z[p], norms[i], norms[p])
-            denom = dc.exp(s_pos)
-            for t in negs:
-                denom = dc.add(denom, t)
-            per_pos.append(dc.sub(dc.log(denom), s_pos))
-        total = per_pos[0]
-        for t in per_pos[1:]:
-            total = dc.add(total, t)
-        anchor_losses.append(dc.mul_scalar(total, 1.0 / len(per_pos)))
-    total = anchor_losses[0]
-    for t in anchor_losses[1:]:
-        total = dc.add(total, t)
-    return dc.mul_scalar(total, 1.0 / len(anchor_losses))

@@ -8,21 +8,10 @@ nodes while the hidden block injects shared temporal context.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import diffcore as dc
 from .errors import ShapeError
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    hidden_dim: int = 16
-
-    def __post_init__(self):
-        if self.hidden_dim < 1:
-            raise ShapeError(f"hidden_dim must be >= 1, got {self.hidden_dim}")
 
 
 def lstm_forward(x: np.ndarray, w_x: dc.Tensor, w_h: dc.Tensor,

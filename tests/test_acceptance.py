@@ -141,7 +141,7 @@ class TestFullModelGradients:
         ccfg = cfg.contrastive()
 
         def build_loss():
-            return model.subject_loss(store, dims, preps[0], ccfg)
+            return model.subject_loss_parts(store, dims, preps[0], ccfg)[0]
 
         coords = dc.sample_coords(store.items(), 240, rng)
         assert set(coords) == {name for name, _ in store.items()}

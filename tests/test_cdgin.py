@@ -150,6 +150,19 @@ class TestContrastiveLoss:
         loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
         assert float(loss.data) == pytest.approx(np.log(3.0), abs=1e-12)
 
+    def test_one_stream_hand_case(self):
+        cfg = cdgin.ContrastiveConfig(delta=1)
+        e1 = np.array([1.0, 0.0])
+        # N=2: no same-stream negatives remain, so every anchor is exactly zero
+        z = [dc.param(e1.copy()), dc.param(e1.copy())]
+        loss = cdgin.contrastive_loss(z, [], cfg)
+        assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
+        # N=3: anchors 0 and 2 see one negative: denom = 2e -> ln 2; anchor 1
+        # has two positives and no negatives -> 0; mean = (2 ln 2) / 3
+        z3 = [dc.param(e1.copy()) for _ in range(3)]
+        loss3 = cdgin.contrastive_loss(z3, [], cfg)
+        assert float(loss3.data) == pytest.approx(2.0 * np.log(2.0) / 3.0, abs=1e-12)
+
     def test_orthogonal_negatives_lower_loss(self):
         # anchor stream r window 0: keep its positive aligned, rotate the
         # cross-stream vectors to be orthogonal to everything in stream r
@@ -244,5 +257,3 @@ class TestContrastiveLoss:
             cdgin.ContrastiveConfig(delta=0)
         with pytest.raises(ContrastiveConfigError):
             cdgin.ContrastiveConfig(alpha=-0.1)
-        with pytest.raises(ContrastiveConfigError):
-            cdgin.ContrastiveConfig(temperature=0.5)

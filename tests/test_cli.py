@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import cdgl.cli as cli
+from cdgl import diffcore as dc
 from cdgl.data_io import DatasetManifest, ManifestEntry, save_manifest, write_roi_csv
 from cdgl.errors import ConfigError
 
@@ -133,6 +134,13 @@ class TestExitCodes:
                     "--data", dataset, "--out", str(tmp_path / "a")] + TINY)
         assert code == 2
 
+    def test_attn_export_truncated_checkpoint_exit_3(self, dataset, tmp_path):
+        ckpt = tmp_path / "cut.ckpt"
+        ckpt.write_bytes(dc.CHECKPOINT_MAGIC + b"\x01\x00")  # cut inside the header
+        code = run(["attn-export", "--checkpoint", str(ckpt), "--data", dataset,
+                    "--out", str(tmp_path / "a")] + TINY)
+        assert code == 3
+
     def test_unknown_subject_exit_2(self, dataset, tmp_path):
         code = run(["fc-dump", "--data", dataset, "--subject", "ghost",
                     "--window-size", "10", "--stride", "10",
@@ -220,6 +228,23 @@ class TestGradcheckCommand:
     def test_fails_at_absurd_tolerance(self):
         assert run(["gradcheck", "--seed", "1", "--coords", "8",
                     "--tolerance", "1e-18"]) == 4
+
+    def test_set_overrides_gradcheck_defaults(self):
+        # the TrainConfig default window of 35 leaves one window at T=40 (exit 3)
+        assert run(["gradcheck", "--set", "hidden_dim=4", "--coords", "8"]) == 0
+
+    def test_unknown_set_key_exit_2(self):
+        assert run(["gradcheck", "--set", "nope=1"]) == 2
+
+    def test_config_file_honoured(self, tmp_path, capsys):
+        cfg_path = tmp_path / "c.toml"
+        cfg_path.write_text("layers = 1\n")
+        assert run(["gradcheck", "--coords", "8", "--config", str(cfg_path)]) == 0
+        from_file = capsys.readouterr().out
+        assert run(["gradcheck", "--coords", "8", "--set", "layers=1"]) == 0
+        from_set = capsys.readouterr().out
+        assert from_file == from_set
+        assert "over 33 tensors" in from_file  # 54 at the default two layers
 
 
 class TestFcDump:

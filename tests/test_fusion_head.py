@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgl import cdgin, model
 from cdgl import diffcore as dc
+from cdgl import dynamic_fc as dfc
 from cdgl import fusion_head as fh
+from cdgl.data_io import RoiTimeSeries
 
 
 def make_cbam(rng, c, w_k, scale=0.6):
@@ -202,33 +205,40 @@ class TestClassify:
 
 class TestTotalLoss:
     def test_bce_at_chance(self):
-        loss = fh.total_loss(dc.const(0.5), 1, None, 0.0)
+        loss = fh.bce(dc.const(0.5), 1)
         assert float(loss.data) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_confident_correct_goes_to_zero(self):
-        loss = fh.total_loss(dc.const(1e-9), 0, None, 0.0)
+        loss = fh.bce(dc.const(1e-9), 0)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-8)
 
+    @staticmethod
+    def subject_parts(alpha):
+        ts = RoiTimeSeries("s0", np.random.default_rng(16).standard_normal((24, 4)), 1)
+        prep = model.prepare_subject(ts, dfc.WindowSpec(8, 4),
+                                     dfc.DistanceKind("euclidean"))
+        dims = model.ModelDims(m=4, d=4, d_p=4, layers=2, n_windows_ref=4)
+        store = model.init_params(dims, seed=3)
+        return model.subject_loss_parts(store, dims, prep,
+                                        cdgin.ContrastiveConfig(delta=1, alpha=alpha))
+
     def test_combined_hand_case(self):
-        loss = fh.total_loss(dc.const(0.5), 1, dc.const(np.log(3.0)), 0.1)
-        assert float(loss.data) == pytest.approx(np.log(2.0) + 0.1 * np.log(3.0),
-                                                 abs=1e-12)
+        total, l_bce, l_info = self.subject_parts(alpha=0.1)
+        assert float(total.data) == float(l_bce.data) + 0.1 * float(l_info.data)
 
     def test_alpha_zero_is_pure_bce(self):
-        y_hat = dc.const(0.3)
-        with_info = fh.total_loss(y_hat, 1, dc.const(5.0), 0.0)
-        without = fh.total_loss(y_hat, 1, None, 0.0)
-        assert float(with_info.data) == float(without.data)
+        total, l_bce, l_info = self.subject_parts(alpha=0.0)
+        assert l_info is None and total is l_bce
 
     def test_nonnegative(self):
         rng = np.random.default_rng(14)
         for _ in range(50):
             y_hat = dc.const(rng.uniform(1e-6, 1.0 - 1e-6))
-            loss = fh.total_loss(y_hat, int(rng.integers(2)), None, 0.0)
+            loss = fh.bce(y_hat, int(rng.integers(2)))
             assert float(loss.data) >= 0.0
 
     def test_extreme_probability_clamped(self):
-        loss = fh.total_loss(dc.const(0.0), 1, None, 0.0)
+        loss = fh.bce(dc.const(0.0), 1)
         assert np.isfinite(float(loss.data))
 
 
@@ -251,7 +261,7 @@ def test_full_head_gradcheck():
         tf = fh.temporal_attention(h_f, cbam)
         h_a = fh.apply_attention(h_f, cf, tf)
         y_hat = fh.classify([h_a], clf)
-        return fh.total_loss(y_hat, 1, None, 0.0)
+        return fh.bce(y_hat, 1)
 
     coords = {name: np.arange(t.data.size) for name, t in tensors}
     report = dc.finite_diff_check(build, tensors, coords)

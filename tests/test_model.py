@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cdgl import cdgin, diffcore as dc, dynamic_fc as dfc, model
+from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import WindowBudgetError
 
@@ -123,15 +124,15 @@ class TestSubjectLoss:
         store = model.init_params(dims, seed=0)
         p = prep(ts)
         with pytest.raises(WindowBudgetError, match="s0"):
-            model.subject_loss(store, dims, p, cdgin.ContrastiveConfig(delta=1))
+            model.subject_loss_parts(store, dims, p, cdgin.ContrastiveConfig(delta=1))[0]
 
     def test_alpha_zero_relaxes_budget(self):
         rng = np.random.default_rng(7)
         ts = toy_subject(rng, t=8)
         dims = small_dims()
         store = model.init_params(dims, seed=0)
-        loss = model.subject_loss(store, dims, prep(ts),
-                                  cdgin.ContrastiveConfig(delta=1, alpha=0.0))
+        loss = model.subject_loss_parts(store, dims, prep(ts),
+                                        cdgin.ContrastiveConfig(delta=1, alpha=0.0))[0]
         assert np.isfinite(float(loss.data))
 
     def test_alpha_zero_is_pure_bce(self):
@@ -141,8 +142,8 @@ class TestSubjectLoss:
         store = model.init_params(dims, seed=3)
         p = prep(ts)
         out = model.forward_subject(store, dims, p)
-        loss0 = model.subject_loss(store, dims, p,
-                                   cdgin.ContrastiveConfig(delta=1, alpha=0.0))
+        loss0 = model.subject_loss_parts(store, dims, p,
+                                         cdgin.ContrastiveConfig(delta=1, alpha=0.0))[0]
         expect = -np.log(float(out.y_hat.data))
         assert float(loss0.data) == pytest.approx(expect, abs=1e-12)
 
@@ -150,24 +151,10 @@ class TestSubjectLoss:
         rng = np.random.default_rng(9)
         dims = small_dims(streams=("d",))
         store = model.init_params(dims, seed=4)
-        loss = model.subject_loss(store, dims, prep(toy_subject(rng), ("d",)),
-                                  cdgin.ContrastiveConfig(delta=1, alpha=0.1))
+        loss = model.subject_loss_parts(store, dims, prep(toy_subject(rng), ("d",)),
+                                        cdgin.ContrastiveConfig(delta=1, alpha=0.1))[0]
         dc.backward(loss)
         assert np.isfinite(float(loss.data))
-
-
-def test_contrastive_single_hand_case():
-    # N=2: no same-stream negatives remain, so every anchor is exactly zero
-    e1 = np.array([1.0, 0.0])
-    z = [dc.param(e1.copy()), dc.param(e1.copy())]
-    loss = model.contrastive_loss_single(z, cdgin.ContrastiveConfig(delta=1))
-    assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
-    # N=3: anchor 0 sees one negative (window 2) in the denominator
-    z3 = [dc.param(e1.copy()) for _ in range(3)]
-    loss3 = model.contrastive_loss_single(z3, cdgin.ContrastiveConfig(delta=1))
-    # anchors 0 and 2: denom = 2e -> ln 2; anchor 1: two positives, no
-    # negatives -> 0; mean = (2 ln 2) / 3
-    assert float(loss3.data) == pytest.approx(2.0 * np.log(2.0) / 3.0, abs=1e-12)
 
 
 def test_training_step_reduces_loss():
@@ -181,7 +168,7 @@ def test_training_step_reduces_loss():
     losses = []
     for _ in range(15):
         store.zero_grad()
-        loss = model.subject_loss(store, dims, p, ccfg)
+        loss = model.subject_loss_parts(store, dims, p, ccfg)[0]
         dc.backward(loss)
         dc.adam_step(store, state)
         losses.append(float(loss.data))
@@ -198,9 +185,25 @@ def test_model_gradcheck_small():
     ccfg = cdgin.ContrastiveConfig(delta=1, alpha=0.1)
 
     def build():
-        return model.subject_loss(store, dims, p, ccfg)
+        return model.subject_loss_parts(store, dims, p, ccfg)[0]
 
     coords = dc.sample_coords(store.items(), 120, np.random.default_rng(0))
     report = dc.finite_diff_check(build, store.items(), coords)
     assert report.n_coords >= 120
     assert report.max_rel_err < 1e-4, (report.worst_param, report.max_rel_err)
+
+
+def test_op_counts_at_readme_shape(monkeypatch):
+    # README demo shape: M=10, T=120, windows 35/25 -> 4 windows, default dims
+    cfg = tv.TrainConfig()
+    ts = RoiTimeSeries("s0", np.random.default_rng(12).standard_normal((120, 10)), 1)
+    preps = tv.prepare_dataset([ts], cfg)
+    dims = tv.make_dims(preps, cfg)
+    store = model.init_params(dims, cfg.seed)
+    ops = []
+    make = dc._make
+    monkeypatch.setattr(dc, "_make", lambda *args: ops.append(args[1]) or make(*args))
+    out = model.forward_subject(store, dims, preps[0])
+    n_forward = len(ops)
+    cdgin.contrastive_loss(out.projections["r"], out.projections["d"], cfg.contrastive())
+    assert (n_forward, len(ops) - n_forward) == (424, 340)
