@@ -4,7 +4,9 @@ cross-window/cross-stream contrastive loss.
 Each stream updates node features as MLP((eps I + A) H W) with its own
 parameters; graph-level vectors come from a single-head query-key attention
 over nodes. The contrastive loss treats every (stream, window) projection as
-an anchor whose positives are the same-stream windows at offset +-delta.
+an anchor whose positives are the same-stream windows at offset +-delta; it
+is one cosine matrix over all projections and a masked log-sum-exp, a fixed
+19 autodiff ops whatever the window count.
 """
 
 from __future__ import annotations
@@ -90,19 +92,17 @@ def project(h: dc.Tensor, w1: dc.Tensor, b1: dc.Tensor, w2: dc.Tensor,
     return dc.add(dc.matvec(w2, hidden), b2)
 
 
-def _norm(z: dc.Tensor) -> dc.Tensor:
-    return dc.sqrt(dc.clip_min(dc.dot(z, z), COSINE_NORM_FLOOR ** 2))
-
-
-def _cosine(u: dc.Tensor, v: dc.Tensor, nu: dc.Tensor, nv: dc.Tensor) -> dc.Tensor:
-    return dc.div(dc.dot(u, v), dc.mul(nu, nv))
-
-
-def _sum_scalars(terms: list[dc.Tensor]) -> dc.Tensor:
-    total = terms[0]
-    for t in terms[1:]:
-        total = dc.add(total, t)
-    return total
+def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
+    """Constant (K, K) masks over rows ``stream * n + window``: 0/1 negatives
+    and the positive-pair weights 1 / (#positives of the anchor * #anchors)."""
+    stream, window = np.divmod(np.arange(n * streams), n)
+    same = stream[:, None] == stream[None, :]
+    offset = np.abs(window[:, None] - window[None, :])
+    positive = same & (offset == delta)
+    negative = ~same | ((offset != 0) & (offset != delta))
+    per_anchor = positive.sum(axis=1, keepdims=True)
+    weights = positive / np.maximum(per_anchor, 1) / np.count_nonzero(per_anchor)
+    return negative.astype(np.float64), weights
 
 
 def contrastive_loss(z_r: list[dc.Tensor], z_d: list[dc.Tensor],
@@ -124,29 +124,15 @@ def contrastive_loss(z_r: list[dc.Tensor], z_d: list[dc.Tensor],
         raise ContrastiveConfigError(
             f"need at least delta+1={cfg.delta + 1} windows, got {n}")
 
-    norms_r = [_norm(z) for z in z_r]
-    norms_d = [_norm(z) for z in z_d]
-    streams = [(z_r, z_d, norms_r, norms_d)]
-    if z_d:
-        streams.append((z_d, z_r, norms_d, norms_r))
-    anchor_losses = []
-    for same, other, n_same, n_other in streams:
-        for i in range(n):
-            positives = [p for p in (i - cfg.delta, i + cfg.delta) if 0 <= p < n]
-            if not positives:
-                continue
-            excluded = {i, i - cfg.delta, i + cfg.delta}
-            terms = [dc.exp(_cosine(same[i], other[j], n_same[i], n_other[j]))
-                     for j in range(len(other))]
-            terms += [dc.exp(_cosine(same[i], same[j], n_same[i], n_same[j]))
-                      for j in range(n) if j not in excluded]
-            base = _sum_scalars(terms) if terms else None
-            per_pos = []
-            for p in positives:
-                s_pos = _cosine(same[i], same[p], n_same[i], n_same[p])
-                e_pos = dc.exp(s_pos)
-                denom = e_pos if base is None else dc.add(base, e_pos)
-                per_pos.append(dc.sub(dc.log(denom), s_pos))
-            anchor_losses.append(dc.mul_scalar(_sum_scalars(per_pos),
-                                               1.0 / len(per_pos)))
-    return dc.mul_scalar(_sum_scalars(anchor_losses), 1.0 / len(anchor_losses))
+    z = dc.stack_rows(z_r + z_d)  # (K, P)
+    k, width = z.data.shape
+    negative, weights = _pair_weights(n, k // n, cfg.delta)
+    sq = dc.matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
+    norms = dc.sqrt(dc.clip_min(sq, COSINE_NORM_FLOOR ** 2))  # (K, 1)
+    cos = dc.div(dc.matmul(z, dc.transpose(z)),
+                 dc.matmul(norms, dc.transpose(norms)))
+    e = dc.exp(cos)
+    base = dc.matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
+    denom = dc.add(dc.matmul(base, dc.const(np.ones((1, k)))), e)
+    per_pair = dc.sub(dc.log(denom), cos)
+    return dc.sum_all(dc.mul(per_pair, dc.const(weights)))

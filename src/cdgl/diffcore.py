@@ -12,6 +12,7 @@ reliable below that precision.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -145,14 +146,6 @@ def matvec(m: Tensor, v: Tensor) -> Tensor:
                  lambda g: ((m, np.outer(g, v.data)), (v, m.data.T @ g)))
 
 
-def dot(u: Tensor, v: Tensor) -> Tensor:
-    if u.data.shape != v.data.shape or u.data.ndim != 1:
-        raise ShapeError(f"dot: {u.data.shape} vs {v.data.shape}")
-    out = np.asarray(u.data @ v.data)
-    return _make(out, "dot", (u, v),
-                 lambda g: ((u, float(g) * v.data), (v, float(g) * u.data)))
-
-
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("transpose: 2-D only")
@@ -274,6 +267,10 @@ def stack_rows(vectors: list[Tensor]) -> Tensor:
     """Stack n length-d vectors into an (n, d) matrix."""
     if not vectors:
         raise ShapeError("stack_rows: empty input")
+    shapes = {v.data.shape for v in vectors}
+    if len(shapes) != 1 or len(vectors[0].data.shape) != 1:
+        raise ShapeError(f"stack_rows: rows must be 1-D and of one length, "
+                         f"got shapes {sorted(shapes)}")
     out = np.stack([v.data for v in vectors], axis=0)
 
     def bk(g):
@@ -638,10 +635,13 @@ def load_params(path: str) -> dict[str, np.ndarray]:
                 name = f.read(nlen).decode("utf-8")
                 (ndim,) = struct.unpack("<B", f.read(1))
                 shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
-                n = int(np.prod(shape)) if ndim else 1
-                buf = f.read(8 * n)
-                if len(buf) != 8 * n:
-                    raise ParseError(f"{path}: truncated checkpoint")
+                # Python ints: numpy's product wraps on large shape words
+                nbytes = 8 * math.prod(shape)
+                left = os.fstat(f.fileno()).st_size - f.tell()
+                if nbytes > left:
+                    raise ParseError(f"{path}: truncated checkpoint ({name!r} "
+                                     f"needs {nbytes} bytes, {left} left)")
+                buf = f.read(nbytes)
                 out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         except (struct.error, UnicodeDecodeError) as err:
             raise ParseError(

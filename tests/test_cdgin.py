@@ -142,6 +142,58 @@ def unit(v):
     return np.asarray(v, dtype=float) / np.linalg.norm(v)
 
 
+def scalar_contrastive_loss(z_r, z_d, cfg):
+    """Oracle: the loss built one scalar op at a time, anchor by anchor."""
+    def norm(z):
+        return dc.sqrt(dc.clip_min(dc.sum_all(dc.mul(z, z)),
+                                   cdgin.COSINE_NORM_FLOOR ** 2))
+
+    def cosine(u, v, nu, nv):
+        return dc.div(dc.sum_all(dc.mul(u, v)), dc.mul(nu, nv))
+
+    def sum_scalars(terms):
+        total = terms[0]
+        for t in terms[1:]:
+            total = dc.add(total, t)
+        return total
+
+    n = len(z_r)
+    norms_r = [norm(z) for z in z_r]
+    norms_d = [norm(z) for z in z_d]
+    streams = [(z_r, z_d, norms_r, norms_d)]
+    if z_d:
+        streams.append((z_d, z_r, norms_d, norms_r))
+    anchor_losses = []
+    for same, other, n_same, n_other in streams:
+        for i in range(n):
+            positives = [p for p in (i - cfg.delta, i + cfg.delta) if 0 <= p < n]
+            if not positives:
+                continue
+            excluded = {i, i - cfg.delta, i + cfg.delta}
+            terms = [dc.exp(cosine(same[i], other[j], n_same[i], n_other[j]))
+                     for j in range(len(other))]
+            terms += [dc.exp(cosine(same[i], same[j], n_same[i], n_same[j]))
+                      for j in range(n) if j not in excluded]
+            base = sum_scalars(terms) if terms else None
+            per_pos = []
+            for p in positives:
+                s_pos = cosine(same[i], same[p], n_same[i], n_same[p])
+                e_pos = dc.exp(s_pos)
+                denom = e_pos if base is None else dc.add(base, e_pos)
+                per_pos.append(dc.sub(dc.log(denom), s_pos))
+            anchor_losses.append(dc.mul_scalar(sum_scalars(per_pos),
+                                               1.0 / len(per_pos)))
+    return dc.mul_scalar(sum_scalars(anchor_losses), 1.0 / len(anchor_losses))
+
+
+def value_and_grads(loss_fn, z_r, z_d, cfg):
+    for z in z_r + z_d:
+        z.grad = None
+    loss = loss_fn(z_r, z_d, cfg)
+    dc.backward(loss)
+    return float(loss.data), [z.grad.copy() for z in z_r + z_d]
+
+
 class TestContrastiveLoss:
     def test_hand_case_ln3(self):
         e1 = unit([1.0, 0.0, 0.0])
@@ -251,6 +303,49 @@ class TestContrastiveLoss:
         swapped = cdgin.contrastive_loss(z_d, z_r, cfg)
         assert float(loss.data) > 0.0
         assert float(loss.data) == pytest.approx(float(swapped.data), abs=1e-12)
+
+    def test_matches_scalar_oracle(self):
+        rng = np.random.default_rng(9)
+        for case in range(320):
+            delta = int(rng.integers(1, 5))
+            n = int(rng.integers(max(2, delta + 1), 13))
+            width = int(rng.integers(1, 7))
+            scale = 10.0 ** rng.uniform(-3, 2)
+
+            def vec():
+                if rng.random() < 0.05:
+                    return dc.param(np.zeros(width))
+                return dc.param(scale * rng.standard_normal(width))
+
+            z_r = [vec() for _ in range(n)]
+            z_d = [vec() for _ in range(n)] if case % 2 else []
+            cfg = cdgin.ContrastiveConfig(delta=delta)
+            value, grads = value_and_grads(cdgin.contrastive_loss, z_r, z_d, cfg)
+            expect, expect_grads = value_and_grads(scalar_contrastive_loss, z_r, z_d, cfg)
+            assert abs(value - expect) <= 1e-12, case
+            for g, ge in zip(grads, expect_grads):
+                assert np.all(np.abs(g - ge) <= 1e-9 * np.maximum(np.abs(ge), 1.0)), case
+
+    def test_op_count_independent_of_window_count(self, op_names):
+        rng = np.random.default_rng(10)
+        cfg = cdgin.ContrastiveConfig(delta=1)
+        counts = []
+        for n in (4, 58):
+            z = [dc.param(rng.standard_normal(8)) for _ in range(2 * n)]
+            for z_d in (z[n:], []):
+                op_names.clear()
+                cdgin.contrastive_loss(z[:n], z_d, cfg)
+                counts.append(len(op_names))
+        assert counts == [19] * 4
+
+    def test_ragged_projection_width(self):
+        with pytest.raises(ShapeError):
+            cdgin.contrastive_loss([dc.param(np.ones(3)), dc.param(np.ones(4))], [],
+                                   cdgin.ContrastiveConfig(delta=1))
+        with pytest.raises(ShapeError):
+            cdgin.contrastive_loss([dc.param(np.ones(3)) for _ in range(2)],
+                                   [dc.param(np.ones(4)) for _ in range(2)],
+                                   cdgin.ContrastiveConfig(delta=1))
 
     def test_config_validation(self):
         with pytest.raises(ContrastiveConfigError):

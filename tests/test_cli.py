@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -137,6 +138,16 @@ class TestExitCodes:
     def test_attn_export_truncated_checkpoint_exit_3(self, dataset, tmp_path):
         ckpt = tmp_path / "cut.ckpt"
         ckpt.write_bytes(dc.CHECKPOINT_MAGIC + b"\x01\x00")  # cut inside the header
+        code = run(["attn-export", "--checkpoint", str(ckpt), "--data", dataset,
+                    "--out", str(tmp_path / "a")] + TINY)
+        assert code == 3
+
+    # shape words whose element product wraps in numpy
+    @pytest.mark.parametrize("shape", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 32 - 1, 2 ** 31)])
+    def test_attn_export_oversized_shape_exit_3(self, dataset, tmp_path, shape):
+        ckpt = tmp_path / "big.ckpt"
+        ckpt.write_bytes(dc.CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B2I", 2, *shape) + b"\x00" * 16)
         code = run(["attn-export", "--checkpoint", str(ckpt), "--data", dataset,
                     "--out", str(tmp_path / "a")] + TINY)
         assert code == 3

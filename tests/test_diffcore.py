@@ -4,6 +4,8 @@ Every primitive's adjoint is checked against central finite differences on
 random inputs; tiny closed-form cases are asserted exactly.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,12 @@ def check_op(build_loss, tensors, tol=5e-7):
 
 def rmat(rng, *shape):
     return dc.param(rng.standard_normal(shape))
+
+
+def header_claiming(shape):
+    """Checkpoint bytes up to the data of one parameter 'w' of ``shape``."""
+    return (dc.CHECKPOINT_MAGIC + struct.pack("<IIH", dc.CHECKPOINT_SCHEMA_VERSION, 1, 1)
+            + b"w" + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
 
 
 def test_square_at_three_grad_is_six():
@@ -139,11 +147,7 @@ class TestPrimitiveGradients:
     def test_matvec(self):
         m, v = rmat(self.rng, 3, 4), rmat(self.rng, 4)
         u = rmat(self.rng, 3)
-        check_op(lambda: dc.dot(dc.matvec(m, v), dc.sigmoid(u)), [m, v, u])
-
-    def test_dot(self):
-        u, v = rmat(self.rng, 5), rmat(self.rng, 5)
-        check_op(lambda: dc.mul(dc.dot(u, v), dc.dot(u, v)), [u, v])
+        check_op(lambda: dc.sum_all(dc.mul(dc.matvec(m, v), dc.sigmoid(u))), [m, v, u])
 
     def test_transpose_reshape(self):
         a = rmat(self.rng, 3, 4)
@@ -174,7 +178,7 @@ class TestPrimitiveGradients:
     def test_softmax(self):
         a = rmat(self.rng, 6)
         w = rmat(self.rng, 6)
-        check_op(lambda: dc.dot(dc.softmax(a), w), [a, w])
+        check_op(lambda: dc.sum_all(dc.mul(dc.softmax(a), w)), [a, w])
 
     def test_pools(self):
         a = rmat(self.rng, 4, 5)
@@ -192,8 +196,12 @@ class TestPrimitiveGradients:
         check_op(lambda: dc.sum_all(dc.tanh(dc.concat([a, b], axis=1))), [a, b])
         u, v = rmat(self.rng, 4), rmat(self.rng, 4)
         check_op(lambda: dc.sum_all(dc.tanh(dc.stack_rows([u, v]))), [u, v])
+        with pytest.raises(ShapeError):
+            dc.stack_rows([u, rmat(self.rng, 3)])  # ragged rows
+        with pytest.raises(ShapeError):
+            dc.stack_rows([a, b])  # rows must be 1-D
         m = rmat(self.rng, 3, 4)
-        check_op(lambda: dc.dot(dc.row(m, 1), dc.row(m, 2)), [m])
+        check_op(lambda: dc.sum_all(dc.mul(dc.row(m, 1), dc.row(m, 2))), [m])
 
     def test_conv1d_same(self):
         x = rmat(self.rng, 2, 9)
@@ -248,7 +256,7 @@ def test_composite_model_gradcheck():
     def build():
         h = dc.tanh(dc.add_bias(dc.matmul(dc.const(x), w1), b1))
         s = dc.softmax(dc.matvec(h, dc.row(dc.stack_rows([b1, b1]), 0)))
-        ws = dc.dot(s, q)
+        ws = dc.sum_all(dc.mul(s, q))
         out = dc.matmul(h, w2)
         mean = dc.reshape(dc.mean_pool(dc.sigmoid(out), axis=0), ())
         return dc.add(mean, dc.mul(ws, ws))
@@ -398,6 +406,17 @@ class TestCheckpoint:
         blob = bytearray(open(path, "rb").read())
         blob[16] = 0xFF  # first byte of the first parameter name
         open(path, "wb").write(bytes(blob))
+        with pytest.raises(ParseError, match="model.ckpt"):
+            dc.load_params(path)
+
+    # one parameter whose shape claims more float64s than the file holds: the
+    # first two wrap numpy's element product (to a negative read length and to
+    # an overflow), the third is representable but larger than the file
+    @pytest.mark.parametrize("shape", [(2 ** 32 - 1, 2 ** 32 - 1),
+                                       (2 ** 32 - 1, 2 ** 31), (1000, 1000)])
+    def test_oversized_shape_rejected(self, tmp_path, shape):
+        path = str(tmp_path / "model.ckpt")
+        open(path, "wb").write(header_claiming(shape) + b"\x00" * 16)
         with pytest.raises(ParseError, match="model.ckpt"):
             dc.load_params(path)
 

@@ -193,17 +193,15 @@ def test_model_gradcheck_small():
     assert report.max_rel_err < 1e-4, (report.worst_param, report.max_rel_err)
 
 
-def test_op_counts_at_readme_shape(monkeypatch):
+def test_op_counts_at_readme_shape(op_names):
     # README demo shape: M=10, T=120, windows 35/25 -> 4 windows, default dims
     cfg = tv.TrainConfig()
     ts = RoiTimeSeries("s0", np.random.default_rng(12).standard_normal((120, 10)), 1)
     preps = tv.prepare_dataset([ts], cfg)
     dims = tv.make_dims(preps, cfg)
     store = model.init_params(dims, cfg.seed)
-    ops = []
-    make = dc._make
-    monkeypatch.setattr(dc, "_make", lambda *args: ops.append(args[1]) or make(*args))
+    op_names.clear()
     out = model.forward_subject(store, dims, preps[0])
-    n_forward = len(ops)
+    n_forward = len(op_names)
     cdgin.contrastive_loss(out.projections["r"], out.projections["d"], cfg.contrastive())
-    assert (n_forward, len(ops) - n_forward) == (424, 340)
+    assert (n_forward, len(op_names) - n_forward) == (424, 19)
