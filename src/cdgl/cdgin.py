@@ -3,10 +3,12 @@ cross-window/cross-stream contrastive loss.
 
 Each stream updates node features as MLP((eps I + A) H W) with its own
 parameters; graph-level vectors come from a single-head query-key attention
-over nodes. The contrastive loss treats every (stream, window) projection as
-an anchor whose positives are the same-stream windows at offset +-delta; it
-is one cosine matrix over all projections and a masked log-sum-exp, a fixed
-19 autodiff ops whatever the window count.
+over nodes. Windows are a batch axis: one layer call updates and reads out
+every window of a stream, so the op count does not grow with the window
+count. The contrastive loss treats every (stream, window) projection as an
+anchor whose positives are the same-stream windows at offset +-delta; it is
+one cosine matrix over all projections and a masked log-sum-exp, a fixed 18
+autodiff ops (17 for one stream) whatever the window count.
 """
 
 from __future__ import annotations
@@ -49,47 +51,59 @@ class GinLayerParams:
 
 def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams,
                     activation=dc.tanh) -> dc.Tensor:
-    """MLP((eps I + A) H W) for one window and stream; returns (M, D) nodes."""
-    m, d = h_in.data.shape
-    if a.shape != (m, m):
-        raise ShapeError(f"adjacency {a.shape} does not match {m} nodes")
+    """MLP((eps I + A_t) H_t W) for every window t at once.
+
+    ``h_in`` is the (N_w * M, D) window-major node matrix and ``a`` the
+    constant (N_w, M, M) adjacency stack; the neighbour sum is one batched
+    product and W and the MLP are shared matmuls over all N_w * M rows.
+    """
+    rows, d = h_in.data.shape
+    if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] * a.shape[1] != rows:
+        raise ShapeError(f"adjacency stack {a.shape} does not match {rows} node rows")
     if p.w.data.shape != (d, d):
         raise ShapeError(f"w must be ({d}, {d}), got {p.w.data.shape}")
-    mixed = dc.add(dc.scale(h_in, p.eps), dc.matmul(dc.const(a), h_in))
+    neighbours = dc.bmm(dc.const(a), dc.reshape(h_in, (a.shape[0], a.shape[1], d)))
+    mixed = dc.add(dc.scale(h_in, p.eps), dc.reshape(neighbours, (rows, d)))
     x = dc.matmul(mixed, p.w)
-    h1 = activation(dc.add_bias(dc.matmul(x, p.mlp_w1), p.mlp_b1))
-    return dc.add_bias(dc.matmul(h1, p.mlp_w2), p.mlp_b2)
+    h1 = activation(dc.add(dc.matmul(x, p.mlp_w1), p.mlp_b1))
+    return dc.add(dc.matmul(h1, p.mlp_w2), p.mlp_b2)
 
 
 def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
                       w_k: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
-    """Graph vector = attention-weighted node sum; also returns the weights.
+    """Per-window graph vectors (N_w, D) and attention weights (N_w, M).
 
-    Query is W_q applied to the node mean; per-node logits are scaled dot
-    products with W_k keys.
+    ``h_nodes`` is (N_w, M, D). A window's query is W_q applied to its node
+    mean; node logits are scaled dot products of the query with W_k keys,
+    computed as H (W_k^T q) so no (N_w * M)-row key matrix is built; the
+    softmax runs over each window's nodes.
     """
-    m, d = h_nodes.data.shape
-    q = dc.matvec(w_q, dc.mean_pool(h_nodes, axis=0))
-    keys = dc.matmul(h_nodes, dc.transpose(w_k))  # (M, D)
-    logits = dc.mul_scalar(dc.matvec(keys, q), 1.0 / np.sqrt(d))
+    n, m, d = h_nodes.data.shape
+    q = dc.matmul(dc.mean_pool(h_nodes, axis=1), dc.transpose(w_q))  # (N_w, D)
+    keyed = dc.reshape(dc.matmul(q, w_k), (n, d, 1))  # row t: W_k^T q_t
+    logits = dc.mul_scalar(dc.reshape(dc.bmm(h_nodes, keyed), (n, m)), 1.0 / np.sqrt(d))
     weights = dc.softmax(logits)
-    readout = dc.matvec(dc.transpose(h_nodes), weights)
-    return readout, weights
+    readout = dc.bmm(dc.reshape(weights, (n, 1, m)), h_nodes)
+    return dc.reshape(readout, (n, d)), weights
 
 
 def gin_layer(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams,
               activation=dc.tanh) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor]:
-    """Node update plus readout: returns (H_out, readout vector, attention weights)."""
+    """Node update plus readout over all windows: (H_out (N_w * M, D),
+    readouts (N_w, D), attention weights (N_w, M))."""
     h_out = gin_node_update(h_in, a, p, activation=activation)
-    readout, weights = attention_readout(h_out, p.w_q, p.w_k)
+    n, m, _ = a.shape
+    readout, weights = attention_readout(
+        dc.reshape(h_out, (n, m, h_out.data.shape[1])), p.w_q, p.w_k)
     return h_out, readout, weights
 
 
 def project(h: dc.Tensor, w1: dc.Tensor, b1: dc.Tensor, w2: dc.Tensor,
             b2: dc.Tensor) -> dc.Tensor:
-    """Shared two-layer projection head; nonlinearity between layers only."""
-    hidden = dc.tanh(dc.add(dc.matvec(w1, h), b1))
-    return dc.add(dc.matvec(w2, hidden), b2)
+    """Shared two-layer projection head over the rows of ``h`` (N, D) -> (N, P);
+    nonlinearity between layers only."""
+    hidden = dc.tanh(dc.add(dc.matmul(h, dc.transpose(w1)), b1))
+    return dc.add(dc.matmul(hidden, dc.transpose(w2)), b2)
 
 
 def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
@@ -105,26 +119,30 @@ def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndar
     return negative.astype(np.float64), weights
 
 
-def contrastive_loss(z_r: list[dc.Tensor], z_d: list[dc.Tensor],
+def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
                      cfg: ContrastiveConfig) -> dc.Tensor:
     """Mean InfoNCE-style loss over all (stream, window) anchors.
 
+    ``z_r`` and ``z_d`` hold one projection per window, as (N_w, P) rows.
     For anchor i of a stream, positives are the in-range same-stream windows
     at i - delta and i + delta (loss averaged when both exist). Each
     denominator holds the positive's own term once, every cross-stream
     window, and all same-stream windows outside {i, i - delta, i + delta}.
-    An empty ``z_d`` is the one-stream case: anchors come from ``z_r`` alone,
+    ``z_d = None`` is the one-stream case: anchors come from ``z_r`` alone,
     there are no cross-stream terms, and an anchor without negatives has
     denominator exp(s_pos), so it contributes 0.
     """
-    n = len(z_r)
-    if z_d and len(z_d) != n:
-        raise ShapeError(f"streams disagree on window count: {n} vs {len(z_d)}")
+    if z_r.data.ndim != 2:
+        raise ShapeError(f"projections must be an (N_w, P) matrix, got {z_r.data.shape}")
+    if z_d is not None and z_d.data.shape != z_r.data.shape:
+        raise ShapeError(f"streams disagree on projection shape: "
+                         f"{z_r.data.shape} vs {z_d.data.shape}")
+    n = z_r.data.shape[0]
     if n < cfg.delta + 1:
         raise ContrastiveConfigError(
             f"need at least delta+1={cfg.delta + 1} windows, got {n}")
 
-    z = dc.stack_rows(z_r + z_d)  # (K, P)
+    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=0)  # (K, P)
     k, width = z.data.shape
     negative, weights = _pair_weights(n, k // n, cfg.delta)
     sq = dc.matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
@@ -133,6 +151,5 @@ def contrastive_loss(z_r: list[dc.Tensor], z_d: list[dc.Tensor],
                  dc.matmul(norms, dc.transpose(norms)))
     e = dc.exp(cos)
     base = dc.matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
-    denom = dc.add(dc.matmul(base, dc.const(np.ones((1, k)))), e)
-    per_pair = dc.sub(dc.log(denom), cos)
+    per_pair = dc.sub(dc.log(dc.add(base, e)), cos)  # base broadcasts along rows
     return dc.sum_all(dc.mul(per_pair, dc.const(weights)))

@@ -4,7 +4,9 @@ Everything trainable in the model lives in a :class:`ParamStore` of named
 :class:`Tensor` objects. Forward passes build a fresh op graph each time;
 :func:`backward` walks it once in reverse topological order and accumulates
 gradients into the leaves. The primitive set is deliberately small and every
-primitive has a hand-written adjoint that is finite-difference tested.
+primitive has a hand-written adjoint that is finite-difference tested;
+adjoints compute contributions only for operands that carry gradients, so
+constant operands (adjacencies, masks) cost nothing on the way back.
 
 All arithmetic is 64-bit; gradient checks at 1e-4 relative tolerance are not
 reliable below that precision.
@@ -47,6 +49,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
+    def __len__(self) -> int:
+        """Length of the first axis, as for a numpy array."""
+        return len(self.data)
+
     def item(self) -> float:
         return float(self.data)
 
@@ -64,7 +70,9 @@ def param(data) -> Tensor:
 
 def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     if not np.all(np.isfinite(out)):
-        raise NumericsError(f"non-finite values produced by op '{op}'")
+        first = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
+        raise NumericsError(f"non-finite values produced by op '{op}'",
+                            index=first, shape=out.shape)
     if any(p.requires_grad for p in parents):
         return Tensor(out, requires_grad=True, parents=parents, backward=backward, op=op)
     return Tensor(out, op=op)
@@ -74,26 +82,59 @@ def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
 # primitive ops
 # ---------------------------------------------------------------------------
 
+def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
+    """Raise unless ``a`` and ``b`` broadcast under this module's narrow rule.
+
+    Operands of equal rank broadcast along axes where one side is 1. Ranks
+    may differ only when the smaller operand matches the trailing axes of
+    the larger exactly (a bias row); any other rank mismatch raises, so a
+    stray (n,) + (n, 1) cannot become an (n, n) outer product.
+    """
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != len(sb):
+        small, large = sorted((sa, sb), key=len)
+        ok = large[len(large) - len(small):] == small
+    else:
+        ok = all(x == y or 1 in (x, y) for x, y in zip(sa, sb))
+    if not ok:
+        raise ShapeError(f"{op}: {sa} vs {sb}")
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` down to ``shape`` over the axes broadcasting added or stretched."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"add: {a.data.shape} vs {b.data.shape}")
+    """Elementwise sum; broadcasts as :func:`_check_broadcast` allows."""
+    _check_broadcast("add", a, b)
     out = a.data + b.data
-    return _make(out, "add", (a, b), lambda g: ((a, g), (b, g)))
 
+    def bk(g):
+        if a.requires_grad:
+            yield a, _unbroadcast(g, a.data.shape)
+        if b.requires_grad:
+            yield b, _unbroadcast(g, b.data.shape)
 
-def add_bias(m: Tensor, v: Tensor) -> Tensor:
-    """Row-broadcast add of a length-C bias onto an (R, C) matrix."""
-    if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],):
-        raise ShapeError(f"add_bias: {m.data.shape} vs {v.data.shape}")
-    out = m.data + v.data
-    return _make(out, "add_bias", (m, v), lambda g: ((m, g), (v, g.sum(axis=0))))
+    return _make(out, "add", (a, b), bk)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
     out = a.data - b.data
-    return _make(out, "sub", (a, b), lambda g: ((a, g), (b, -g)))
+
+    def bk(g):
+        if a.requires_grad:
+            yield a, g
+        if b.requires_grad:
+            yield b, -g
+
+    return _make(out, "sub", (a, b), bk)
 
 
 def neg(a: Tensor) -> Tensor:
@@ -104,7 +145,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
     out = a.data * b.data
-    return _make(out, "mul", (a, b), lambda g: ((a, g * b.data), (b, g * a.data)))
+
+    def bk(g):
+        if a.requires_grad:
+            yield a, g * b.data
+        if b.requires_grad:
+            yield b, g * a.data
+
+    return _make(out, "mul", (a, b), bk)
 
 
 def mul_scalar(a: Tensor, c: float) -> Tensor:
@@ -126,24 +174,58 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"div: {a.data.shape} vs {b.data.shape}")
     with np.errstate(divide="ignore", invalid="ignore"):
         out = a.data / b.data
-    return _make(out, "div", (a, b),
-                 lambda g: ((a, g / b.data), (b, -g * a.data / (b.data * b.data))))
+
+    def bk(g):
+        if a.requires_grad:
+            yield a, g / b.data
+        if b.requires_grad:
+            yield b, -g * a.data / (b.data * b.data)
+
+    return _make(out, "div", (a, b), bk)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
-    return _make(out, "matmul", (a, b),
-                 lambda g: ((a, g @ b.data.T), (b, a.data.T @ g)))
+
+    def bk(g):
+        if a.requires_grad:
+            yield a, g @ b.data.T
+        if b.requires_grad:
+            yield b, a.data.T @ g
+
+    return _make(out, "matmul", (a, b), bk)
+
+
+def bmm(a: Tensor, b: Tensor) -> Tensor:
+    """Batched matrix product of (B, M, K) and (B, K, N) stacks: one product per batch entry."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
+        raise ShapeError(f"bmm: {sa} @ {sb}")
+    out = np.matmul(a.data, b.data)
+
+    def bk(g):
+        if a.requires_grad:
+            yield a, np.matmul(g, b.data.transpose(0, 2, 1))
+        if b.requires_grad:
+            yield b, np.matmul(a.data.transpose(0, 2, 1), g)
+
+    return _make(out, "bmm", (a, b), bk)
 
 
 def matvec(m: Tensor, v: Tensor) -> Tensor:
     if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],):
         raise ShapeError(f"matvec: {m.data.shape} @ {v.data.shape}")
     out = m.data @ v.data
-    return _make(out, "matvec", (m, v),
-                 lambda g: ((m, np.outer(g, v.data)), (v, m.data.T @ g)))
+
+    def bk(g):
+        if m.requires_grad:
+            yield m, np.outer(g, v.data)
+        if v.requires_grad:
+            yield v, m.data.T @ g
+
+    return _make(out, "matvec", (m, v), bk)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -203,27 +285,24 @@ def clip_min(a: Tensor, lo: float) -> Tensor:
 
 
 def softmax(a: Tensor) -> Tensor:
-    """Stable softmax over a 1-D vector (max-subtraction)."""
-    if a.data.ndim != 1:
-        raise ShapeError("softmax: 1-D only")
-    e = np.exp(a.data - a.data.max())
-    out = e / e.sum()
+    """Stable softmax over the last axis of a vector or of each row of a matrix."""
+    if a.data.ndim not in (1, 2):
+        raise ShapeError(f"softmax: 1-D or 2-D input, got {a.data.shape}")
+    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
     return _make(out, "softmax", (a,),
-                 lambda g: ((a, out * (g - np.dot(g, out))),))
+                 lambda g: ((a, out * (g - (g * out).sum(axis=-1, keepdims=True))),))
 
 
 def mean_pool(a: Tensor, axis: int) -> Tensor:
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeError("mean_pool: 2-D input, axis 0 or 1")
-    n = a.data.shape[axis]
+    """Mean over one axis of an array of any rank >= 1."""
+    if not 0 <= axis < a.data.ndim:
+        raise ShapeError(f"mean_pool: axis {axis} of a {a.data.ndim}-D input")
+    shape = a.data.shape
     out = a.data.mean(axis=axis)
-
-    def bk(g):
-        if axis == 0:
-            return ((a, np.tile(g / n, (n, 1))),)
-        return ((a, np.tile((g / n)[:, None], (1, n))),)
-
-    return _make(out, "mean_pool", (a,), bk)
+    return _make(out, "mean_pool", (a,),
+                 lambda g: ((a, np.broadcast_to(np.expand_dims(g / shape[axis], axis),
+                                                shape)),))
 
 
 def max_pool(a: Tensor, axis: int) -> Tensor:
@@ -263,33 +342,21 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _make(out, "concat", tuple(parts), bk)
 
 
-def stack_rows(vectors: list[Tensor]) -> Tensor:
-    """Stack n length-d vectors into an (n, d) matrix."""
-    if not vectors:
-        raise ShapeError("stack_rows: empty input")
-    shapes = {v.data.shape for v in vectors}
-    if len(shapes) != 1 or len(vectors[0].data.shape) != 1:
-        raise ShapeError(f"stack_rows: rows must be 1-D and of one length, "
-                         f"got shapes {sorted(shapes)}")
-    out = np.stack([v.data for v in vectors], axis=0)
-
-    def bk(g):
-        return tuple((v, g[i]) for i, v in enumerate(vectors))
-
-    return _make(out, "stack_rows", tuple(vectors), bk)
-
-
-def row(m: Tensor, i: int) -> Tensor:
-    if m.data.ndim != 2:
-        raise ShapeError("row: 2-D only")
-    out = m.data[i]
+def take_rows(m: Tensor, idx) -> Tensor:
+    """Rows ``idx`` of a 2-D tensor, in order, as a (len(idx), C) matrix."""
+    idx = np.asarray(idx, dtype=np.intp)
+    if m.data.ndim != 2 or idx.ndim != 1:
+        raise ShapeError(f"take_rows: 2-D tensor and 1-D indices, got {m.data.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
+        raise ShapeError(f"take_rows: index out of range for {m.data.shape[0]} rows")
+    out = m.data[idx]
 
     def bk(g):
         gm = np.zeros_like(m.data)
-        gm[i] = g
+        np.add.at(gm, idx, g)
         return ((m, gm),)
 
-    return _make(out, "row", (m,), bk)
+    return _make(out, "take_rows", (m,), bk)
 
 
 def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:

@@ -14,7 +14,16 @@ class ShapeError(CdglError):
 
 
 class NumericsError(CdglError):
-    """A computation produced NaN/Inf or an otherwise unusable value."""
+    """A computation produced NaN/Inf or an otherwise unusable value.
+
+    ``index`` is the position of the first non-finite element in the
+    offending array and ``shape`` that array's shape, when they are known.
+    """
+
+    def __init__(self, message, index=None, shape=None):
+        super().__init__(message)
+        self.index = index
+        self.shape = shape
 
 
 class StratificationError(CdglError):

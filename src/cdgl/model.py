@@ -3,7 +3,8 @@
 Parameters live in a flat ParamStore under dotted names (encoder.*, cdgin.*,
 project.*, fusion.*, classifier.*) so checkpoints and the optimizer see one
 deterministic namespace. Adjacencies depend only on the data, so they are
-precomputed once per subject and reused across epochs.
+precomputed once per subject, stacked into one (N_w, M, M) array per
+stream, and reused across epochs.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 from . import cdgin, diffcore as dc, dynamic_fc as dfc, fusion_head as fh
 from . import temporal_encoder as te
 from .data_io import RoiTimeSeries, zscore_columns
-from .errors import ShapeError, WindowBudgetError
+from .errors import NumericsError, ShapeError, WindowBudgetError
 
 STREAMS = ("r", "d")
 
@@ -130,7 +131,7 @@ class PreparedSubject:
     encoder_input: np.ndarray  # (T, M), z-scored
     starts: list[int]
     window_size: int
-    adjacency: dict[str, list[np.ndarray]]  # stream -> per-window binary A
+    adjacency: dict[str, np.ndarray]  # stream -> (N_w, M, M) binary A, window-major
 
 
 def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
@@ -151,9 +152,9 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
     pairs = dfc.build_fc_pairs(fc_input, wspec, kind)
     adjacency = {}
     if "r" in streams:
-        adjacency["r"] = [p.a_r for p in pairs]
+        adjacency["r"] = np.stack([p.a_r for p in pairs])
     if "d" in streams:
-        adjacency["d"] = [p.a_d for p in pairs]
+        adjacency["d"] = np.stack([p.a_d for p in pairs])
     return PreparedSubject(subject_id=ts.subject_id, label=ts.label,
                            encoder_input=z, starts=[p.start for p in pairs],
                            window_size=wspec.window_size, adjacency=adjacency)
@@ -162,43 +163,66 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
 @dataclass
 class SubjectForward:
     y_hat: dc.Tensor
-    projections: dict[str, list[dc.Tensor]]
+    projections: dict[str, dc.Tensor]  # stream -> (N_w, P)
     channel_factors: list[dc.Tensor] = field(default_factory=list)  # per layer (C,)
     temporal_factors: list[dc.Tensor] = field(default_factory=list)  # per layer (N_w,)
-    readout_weights: dict[str, list[list[dc.Tensor]]] = field(default_factory=dict)
+    readout_weights: dict[str, list[dc.Tensor]] = field(default_factory=dict)  # per layer (N_w, M)
 
 
 def forward_subject(store: dc.ParamStore, dims: ModelDims,
                     prep: PreparedSubject) -> SubjectForward:
-    """One subject's probability, projections, and attention records."""
+    """One subject's probability, projections, and attention records.
+
+    A non-finite value raises :class:`NumericsError` naming the subject and
+    the op, and inside a GIN layer also the stream, layer and first window
+    holding it.
+    """
+    try:
+        return _forward(store, dims, prep)
+    except NumericsError as err:
+        raise NumericsError(f"subject {prep.subject_id!r}: {err}",
+                            err.index, err.shape) from err
+
+
+def _window_of(err: NumericsError, n_w: int, m: int) -> str:
+    """', window t' for an error in a GIN layer's (N_w, ...) or (N_w * M, ...) array."""
+    rows = err.shape[0] if err.shape else None
+    if rows == n_w:
+        return f", window {err.index[0]}"
+    if rows == n_w * m:
+        return f", window {err.index[0] // m}"
+    return ""
+
+
+def _forward(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject) -> SubjectForward:
     hidden = te.lstm_forward(prep.encoder_input, store["encoder.lstm.w_x"],
                              store["encoder.lstm.w_h"], store["encoder.lstm.b"])
-    node_blocks = te.assemble_node_features(hidden, prep.starts, prep.window_size,
-                                            store["encoder.w_m"], dims.m)
-    n_w = len(node_blocks)
+    node_feats = te.assemble_node_features(hidden, prep.starts, prep.window_size,
+                                           store["encoder.w_m"], dims.m)
+    n_w = len(prep.starts)
 
-    readouts: dict[str, list[list[dc.Tensor]]] = {}
-    weights: dict[str, list[list[dc.Tensor]]] = {}
+    readouts: dict[str, list[dc.Tensor]] = {}
+    weights: dict[str, list[dc.Tensor]] = {}
     for s in dims.streams:
-        readouts[s] = [[] for _ in range(dims.layers)]
-        weights[s] = [[] for _ in range(dims.layers)]
-        for t in range(n_w):
-            h = node_blocks[t]
-            for layer in range(dims.layers):
-                h, vec, attn = cdgin.gin_layer(h, prep.adjacency[s][t],
+        h = node_feats
+        readouts[s], weights[s] = [], []
+        for layer in range(dims.layers):
+            try:
+                h, vec, attn = cdgin.gin_layer(h, prep.adjacency[s],
                                                gin_params(store, layer, s))
-                readouts[s][layer].append(vec)
-                weights[s][layer].append(attn)
+            except NumericsError as err:
+                raise NumericsError(
+                    f"stream {s!r}, layer {layer}{_window_of(err, n_w, dims.m)}: {err}",
+                    err.index, err.shape) from err
+            readouts[s].append(vec)
+            weights[s].append(attn)
 
     h_a_layers = []
     channel_factors = []
     temporal_factors = []
     for layer in range(dims.layers):
-        rows = []
-        for t in range(n_w):
-            parts = [readouts[s][layer][t] for s in dims.streams]
-            rows.append(parts[0] if len(parts) == 1 else dc.concat(parts, axis=0))
-        h_f = dc.stack_rows(rows)  # (N_w, C)
+        parts = [readouts[s][layer] for s in dims.streams]
+        h_f = parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)  # (N_w, C)
         p = cbam_params(store, layer)
         cf = fh.channel_attention(h_f, p)
         tf = fh.temporal_attention(h_f, p)
@@ -208,11 +232,9 @@ def forward_subject(store: dc.ParamStore, dims: ModelDims,
 
     y_hat = fh.classify(h_a_layers, classifier_params(store))
 
-    projections = {}
-    for s in dims.streams:
-        projections[s] = [cdgin.project(vec, store["project.w1"], store["project.b1"],
-                                        store["project.w2"], store["project.b2"])
-                          for vec in readouts[s][dims.layers - 1]]
+    projections = {s: cdgin.project(readouts[s][-1], store["project.w1"], store["project.b1"],
+                                    store["project.w2"], store["project.b2"])
+                   for s in dims.streams}
     return SubjectForward(y_hat=y_hat, projections=projections,
                           channel_factors=channel_factors,
                           temporal_factors=temporal_factors,
@@ -233,7 +255,7 @@ def subject_loss_parts(
                 f"subject {prep.subject_id!r}: {n_w} windows < delta+1="
                 f"{ccfg.delta + 1} required by the contrastive term")
         z = [out.projections[s] for s in dims.streams]
-        l_info = cdgin.contrastive_loss(z[0], z[1] if len(z) == 2 else [], ccfg)
+        l_info = cdgin.contrastive_loss(z[0], z[1] if len(z) == 2 else None, ccfg)
     l_bce = fh.bce(out.y_hat, prep.label)
     total = l_bce
     if l_info is not None:

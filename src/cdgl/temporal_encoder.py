@@ -3,7 +3,8 @@
 The LSTM runs once over the whole normalized sequence; each window then takes
 the hidden state at its endpoint timepoint. Node v's input feature for a
 window is W_M [one_hot(v) || h_endpoint], so the one-hot block separates
-nodes while the hidden block injects shared temporal context.
+nodes while the hidden block injects shared temporal context. Windows are a
+batch axis: all windows' node features come back as one matrix.
 """
 
 from __future__ import annotations
@@ -31,21 +32,20 @@ def window_endpoints(starts: list[int], window_size: int, t: int) -> list[int]:
 
 
 def assemble_node_features(hidden: dc.Tensor, starts: list[int], window_size: int,
-                           w_m: dc.Tensor, m: int) -> list[dc.Tensor]:
-    """Per-window (M, D) node feature blocks from shared endpoint hidden states.
+                           w_m: dc.Tensor, m: int) -> dc.Tensor:
+    """Node features of every window as one (N_w * M, D) matrix, window-major.
 
-    Computed as concat([I_M, 1 h_tau]) @ W_M^T so each window is a single
-    matmul instead of M vector products.
+    W_M [one_hot(v) || h_tau] splits into a node term (the first M columns
+    of W_M) and a window term (the rest applied to h_tau); their broadcast
+    sum gives all windows at once without an (N_w * M)-row selector.
     """
     t, d = hidden.data.shape
     if w_m.data.shape != (d, m + d):
         raise ShapeError(f"w_m must be ({d}, {m + d}), got {w_m.data.shape}")
-    eye = dc.const(np.eye(m))
-    ones = dc.const(np.ones((m, 1)))
-    w_m_t = dc.transpose(w_m)
-    blocks = []
-    for tau in window_endpoints(starts, window_size, t):
-        h_row = dc.reshape(dc.row(hidden, tau), (1, d))
-        stacked = dc.concat([eye, dc.matmul(ones, h_row)], axis=1)  # (M, M+D)
-        blocks.append(dc.matmul(stacked, w_m_t))  # (M, D)
-    return blocks
+    ends = window_endpoints(starts, window_size, t)
+    w_m_t = dc.transpose(w_m)  # (M + D, D)
+    node = dc.take_rows(w_m_t, np.arange(m))  # (M, D)
+    context = dc.matmul(dc.take_rows(hidden, ends),
+                        dc.take_rows(w_m_t, np.arange(m, m + d)))  # (N_w, D)
+    feats = dc.add(dc.reshape(context, (len(ends), 1, d)), dc.reshape(node, (1, m, d)))
+    return dc.reshape(feats, (len(ends) * m, d))

@@ -156,9 +156,9 @@ class TestFullModelGradients:
 
 class TestContrastiveHandCase:
     def test_two_identical_unit_vectors_give_ln3(self):
-        e1 = np.array([1.0, 0.0, 0.0])
-        z_r = [dc.param(e1.copy()) for _ in range(2)]
-        z_d = [dc.param(e1.copy()) for _ in range(2)]
+        e1 = np.array([[1.0, 0.0, 0.0]])
+        z_r = dc.param(np.repeat(e1, 2, axis=0))
+        z_d = dc.param(np.repeat(e1, 2, axis=0))
         loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
         assert abs(float(loss.data) - np.log(3.0)) < 1e-12
 

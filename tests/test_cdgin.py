@@ -38,11 +38,11 @@ class TestGinLayer:
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         p = identity_params(2)
         h_in = dc.const(np.eye(2))
-        h_out = cdgin.gin_node_update(h_in, a, p, activation=lambda t: t)
+        h_out = cdgin.gin_node_update(h_in, a[None], p, activation=lambda t: t)
         np.testing.assert_allclose(h_out.data, a, atol=1e-15)
 
     def test_epsilon_self_contribution(self):
-        a = np.zeros((2, 2))
+        a = np.zeros((1, 2, 2))
         p = identity_params(2)
         p.eps.data = np.asarray(2.5)
         h_in = dc.const(np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -54,7 +54,7 @@ class TestGinLayer:
         d, m = 4, 5
         p = make_layer_params(rng, d)
         h_in = dc.const(rng.standard_normal((m, d)))
-        h_out = cdgin.gin_node_update(h_in, np.zeros((m, m)), p)
+        h_out = cdgin.gin_node_update(h_in, np.zeros((1, m, m)), p)
         # eps starts at 0 and A = 0, so every node sees the zero vector
         for v in range(1, m):
             np.testing.assert_allclose(h_out.data[v], h_out.data[0], atol=1e-15)
@@ -64,14 +64,18 @@ class TestGinLayer:
         d = 3
         p = make_layer_params(rng, d)
         h_in = dc.const(rng.standard_normal((1, d)))
-        h_out, readout, weights = cdgin.gin_layer(h_in, np.zeros((1, 1)), p)
-        np.testing.assert_allclose(readout.data, h_out.data[0], atol=1e-15)
-        np.testing.assert_allclose(weights.data, [1.0], atol=1e-15)
+        h_out, readout, weights = cdgin.gin_layer(h_in, np.zeros((1, 1, 1)), p)
+        np.testing.assert_allclose(readout.data, h_out.data, atol=1e-15)
+        np.testing.assert_allclose(weights.data, [[1.0]], atol=1e-15)
 
     def test_shape_mismatch(self):
         p = identity_params(3)
         with pytest.raises(ShapeError):
-            cdgin.gin_node_update(dc.const(np.zeros((2, 3))), np.zeros((3, 3)), p)
+            cdgin.gin_node_update(dc.const(np.zeros((2, 3))), np.zeros((1, 3, 3)), p)
+        with pytest.raises(ShapeError):  # a single window's matrix, not a stack
+            cdgin.gin_node_update(dc.const(np.zeros((3, 3))), np.zeros((3, 3)), p)
+        with pytest.raises(ShapeError):  # 2 windows of 3 nodes need 6 rows
+            cdgin.gin_layer(dc.const(np.zeros((3, 3))), np.zeros((2, 3, 3)), p)
 
 
 class TestAttentionReadout:
@@ -79,63 +83,66 @@ class TestAttentionReadout:
         rng = np.random.default_rng(2)
         d, m = 4, 6
         feat = rng.standard_normal(d)
-        h = dc.const(np.tile(feat, (m, 1)))
+        h = dc.const(np.tile(feat, (1, m, 1)))
         readout, weights = cdgin.attention_readout(
             h, dc.param(rng.standard_normal((d, d))),
             dc.param(rng.standard_normal((d, d))))
         np.testing.assert_allclose(weights.data, 1.0 / m, atol=1e-12)
-        np.testing.assert_allclose(readout.data, feat, atol=1e-12)
+        np.testing.assert_allclose(readout.data, [feat], atol=1e-12)
 
     def test_zero_query_gives_node_mean(self):
         rng = np.random.default_rng(3)
         d, m = 5, 4
-        h = dc.const(rng.standard_normal((m, d)))
+        h = dc.const(rng.standard_normal((2, m, d)))
         readout, weights = cdgin.attention_readout(
             h, dc.param(np.zeros((d, d))), dc.param(rng.standard_normal((d, d))))
         np.testing.assert_allclose(weights.data, 0.25, atol=1e-15)
-        np.testing.assert_allclose(readout.data, h.data.mean(axis=0), atol=1e-12)
+        np.testing.assert_allclose(readout.data, h.data.mean(axis=1), atol=1e-12)
 
     def test_formula_oracle(self):
         rng = np.random.default_rng(4)
-        d, m = 4, 3
-        h = rng.standard_normal((m, d))
+        n, d, m = 3, 4, 3
+        h = rng.standard_normal((n, m, d))
         wq = rng.standard_normal((d, d))
         wk = rng.standard_normal((d, d))
         readout, weights = cdgin.attention_readout(dc.const(h), dc.param(wq),
                                                    dc.param(wk))
-        q = wq @ h.mean(axis=0)
-        logits = np.array([q @ (wk @ h[v]) for v in range(m)]) / np.sqrt(d)
-        e = np.exp(logits - logits.max())
-        a = e / e.sum()
-        np.testing.assert_allclose(weights.data, a, atol=1e-12)
-        np.testing.assert_allclose(readout.data, a @ h, atol=1e-12)
+        for t in range(n):  # each window's softmax runs over its own nodes
+            q = wq @ h[t].mean(axis=0)
+            logits = np.array([q @ (wk @ h[t, v]) for v in range(m)]) / np.sqrt(d)
+            e = np.exp(logits - logits.max())
+            a = e / e.sum()
+            np.testing.assert_allclose(weights.data[t], a, atol=1e-12)
+            np.testing.assert_allclose(readout.data[t], a @ h[t], atol=1e-12)
 
 
 class TestProject:
     def test_zero_weights(self):
         d = 4
-        z = cdgin.project(dc.const(np.ones(d)), dc.param(np.zeros((d, d))),
+        z = cdgin.project(dc.const(np.ones((2, d))), dc.param(np.zeros((d, d))),
                           dc.param(np.zeros(d)), dc.param(np.zeros((d, d))),
                           dc.param(np.zeros(d)))
+        assert z.data.shape == (2, d)
         np.testing.assert_array_equal(z.data, 0.0)
 
     def test_near_identity_small_inputs(self):
         d = 3
-        h = np.full(d, 1e-6)
+        h = np.full((1, d), 1e-6)
         z = cdgin.project(dc.const(h), dc.param(np.eye(d)), dc.param(np.zeros(d)),
                           dc.param(np.eye(d)), dc.param(np.zeros(d)))
         np.testing.assert_allclose(z.data, h, rtol=1e-9)
 
     def test_dense_oracle(self):
         rng = np.random.default_rng(5)
-        d, dp = 5, 4
-        h = rng.standard_normal(d)
+        n, d, dp = 3, 5, 4
+        h = rng.standard_normal((n, d))
         w1, b1 = rng.standard_normal((dp, d)), rng.standard_normal(dp)
         w2, b2 = rng.standard_normal((dp, dp)), rng.standard_normal(dp)
         z = cdgin.project(dc.const(h), dc.param(w1), dc.param(b1),
                           dc.param(w2), dc.param(b2))
-        expect = w2 @ np.tanh(w1 @ h + b1) + b2
-        np.testing.assert_allclose(z.data, expect, atol=1e-12)
+        for t in range(n):
+            expect = w2 @ np.tanh(w1 @ h[t] + b1) + b2
+            np.testing.assert_allclose(z.data[t], expect, atol=1e-12)
 
 
 def unit(v):
@@ -194,99 +201,107 @@ def value_and_grads(loss_fn, z_r, z_d, cfg):
     return float(loss.data), [z.grad.copy() for z in z_r + z_d]
 
 
+def matrix_value_and_grads(z_r, z_d, cfg):
+    """``contrastive_loss`` on the rows of ``z_r``/``z_d``; gradients come back per row."""
+    mats = [dc.param(np.array([z.data for z in zs])) for zs in (z_r, z_d) if zs]
+    loss = cdgin.contrastive_loss(mats[0], mats[1] if len(mats) == 2 else None, cfg)
+    dc.backward(loss)
+    return float(loss.data), [row for mat in mats for row in mat.grad]
+
+
+def rows(*vectors):
+    return dc.param(np.array(vectors, dtype=float))
+
+
 class TestContrastiveLoss:
     def test_hand_case_ln3(self):
         e1 = unit([1.0, 0.0, 0.0])
-        z_r = [dc.param(e1.copy()) for _ in range(2)]
-        z_d = [dc.param(e1.copy()) for _ in range(2)]
-        loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
+        loss = cdgin.contrastive_loss(rows(e1, e1), rows(e1, e1),
+                                      cdgin.ContrastiveConfig(delta=1))
         assert float(loss.data) == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_one_stream_hand_case(self):
         cfg = cdgin.ContrastiveConfig(delta=1)
         e1 = np.array([1.0, 0.0])
         # N=2: no same-stream negatives remain, so every anchor is exactly zero
-        z = [dc.param(e1.copy()), dc.param(e1.copy())]
-        loss = cdgin.contrastive_loss(z, [], cfg)
+        loss = cdgin.contrastive_loss(rows(e1, e1), None, cfg)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
         # N=3: anchors 0 and 2 see one negative: denom = 2e -> ln 2; anchor 1
         # has two positives and no negatives -> 0; mean = (2 ln 2) / 3
-        z3 = [dc.param(e1.copy()) for _ in range(3)]
-        loss3 = cdgin.contrastive_loss(z3, [], cfg)
+        loss3 = cdgin.contrastive_loss(rows(e1, e1, e1), None, cfg)
         assert float(loss3.data) == pytest.approx(2.0 * np.log(2.0) / 3.0, abs=1e-12)
 
     def test_orthogonal_negatives_lower_loss(self):
         # anchor stream r window 0: keep its positive aligned, rotate the
         # cross-stream vectors to be orthogonal to everything in stream r
         e1, e2 = unit([1.0, 0.0]), unit([0.0, 1.0])
-        aligned = cdgin.contrastive_loss(
-            [dc.param(e1), dc.param(e1)], [dc.param(e1), dc.param(e1)],
-            cdgin.ContrastiveConfig(delta=1))
-        separated = cdgin.contrastive_loss(
-            [dc.param(e1), dc.param(e1)], [dc.param(e2), dc.param(e2)],
-            cdgin.ContrastiveConfig(delta=1))
+        aligned = cdgin.contrastive_loss(rows(e1, e1), rows(e1, e1),
+                                         cdgin.ContrastiveConfig(delta=1))
+        separated = cdgin.contrastive_loss(rows(e1, e1), rows(e2, e2),
+                                           cdgin.ContrastiveConfig(delta=1))
         assert float(separated.data) < float(aligned.data)
 
     def test_positivity(self):
         rng = np.random.default_rng(6)
         for n in (2, 3, 5):
-            z_r = [dc.param(rng.standard_normal(4)) for _ in range(n)]
-            z_d = [dc.param(rng.standard_normal(4)) for _ in range(n)]
+            z_r = dc.param(rng.standard_normal((n, 4)))
+            z_d = dc.param(rng.standard_normal((n, 4)))
             loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
             assert float(loss.data) > 0.0
 
     def test_stream_symmetry(self):
         rng = np.random.default_rng(7)
         n = 4
-        z_r = [dc.param(rng.standard_normal(3)) for _ in range(n)]
-        z_d = [dc.param(rng.standard_normal(3)) for _ in range(n)]
+        z_r = dc.param(rng.standard_normal((n, 3)))
+        z_d = dc.param(rng.standard_normal((n, 3)))
         cfg = cdgin.ContrastiveConfig(delta=2)
         a = cdgin.contrastive_loss(z_r, z_d, cfg)
         b = cdgin.contrastive_loss(z_d, z_r, cfg)
         assert float(a.data) == pytest.approx(float(b.data), abs=1e-12)
 
     def test_too_few_windows(self):
-        z = [dc.param(np.ones(3))]
+        z = dc.param(np.ones((1, 3)))
         with pytest.raises(ContrastiveConfigError):
             cdgin.contrastive_loss(z, z, cdgin.ContrastiveConfig(delta=1))
-        z2 = [dc.param(np.ones(3)) for _ in range(2)]
+        z2 = dc.param(np.ones((2, 3)))
         with pytest.raises(ContrastiveConfigError):
             cdgin.contrastive_loss(z2, z2, cdgin.ContrastiveConfig(delta=2))
 
     def test_zero_vectors_no_blowup(self):
-        z_r = [dc.param(np.zeros(3)) for _ in range(2)]
-        z_d = [dc.param(np.zeros(3)) for _ in range(2)]
+        z_r = dc.param(np.zeros((2, 3)))
+        z_d = dc.param(np.zeros((2, 3)))
         loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
         dc.backward(loss)
         assert np.isfinite(float(loss.data))
-        for z in z_r + z_d:
+        for z in (z_r, z_d):
             assert np.all(np.isfinite(z.grad))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         n = 3
-        z_r = [dc.param(rng.standard_normal(4)) for _ in range(n)]
-        z_d = [dc.param(rng.standard_normal(4)) for _ in range(n)]
+        z_r = dc.param(rng.standard_normal((n, 4)))
+        z_d = dc.param(rng.standard_normal((n, 4)))
         cfg = cdgin.ContrastiveConfig(delta=1)
 
         def build():
             return cdgin.contrastive_loss(z_r, z_d, cfg)
 
         loss = build()
-        for z in z_r + z_d:
+        for z in (z_r, z_d):
             z.grad = None
         dc.backward(loss)
-        for z in z_r + z_d:
+        for z in (z_r, z_d):
             ad = z.grad.copy()
             fd = np.zeros_like(ad)
-            for i in range(z.data.size):
-                orig = z.data[i]
-                z.data[i] = orig + 1e-6
+            flat = z.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + 1e-6
                 fp = float(build().data)
-                z.data[i] = orig - 1e-6
+                flat[i] = orig - 1e-6
                 fm = float(build().data)
-                z.data[i] = orig
-                fd[i] = (fp - fm) / 2e-6
+                flat[i] = orig
+                fd.reshape(-1)[i] = (fp - fm) / 2e-6
             denom = np.maximum(np.maximum(np.abs(ad), np.abs(fd)), 1e-8)
             assert (np.abs(ad - fd) / denom).max() < 1e-5
 
@@ -296,8 +311,8 @@ class TestContrastiveLoss:
         if n < delta + 1:
             return
         rng = np.random.default_rng(seed)
-        z_r = [dc.param(rng.standard_normal(3)) for _ in range(n)]
-        z_d = [dc.param(rng.standard_normal(3)) for _ in range(n)]
+        z_r = dc.param(rng.standard_normal((n, 3)))
+        z_d = dc.param(rng.standard_normal((n, 3)))
         cfg = cdgin.ContrastiveConfig(delta=delta)
         loss = cdgin.contrastive_loss(z_r, z_d, cfg)
         swapped = cdgin.contrastive_loss(z_d, z_r, cfg)
@@ -320,7 +335,7 @@ class TestContrastiveLoss:
             z_r = [vec() for _ in range(n)]
             z_d = [vec() for _ in range(n)] if case % 2 else []
             cfg = cdgin.ContrastiveConfig(delta=delta)
-            value, grads = value_and_grads(cdgin.contrastive_loss, z_r, z_d, cfg)
+            value, grads = matrix_value_and_grads(z_r, z_d, cfg)
             expect, expect_grads = value_and_grads(scalar_contrastive_loss, z_r, z_d, cfg)
             assert abs(value - expect) <= 1e-12, case
             for g, ge in zip(grads, expect_grads):
@@ -331,21 +346,21 @@ class TestContrastiveLoss:
         cfg = cdgin.ContrastiveConfig(delta=1)
         counts = []
         for n in (4, 58):
-            z = [dc.param(rng.standard_normal(8)) for _ in range(2 * n)]
-            for z_d in (z[n:], []):
+            z_r = dc.param(rng.standard_normal((n, 8)))
+            for z_d in (dc.param(rng.standard_normal((n, 8))), None):
                 op_names.clear()
-                cdgin.contrastive_loss(z[:n], z_d, cfg)
+                cdgin.contrastive_loss(z_r, z_d, cfg)
                 counts.append(len(op_names))
-        assert counts == [19] * 4
+        assert counts == [18, 17] * 2
 
     def test_ragged_projection_width(self):
+        cfg = cdgin.ContrastiveConfig(delta=1)
+        with pytest.raises(ShapeError):  # projections come as a matrix
+            cdgin.contrastive_loss(dc.param(np.ones(3)), None, cfg)
         with pytest.raises(ShapeError):
-            cdgin.contrastive_loss([dc.param(np.ones(3)), dc.param(np.ones(4))], [],
-                                   cdgin.ContrastiveConfig(delta=1))
+            cdgin.contrastive_loss(dc.param(np.ones((2, 3))), dc.param(np.ones((2, 4))), cfg)
         with pytest.raises(ShapeError):
-            cdgin.contrastive_loss([dc.param(np.ones(3)) for _ in range(2)],
-                                   [dc.param(np.ones(4)) for _ in range(2)],
-                                   cdgin.ContrastiveConfig(delta=1))
+            cdgin.contrastive_loss(dc.param(np.ones((2, 3))), dc.param(np.ones((3, 3))), cfg)
 
     def test_config_validation(self):
         with pytest.raises(ContrastiveConfigError):

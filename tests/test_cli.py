@@ -9,6 +9,7 @@ import pytest
 
 import cdgl.cli as cli
 from cdgl import diffcore as dc
+from cdgl import model
 from cdgl.data_io import DatasetManifest, ManifestEntry, save_manifest, write_roi_csv
 from cdgl.errors import ConfigError
 
@@ -121,6 +122,20 @@ class TestExitCodes:
         code = run(["train", "--data", dataset, "--out", str(tmp_path / "r"),
                     "--set", "window_size=100", "--set", "epochs=1"])
         assert code == 3
+
+    def test_non_finite_adjacency_exit_3(self, dataset, tmp_path, monkeypatch, capsys):
+        prepare = model.prepare_subject
+
+        def planted(*args, **kwargs):
+            prep = prepare(*args, **kwargs)
+            prep.adjacency["d"][3, 0, 1] = np.nan  # TINY windows: 4 per subject
+            return prep
+
+        monkeypatch.setattr(model, "prepare_subject", planted)
+        code = run(["train", "--data", dataset, "--out", str(tmp_path / "r")] + TINY)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "subject '" in err and "stream 'd', layer 0, window 3" in err
 
     def test_no_data_anywhere_exit_2(self, tmp_path):
         code = run(["train", "--out", str(tmp_path / "r")] + TINY)

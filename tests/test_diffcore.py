@@ -123,9 +123,18 @@ class TestPrimitiveGradients:
         a, b = rmat(self.rng, 3, 4), rmat(self.rng, 3, 4)
         check_op(lambda: dc.sum_all(dc.mul(dc.add(a, b), dc.add(a, b))), [a, b])
 
-    def test_add_bias(self):
+    def test_add_broadcast(self):
         m, v = rmat(self.rng, 3, 4), rmat(self.rng, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add_bias(m, v))), [m, v])
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(m, v))), [m, v])  # bias row
+        u, w = rmat(self.rng, 3, 1, 4), rmat(self.rng, 1, 5, 4)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(u, w))), [u, w])  # same rank
+        col = rmat(self.rng, 3, 1)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(col, m))), [col, m])
+        for a, b in (((4,), (4, 1)),  # rank mismatch: would be a (4, 4) outer sum
+                     ((3, 4), (3,)),  # rank mismatch on a leading axis
+                     ((2, 3), (3, 3)), ((3, 1, 4), (5, 4))):
+            with pytest.raises(ShapeError):
+                dc.add(dc.const(np.zeros(a)), dc.const(np.zeros(b)))
 
     def test_sub_neg(self):
         a, b = rmat(self.rng, 3, 4), rmat(self.rng, 3, 4)
@@ -143,6 +152,15 @@ class TestPrimitiveGradients:
     def test_matmul(self):
         a, b = rmat(self.rng, 3, 4), rmat(self.rng, 4, 2)
         check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, b))), [a, b])
+
+    def test_bmm(self):
+        a, b = rmat(self.rng, 3, 2, 4), rmat(self.rng, 3, 4, 5)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.bmm(a, b))), [a, b])
+        for sa, sb in (((2, 4), (4, 5)),  # not stacks
+                       ((3, 2, 4), (2, 4, 5)),  # batch sizes differ
+                       ((3, 2, 4), (3, 5, 4))):  # inner sizes differ
+            with pytest.raises(ShapeError):
+                dc.bmm(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
 
     def test_matvec(self):
         m, v = rmat(self.rng, 3, 4), rmat(self.rng, 4)
@@ -179,29 +197,40 @@ class TestPrimitiveGradients:
         a = rmat(self.rng, 6)
         w = rmat(self.rng, 6)
         check_op(lambda: dc.sum_all(dc.mul(dc.softmax(a), w)), [a, w])
+        rows, wr = rmat(self.rng, 3, 5), rmat(self.rng, 3, 5)
+        check_op(lambda: dc.sum_all(dc.mul(dc.softmax(rows), wr)), [rows, wr])
+        np.testing.assert_allclose(dc.softmax(rows).data.sum(axis=1), 1.0, atol=1e-15)
+        for shape in ((), (2, 3, 4)):
+            with pytest.raises(ShapeError):
+                dc.softmax(dc.const(np.zeros(shape)))
 
     def test_pools(self):
         a = rmat(self.rng, 4, 5)
         for axis in (0, 1):
             check_op(lambda ax=axis: dc.sum_all(dc.tanh(
                 dc.reshape(dc.mean_pool(a, ax), (-1,)))), [a])
+        c = rmat(self.rng, 2, 3, 4)
+        for axis in (0, 1, 2):
+            check_op(lambda ax=axis: dc.sum_all(dc.tanh(dc.mean_pool(c, ax))), [c])
+        with pytest.raises(ShapeError):
+            dc.mean_pool(c, 3)
         b = dc.param(self.rng.permutation(20).astype(float).reshape(4, 5))
         for axis in (0, 1):
             check_op(lambda ax=axis: dc.sum_all(dc.mul(
                 dc.max_pool(b, ax), dc.max_pool(b, ax))), [b])
 
-    def test_concat_stack_row(self):
+    def test_concat_take_rows(self):
         a, b = rmat(self.rng, 2, 3), rmat(self.rng, 2, 3)
         check_op(lambda: dc.sum_all(dc.tanh(dc.concat([a, b], axis=0))), [a, b])
         check_op(lambda: dc.sum_all(dc.tanh(dc.concat([a, b], axis=1))), [a, b])
-        u, v = rmat(self.rng, 4), rmat(self.rng, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.stack_rows([u, v]))), [u, v])
-        with pytest.raises(ShapeError):
-            dc.stack_rows([u, rmat(self.rng, 3)])  # ragged rows
-        with pytest.raises(ShapeError):
-            dc.stack_rows([a, b])  # rows must be 1-D
         m = rmat(self.rng, 3, 4)
-        check_op(lambda: dc.sum_all(dc.mul(dc.row(m, 1), dc.row(m, 2))), [m])
+        np.testing.assert_array_equal(dc.take_rows(m, [2, 0]).data, m.data[[2, 0]])
+        # a repeated row accumulates both gradients
+        check_op(lambda: dc.sum_all(dc.tanh(dc.take_rows(m, [1, 2, 1]))), [m])
+        with pytest.raises(ShapeError):
+            dc.take_rows(rmat(self.rng, 4), [0])  # rows of a matrix only
+        with pytest.raises(ShapeError):
+            dc.take_rows(m, [3])  # past the last row
 
     def test_conv1d_same(self):
         x = rmat(self.rng, 2, 9)
@@ -254,8 +283,10 @@ def test_composite_model_gradcheck():
     q = rmat(rng, 4)
 
     def build():
-        h = dc.tanh(dc.add_bias(dc.matmul(dc.const(x), w1), b1))
-        s = dc.softmax(dc.matvec(h, dc.row(dc.stack_rows([b1, b1]), 0)))
+        h = dc.tanh(dc.add(dc.matmul(dc.const(x), w1), b1))
+        b_row = dc.reshape(b1, (1, 5))
+        s = dc.softmax(dc.matvec(h, dc.reshape(
+            dc.take_rows(dc.concat([b_row, b_row], axis=0), [0]), (5,))))
         ws = dc.sum_all(dc.mul(s, q))
         out = dc.matmul(h, w2)
         mean = dc.reshape(dc.mean_pool(dc.sigmoid(out), axis=0), ())
@@ -265,10 +296,29 @@ def test_composite_model_gradcheck():
 
 
 def test_numerics_error_names_offending_op():
-    a = dc.param(np.array([1.0, -1.0]))
+    a = dc.param(np.array([-1.0, 1.0]))
     big = dc.mul_scalar(a, 1e308)
-    with pytest.raises(NumericsError, match="exp"):
+    with pytest.raises(NumericsError, match="exp") as info:
         dc.exp(big)
+    assert info.value.index == (1,) and info.value.shape == (2,)
+
+
+def test_adjoints_skip_constant_operands():
+    rng = np.random.default_rng(12)
+    x, k = rmat(rng, 3, 3), dc.const(rng.uniform(0.5, 2.0, (3, 3)))
+    x3, k3 = rmat(rng, 2, 3, 3), dc.const(rng.standard_normal((2, 3, 3)))
+    v, kv = rmat(rng, 3), dc.const(rng.standard_normal(3))
+    cases = [(dc.matmul, x, k), (dc.bmm, x3, k3), (dc.mul, x, k), (dc.div, x, k),
+             (dc.add, x, k), (dc.sub, x, k), (dc.add, x, kv)]
+    for op, live, fixed in cases:
+        for args in ((live, fixed), (fixed, live)):
+            out = op(*args)
+            contributions = list(out._backward(np.ones_like(out.data)))
+            assert [p for p, _ in contributions] == [live], op.__name__
+    out = dc.matvec(dc.const(rng.standard_normal((3, 3))), v)
+    assert [p for p, _ in out._backward(np.ones(3))] == [v]
+    out = dc.matvec(x, kv)
+    assert [p for p, _ in out._backward(np.ones(3))] == [x]
 
 
 def test_non_scalar_backward_rejected():
@@ -317,7 +367,7 @@ class TestAdam:
             state = dc.AdamState(lr=0.01, weight_decay=0.01)
             for _ in range(5):
                 store.zero_grad()
-                loss = dc.sum_all(dc.sigmoid(dc.add_bias(
+                loss = dc.sum_all(dc.sigmoid(dc.add(
                     dc.matmul(store["a"], store["a"]), store["b"])))
                 dc.backward(loss)
                 dc.adam_step(store, state)

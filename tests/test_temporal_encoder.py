@@ -54,6 +54,11 @@ def test_matches_stepwise_oracle():
     np.testing.assert_allclose(out.data, np.array(rows), atol=1e-10)
 
 
+def windows(feats, m):
+    """Per-window (M, D) blocks of the window-major (N_w * M, D) feature matrix."""
+    return feats.data.reshape(-1, m, feats.data.shape[1])
+
+
 class TestAssembleNodeFeatures:
     def setup_method(self):
         self.rng = np.random.default_rng(3)
@@ -62,17 +67,18 @@ class TestAssembleNodeFeatures:
         m, d, t = 4, 3, 20
         hidden = dc.const(self.rng.standard_normal((t, d)))
         w_m = dc.param(np.concatenate([np.zeros((d, m)), np.eye(d)], axis=1))
-        blocks = te.assemble_node_features(hidden, [0, 5], 10, w_m, m)
-        for block, tau in zip(blocks, [9, 14]):
+        feats = te.assemble_node_features(hidden, [0, 5], 10, w_m, m)
+        assert feats.data.shape == (2 * m, d)
+        for block, tau in zip(windows(feats, m), [9, 14]):
             for v in range(m):
-                np.testing.assert_allclose(block.data[v], hidden.data[tau], atol=1e-15)
+                np.testing.assert_allclose(block[v], hidden.data[tau], atol=1e-15)
 
     def test_one_hot_selector(self):
         m, d, t = 5, 3, 12
         hidden = dc.const(self.rng.standard_normal((t, d)))
         sel = np.concatenate([np.eye(m)[:d], np.zeros((d, d))], axis=1)
-        blocks = te.assemble_node_features(hidden, [0], 6, dc.param(sel), m)
-        np.testing.assert_allclose(blocks[0].data, np.eye(m)[:, :d], atol=1e-15)
+        feats = te.assemble_node_features(hidden, [0], 6, dc.param(sel), m)
+        np.testing.assert_allclose(feats.data, np.eye(m)[:, :d], atol=1e-15)
 
     def test_matches_dense_oracle(self):
         m, d, t = 3, 2, 18
@@ -80,19 +86,19 @@ class TestAssembleNodeFeatures:
         w_m = dc.param(self.rng.standard_normal((d, m + d)))
         starts = [0, 4, 8]
         ws = 7
-        blocks = te.assemble_node_features(hidden, starts, ws, w_m, m)
-        for block, s in zip(blocks, starts):
+        feats = te.assemble_node_features(hidden, starts, ws, w_m, m)
+        for block, s in zip(windows(feats, m), starts):
             tau = s + ws - 1
             for v in range(m):
                 vec = np.concatenate([np.eye(m)[v], hidden.data[tau]])
-                np.testing.assert_allclose(block.data[v], w_m.data @ vec, atol=1e-12)
+                np.testing.assert_allclose(block[v], w_m.data @ vec, atol=1e-12)
 
     def test_same_endpoint_same_features(self):
         m, d = 4, 5
         hidden = dc.const(self.rng.standard_normal((30, d)))
         w_m = dc.param(self.rng.standard_normal((d, m + d)))
-        b1 = te.assemble_node_features(hidden, [2], 8, w_m, m)[0]
-        b2 = te.assemble_node_features(hidden, [9], 1, w_m, m)[0]
+        b1 = te.assemble_node_features(hidden, [2], 8, w_m, m)
+        b2 = te.assemble_node_features(hidden, [9], 1, w_m, m)
         np.testing.assert_array_equal(b1.data, b2.data)
 
     def test_distinct_nodes_differ(self):
@@ -100,8 +106,7 @@ class TestAssembleNodeFeatures:
         hidden = dc.const(np.zeros((10, d)))
         w_m_data = np.concatenate(
             [self.rng.standard_normal((d, m)), np.zeros((d, d))], axis=1)
-        blocks = te.assemble_node_features(hidden, [0], 5, dc.param(w_m_data), m)
-        feats = blocks[0].data
+        feats = te.assemble_node_features(hidden, [0], 5, dc.param(w_m_data), m).data
         for u in range(m):
             for v in range(u + 1, m):
                 assert not np.allclose(feats[u], feats[v])
@@ -119,9 +124,11 @@ class TestAssembleNodeFeatures:
 
     def test_gradient_flows_to_w_m(self):
         m, d = 3, 2
-        hidden = dc.const(self.rng.standard_normal((9, d)))
+        hidden = dc.param(self.rng.standard_normal((9, d)))
         w_m = dc.param(self.rng.standard_normal((d, m + d)))
-        blocks = te.assemble_node_features(hidden, [0, 3], 4, w_m, m)
-        loss = dc.sum_all(dc.tanh(dc.concat(blocks, axis=0)))
+        feats = te.assemble_node_features(hidden, [0, 3], 4, w_m, m)
+        loss = dc.sum_all(dc.tanh(feats))
         dc.backward(loss)
         assert w_m.grad is not None and np.any(w_m.grad != 0)
+        # only the two window endpoints (timepoints 3 and 6) feed the features
+        assert set(np.flatnonzero(np.abs(hidden.grad).sum(axis=1))) == {3, 6}
