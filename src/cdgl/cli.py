@@ -241,6 +241,9 @@ def cmd_cv(args) -> int:
     for fold in cv.folds:
         _write_jsonl(os.path.join(out, f"fold{fold.fold_index}_epochs.jsonl"),
                      fold.epoch_log)
+    # Fold 0's dims: folds differ only in n_windows_ref, when subjects differ in length.
+    _write_json(os.path.join(out, "config.resolved.json"),
+                _resolved_payload(cfg, cv.folds[0].dims))
     report = tv.cv_report_dict(cv)
     if args.holdout:
         by_id = {ts.subject_id: ts for ts in subjects}
@@ -301,14 +304,15 @@ def cmd_fc_dump(args) -> int:
     signals = ts.signals if args.raw else zscore_columns(ts.signals)
     wspec = dfc.WindowSpec(args.window_size, args.stride)
     kind = dfc.DistanceKind(args.distance)
-    pairs = dfc.build_fc_pairs(signals, wspec, kind)
+    fc = dfc.build_fc_pairs(signals, wspec, kind)
+    n_w = len(fc.starts)
     os.makedirs(args.out, exist_ok=True)
-    for p in pairs:
-        for tag, matrix in (("r", p.r), ("d", p.d), ("a_r", p.a_r), ("a_d", p.a_d)):
-            name = f"{ts.subject_id}_w{p.window_index:03d}_{tag}.csv"
-            _write_matrix_csv(os.path.join(args.out, name), matrix)
-    print(f"wrote {4 * len(pairs)} matrices for {ts.subject_id} "
-          f"({len(pairs)} windows) to {args.out}")
+    for t in range(n_w):
+        for tag, stack in (("r", fc.r), ("d", fc.d), ("a_r", fc.a_r), ("a_d", fc.a_d)):
+            name = f"{ts.subject_id}_w{t:03d}_{tag}.csv"
+            _write_matrix_csv(os.path.join(args.out, name), stack[t])
+    print(f"wrote {4 * n_w} matrices for {ts.subject_id} "
+          f"({n_w} windows) to {args.out}")
     return 0
 
 

@@ -1,10 +1,25 @@
-"""Sliding windows and per-window connectivity: correlation and negative-distance
+"""Sliding windows and windowed connectivity: correlation and negative-distance
 similarity matrices plus their rank-thresholded binary adjacencies.
 
-Both streams are built per window and thresholded independently. Binarization
-is rank-based top-k over the unique off-diagonal values with k = ceil(0.3 E),
-E = M(M-1)/2, which gives every graph the exact same edge density regardless
-of the value distribution.
+Windows are a batch axis. A subject's windows are one strided (N_w, WS, M)
+view of its signals, and each step takes the whole stack at once (a single
+(WS, M) window works too):
+
+- Pearson is one batched product of the column-standardized windows.
+- Euclidean and Mahalanobis distances use the Gram form
+  q_ij = g_ii + g_jj - 2 g_ij with G = X S^-1 X^T, where X holds a window's
+  ROI vectors minus their across-ROI mean and S^-1 is the inverse of the
+  ridge-regularized ROI covariance (one batched inverse; the identity for
+  Euclidean). Distances do not change under that shift, and centering keeps
+  g_ii as small as the distances themselves, so the cancellation in q costs
+  no more precision than the distances warrant even when the signals carry
+  a large common offset.
+- Manhattan distance has no Gram identity and keeps the elementwise form,
+  window by window.
+
+Both streams are thresholded independently. Binarization is rank-based top-k
+over the off-diagonal values with k = ceil(0.3 E), E = M(M-1)/2, which gives
+every graph the exact same edge density regardless of the value distribution.
 """
 
 from __future__ import annotations
@@ -47,77 +62,109 @@ class DistanceKind:
     def __post_init__(self):
         if self.kind not in DISTANCE_KINDS:
             raise ShapeError(f"unknown distance kind {self.kind!r}")
-        if self.kind == "mahalanobis" and self.ridge_scale <= 0:
-            raise ShapeError("mahalanobis requires ridge_scale > 0")
+        if self.kind == "mahalanobis" and not (math.isfinite(self.ridge_scale)
+                                               and self.ridge_scale > 0):
+            raise ShapeError("mahalanobis requires a finite ridge_scale > 0")
 
 
 @dataclass
-class WindowedFcPair:
-    """One window's similarity matrices and binary adjacencies for both streams."""
+class FcStacks:
+    """One subject's windowed matrices for both streams, each (N_w, M, M), window-major."""
 
-    window_index: int
-    start: int
+    starts: list[int]
     r: np.ndarray
     d: np.ndarray
     a_r: np.ndarray
     a_d: np.ndarray
 
 
-def extract_windows(signals: np.ndarray, spec: WindowSpec) -> list[np.ndarray]:
-    """Fully contained windows starting at 0, SS, 2 SS, ...; views, not copies."""
+def extract_windows(signals: np.ndarray, spec: WindowSpec) -> np.ndarray:
+    """Fully contained windows starting at 0, SS, 2 SS, ... as one read-only
+    (N_w, WS, M) view of ``signals``, not a copy."""
     signals = np.asarray(signals)
-    t = signals.shape[0]
-    n = spec.count(t)
-    return [signals[i * spec.stride: i * spec.stride + spec.window_size] for i in range(n)]
+    spec.count(signals.shape[0])
+    view = np.lib.stride_tricks.sliding_window_view(signals, spec.window_size, axis=0)
+    return np.moveaxis(view[:: spec.stride], -1, 1)
 
 
-def pearson_matrix(window: np.ndarray) -> np.ndarray:
-    """Pairwise Pearson correlation of ROI columns; flat columns get zero rows."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[0] < 2:
-        raise ShapeError(f"pearson_matrix: need a (WS, M) window with WS >= 2, "
-                         f"got {window.shape}")
-    centered = window - window.mean(axis=0)
-    std = window.std(axis=0)
-    live = std >= PEARSON_STD_FLOOR
-    safe = np.where(live, std, 1.0)
-    z = centered / safe
-    r = (z.T @ z) / window.shape[0]
-    r[~live, :] = 0.0
-    r[:, ~live] = 0.0
-    r = 0.5 * (r + r.T)
+def _as_windows(x, name: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3) or x.shape[-2] < 2:
+        raise ShapeError(f"{name}: need a (WS, M) window or an (N_w, WS, M) stack "
+                         f"with WS >= 2, got {x.shape}")
+    return x
+
+
+def _require_finite(values: np.ndarray, what: str) -> None:
+    """NumericsError naming the first non-finite element of ``values``, if any."""
+    bad = ~np.isfinite(values)
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NumericsError(f"non-finite {what}", index=first, shape=values.shape)
+
+
+def _set_diagonal(x: np.ndarray, value: float) -> None:
+    idx = np.arange(x.shape[-1])
+    x[..., idx, idx] = value
+
+
+def pearson_matrix(windows: np.ndarray) -> np.ndarray:
+    """Pairwise Pearson correlation of each window's ROI columns; flat columns
+    get zero rows. (WS, M) -> (M, M), (N_w, WS, M) -> (N_w, M, M)."""
+    x = _as_windows(windows, "pearson_matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
+        z = x - x.mean(axis=-2, keepdims=True)
+        std = x.std(axis=-2, keepdims=True)
+        live = std >= PEARSON_STD_FLOOR
+        z /= np.where(live, std, 1.0)
+        r = np.matmul(z.swapaxes(-1, -2), z)
+        r /= x.shape[-2]
+    _require_finite(r, "pearson correlation")
+    dead = ~live
+    if dead.any():
+        r[dead | dead.swapaxes(-1, -2)] = 0.0
+    r = r + r.swapaxes(-1, -2)
+    r *= 0.5
     np.clip(r, -1.0, 1.0, out=r)
-    np.fill_diagonal(r, 1.0)
+    _set_diagonal(r, 1.0)
     return r
 
 
-def distance_matrix(window: np.ndarray, kind: DistanceKind) -> np.ndarray:
-    """Negative pairwise distance between ROI column vectors (diag 0)."""
-    window = np.asarray(window, dtype=np.float64)
-    if window.ndim != 2 or window.shape[0] < 2:
-        raise ShapeError(f"distance_matrix: need a (WS, M) window with WS >= 2, "
-                         f"got {window.shape}")
-    cols = window.T  # (M, WS) vectors
-    if kind.kind == "manhattan":
-        d = np.abs(cols[:, None, :] - cols[None, :, :]).sum(axis=2)
-    elif kind.kind == "euclidean":
-        diff = cols[:, None, :] - cols[None, :, :]
-        d = np.sqrt((diff * diff).sum(axis=2))
-    else:
-        ws = window.shape[0]
-        centered = cols - cols.mean(axis=0)
-        sigma = (centered.T @ centered) / cols.shape[0]
-        lam = max(kind.ridge_scale * np.trace(sigma) / ws, 1e-12)
-        sigma_reg = sigma + lam * np.eye(ws)
-        inv = np.linalg.inv(sigma_reg)
-        diff = cols[:, None, :] - cols[None, :, :]
-        q = np.einsum("ijk,kl,ijl->ij", diff, inv, diff)
-        d = np.sqrt(np.maximum(q, 0.0))
-    if not np.all(np.isfinite(d)):
-        raise NumericsError(f"non-finite {kind.kind} distance")
-    out = -d
-    out = 0.5 * (out + out.T)
-    np.fill_diagonal(out, 0.0)
+def distance_matrix(windows: np.ndarray, kind: DistanceKind) -> np.ndarray:
+    """Negative pairwise distance between each window's ROI column vectors (diag 0).
+    (WS, M) -> (M, M), (N_w, WS, M) -> (N_w, M, M)."""
+    x = _as_windows(windows, "distance_matrix")
+    with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
+        if kind.kind == "manhattan":
+            d = np.empty(x.shape[:-2] + (x.shape[-1],) * 2)
+            for w in np.ndindex(x.shape[:-2]):
+                cols = x[w].T  # (M, WS) vectors
+                d[w] = np.abs(cols[:, None, :] - cols[None, :, :]).sum(axis=2)
+        else:
+            centered = x - x.mean(axis=-1, keepdims=True)  # (..., WS, M)
+            cols = centered.swapaxes(-1, -2)  # (..., M, WS) ROI vectors
+            if kind.kind == "mahalanobis":
+                ws = x.shape[-2]
+                sigma = np.matmul(centered, cols)
+                sigma /= x.shape[-1]
+                lam = np.maximum(kind.ridge_scale * np.trace(sigma, axis1=-2, axis2=-1) / ws,
+                                 1e-12)
+                idx = np.arange(ws)
+                sigma[..., idx, idx] += lam[..., None]
+                _require_finite(sigma, "mahalanobis covariance")
+                cols = np.matmul(cols, np.linalg.inv(sigma))
+            d = np.matmul(cols, centered)  # Gram matrix G, turned into q in place
+            g = np.diagonal(d, axis1=-2, axis2=-1).copy()
+            d *= -2.0
+            d += g[..., :, None]
+            d += g[..., None, :]
+            np.maximum(d, 0.0, out=d)
+            np.sqrt(d, out=d)
+    _require_finite(d, f"{kind.kind} distance")
+    np.negative(d, out=d)
+    out = d + d.swapaxes(-1, -2)
+    out *= 0.5
+    _set_diagonal(out, 0.0)
     return out
 
 
@@ -127,35 +174,52 @@ def topk_edge_count(m: int) -> int:
 
 
 def binarize_topk(s: np.ndarray) -> np.ndarray:
-    """Keep the k largest unique off-diagonal values as symmetric {0,1} edges.
+    """Keep the k largest off-diagonal values as symmetric {0,1} edges.
 
-    Ties at the cut go to the lexicographically smallest (i, j) pairs, so the
-    result is a pure function of the input values.
+    (M, M) -> (M, M), (N_w, M, M) -> (N_w, M, M). Every entry must be finite;
+    only the upper triangle is ranked. Ties at the cut go to the
+    lexicographically smallest (i, j) pairs, so the result is a pure function
+    of the input values.
     """
     s = np.asarray(s, dtype=np.float64)
-    m = s.shape[0]
-    if s.ndim != 2 or s.shape[1] != m or m < 2:
-        raise ShapeError(f"binarize_topk: square matrix with M >= 2 required, got {s.shape}")
+    if s.ndim not in (2, 3) or s.shape[-2] != s.shape[-1] or s.shape[-1] < 2:
+        raise ShapeError(f"binarize_topk: square (M, M) or (N_w, M, M) input with M >= 2 "
+                         f"required, got {s.shape}")
+    _require_finite(s, "similarity")
+    m = s.shape[-1]
     iu, ju = np.triu_indices(m, k=1)
-    vals = s[iu, ju]
-    k = topk_edge_count(m)
-    # lexsort's last key is primary: sort by descending value, then ascending (i, j)
-    order = np.lexsort((ju, iu, -vals))
-    keep = order[:k]
-    a = np.zeros((m, m))
-    a[iu[keep], ju[keep]] = 1.0
-    a[ju[keep], iu[keep]] = 1.0
+    vals = s[..., iu, ju]  # row-major, so position order is (i, j) order
+    e, k = len(iu), topk_edge_count(m)
+    cut = np.partition(vals, e - k, axis=-1)[..., e - k:e - k + 1]  # k-th largest
+    keep = vals > cut
+    tie = vals == cut
+    tie &= np.cumsum(tie, axis=-1) <= k - np.count_nonzero(keep, axis=-1, keepdims=True)
+    keep |= tie
+    a = np.zeros(s.shape)
+    a[..., iu, ju] = keep
+    a[..., ju, iu] = keep
     return a
 
 
-def build_fc_pairs(signals: np.ndarray, spec: WindowSpec,
-                   kind: DistanceKind) -> list[WindowedFcPair]:
-    """Windowed correlation and distance streams for one subject, in window order."""
-    pairs = []
-    for idx, win in enumerate(extract_windows(signals, spec)):
-        r = pearson_matrix(win)
-        d = distance_matrix(win, kind)
-        pairs.append(WindowedFcPair(window_index=idx, start=idx * spec.stride,
-                                    r=r, d=d, a_r=binarize_topk(r),
-                                    a_d=binarize_topk(d)))
-    return pairs
+def _stream_error(err: NumericsError, stream: str) -> NumericsError:
+    window = f", window {err.index[0]}" if err.shape is not None and len(err.shape) == 3 else ""
+    return NumericsError(f"stream {stream!r}{window}: {err}", err.index, err.shape)
+
+
+def build_fc_pairs(signals: np.ndarray, spec: WindowSpec, kind: DistanceKind) -> FcStacks:
+    """Windowed correlation and distance streams for one subject, in window order.
+
+    A non-finite matrix raises :class:`NumericsError` naming the stream and
+    the first window holding it.
+    """
+    windows = extract_windows(signals, spec)
+    try:
+        r = pearson_matrix(windows)
+    except NumericsError as err:
+        raise _stream_error(err, "r") from err
+    try:
+        d = distance_matrix(windows, kind)
+    except NumericsError as err:
+        raise _stream_error(err, "d") from err
+    return FcStacks(starts=[t * spec.stride for t in range(len(windows))], r=r, d=d,
+                    a_r=binarize_topk(r), a_d=binarize_topk(d))

@@ -3,8 +3,8 @@
 Parameters live in a flat ParamStore under dotted names (encoder.*, cdgin.*,
 project.*, fusion.*, classifier.*) so checkpoints and the optimizer see one
 deterministic namespace. Adjacencies depend only on the data, so they are
-precomputed once per subject, stacked into one (N_w, M, M) array per
-stream, and reused across epochs.
+precomputed once per subject as one (N_w, M, M) array per stream and
+reused across epochs.
 """
 
 from __future__ import annotations
@@ -147,16 +147,22 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
         raise WindowBudgetError(
             f"subject {ts.subject_id!r}: window size {wspec.window_size} exceeds "
             f"T={ts.signals.shape[0]}")
-    z = zscore_columns(ts.signals)
-    fc_input = z if normalize_fc else ts.signals
-    pairs = dfc.build_fc_pairs(fc_input, wspec, kind)
+    # Overflow warnings stay quiet: build_fc_pairs reports a non-finite matrix
+    # as NumericsError, as forward_subject does for a non-finite op.
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = zscore_columns(ts.signals)
+        try:
+            fc = dfc.build_fc_pairs(z if normalize_fc else ts.signals, wspec, kind)
+        except NumericsError as err:
+            raise NumericsError(f"subject {ts.subject_id!r}: {err}",
+                                err.index, err.shape) from err
     adjacency = {}
     if "r" in streams:
-        adjacency["r"] = np.stack([p.a_r for p in pairs])
+        adjacency["r"] = fc.a_r
     if "d" in streams:
-        adjacency["d"] = np.stack([p.a_d for p in pairs])
+        adjacency["d"] = fc.a_d
     return PreparedSubject(subject_id=ts.subject_id, label=ts.label,
-                           encoder_input=z, starts=[p.start for p in pairs],
+                           encoder_input=z, starts=fc.starts,
                            window_size=wspec.window_size, adjacency=adjacency)
 
 

@@ -8,6 +8,7 @@ checkpoints, and reports.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -57,6 +58,11 @@ class TrainConfig:
         for name, value in positive_ints.items():
             if not isinstance(value, int) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+        floats = {"lr": self.lr, "weight_decay": self.weight_decay, "alpha": self.alpha,
+                  "ridge_scale": self.ridge_scale}
+        for name, value in floats.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:
@@ -126,6 +132,7 @@ class FoldResult:
     fold_index: int
     report: EvalReport
     epoch_log: list[dict]
+    dims: model.ModelDims
 
 
 @dataclass
@@ -293,7 +300,7 @@ def run_fold(subjects: list[RoiTimeSeries], cfg: TrainConfig, plan: SplitPlan,
     val_preps = prepare_dataset([by_id[i] for i in val_ids], cfg)
     report = evaluate(result.store, result.dims, val_preps)
     return FoldResult(fold_index=fold_index, report=report,
-                      epoch_log=result.epoch_log)
+                      epoch_log=result.epoch_log, dims=result.dims)
 
 
 def _run_fold_packed(args) -> FoldResult:

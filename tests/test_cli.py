@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,13 @@ import pytest
 import cdgl.cli as cli
 from cdgl import diffcore as dc
 from cdgl import model
-from cdgl.data_io import DatasetManifest, ManifestEntry, save_manifest, write_roi_csv
+from cdgl.data_io import (
+    DatasetManifest,
+    ManifestEntry,
+    load_roi_csv,
+    save_manifest,
+    write_roi_csv,
+)
 from cdgl.errors import ConfigError
 
 
@@ -137,6 +144,35 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "subject '" in err and "stream 'd', layer 0, window 3" in err
 
+    @pytest.mark.parametrize("overrides", [
+        ["lr=nan"], ["alpha=nan"], ["weight_decay=inf"],
+        ["distance_kind=mahalanobis", "ridge_scale=nan"],
+        ["distance_kind=mahalanobis", "ridge_scale=inf"]])
+    def test_non_finite_config_float_exit_2(self, dataset, tmp_path, capsys, overrides):
+        sets = [arg for item in overrides for arg in ("--set", item)]
+        code = run(["train", "--data", dataset, "--out", str(tmp_path / "r")] + TINY + sets)
+        assert code == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_preparation_overflow_names_subject_stream_window(self, dataset, tmp_path,
+                                                              capsys):
+        data = tmp_path / "big"
+        data.mkdir()
+        for name in os.listdir(dataset):
+            (data / name).write_bytes(open(os.path.join(dataset, name), "rb").read())
+        ts = load_roi_csv(str(data / "sub003.csv"), "sub003", 1)
+        signals = ts.signals.copy()
+        signals[:, 2] *= 1e160
+        write_roi_csv(str(data / "sub003.csv"), signals)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning may escape
+            code = run(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                        "--set", "normalize_fc=false"] + TINY)
+        assert code == 3
+        assert ("error: subject 'sub003': stream 'd', window 0: non-finite euclidean distance"
+                in capsys.readouterr().err)
+
     def test_no_data_anywhere_exit_2(self, tmp_path):
         code = run(["train", "--out", str(tmp_path / "r")] + TINY)
         assert code == 2
@@ -223,6 +259,14 @@ class TestCvCommand:
             b1 = open(os.path.join(r1, name), "rb").read()
             b2 = open(os.path.join(r2, name), "rb").read()
             assert b1 == b2, name
+
+    def test_resolved_config_matches_train(self, dataset, tmp_path):
+        c, t = str(tmp_path / "c"), str(tmp_path / "t")
+        assert run(["cv", "--data", dataset, "--folds", "2", "--out", c] + TINY) == 0
+        assert run(["train", "--data", dataset, "--out", t] + TINY) == 0
+        resolved = open(os.path.join(c, "config.resolved.json"), "rb").read()
+        assert resolved == open(os.path.join(t, "config.resolved.json"), "rb").read()
+        assert json.loads(resolved)["train_config"]["epochs"] == 2
 
     def test_parallel_jobs_match_sequential(self, dataset, tmp_path):
         seq, par = str(tmp_path / "seq"), str(tmp_path / "par")

@@ -1,16 +1,23 @@
 """Window extraction, similarity matrices, and binarization tests.
 
 Matrix ops are checked against independent double-loop oracles; closed-form
-hand cases are asserted at tight tolerance.
+hand cases are asserted at tight tolerance. The batched (N_w, ...) path is
+checked against the per-window code it replaced, kept below as an oracle.
 """
+
+import math
+import os
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgl import cli, data_io
 from cdgl import dynamic_fc as dfc
-from cdgl.errors import ShapeError
+from cdgl import synthgen as sg
+from cdgl.errors import NumericsError, ShapeError
 
 
 def pearson_oracle(window):
@@ -191,6 +198,11 @@ class TestDistance:
         with pytest.raises(ShapeError):
             dfc.DistanceKind("chebyshev")
 
+    @pytest.mark.parametrize("ridge", [0.0, -1e-3, math.nan, math.inf])
+    def test_mahalanobis_ridge_must_be_finite_positive(self, ridge):
+        with pytest.raises(ShapeError):
+            dfc.DistanceKind("mahalanobis", ridge)
+
 
 class TestBinarize:
     def test_six_values(self):
@@ -243,10 +255,204 @@ class TestBuildPairs:
     def test_pair_fields(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((100, 10))
-        pairs = dfc.build_fc_pairs(x, dfc.WindowSpec(35, 25), dfc.DistanceKind("manhattan"))
-        assert [p.window_index for p in pairs] == [0, 1, 2]
-        assert [p.start for p in pairs] == [0, 25, 50]
-        for p in pairs:
-            assert p.r.shape == (10, 10) and p.a_d.shape == (10, 10)
-            assert p.a_r.sum() == 2 * dfc.topk_edge_count(10)
-            assert p.a_d.sum() == 2 * dfc.topk_edge_count(10)
+        fc = dfc.build_fc_pairs(x, dfc.WindowSpec(35, 25), dfc.DistanceKind("manhattan"))
+        assert fc.starts == [0, 25, 50]
+        for stack in (fc.r, fc.d, fc.a_r, fc.a_d):
+            assert stack.shape == (3, 10, 10)
+        assert np.all(fc.a_r.sum(axis=(1, 2)) == 2 * dfc.topk_edge_count(10))
+        assert np.all(fc.a_d.sum(axis=(1, 2)) == 2 * dfc.topk_edge_count(10))
+
+    def test_non_finite_distance_names_stream_and_window(self):
+        rng = np.random.default_rng(12)
+        x = rng.standard_normal((40, 6))
+        x[20:, 4] *= 1e160  # squares overflow from window 3 (rows 15-24) on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow must surface as NumericsError only
+            with pytest.raises(NumericsError) as info:
+                dfc.build_fc_pairs(x, dfc.WindowSpec(10, 5), dfc.DistanceKind("euclidean"))
+        err = info.value
+        assert str(err).startswith("stream 'd', window 3: non-finite euclidean distance")
+        assert err.shape == (7, 6, 6) and err.index[0] == 3
+
+    def test_non_finite_input_names_correlation_stream(self):
+        x = np.ones((12, 3))
+        x[:, 0] = np.arange(12.0)
+        x[7, 1] = np.inf
+        with pytest.raises(NumericsError, match="stream 'r', window 1: non-finite pearson"):
+            dfc.build_fc_pairs(x, dfc.WindowSpec(4, 4), dfc.DistanceKind("euclidean"))
+
+    def test_binarize_rejects_non_finite(self):
+        s = np.zeros((2, 4, 4))
+        s[1, 0, 2] = np.nan
+        with pytest.raises(NumericsError) as info:
+            dfc.binarize_topk(s)
+        assert info.value.index == (1, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# per-window oracle: the connectivity code before windows became a batch axis
+# ---------------------------------------------------------------------------
+
+def window_pearson(window):
+    centered = window - window.mean(axis=0)
+    std = window.std(axis=0)
+    live = std >= dfc.PEARSON_STD_FLOOR
+    z = centered / np.where(live, std, 1.0)
+    r = (z.T @ z) / window.shape[0]
+    r[~live, :] = 0.0
+    r[:, ~live] = 0.0
+    r = 0.5 * (r + r.T)
+    np.clip(r, -1.0, 1.0, out=r)
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def window_distance(window, kind):
+    cols = window.T
+    if kind.kind == "manhattan":
+        d = np.abs(cols[:, None, :] - cols[None, :, :]).sum(axis=2)
+    elif kind.kind == "euclidean":
+        diff = cols[:, None, :] - cols[None, :, :]
+        d = np.sqrt((diff * diff).sum(axis=2))
+    else:
+        ws = window.shape[0]
+        centered = cols - cols.mean(axis=0)
+        sigma = (centered.T @ centered) / cols.shape[0]
+        lam = max(kind.ridge_scale * np.trace(sigma) / ws, 1e-12)
+        inv = np.linalg.inv(sigma + lam * np.eye(ws))
+        diff = cols[:, None, :] - cols[None, :, :]
+        q = np.einsum("ijk,kl,ijl->ij", diff, inv, diff)
+        d = np.sqrt(np.maximum(q, 0.0))
+    out = -d
+    out = 0.5 * (out + out.T)
+    np.fill_diagonal(out, 0.0)
+    return out
+
+
+def window_binarize(s):
+    m = s.shape[0]
+    iu, ju = np.triu_indices(m, k=1)
+    vals = s[iu, ju]
+    keep = np.lexsort((ju, iu, -vals))[:dfc.topk_edge_count(m)]
+    a = np.zeros((m, m))
+    a[iu[keep], ju[keep]] = 1.0
+    a[ju[keep], iu[keep]] = 1.0
+    return a
+
+
+D_REL_TOL = 1e-10  # of the window's largest |d|: the Gram form rounds differently
+
+
+def assert_matches_oracle(signals, spec, kind):
+    """Batched stacks equal the per-window oracle: adjacencies exactly, r within
+    1e-12, d within D_REL_TOL (Manhattan, computed elementwise, exactly)."""
+    fc = dfc.build_fc_pairs(signals, spec, kind)
+    n_w = spec.count(signals.shape[0])
+    assert fc.starts == [t * spec.stride for t in range(n_w)]
+    assert fc.r.shape == fc.d.shape == fc.a_r.shape == fc.a_d.shape == (n_w,) + (
+        signals.shape[1],) * 2
+    for t, start in enumerate(fc.starts):
+        window = np.asarray(signals[start:start + spec.window_size], dtype=np.float64)
+        r, d = window_pearson(window), window_distance(window, kind)
+        np.testing.assert_allclose(fc.r[t], r, rtol=0, atol=1e-12)
+        if kind.kind == "manhattan":
+            np.testing.assert_array_equal(fc.d[t], d)
+        else:
+            assert np.abs(fc.d[t] - d).max() <= D_REL_TOL * np.abs(d).max()
+        np.testing.assert_array_equal(fc.a_r[t], window_binarize(r))
+        np.testing.assert_array_equal(fc.a_d[t], window_binarize(d))
+    return fc
+
+
+KINDS = [dfc.DistanceKind("manhattan"), dfc.DistanceKind("euclidean"),
+         dfc.DistanceKind("mahalanobis", 1e-3)]
+
+
+class TestBatchedMatchesOracle:
+    @pytest.mark.parametrize("family", sg.KINDS)
+    def test_synth_families(self, family):
+        subjects = sg.make_subjects(sg.SynthSpec(kind=family, n_subjects=4, m=12, t=60,
+                                                 seed=5))
+        # window count 1, 2, 5 and 21
+        specs = [dfc.WindowSpec(60, 5), dfc.WindowSpec(30, 30), dfc.WindowSpec(20, 10),
+                 dfc.WindowSpec(20, 2)]
+        for ts in subjects:
+            for normalize_fc in (True, False):
+                x = data_io.zscore_columns(ts.signals) if normalize_fc else ts.signals
+                for spec in specs:
+                    for kind in KINDS:
+                        assert_matches_oracle(x, spec, kind)
+
+    def test_flat_and_duplicated_columns(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((50, 9))
+        x[:, 1] = 4.0
+        x[:, 5] = -2.5  # two flat columns at different levels
+        x[:, 7] = x[:, 2]  # a duplicated column
+        x[30:, 8] = x[30:, 0]  # duplicated in windows 5 and 6 only
+        for kind in KINDS:
+            fc = assert_matches_oracle(x, dfc.WindowSpec(12, 6), kind)
+            assert np.all(fc.d[:, 2, 7] == 0.0) and np.all(fc.d[:, 7, 2] == 0.0)
+            assert np.all(fc.d[5:, 0, 8] == 0.0) and np.all(fc.d[:5, 0, 8] < 0.0)
+            assert np.all(fc.r[:, 1, :4] == [0.0, 1.0, 0.0, 0.0])
+
+    def test_common_offset_on_raw_signals(self):
+        # normalize_fc = false on signals with a large common offset: the Gram
+        # form must center the ROI vectors or its cancellation flips ranks.
+        for family in sg.KINDS:
+            subjects = sg.make_subjects(sg.SynthSpec(kind=family, n_subjects=4, m=20, t=100,
+                                                     seed=11))
+            for ts in subjects:
+                for kind in KINDS[1:]:
+                    assert_matches_oracle(ts.signals + 1e6, dfc.WindowSpec(25, 25), kind)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14), st.integers(1, 6),
+           st.integers(2, 4))
+    def test_binarize_heavy_ties(self, seed, m, n_w, levels):
+        rng = np.random.default_rng(seed)
+        s = rng.integers(0, levels, size=(n_w, m, m)).astype(np.float64)
+        s = s + s.swapaxes(1, 2)
+        a = dfc.binarize_topk(s)
+        for t in range(n_w):
+            np.testing.assert_array_equal(a[t], window_binarize(s[t]))
+            np.testing.assert_array_equal(dfc.binarize_topk(s[t]), a[t])
+
+    def test_plain_window_calls_match_stack_slices(self):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((40, 7))
+        windows = dfc.extract_windows(x, dfc.WindowSpec(10, 6))
+        assert windows.shape == (6, 10, 7)
+        for kind in KINDS:
+            d = dfc.distance_matrix(windows, kind)
+            for t in range(len(windows)):
+                np.testing.assert_array_equal(windows[t], x[6 * t:6 * t + 10])
+                np.testing.assert_array_equal(dfc.distance_matrix(windows[t], kind), d[t])
+        r = dfc.pearson_matrix(windows)
+        for t in range(len(windows)):
+            np.testing.assert_array_equal(dfc.pearson_matrix(windows[t]), r[t])
+
+    def test_fc_dump_matches_oracle(self, tmp_path):
+        data = str(tmp_path / "data")
+        sg.generate(sg.SynthSpec(kind="amplitude", n_subjects=2, m=8, t=50, seed=4), data)
+        out = str(tmp_path / "fc")
+        assert cli.main(["fc-dump", "--data", data, "--window-size", "15", "--stride", "7",
+                         "--distance", "mahalanobis", "--out", out]) == 0
+        ts = data_io.load_dataset(data_io.load_manifest(os.path.join(data, "manifest.json")),
+                                  data)[0]
+        x = data_io.zscore_columns(ts.signals)
+        kind = dfc.DistanceKind("mahalanobis")
+        n_w = dfc.WindowSpec(15, 7).count(50)
+        assert len(os.listdir(out)) == 4 * n_w
+        for t in range(n_w):
+            window = x[7 * t:7 * t + 15]
+            r, d = window_pearson(window), window_distance(window, kind)
+
+            def dumped(tag):
+                path = os.path.join(out, f"{ts.subject_id}_w{t:03d}_{tag}.csv")
+                return np.loadtxt(path, delimiter=",", ndmin=2)
+
+            np.testing.assert_array_equal(dumped("r"), r)
+            np.testing.assert_array_equal(dumped("a_r"), window_binarize(r))
+            np.testing.assert_array_equal(dumped("a_d"), window_binarize(d))
+            assert np.abs(dumped("d") - d).max() <= D_REL_TOL * np.abs(d).max()
