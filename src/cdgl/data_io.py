@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, ShapeError, StratificationError
+from .errors import NumericsError, ParseError, ShapeError, StratificationError
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -101,11 +101,21 @@ def write_roi_csv(path: str, signals: np.ndarray, header: bool = True) -> None:
 
 
 def zscore_columns(signals: np.ndarray) -> np.ndarray:
+    """Standardize each ROI column (sample std, ``ddof = 1``); flat columns become 0.
+
+    A column whose standard deviation is not finite (its squares overflow)
+    raises :class:`NumericsError` naming the first such ROI.
+    """
     signals = np.asarray(signals, dtype=np.float64)
     if signals.shape[0] < 2:
         raise ShapeError("zscore: need at least two timepoints")
-    mean = signals.mean(axis=0)
-    std = signals.std(axis=0, ddof=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below
+        mean = signals.mean(axis=0)
+        std = signals.std(axis=0, ddof=1)
+    bad = np.flatnonzero(~np.isfinite(std))
+    if bad.size:
+        raise NumericsError(f"ROI {bad[0]}: non-finite standard deviation",
+                            index=(int(bad[0]),), shape=std.shape)
     centered = signals - mean
     out = np.zeros_like(centered)
     live = std > 0.0

@@ -393,6 +393,20 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     Fused into one op with a hand-written BPTT adjoint: the per-timestep graph
     would otherwise dominate runtime. Gate layout along the 4D axis is
     input, forget, cell, output.
+
+    Each time loop keeps only the recurrence; everything else is done for
+    all timesteps at once outside it. The forward writes each step's gates
+    in place into one (T, 4D) buffer, as ``xw[t] + h @ w_h + b`` followed
+    by one sigmoid over the whole row; the cell slot's tanh is taken first,
+    kept in G and written back, so the sigmoid cannot overflow on that
+    slot, whose sigmoid is then unused. The cell and hidden states live in
+    (T + 1, D) buffers whose row 0 is the zero initial state, so the
+    previous state is a view. The adjoint first forms the local derivative
+    factors of every step, K = [G I(1-I), C_{t-1} F(1-F), I(1-G^2),
+    tanh C O(1-O)] and P = O(1 - tanh^2 C); its loop then only carries
+    ``dc = dc F_{t+1} + dh P_t`` and ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``.
+    It starts at the last timestep whose output gradient is non-zero: later
+    steps contribute exact zeros.
     """
     x = np.ascontiguousarray(x, dtype=np.float64)
     T = x.shape[0]
@@ -403,46 +417,59 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"lstm: input width {x.shape[1]} vs w_x {w_x.data.shape}")
     D = four_d // 4
 
-    xw = x @ w_x.data  # (T, 4D)
-    I = np.empty((T, D)); F = np.empty((T, D)); G = np.empty((T, D)); O = np.empty((T, D))
-    C = np.empty((T, D)); TC = np.empty((T, D)); Hprev = np.empty((T, D))
-    h = np.zeros(D)
-    c = np.zeros(D)
+    gates = x @ w_x.data  # (T, 4D): input projection, overwritten by the gate values
+    G = np.empty((T, D))  # tanh of the cell-gate pre-activation
+    C = np.zeros((T + 1, D))  # C[t + 1] is c_t; row 0 is the initial state
+    H = np.zeros((T + 1, D))
+    TC = np.empty((T, D))
+    hw = np.empty(four_d)
+    ig = np.empty(D)
+    cell = slice(2 * D, 3 * D)
     for t in range(T):
-        Hprev[t] = h
-        a = xw[t] + h @ w_h.data + b.data
-        ia = a[:D]; fa = a[D:2 * D]; ga = a[2 * D:3 * D]; oa = a[3 * D:]
-        i_t = 1.0 / (1.0 + np.exp(-ia))
-        f_t = 1.0 / (1.0 + np.exp(-fa))
-        g_t = np.tanh(ga)
-        o_t = 1.0 / (1.0 + np.exp(-oa))
-        c = f_t * c + i_t * g_t
-        tc = np.tanh(c)
-        h = o_t * tc
-        I[t], F[t], G[t], O[t], C[t], TC[t] = i_t, f_t, g_t, o_t, c, tc
-    H = O * TC
+        a = gates[t]
+        np.matmul(H[t], w_h.data, out=hw)
+        a += hw  # a = xw[t] + h @ w_h + b, summed in that order
+        a += b.data
+        np.tanh(a[cell], out=G[t])
+        a[cell] = G[t]
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        c = C[t + 1]
+        np.multiply(a[D:2 * D], C[t], out=c)
+        np.multiply(a[:D], G[t], out=ig)
+        c += ig
+        np.tanh(c, out=TC[t])
+        np.multiply(a[3 * D:], TC[t], out=H[t + 1])
 
     def bk(g):
-        DA = np.empty((T, 4 * D))
-        dh = np.zeros(D)
-        dc = np.zeros(D)
-        for t in range(T - 1, -1, -1):
-            dh = dh + g[t]
-            do = dh * TC[t]
-            dc = dc + dh * O[t] * (1.0 - TC[t] * TC[t])
-            di = dc * G[t]
-            dg = dc * I[t]
-            c_prev = C[t - 1] if t > 0 else np.zeros(D)
-            df = dc * c_prev
-            dc = dc * F[t]
-            DA[t, :D] = di * I[t] * (1.0 - I[t])
-            DA[t, D:2 * D] = df * F[t] * (1.0 - F[t])
-            DA[t, 2 * D:3 * D] = dg * (1.0 - G[t] * G[t])
-            DA[t, 3 * D:] = do * O[t] * (1.0 - O[t])
-            dh = DA[t] @ w_h.data.T
-        return ((w_x, x.T @ DA), (w_h, Hprev.T @ DA), (b, DA.sum(axis=0)))
+        live = np.flatnonzero(g.any(axis=1))
+        n = int(live[-1]) + 1 if live.size else 0  # rows from n on contribute exact zeros
+        I, F, O = gates[:n, :D], gates[:n, D:2 * D], gates[:n, 3 * D:]
+        Gn, TCn = G[:n], TC[:n]
+        K = np.empty((n, 4 * D))
+        K[:, :D] = Gn * I * (1.0 - I)
+        K[:, D:2 * D] = C[:n] * F * (1.0 - F)
+        K[:, cell] = I * (1.0 - Gn * Gn)
+        K[:, 3 * D:] = TCn * O * (1.0 - O)
+        P = O * (1.0 - TCn * TCn)
+        w_h_t = w_h.data.T
+        DA = np.empty((n, 4 * D))
+        d = np.zeros((4, D))  # rows [dc, dc, dc, dh]: the gate gradient's multiplier
+        dc, dh = d[0], d[3]
+        dh_p = np.empty(D)
+        for t in range(n - 1, -1, -1):
+            dh += g[t]
+            np.multiply(dh, P[t], out=dh_p)
+            dc += dh_p
+            d[1:3] = dc
+            np.multiply(d.reshape(-1), K[t], out=DA[t])
+            np.matmul(DA[t], w_h_t, out=dh)
+            dc *= F[t]
+        return ((w_x, x[:n].T @ DA), (w_h, H[:n].T @ DA), (b, DA.sum(axis=0)))
 
-    return _make(H, "lstm", (w_x, w_h, b), bk)
+    return _make(H[1:], "lstm", (w_x, w_h, b), bk)
 
 
 # ---------------------------------------------------------------------------

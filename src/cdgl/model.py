@@ -147,15 +147,18 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
         raise WindowBudgetError(
             f"subject {ts.subject_id!r}: window size {wspec.window_size} exceeds "
             f"T={ts.signals.shape[0]}")
-    # Overflow warnings stay quiet: build_fc_pairs reports a non-finite matrix
-    # as NumericsError, as forward_subject does for a non-finite op.
-    with np.errstate(over="ignore", invalid="ignore"):
-        z = zscore_columns(ts.signals)
-        try:
-            fc = dfc.build_fc_pairs(z if normalize_fc else ts.signals, wspec, kind)
-        except NumericsError as err:
-            raise NumericsError(f"subject {ts.subject_id!r}: {err}",
-                                err.index, err.shape) from err
+    # With raw connectivity input its checks run first, so an overflowing
+    # ROI is reported by the distance stream that reads the raw amplitudes.
+    try:
+        if normalize_fc:
+            z = zscore_columns(ts.signals)
+            fc = dfc.build_fc_pairs(z, wspec, kind)
+        else:
+            fc = dfc.build_fc_pairs(ts.signals, wspec, kind)
+            z = zscore_columns(ts.signals)
+    except NumericsError as err:
+        raise NumericsError(f"subject {ts.subject_id!r}: {err}",
+                            err.index, err.shape) from err
     adjacency = {}
     if "r" in streams:
         adjacency["r"] = fc.a_r

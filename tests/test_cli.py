@@ -41,6 +41,20 @@ def dataset(tmp_path_factory):
     return out
 
 
+def copy_with_overflowing_roi(dataset, tmp_path):
+    """A copy of ``dataset`` whose sub003 has ROI 2 scaled by 1e160: finite
+    values whose squares overflow."""
+    data = tmp_path / "big"
+    data.mkdir()
+    for name in os.listdir(dataset):
+        (data / name).write_bytes(open(os.path.join(dataset, name), "rb").read())
+    ts = load_roi_csv(str(data / "sub003.csv"), "sub003", 1)
+    signals = ts.signals.copy()
+    signals[:, 2] *= 1e160
+    write_roi_csv(str(data / "sub003.csv"), signals)
+    return data
+
+
 class TestConfigParsing:
     def test_values_and_comments(self):
         text = """
@@ -157,14 +171,7 @@ class TestExitCodes:
 
     def test_preparation_overflow_names_subject_stream_window(self, dataset, tmp_path,
                                                               capsys):
-        data = tmp_path / "big"
-        data.mkdir()
-        for name in os.listdir(dataset):
-            (data / name).write_bytes(open(os.path.join(dataset, name), "rb").read())
-        ts = load_roi_csv(str(data / "sub003.csv"), "sub003", 1)
-        signals = ts.signals.copy()
-        signals[:, 2] *= 1e160
-        write_roi_csv(str(data / "sub003.csv"), signals)
+        data = copy_with_overflowing_roi(dataset, tmp_path)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow warning may escape
             code = run(["train", "--data", str(data), "--out", str(tmp_path / "r"),
@@ -172,6 +179,21 @@ class TestExitCodes:
         assert code == 3
         assert ("error: subject 'sub003': stream 'd', window 0: non-finite euclidean distance"
                 in capsys.readouterr().err)
+
+    def test_overflowing_roi_names_subject_and_roi(self, dataset, tmp_path, capsys):
+        data = copy_with_overflowing_roi(dataset, tmp_path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run(["train", "--data", str(data), "--out", str(tmp_path / "r"),
+                        "--set", "normalize_fc=true"] + TINY)
+            assert code == 3
+            assert ("error: subject 'sub003': ROI 2: non-finite standard deviation"
+                    in capsys.readouterr().err)
+            code = run(["fc-dump", "--data", str(data), "--subject", "sub003",
+                        "--window-size", "10", "--stride", "10",
+                        "--out", str(tmp_path / "fc")])
+            assert code == 3
+            assert "ROI 2: non-finite standard deviation" in capsys.readouterr().err
 
     def test_no_data_anywhere_exit_2(self, tmp_path):
         code = run(["train", "--out", str(tmp_path / "r")] + TINY)

@@ -1,12 +1,14 @@
 """CSV loading, normalization, manifest, and split tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgl import data_io as dio
-from cdgl.errors import ParseError, ShapeError, StratificationError
+from cdgl.errors import NumericsError, ParseError, ShapeError, StratificationError
 
 
 def write_csv(path, text):
@@ -80,6 +82,14 @@ class TestZscore:
     def test_constant_column_zeroed(self):
         out = dio.zscore_columns(np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 4.0]]))
         np.testing.assert_array_equal(out[:, 0], 0.0)
+
+    def test_overflowing_column_raises(self):
+        sig = np.random.default_rng(4).standard_normal((40, 6))
+        sig[:, 2] *= 1e160  # finite, but its squares overflow
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the error, not a numpy warning
+            with pytest.raises(NumericsError, match="ROI 2: non-finite standard deviation"):
+                dio.zscore_columns(sig)
 
     def test_idempotent(self):
         rng = np.random.default_rng(2)

@@ -274,6 +274,97 @@ def test_lstm_matches_stepwise_oracle():
     np.testing.assert_allclose(out.data, np.array(expect), rtol=0, atol=1e-10)
 
 
+def oracle_lstm(x, w_x, w_h, b):
+    """The fused LSTM as one Python step per timestep both ways, as it was
+    before the local derivative factors were hoisted out of the time loops.
+    Returns the hidden sequence and its adjoint, g -> (dw_x, dw_h, db)."""
+    T = x.shape[0]
+    D = w_x.shape[1] // 4
+    xw = x @ w_x
+    I = np.empty((T, D)); F = np.empty((T, D)); G = np.empty((T, D)); O = np.empty((T, D))
+    C = np.empty((T, D)); TC = np.empty((T, D)); Hprev = np.empty((T, D))
+    h = np.zeros(D)
+    c = np.zeros(D)
+    for t in range(T):
+        Hprev[t] = h
+        a = xw[t] + h @ w_h + b
+        ia = a[:D]; fa = a[D:2 * D]; ga = a[2 * D:3 * D]; oa = a[3 * D:]
+        i_t = 1.0 / (1.0 + np.exp(-ia))
+        f_t = 1.0 / (1.0 + np.exp(-fa))
+        g_t = np.tanh(ga)
+        o_t = 1.0 / (1.0 + np.exp(-oa))
+        c = f_t * c + i_t * g_t
+        tc = np.tanh(c)
+        h = o_t * tc
+        I[t], F[t], G[t], O[t], C[t], TC[t] = i_t, f_t, g_t, o_t, c, tc
+    H = O * TC
+
+    def bk(g):
+        DA = np.empty((T, 4 * D))
+        dh = np.zeros(D)
+        dc_ = np.zeros(D)
+        for t in range(T - 1, -1, -1):
+            dh = dh + g[t]
+            do = dh * TC[t]
+            dc_ = dc_ + dh * O[t] * (1.0 - TC[t] * TC[t])
+            di = dc_ * G[t]
+            dg = dc_ * I[t]
+            c_prev = C[t - 1] if t > 0 else np.zeros(D)
+            df = dc_ * c_prev
+            dc_ = dc_ * F[t]
+            DA[t, :D] = di * I[t] * (1.0 - I[t])
+            DA[t, D:2 * D] = df * F[t] * (1.0 - F[t])
+            DA[t, 2 * D:3 * D] = dg * (1.0 - G[t] * G[t])
+            DA[t, 3 * D:] = do * O[t] * (1.0 - O[t])
+            dh = DA[t] @ w_h.T
+        return x.T @ DA, Hprev.T @ DA, DA.sum(axis=0)
+
+    return H, bk
+
+
+@pytest.mark.parametrize("pattern", ["dense", "sparse", "zero", "first_row"])
+def test_lstm_matches_per_step_oracle(pattern):
+    """Hidden sequence bit-identical to the per-step oracle, gradients within
+    1e-9 of max(|g|, 1); an all-zero output gradient gives exact zeros."""
+    rng = np.random.default_rng(["dense", "sparse", "zero", "first_row"].index(pattern))
+    for _ in range(40):
+        T, M, D = (int(v) for v in rng.integers(1, (61, 13, 21)))
+        scale = 10.0 ** rng.uniform(-2, 1)
+        x = scale * rng.standard_normal((T, M))
+        w_x, w_h, b = (scale * rng.standard_normal(s) for s in ((M, 4 * D), (D, 4 * D), 4 * D))
+        g = rng.standard_normal((T, D))
+        if pattern == "sparse":
+            g[rng.random(T) < 0.8] = 0.0
+        elif pattern == "zero":
+            g[:] = 0.0
+        elif pattern == "first_row":
+            g[1:] = 0.0
+        params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
+        with np.errstate(over="ignore"):  # saturated gates at the largest scales
+            expect_h, expect_bk = oracle_lstm(x, w_x, w_h, b)
+            out = dc.lstm(x, *params)
+        assert np.array_equal(out.data, expect_h), (T, M, D, scale)
+        dc.backward(dc.sum_all(dc.mul(out, dc.const(g))))
+        for p, want in zip(params, expect_bk(g)):
+            if pattern == "zero":
+                assert not p.grad.any()
+            err = np.abs(p.grad - want) / np.maximum(np.abs(want), 1.0)
+            assert err.max() <= 1e-9, (T, M, D, scale, err.max())
+
+
+@pytest.mark.parametrize("w_x, w_h, b, x", [
+    ((3, 6), (1, 6), (6,), (5, 3)),  # 4D not divisible by 4
+    ((3, 8), (3, 8), (8,), (5, 3)),  # w_h must be (D, 4D)
+    ((3, 8), (2, 4), (8,), (5, 3)),
+    ((3, 8), (2, 8), (4,), (5, 3)),  # b must be (4D,)
+    ((3, 8), (2, 8), (8,), (5, 4)),  # input width differs from w_x's rows
+])
+def test_lstm_shape_errors(w_x, w_h, b, x):
+    with pytest.raises(ShapeError):
+        dc.lstm(np.zeros(x), dc.param(np.zeros(w_x)), dc.param(np.zeros(w_h)),
+                dc.param(np.zeros(b)))
+
+
 def test_composite_model_gradcheck():
     rng = np.random.default_rng(11)
     x = rng.standard_normal((4, 3))

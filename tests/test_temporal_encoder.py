@@ -29,6 +29,12 @@ def test_output_shape():
     assert h.data.shape == (40, 8)
 
 
+def test_one_dimensional_input_rejected():
+    rng = np.random.default_rng(1)
+    with pytest.raises(ShapeError, match=r"\(T, M\) input required"):
+        te.lstm_forward(rng.standard_normal(40), *make_params(rng, 1, 8))
+
+
 def test_matches_stepwise_oracle():
     rng = np.random.default_rng(2)
     m, d, t = 4, 6, 15
