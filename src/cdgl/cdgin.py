@@ -6,9 +6,10 @@ parameters; graph-level vectors come from a single-head query-key attention
 over nodes. Windows are a batch axis: one layer call updates and reads out
 every window of a stream, so the op count does not grow with the window
 count. The contrastive loss treats every (stream, window) projection as an
-anchor whose positives are the same-stream windows at offset +-delta; it is
-one cosine matrix over all projections and a masked log-sum-exp, a fixed 18
-autodiff ops (17 for one stream) whatever the window count.
+anchor whose positives are the same-stream windows at offset +-delta; for
+a batch of subjects it is one stack of per-subject cosine matrices and a
+masked log-sum-exp, a fixed 19 autodiff ops (18 for one stream) whatever
+the window count or batch size.
 """
 
 from __future__ import annotations
@@ -121,35 +122,45 @@ def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndar
 
 def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
                      cfg: ContrastiveConfig) -> dc.Tensor:
-    """Mean InfoNCE-style loss over all (stream, window) anchors.
+    """Mean InfoNCE-style loss over all (stream, window) anchors of a subject.
 
-    ``z_r`` and ``z_d`` hold one projection per window, as (N_w, P) rows.
-    For anchor i of a stream, positives are the in-range same-stream windows
-    at i - delta and i + delta (loss averaged when both exist). Each
-    denominator holds the positive's own term once, every cross-stream
-    window, and all same-stream windows outside {i, i - delta, i + delta}.
-    ``z_d = None`` is the one-stream case: anchors come from ``z_r`` alone,
-    there are no cross-stream terms, and an anchor without negatives has
-    denominator exp(s_pos), so it contributes 0.
+    ``z_r`` and ``z_d`` hold one projection per window: one subject's
+    (N_w, P) rows, which give a scalar loss, or a (B, N_w, P) batch, which
+    gives the (B,) per-subject losses. For anchor i of a stream, positives
+    are the in-range same-stream windows at i - delta and i + delta (loss
+    averaged when both exist). Each denominator holds the positive's own
+    term once, every cross-stream window, and all same-stream windows
+    outside {i, i - delta, i + delta}. ``z_d = None`` is the one-stream
+    case: anchors come from ``z_r`` alone, there are no cross-stream terms,
+    and an anchor without negatives has denominator exp(s_pos), so it
+    contributes 0. A batch is one (B, K, K) stack of cosine matrices with
+    the constant (K, K) masks broadcast over subjects; one subject's rows
+    are the B = 1 case.
     """
-    if z_r.data.ndim != 2:
-        raise ShapeError(f"projections must be an (N_w, P) matrix, got {z_r.data.shape}")
+    if z_r.data.ndim not in (2, 3):
+        raise ShapeError(f"projections must be an (N_w, P) matrix or a (B, N_w, P) stack, "
+                         f"got {z_r.data.shape}")
     if z_d is not None and z_d.data.shape != z_r.data.shape:
         raise ShapeError(f"streams disagree on projection shape: "
                          f"{z_r.data.shape} vs {z_d.data.shape}")
-    n = z_r.data.shape[0]
+    *lead, n, width = z_r.data.shape
     if n < cfg.delta + 1:
         raise ContrastiveConfigError(
             f"need at least delta+1={cfg.delta + 1} windows, got {n}")
 
-    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=0)  # (K, P)
-    k, width = z.data.shape
+    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=-2)  # (..., K, P)
+    k = z.data.shape[-2]
+    b = lead[0] if lead else 1
+    if not lead:
+        z = dc.reshape(z, (1, k, width))
     negative, weights = _pair_weights(n, k // n, cfg.delta)
-    sq = dc.matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
-    norms = dc.sqrt(dc.clip_min(sq, COSINE_NORM_FLOOR ** 2))  # (K, 1)
-    cos = dc.div(dc.matmul(z, dc.transpose(z)),
-                 dc.matmul(norms, dc.transpose(norms)))
+    sq = dc.bmm(dc.mul(z, z), dc.const(np.ones((b, width, 1))))
+    norms = dc.sqrt(dc.clip_min(sq, COSINE_NORM_FLOOR ** 2))  # (B, K, 1)
+    cos = dc.div(dc.bmm(z, dc.transpose(z)),
+                 dc.bmm(norms, dc.transpose(norms)))
     e = dc.exp(cos)
-    base = dc.matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
+    base = dc.bmm(dc.mul(e, dc.const(negative)), dc.const(np.ones((b, k, 1))))
     per_pair = dc.sub(dc.log(dc.add(base, e)), cos)  # base broadcasts along rows
-    return dc.sum_all(dc.mul(per_pair, dc.const(weights)))
+    pair_weights = np.broadcast_to(weights.reshape(k * k, 1), (b, k * k, 1))
+    loss = dc.bmm(dc.reshape(per_pair, (b, 1, k * k)), dc.const(pair_weights))
+    return dc.reshape(loss, tuple(lead))

@@ -247,8 +247,7 @@ def cmd_cv(args) -> int:
     report = tv.cv_report_dict(cv)
     if args.holdout:
         by_id = {ts.subject_id: ts for ts in subjects}
-        held = tv.train([by_id[i] for i in cv.plan.train_ids], cfg,
-                        checkpoint_path=os.path.join(out, "holdout.ckpt"))
+        held = tv.fit(cv.preps, cfg, checkpoint_path=os.path.join(out, "holdout.ckpt"))
         test_preps = tv.prepare_dataset([by_id[i] for i in cv.plan.test_ids], cfg)
         report["holdout"] = tv.evaluate(held.store, held.dims, test_preps).as_dict()
     _write_json(os.path.join(out, "report.json"), report)

@@ -142,15 +142,15 @@ def neg(a: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul: {a.data.shape} vs {b.data.shape}")
+    """Elementwise product; broadcasts as :func:`add` does."""
+    _check_broadcast("mul", a, b)
     out = a.data * b.data
 
     def bk(g):
         if a.requires_grad:
-            yield a, g * b.data
+            yield a, _unbroadcast(g * b.data, a.data.shape)
         if b.requires_grad:
-            yield b, g * a.data
+            yield b, _unbroadcast(g * a.data, b.data.shape)
 
     return _make(out, "mul", (a, b), bk)
 
@@ -214,24 +214,12 @@ def bmm(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "bmm", (a, b), bk)
 
 
-def matvec(m: Tensor, v: Tensor) -> Tensor:
-    if m.data.ndim != 2 or v.data.shape != (m.data.shape[1],):
-        raise ShapeError(f"matvec: {m.data.shape} @ {v.data.shape}")
-    out = m.data @ v.data
-
-    def bk(g):
-        if m.requires_grad:
-            yield m, np.outer(g, v.data)
-        if v.requires_grad:
-            yield v, m.data.T @ g
-
-    return _make(out, "matvec", (m, v), bk)
-
-
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ShapeError("transpose: 2-D only")
-    return _make(a.data.T, "transpose", (a,), lambda g: ((a, g.T),))
+    """Swap the last two axes: the transpose of a matrix, or of each matrix in a stack."""
+    if a.data.ndim < 2:
+        raise ShapeError(f"transpose: needs 2 or more axes, got {a.data.shape}")
+    return _make(np.swapaxes(a.data, -1, -2), "transpose", (a,),
+                 lambda g: ((a, np.swapaxes(g, -1, -2)),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -306,18 +294,15 @@ def mean_pool(a: Tensor, axis: int) -> Tensor:
 
 
 def max_pool(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis of a 2-D array; gradient routes to the first argmax."""
-    if a.data.ndim != 2 or axis not in (0, 1):
-        raise ShapeError("max_pool: 2-D input, axis 0 or 1")
-    idx = a.data.argmax(axis=axis)
+    """Max over one axis of an array of any rank >= 1; gradient routes to the first argmax."""
+    if not 0 <= axis < a.data.ndim:
+        raise ShapeError(f"max_pool: axis {axis} of a {a.data.ndim}-D input")
+    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
     out = a.data.max(axis=axis)
 
     def bk(g):
         ga = np.zeros_like(a.data)
-        if axis == 0:
-            ga[idx, np.arange(a.data.shape[1])] = g
-        else:
-            ga[np.arange(a.data.shape[0]), idx] = g
+        np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis)
         return ((a, ga),)
 
     return _make(out, "max_pool", (a,), bk)
@@ -362,27 +347,32 @@ def take_rows(m: Tensor, idx) -> Tensor:
 def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
     """1-D convolution with 'same' zero padding.
 
-    ``x`` is (C, L), ``kernel`` is (C, w) with w odd; channels are summed into
-    a single length-L output.
+    ``x`` is (C, L), or a (B, C, L) batch of such inputs; ``kernel`` is
+    (C, w) with w odd. Channels are summed into a single length-L output,
+    (L,) or (B, L). The input's adjoint is the same convolution of the
+    padded output gradient with the reversed kernel.
     """
-    if x.data.ndim != 2 or kernel.data.ndim != 2 or x.data.shape[0] != kernel.data.shape[0]:
+    if (x.data.ndim not in (2, 3) or kernel.data.ndim != 2
+            or x.data.shape[-2] != kernel.data.shape[0]):
         raise ShapeError(f"conv1d_same: {x.data.shape} with kernel {kernel.data.shape}")
     w = kernel.data.shape[1]
     if w % 2 != 1:
         raise ShapeError("conv1d_same: kernel width must be odd")
     pad = (w - 1) // 2
-    xp = np.pad(x.data, ((0, 0), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, w, axis=1)  # (C, L, w)
-    out = np.einsum("clw,cw->l", win, kernel.data)
+    shape = x.data.shape
+
+    def windows(a):  # (B, ..., L) -> (B, ..., L, w), zero-padded at both ends
+        padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)])
+        return np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1)
+
+    win = windows(x.data.reshape((-1,) + shape[-2:]))  # (B, C, L, w)
+    out = np.einsum("bclw,cw->bl", win, kernel.data).reshape(shape[:-2] + shape[-1:])
 
     def bk(g):
-        gk = np.einsum("clw,l->cw", win, g)
-        L = x.data.shape[1]
-        gx = np.empty_like(x.data)
-        for c in range(x.data.shape[0]):
-            full = np.convolve(g, kernel.data[c], mode="full")  # length L + w - 1
-            gx[c] = full[pad:pad + L]
-        return ((x, gx), (kernel, gk))
+        g = g.reshape(-1, shape[-1])  # (B, L)
+        gk = np.einsum("bclw,bl->cw", win, g)
+        gx = np.einsum("blw,cw->bcl", windows(g), kernel.data[:, ::-1])
+        return ((x, gx.reshape(shape)), (kernel, gk))
 
     return _make(out, "conv1d_same", (x, kernel), bk)
 
@@ -390,86 +380,104 @@ def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
 def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Single-layer LSTM over a constant (T, M) input; returns the (T, D) hidden sequence.
 
-    Fused into one op with a hand-written BPTT adjoint: the per-timestep graph
-    would otherwise dominate runtime. Gate layout along the 4D axis is
-    input, forget, cell, output.
+    A (B, T, M) input runs B sequences through one time loop and returns
+    (B, T, D); the (T, M) call is the B = 1 case. Fused into one op with a
+    hand-written BPTT adjoint: the per-timestep graph would otherwise
+    dominate runtime. Gate layout along the 4D axis is input, forget,
+    cell, output.
 
     Each time loop keeps only the recurrence; everything else is done for
-    all timesteps at once outside it. The forward writes each step's gates
-    in place into one (T, 4D) buffer, as ``xw[t] + h @ w_h + b`` followed
-    by one sigmoid over the whole row; the cell slot's tanh is taken first,
-    kept in G and written back, so the sigmoid cannot overflow on that
-    slot, whose sigmoid is then unused. The cell and hidden states live in
-    (T + 1, D) buffers whose row 0 is the zero initial state, so the
-    previous state is a view. The adjoint first forms the local derivative
-    factors of every step, K = [G I(1-I), C_{t-1} F(1-F), I(1-G^2),
-    tanh C O(1-O)] and P = O(1 - tanh^2 C); its loop then only carries
-    ``dc = dc F_{t+1} + dh P_t`` and ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``.
-    It starts at the last timestep whose output gradient is non-zero: later
-    steps contribute exact zeros.
+    all timesteps at once outside it. Buffers are time-major, so step t of
+    every sequence is one contiguous (B, ...) block. The forward writes
+    each step's gates in place into one (T, B, 4D) buffer, as
+    ``xw[t] + h @ w_h + b`` followed by one sigmoid over the whole block;
+    the cell slot's tanh is taken first, kept in G and written back, so the
+    sigmoid cannot overflow on that slot, whose sigmoid is then unused. The
+    cell and hidden states live in (T + 1, B, D) buffers whose row 0 is the
+    zero initial state, so the previous state is a view. The adjoint first
+    forms the local derivative factors of every step, K = [G I(1-I),
+    C_{t-1} F(1-F), I(1-G^2), tanh C O(1-O)] and P = O(1 - tanh^2 C); its
+    loop then only carries ``dc = dc F_{t+1} + dh P_t`` and
+    ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``. It starts at the last
+    timestep whose output gradient is non-zero in any sequence: later steps
+    contribute exact zeros.
     """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    T = x.shape[0]
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"lstm: (T, M) or (B, T, M) input required, got {x.shape}")
     four_d = w_x.data.shape[1]
     if four_d % 4 != 0 or w_h.data.shape != (four_d // 4, four_d) or b.data.shape != (four_d,):
         raise ShapeError("lstm: inconsistent gate shapes")
-    if x.shape[1] != w_x.data.shape[0]:
-        raise ShapeError(f"lstm: input width {x.shape[1]} vs w_x {w_x.data.shape}")
+    if x.shape[-1] != w_x.data.shape[0]:
+        raise ShapeError(f"lstm: input width {x.shape[-1]} vs w_x {w_x.data.shape}")
     D = four_d // 4
+    # time-major (T, B, M); the (T, M) input is a view with B = 1
+    xt = x[:, None, :] if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 0, 2))
+    T, B, M = xt.shape
 
-    gates = x @ w_x.data  # (T, 4D): input projection, overwritten by the gate values
-    G = np.empty((T, D))  # tanh of the cell-gate pre-activation
-    C = np.zeros((T + 1, D))  # C[t + 1] is c_t; row 0 is the initial state
-    H = np.zeros((T + 1, D))
-    TC = np.empty((T, D))
-    hw = np.empty(four_d)
-    ig = np.empty(D)
+    # input projection, overwritten by the gate values
+    gates = (xt.reshape(T * B, M) @ w_x.data).reshape(T, B, four_d)
+    G = np.empty((T, B, D))  # tanh of the cell-gate pre-activation
+    C = np.zeros((T + 1, B, D))  # C[t + 1] is c_t; row 0 is the initial state
+    H = np.zeros((T + 1, B, D))
+    TC = np.empty((T, B, D))
+    hw = np.empty((B, four_d))
+    ig = np.empty((B, D))
     cell = slice(2 * D, 3 * D)
+    in_g, forget_g, cell_g, out_g = (gates[..., k * D:(k + 1) * D] for k in range(4))
     for t in range(T):
         a = gates[t]
         np.matmul(H[t], w_h.data, out=hw)
         a += hw  # a = xw[t] + h @ w_h + b, summed in that order
         a += b.data
-        np.tanh(a[cell], out=G[t])
-        a[cell] = G[t]
+        g_t = G[t]
+        np.tanh(cell_g[t], out=g_t)
+        cell_g[t] = g_t
         np.negative(a, out=a)
         np.exp(a, out=a)
         a += 1.0
         np.divide(1.0, a, out=a)
         c = C[t + 1]
-        np.multiply(a[D:2 * D], C[t], out=c)
-        np.multiply(a[:D], G[t], out=ig)
+        np.multiply(forget_g[t], C[t], out=c)
+        np.multiply(in_g[t], g_t, out=ig)
         c += ig
-        np.tanh(c, out=TC[t])
-        np.multiply(a[3 * D:], TC[t], out=H[t + 1])
+        tc = TC[t]
+        np.tanh(c, out=tc)
+        np.multiply(out_g[t], tc, out=H[t + 1])
 
     def bk(g):
-        live = np.flatnonzero(g.any(axis=1))
+        gt = g[:, None, :] if x.ndim == 2 else g.transpose(1, 0, 2)  # (T, B, D)
+        live = np.flatnonzero(gt.reshape(T, -1).any(axis=1))
         n = int(live[-1]) + 1 if live.size else 0  # rows from n on contribute exact zeros
-        I, F, O = gates[:n, :D], gates[:n, D:2 * D], gates[:n, 3 * D:]
+        I, F, O = in_g[:n], forget_g[:n], out_g[:n]
         Gn, TCn = G[:n], TC[:n]
-        K = np.empty((n, 4 * D))
-        K[:, :D] = Gn * I * (1.0 - I)
-        K[:, D:2 * D] = C[:n] * F * (1.0 - F)
-        K[:, cell] = I * (1.0 - Gn * Gn)
-        K[:, 3 * D:] = TCn * O * (1.0 - O)
+        K = np.empty((n, B, 4 * D))
+        K[..., :D] = Gn * I * (1.0 - I)
+        K[..., D:2 * D] = C[:n] * F * (1.0 - F)
+        K[..., cell] = I * (1.0 - Gn * Gn)
+        K[..., 3 * D:] = TCn * O * (1.0 - O)
         P = O * (1.0 - TCn * TCn)
         w_h_t = w_h.data.T
-        DA = np.empty((n, 4 * D))
-        d = np.zeros((4, D))  # rows [dc, dc, dc, dh]: the gate gradient's multiplier
-        dc, dh = d[0], d[3]
-        dh_p = np.empty(D)
+        DA = np.empty((n, B, 4 * D))
+        d = np.zeros((B, 4, D))  # per sequence [dc, dc, dc, dh]: the gate gradient's multiplier
+        d_rows = d.reshape(B, four_d)
+        dc, dc_copies, dh = d[:, 0], d[:, 1:3], d[:, 3]
+        dc_b = dc[:, None]
+        dh_p = np.empty((B, D))
         for t in range(n - 1, -1, -1):
-            dh += g[t]
+            dh += gt[t]
             np.multiply(dh, P[t], out=dh_p)
             dc += dh_p
-            d[1:3] = dc
-            np.multiply(d.reshape(-1), K[t], out=DA[t])
+            dc_copies[...] = dc_b
+            np.multiply(d_rows, K[t], out=DA[t])
             np.matmul(DA[t], w_h_t, out=dh)
             dc *= F[t]
-        return ((w_x, x[:n].T @ DA), (w_h, H[:n].T @ DA), (b, DA.sum(axis=0)))
+        da = DA.reshape(n * B, four_d)
+        return ((w_x, xt[:n].reshape(n * B, M).T @ da),
+                (w_h, H[:n].reshape(n * B, D).T @ da), (b, da.sum(axis=0)))
 
-    return _make(H[1:], "lstm", (w_x, w_h, b), bk)
+    out = H[1:, 0] if x.ndim == 2 else H[1:].transpose(1, 0, 2)
+    return _make(out, "lstm", (w_x, w_h, b), bk)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,11 @@ project.*, fusion.*, classifier.*) so checkpoints and the optimizer see one
 deterministic namespace. Adjacencies depend only on the data, so they are
 precomputed once per subject as one (N_w, M, M) array per stream and
 reused across epochs.
+
+Subjects are a batch axis: subjects that share their windows (equal N_w
+under one window spec) are stacked on a leading axis and run through one
+graph, whose op count does not depend on the batch size. One subject is
+the B = 1 case of the same code.
 """
 
 from __future__ import annotations
@@ -169,46 +174,117 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
                            window_size=wspec.window_size, adjacency=adjacency)
 
 
+def group_by_windows(preps: list[PreparedSubject]) -> list[list[PreparedSubject]]:
+    """Split subjects into batches that share their windows, in first-seen
+    order; each batch keeps the input order."""
+    groups: dict[tuple, list[PreparedSubject]] = {}
+    for p in preps:
+        groups.setdefault((p.window_size, tuple(p.starts)), []).append(p)
+    return list(groups.values())
+
+
+def _stack(preps: list[PreparedSubject]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """(B, T', M) encoder input and per-stream (B * N_w, M, M) adjacency stacks.
+
+    T' = starts[-1] + window_size. Later rows are never read, because the
+    LSTM is causal and node features read only window endpoints, so
+    subjects of different lengths need no padding.
+    """
+    if not preps:
+        raise ShapeError("empty batch")
+    first = preps[0]
+    for p in preps[1:]:
+        if (p.starts, p.window_size) != (first.starts, first.window_size) \
+                or p.adjacency.keys() != first.adjacency.keys():
+            raise ShapeError(f"subject {p.subject_id!r} does not share the windows "
+                             f"and streams of {first.subject_id!r}")
+    t = first.starts[-1] + first.window_size
+    if len(preps) == 1:  # views, no copies
+        return first.encoder_input[None, :t], first.adjacency
+    return (np.stack([p.encoder_input[:t] for p in preps]),
+            {s: np.concatenate([p.adjacency[s] for p in preps]) for s in first.adjacency})
+
+
 @dataclass
 class SubjectForward:
-    y_hat: dc.Tensor
+    """Model outputs of one subject; :func:`forward_batch` gives them with a
+    leading subject axis B, and readout weights as subject-major (B * N_w, M) rows."""
+
+    y_hat: dc.Tensor  # () probability
     projections: dict[str, dc.Tensor]  # stream -> (N_w, P)
     channel_factors: list[dc.Tensor] = field(default_factory=list)  # per layer (C,)
     temporal_factors: list[dc.Tensor] = field(default_factory=list)  # per layer (N_w,)
     readout_weights: dict[str, list[dc.Tensor]] = field(default_factory=dict)  # per layer (N_w, M)
 
 
-def forward_subject(store: dc.ParamStore, dims: ModelDims,
-                    prep: PreparedSubject) -> SubjectForward:
-    """One subject's probability, projections, and attention records.
+def forward_batch(store: dc.ParamStore, dims: ModelDims,
+                  preps: list[PreparedSubject]) -> SubjectForward:
+    """Probabilities, projections and attention records of subjects that
+    share their windows, from one graph.
 
-    A non-finite value raises :class:`NumericsError` naming the subject and
-    the op, and inside a GIN layer also the stream, layer and first window
-    holding it.
+    Node features are one (B * N_w * M, D) matrix and each stream's
+    adjacencies one (B * N_w, M, M) stack, so every op covers the whole
+    batch. A non-finite value raises :class:`NumericsError` naming the
+    subject and the op, in the encoder also the timepoint, and inside a
+    GIN layer also the stream, layer and first window holding it.
     """
+    x, adjacency = _stack(preps)
     try:
-        return _forward(store, dims, prep)
+        return _forward(store, dims, x, adjacency, preps[0].starts, preps[0].window_size)
     except NumericsError as err:
-        raise NumericsError(f"subject {prep.subject_id!r}: {err}",
+        raise NumericsError(f"{_subject_of(err, preps, dims.m)}: {err}",
                             err.index, err.shape) from err
 
 
-def _window_of(err: NumericsError, n_w: int, m: int) -> str:
-    """', window t' for an error in a GIN layer's (N_w, ...) or (N_w * M, ...) array."""
+def forward_subject(store: dc.ParamStore, dims: ModelDims,
+                    prep: PreparedSubject) -> SubjectForward:
+    """One subject's probability, projections, and attention records: the
+    B = 1 case of :func:`forward_batch`, with the subject axis dropped."""
+    out = forward_batch(store, dims, [prep])
+
+    def one(t: dc.Tensor) -> dc.Tensor:
+        return dc.reshape(t, t.data.shape[1:])
+
+    return SubjectForward(y_hat=one(out.y_hat),
+                          projections={s: one(z) for s, z in out.projections.items()},
+                          channel_factors=[one(f) for f in out.channel_factors],
+                          temporal_factors=[one(f) for f in out.temporal_factors],
+                          readout_weights=out.readout_weights)
+
+
+def _subject_of(err: NumericsError, preps: list[PreparedSubject], m: int) -> str:
+    """'subject <id>' for the subject holding an error's first non-finite entry.
+
+    Batch arrays are subject-major along their first axis, with B, B * N_w
+    or B * N_w * M rows.
+    """
+    b, n_w = len(preps), len(preps[0].starts)
     rows = err.shape[0] if err.shape else None
-    if rows == n_w:
-        return f", window {err.index[0]}"
-    if rows == n_w * m:
-        return f", window {err.index[0] // m}"
-    return ""
+    per_subject = {b: 1, b * n_w: n_w, b * n_w * m: n_w * m}.get(rows)
+    if b > 1 and per_subject is None:
+        return "one of subjects " + ", ".join(repr(p.subject_id) for p in preps)
+    index = err.index[0] // per_subject if b > 1 else 0
+    return f"subject {preps[index].subject_id!r}"
 
 
-def _forward(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject) -> SubjectForward:
-    hidden = te.lstm_forward(prep.encoder_input, store["encoder.lstm.w_x"],
-                             store["encoder.lstm.w_h"], store["encoder.lstm.b"])
-    node_feats = te.assemble_node_features(hidden, prep.starts, prep.window_size,
+def _window_of(err: NumericsError, b: int, n_w: int, m: int) -> str:
+    """', window t' for an error in a GIN layer's subject-major (B * N_w, ...)
+    or (B * N_w * M, ...) array."""
+    per_window = {b * n_w: 1, b * n_w * m: m}.get(err.shape[0] if err.shape else None)
+    return "" if per_window is None else f", window {err.index[0] // per_window % n_w}"
+
+
+def _forward(store: dc.ParamStore, dims: ModelDims, x: np.ndarray,
+             adjacency: dict[str, np.ndarray], starts: list[int],
+             window_size: int) -> SubjectForward:
+    b, n_w = x.shape[0], len(starts)
+    try:
+        hidden = te.lstm_forward(x, store["encoder.lstm.w_x"], store["encoder.lstm.w_h"],
+                                 store["encoder.lstm.b"])  # (B, T', D)
+    except NumericsError as err:
+        raise NumericsError(f"timepoint {err.index[1]}: {err}", err.index, err.shape) from err
+    node_feats = te.assemble_node_features(hidden, starts, window_size,
                                            store["encoder.w_m"], dims.m)
-    n_w = len(prep.starts)
 
     readouts: dict[str, list[dc.Tensor]] = {}
     weights: dict[str, list[dc.Tensor]] = {}
@@ -217,11 +293,10 @@ def _forward(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject) -> Su
         readouts[s], weights[s] = [], []
         for layer in range(dims.layers):
             try:
-                h, vec, attn = cdgin.gin_layer(h, prep.adjacency[s],
-                                               gin_params(store, layer, s))
+                h, vec, attn = cdgin.gin_layer(h, adjacency[s], gin_params(store, layer, s))
             except NumericsError as err:
                 raise NumericsError(
-                    f"stream {s!r}, layer {layer}{_window_of(err, n_w, dims.m)}: {err}",
+                    f"stream {s!r}, layer {layer}{_window_of(err, b, n_w, dims.m)}: {err}",
                     err.index, err.shape) from err
             readouts[s].append(vec)
             weights[s].append(attn)
@@ -231,7 +306,8 @@ def _forward(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject) -> Su
     temporal_factors = []
     for layer in range(dims.layers):
         parts = [readouts[s][layer] for s in dims.streams]
-        h_f = parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)  # (N_w, C)
+        h_f = parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)  # (B * N_w, C)
+        h_f = dc.reshape(h_f, (b, n_w, dims.fused_channels))
         p = cbam_params(store, layer)
         cf = fh.channel_attention(h_f, p)
         tf = fh.temporal_attention(h_f, p)
@@ -241,8 +317,9 @@ def _forward(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject) -> Su
 
     y_hat = fh.classify(h_a_layers, classifier_params(store))
 
-    projections = {s: cdgin.project(readouts[s][-1], store["project.w1"], store["project.b1"],
-                                    store["project.w2"], store["project.b2"])
+    projections = {s: dc.reshape(cdgin.project(readouts[s][-1], store["project.w1"],
+                                               store["project.b1"], store["project.w2"],
+                                               store["project.b2"]), (b, n_w, dims.d_p))
                    for s in dims.streams}
     return SubjectForward(y_hat=y_hat, projections=projections,
                           channel_factors=channel_factors,
@@ -250,24 +327,37 @@ def _forward(store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject) -> Su
                           readout_weights=weights)
 
 
-def subject_loss_parts(
-        store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject,
+def batch_loss_parts(
+        store: dc.ParamStore, dims: ModelDims, preps: list[PreparedSubject],
         ccfg: cdgin.ContrastiveConfig,
 ) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor | None]:
-    """(total, bce term, contrastive term or None) for one subject."""
-    out = forward_subject(store, dims, prep)
+    """(total, bce term, contrastive term or None), each (B,), for subjects
+    that share their windows; total = bce + alpha * contrastive."""
+    out = forward_batch(store, dims, preps)
     l_info = None
     if ccfg.alpha > 0.0:
-        n_w = len(prep.starts)
+        n_w = len(preps[0].starts)
         if n_w < ccfg.delta + 1:
             raise WindowBudgetError(
-                f"subject {prep.subject_id!r}: {n_w} windows < delta+1="
+                f"subject {preps[0].subject_id!r}: {n_w} windows < delta+1="
                 f"{ccfg.delta + 1} required by the contrastive term")
         z = [out.projections[s] for s in dims.streams]
         l_info = cdgin.contrastive_loss(z[0], z[1] if len(z) == 2 else None, ccfg)
-    l_bce = fh.bce(out.y_hat, prep.label)
+    l_bce = fh.bce(out.y_hat, [p.label for p in preps])
     total = l_bce
     if l_info is not None:
         total = dc.add(total, dc.mul_scalar(l_info, ccfg.alpha))
     return total, l_bce, l_info
 
+
+def subject_loss_parts(
+        store: dc.ParamStore, dims: ModelDims, prep: PreparedSubject,
+        ccfg: cdgin.ContrastiveConfig,
+) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor | None]:
+    """(total, bce term, contrastive term or None) for one subject, as
+    scalars: the B = 1 case of :func:`batch_loss_parts`."""
+    total, l_bce, l_info = batch_loss_parts(store, dims, [prep], ccfg)
+    l_bce = dc.reshape(l_bce, ())
+    if l_info is None:
+        return l_bce, l_bce, None
+    return dc.reshape(total, ()), l_bce, dc.reshape(l_info, ())

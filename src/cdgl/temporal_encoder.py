@@ -4,7 +4,9 @@ The LSTM runs once over the whole normalized sequence; each window then takes
 the hidden state at its endpoint timepoint. Node v's input feature for a
 window is W_M [one_hot(v) || h_endpoint], so the one-hot block separates
 nodes while the hidden block injects shared temporal context. Windows are a
-batch axis: all windows' node features come back as one matrix.
+batch axis, and so are subjects: a batch of subjects that share their
+windows runs through one LSTM loop, and all their windows' node features
+come back as one matrix.
 """
 
 from __future__ import annotations
@@ -17,10 +19,14 @@ from .errors import ShapeError
 
 def lstm_forward(x: np.ndarray, w_x: dc.Tensor, w_h: dc.Tensor,
                  b: dc.Tensor) -> dc.Tensor:
-    """Hidden sequence (T, D) of a single-layer LSTM over the (T, M) input."""
+    """Hidden sequence (T, D) of a single-layer LSTM over the (T, M) input.
+
+    A (B, T, M) batch of equal-length inputs gives (B, T, D).
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2:
-        raise ShapeError(f"lstm_forward: (T, M) input required, got {x.shape}")
+    if x.ndim not in (2, 3):
+        raise ShapeError(f"lstm_forward: (T, M) input required, or (B, T, M) for a batch; "
+                         f"got {x.shape}")
     return dc.lstm(x, w_x, w_h, b)
 
 
@@ -35,17 +41,25 @@ def assemble_node_features(hidden: dc.Tensor, starts: list[int], window_size: in
                            w_m: dc.Tensor, m: int) -> dc.Tensor:
     """Node features of every window as one (N_w * M, D) matrix, window-major.
 
-    W_M [one_hot(v) || h_tau] splits into a node term (the first M columns
-    of W_M) and a window term (the rest applied to h_tau); their broadcast
-    sum gives all windows at once without an (N_w * M)-row selector.
+    ``hidden`` is one subject's (T, D) sequence or a (B, T, D) batch whose
+    subjects share ``starts``; a batch gives (B * N_w * M, D) rows, subject
+    by subject. W_M [one_hot(v) || h_tau] splits into a node term (the
+    first M columns of W_M) and a window term (the rest applied to h_tau);
+    their broadcast sum gives all windows at once without an
+    (N_w * M)-row selector.
     """
-    t, d = hidden.data.shape
+    *lead, t, d = hidden.data.shape
+    if len(lead) > 1:
+        raise ShapeError(f"hidden must be (T, D) or (B, T, D), got {hidden.data.shape}")
     if w_m.data.shape != (d, m + d):
         raise ShapeError(f"w_m must be ({d}, {m + d}), got {w_m.data.shape}")
     ends = window_endpoints(starts, window_size, t)
+    b = lead[0] if lead else 1
+    rows = dc.reshape(hidden, (b * t, d)) if lead else hidden
+    picked = (t * np.arange(b)[:, None] + np.asarray(ends)).ravel()  # (B * N_w,)
     w_m_t = dc.transpose(w_m)  # (M + D, D)
     node = dc.take_rows(w_m_t, np.arange(m))  # (M, D)
-    context = dc.matmul(dc.take_rows(hidden, ends),
-                        dc.take_rows(w_m_t, np.arange(m, m + d)))  # (N_w, D)
-    feats = dc.add(dc.reshape(context, (len(ends), 1, d)), dc.reshape(node, (1, m, d)))
-    return dc.reshape(feats, (len(ends) * m, d))
+    context = dc.matmul(dc.take_rows(rows, picked),
+                        dc.take_rows(w_m_t, np.arange(m, m + d)))  # (B * N_w, D)
+    feats = dc.add(dc.reshape(context, (len(picked), 1, d)), dc.reshape(node, (1, m, d)))
+    return dc.reshape(feats, (len(picked) * m, d))

@@ -3,7 +3,11 @@
 Everything here is deterministic for a fixed config: batch order comes from
 one seeded generator, fold seeds are derived as seed + fold_index, and every
 numeric path runs in float64, so repeated runs produce identical loss logs,
-checkpoints, and reports.
+checkpoints, and reports. Subjects are a batch axis: a train step builds
+one graph per group of minibatch subjects that share their windows, and
+evaluation scores each such group in one forward (split when it would
+stack very many adjacency entries). Cross-validation
+prepares its subjects once and hands every fold the prepared subjects.
 """
 
 from __future__ import annotations
@@ -21,6 +25,12 @@ from .data_io import DatasetManifest, ManifestEntry, RoiTimeSeries, SplitPlan, s
 from .errors import ConfigError, ShapeError, WindowBudgetError
 
 STREAM_CHOICES = ("rd", "r", "d")
+# Adjacency entries per stream that one scoring forward may stack. A
+# forward's graph holds all its intermediates until it returns, so at
+# M = 90 and 40 windows 40 subjects in one forward peak near 1 GB; bigger
+# shapes are scored a few subjects at a time, while the README demo's
+# validation folds still take one forward each.
+SCORE_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -140,6 +150,7 @@ class CvResult:
     plan: SplitPlan
     folds: list[FoldResult]
     summary: dict[str, float | None]
+    preps: list[model.PreparedSubject]  # the CV subjects, in plan.train_ids order
 
 
 def _na(value: float | None):
@@ -183,14 +194,24 @@ def make_dims(preps: list[model.PreparedSubject], cfg: TrainConfig) -> model.Mod
                            streams=cfg.stream_tuple())
 
 
-def train(subjects: list[RoiTimeSeries], cfg: TrainConfig,
-          checkpoint_path: str | None = None) -> TrainResult:
-    """Full-batch-shuffled Adam training; returns params and per-epoch log.
+def _global_norm(arrays) -> float:
+    """L2 norm of all entries of ``arrays`` together."""
+    return math.sqrt(sum(float(np.dot(a.ravel(), a.ravel())) for a in arrays))
 
-    Each epoch record holds the mean per-subject total loss plus its BCE and
-    contrastive components. Bit-reproducible for a fixed cfg.
+
+def fit(preps: list[model.PreparedSubject], cfg: TrainConfig,
+        checkpoint_path: str | None = None) -> TrainResult:
+    """Shuffled-minibatch Adam training on prepared subjects.
+
+    A step stacks its minibatch into one graph per group of subjects that
+    share their windows (one graph when all have the same N_w), adds up
+    their per-subject losses and calls backward once; the objective is the
+    minibatch mean of bce + alpha * info. Each epoch record holds the mean
+    per-subject total loss and its BCE and contrastive components, the
+    largest global gradient L2 norm among the epoch's steps (``grad_norm``)
+    and the global parameter L2 norm after its last step (``param_norm``).
+    Bit-reproducible for a fixed cfg.
     """
-    preps = prepare_dataset(subjects, cfg)
     _check_window_budget(preps, cfg)
     dims = make_dims(preps, cfg)
     store = model.init_params(dims, cfg.seed)
@@ -201,36 +222,54 @@ def train(subjects: list[RoiTimeSeries], cfg: TrainConfig,
     epoch_log = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        loss_sum = 0.0
-        bce_sum = 0.0
-        info_sum = 0.0
+        sums = {"mean_loss": 0.0, "bce": 0.0, "info_loss": 0.0}
+        grad_norm = 0.0
         for lo in range(0, n, cfg.batch_size):
             batch = [preps[i] for i in order[lo:lo + cfg.batch_size]]
             store.zero_grad()
-            totals = []
-            for prep in batch:
-                total, l_bce, l_info = model.subject_loss_parts(store, dims, prep, ccfg)
-                totals.append(total)
-                loss_sum += float(total.data)
-                bce_sum += float(l_bce.data)
-                if l_info is not None:
-                    info_sum += float(l_info.data)
-            batch_loss = totals[0]
-            for t in totals[1:]:
-                batch_loss = dc.add(batch_loss, t)
-            batch_loss = dc.mul_scalar(batch_loss, 1.0 / len(totals))
-            dc.backward(batch_loss)
+            objective = None
+            for group in model.group_by_windows(batch):
+                total, l_bce, l_info = model.batch_loss_parts(store, dims, group, ccfg)
+                for key, values in zip(sums, (total, l_bce, l_info)):
+                    if values is not None:
+                        sums[key] += sum(values.data.tolist())
+                part = dc.sum_all(total)
+                objective = part if objective is None else dc.add(objective, part)
+            dc.backward(dc.mul_scalar(objective, 1.0 / len(batch)))
+            grad_norm = max(grad_norm, _global_norm(p.grad for _, p in store.items()))
             dc.adam_step(store, adam)
-        epoch_log.append({"epoch": epoch, "mean_loss": loss_sum / n,
-                          "bce": bce_sum / n, "info_loss": info_sum / n})
+        epoch_log.append({"epoch": epoch, **{key: v / n for key, v in sums.items()},
+                          "grad_norm": grad_norm,
+                          "param_norm": _global_norm(p.data for _, p in store.items())})
     if checkpoint_path is not None:
         dc.save_params(checkpoint_path, store)
     return TrainResult(store=store, dims=dims, epoch_log=epoch_log)
 
 
+def train(subjects: list[RoiTimeSeries], cfg: TrainConfig,
+          checkpoint_path: str | None = None) -> TrainResult:
+    """Prepare ``subjects`` under cfg's graph settings, then :func:`fit`."""
+    return fit(prepare_dataset(subjects, cfg), cfg, checkpoint_path)
+
+
 def predict(store: dc.ParamStore, dims: model.ModelDims,
             prep: model.PreparedSubject) -> float:
     return float(model.forward_subject(store, dims, prep).y_hat.data)
+
+
+def score(store: dc.ParamStore, dims: model.ModelDims,
+          preps: list[model.PreparedSubject]) -> list[float]:
+    """Probabilities in input order: one forward per group of subjects that
+    share their windows, split so that no forward stacks more than
+    SCORE_STACK_ENTRIES adjacency entries per stream."""
+    score_of = {}
+    for group in model.group_by_windows(preps):
+        size = max(1, SCORE_STACK_ENTRIES // (len(group[0].starts) * dims.m * dims.m))
+        for lo in range(0, len(group), size):
+            batch = group[lo:lo + size]
+            probs = model.forward_batch(store, dims, batch).y_hat.data
+            score_of.update(zip(map(id, batch), probs.tolist()))
+    return [score_of[id(p)] for p in preps]
 
 
 def auc_mann_whitney(scores, labels) -> float | None:
@@ -266,10 +305,11 @@ def confusion_counts(scores, labels, threshold: float = 0.5) -> tuple[int, int, 
 
 def evaluate(store: dc.ParamStore, dims: model.ModelDims,
              preps: list[model.PreparedSubject]) -> EvalReport:
-    """Score each subject and compute AUC/ACC/SE/SP at threshold 0.5."""
+    """Score the subjects (see :func:`score`) and compute AUC/ACC/SE/SP at
+    threshold 0.5."""
     if not preps:
         raise ConfigError("evaluation set is empty")
-    scores = [predict(store, dims, p) for p in preps]
+    scores = score(store, dims, preps)
     labels = [p.label for p in preps]
     tp, tn, fp, fn = confusion_counts(scores, labels)
     return EvalReport(
@@ -289,16 +329,19 @@ def split_subjects(subjects: list[RoiTimeSeries], test_fraction: float,
     return stratified_split(manifest, test_fraction, k, seed)
 
 
-def run_fold(subjects: list[RoiTimeSeries], cfg: TrainConfig, plan: SplitPlan,
+def run_fold(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPlan,
              fold_index: int, checkpoint_path: str | None = None) -> FoldResult:
-    """Train on one fold's training ids, evaluate on its validation ids."""
-    by_id = {ts.subject_id: ts for ts in subjects}
+    """Train on one fold's training ids, evaluate on its validation ids.
+
+    ``preps`` holds the prepared CV subjects; preparation depends only on
+    the graph settings, which folds share, so the fold's seed does not
+    enter it.
+    """
+    by_id = {p.subject_id: p for p in preps}
     train_ids, val_ids = plan.folds[fold_index]
     fold_cfg = replace(cfg, seed=cfg.seed + fold_index)
-    result = train([by_id[i] for i in train_ids], fold_cfg,
-                   checkpoint_path=checkpoint_path)
-    val_preps = prepare_dataset([by_id[i] for i in val_ids], cfg)
-    report = evaluate(result.store, result.dims, val_preps)
+    result = fit([by_id[i] for i in train_ids], fold_cfg, checkpoint_path=checkpoint_path)
+    report = evaluate(result.store, result.dims, [by_id[i] for i in val_ids])
     return FoldResult(fold_index=fold_index, report=report,
                       epoch_log=result.epoch_log, dims=result.dims)
 
@@ -328,22 +371,26 @@ def cross_validate(subjects: list[RoiTimeSeries], cfg: TrainConfig, k: int = 4,
     """k independent fold runs under one plan; summary is mean and
     population std per metric.
 
-    mapper, when given, is a map-like callable over the packed fold
-    arguments (e.g. a process pool's map); results keep fold order.
+    The CV subjects (``plan.train_ids``) are prepared once, here, and
+    returned with the result for reuse. mapper, when given, is a map-like
+    callable over the packed fold arguments (e.g. a process pool's map);
+    results keep fold order.
     """
     plan = split_subjects(subjects, test_fraction, k, cfg.seed)
     if checkpoint_paths is None:
         checkpoint_paths = [None] * len(plan.folds)
     if len(checkpoint_paths) != len(plan.folds):
         raise ConfigError("checkpoint_paths must match the fold count")
-    packed = [(subjects, cfg, plan, i, checkpoint_paths[i])
+    by_id = {ts.subject_id: ts for ts in subjects}
+    preps = prepare_dataset([by_id[i] for i in plan.train_ids], cfg)
+    packed = [(preps, cfg, plan, i, checkpoint_paths[i])
               for i in range(len(plan.folds))]
     if mapper is None:
         folds = [run_fold(*args) for args in packed]
     else:
         folds = list(mapper(_run_fold_packed, packed))
     summary = summarize_folds([f.report for f in folds])
-    return CvResult(plan=plan, folds=folds, summary=summary)
+    return CvResult(plan=plan, folds=folds, summary=summary, preps=preps)
 
 
 def format_m_s(mean: float | None, std: float | None) -> str:

@@ -341,22 +341,48 @@ class TestContrastiveLoss:
             for g, ge in zip(grads, expect_grads):
                 assert np.all(np.abs(g - ge) <= 1e-9 * np.maximum(np.abs(ge), 1.0)), case
 
+    def test_batch_matches_per_subject_calls(self):
+        rng = np.random.default_rng(11)
+        for case in range(40):
+            b, n, width = int(rng.integers(1, 6)), int(rng.integers(2, 9)), int(rng.integers(1, 6))
+            cfg = cdgin.ContrastiveConfig(delta=int(rng.integers(1, n)))
+            z_r = dc.param(rng.standard_normal((b, n, width)))
+            z_d = dc.param(rng.standard_normal((b, n, width))) if case % 2 else None
+            batch = cdgin.contrastive_loss(z_r, z_d, cfg)
+            assert batch.data.shape == (b,)
+            dc.backward(dc.sum_all(batch))
+            grads = [z.grad.copy() for z in (z_r, z_d) if z is not None]
+            for i in range(b):
+                rows = [dc.param(z.data[i]) for z in (z_r, z_d) if z is not None]
+                single = cdgin.contrastive_loss(rows[0], rows[1] if len(rows) == 2 else None,
+                                                cfg)
+                assert abs(float(single.data) - batch.data[i]) <= 1e-12, case
+                dc.backward(single)
+                for row, g in zip(rows, grads):
+                    assert np.all(np.abs(g[i] - row.grad)
+                                  <= 1e-9 * np.maximum(np.abs(row.grad), 1.0)), case
+
     def test_op_count_independent_of_window_count(self, op_names):
+        # a (B, N_w, P) stack takes 19 ops (18 for one stream) at any N_w and
+        # B; one subject's (N_w, P) rows add one reshape
         rng = np.random.default_rng(10)
         cfg = cdgin.ContrastiveConfig(delta=1)
         counts = []
         for n in (4, 58):
-            z_r = dc.param(rng.standard_normal((n, 8)))
-            for z_d in (dc.param(rng.standard_normal((n, 8))), None):
-                op_names.clear()
-                cdgin.contrastive_loss(z_r, z_d, cfg)
-                counts.append(len(op_names))
-        assert counts == [18, 17] * 2
+            for lead in ((), (1,), (5,)):
+                z_r = dc.param(rng.standard_normal(lead + (n, 8)))
+                for z_d in (dc.param(rng.standard_normal(lead + (n, 8))), None):
+                    op_names.clear()
+                    cdgin.contrastive_loss(z_r, z_d, cfg)
+                    counts.append(len(op_names))
+        assert counts == [20, 19, 19, 18, 19, 18] * 2
 
     def test_ragged_projection_width(self):
         cfg = cdgin.ContrastiveConfig(delta=1)
-        with pytest.raises(ShapeError):  # projections come as a matrix
+        with pytest.raises(ShapeError):  # projections come as a matrix or a stack
             cdgin.contrastive_loss(dc.param(np.ones(3)), None, cfg)
+        with pytest.raises(ShapeError):
+            cdgin.contrastive_loss(dc.param(np.ones((1, 1, 2, 3))), None, cfg)
         with pytest.raises(ShapeError):
             cdgin.contrastive_loss(dc.param(np.ones((2, 3))), dc.param(np.ones((2, 4))), cfg)
         with pytest.raises(ShapeError):

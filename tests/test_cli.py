@@ -256,8 +256,8 @@ class TestTrainCommand:
         records = [json.loads(line)
                    for line in open(os.path.join(r1, "epochs.jsonl"))]
         assert [r["epoch"] for r in records] == [0, 1]
-        assert all({"epoch", "mean_loss", "bce", "info_loss"} == set(r)
-                   for r in records)
+        assert all({"epoch", "mean_loss", "bce", "info_loss", "grad_norm",
+                    "param_norm"} == set(r) for r in records)
 
     def test_resolved_config_contents(self, dataset, tmp_path):
         out = str(tmp_path / "r")

@@ -162,14 +162,23 @@ class TestPrimitiveGradients:
             with pytest.raises(ShapeError):
                 dc.bmm(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
 
-    def test_matvec(self):
-        m, v = rmat(self.rng, 3, 4), rmat(self.rng, 4)
-        u = rmat(self.rng, 3)
-        check_op(lambda: dc.sum_all(dc.mul(dc.matvec(m, v), dc.sigmoid(u))), [m, v, u])
+    def test_mul_broadcast(self):
+        a, row = rmat(self.rng, 2, 3, 4), rmat(self.rng, 3, 4)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.mul(a, row))), [a, row])  # trailing axes
+        col, cell = rmat(self.rng, 2, 3, 1), rmat(self.rng, 2, 1, 4)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.mul(dc.mul(a, col), cell))), [a, col, cell])
+        for sa, sb in (((4,), (4, 1)), ((3, 4), (4, 3)), ((2, 3, 4), (3,))):
+            with pytest.raises(ShapeError):
+                dc.mul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
 
     def test_transpose_reshape(self):
         a = rmat(self.rng, 3, 4)
         check_op(lambda: dc.sum_all(dc.tanh(dc.reshape(dc.transpose(a), (2, 6)))), [a])
+        stack = rmat(self.rng, 2, 3, 4)  # each matrix of a stack
+        np.testing.assert_array_equal(dc.transpose(stack).data[1], stack.data[1].T)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.bmm(dc.transpose(stack), stack))), [stack])
+        with pytest.raises(ShapeError):
+            dc.transpose(rmat(self.rng, 3))
 
     def test_sigmoid_tanh_exp_sqrt(self):
         a = dc.param(self.rng.uniform(0.2, 1.5, (3, 4)))
@@ -218,6 +227,13 @@ class TestPrimitiveGradients:
         for axis in (0, 1):
             check_op(lambda ax=axis: dc.sum_all(dc.mul(
                 dc.max_pool(b, ax), dc.max_pool(b, ax))), [b])
+        e = dc.param(self.rng.permutation(24).astype(float).reshape(2, 3, 4))
+        for axis in (0, 1, 2):
+            np.testing.assert_array_equal(dc.max_pool(e, axis).data, e.data.max(axis=axis))
+            check_op(lambda ax=axis: dc.sum_all(dc.mul(
+                dc.max_pool(e, ax), dc.max_pool(e, ax))), [e])
+        with pytest.raises(ShapeError):
+            dc.max_pool(e, 3)
 
     def test_concat_take_rows(self):
         a, b = rmat(self.rng, 2, 3), rmat(self.rng, 2, 3)
@@ -237,6 +253,13 @@ class TestPrimitiveGradients:
         k = rmat(self.rng, 2, 5)
         check_op(lambda: dc.sum_all(dc.mul(dc.conv1d_same(x, k),
                                            dc.conv1d_same(x, k))), [x, k])
+        batch = rmat(self.rng, 3, 2, 9)  # a leading batch axis: one output row per entry
+        out = dc.conv1d_same(batch, k)
+        for row, xb in zip(out.data, batch.data):
+            np.testing.assert_allclose(row, dc.conv1d_same(dc.const(xb), k).data,
+                                       rtol=0, atol=1e-14)
+        check_op(lambda: dc.sum_all(dc.mul(dc.conv1d_same(batch, k),
+                                           dc.conv1d_same(batch, k))), [batch, k])
 
     def test_lstm_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -352,12 +375,39 @@ def test_lstm_matches_per_step_oracle(pattern):
             assert err.max() <= 1e-9, (T, M, D, scale, err.max())
 
 
+def test_lstm_batch_matches_per_sequence_oracle():
+    """A (B, T, M) batch gives each sequence's (T, D) output within 1e-12 of
+    the per-step oracle and the summed gradients within 1e-9 of max(|g|, 1),
+    whatever rows of the output gradient each sequence leaves at zero."""
+    rng = np.random.default_rng(9)
+    for _ in range(30):
+        B, T, M, D = (int(v) for v in rng.integers(1, (6, 41, 9, 13)))
+        x = rng.standard_normal((B, T, M))
+        w_x, w_h, b = (0.5 * rng.standard_normal(s) for s in ((M, 4 * D), (D, 4 * D), 4 * D))
+        g = rng.standard_normal((B, T, D))
+        for seq in g:
+            seq[int(rng.integers(0, T + 1)):] = 0.0  # ragged live lengths
+        params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
+        out = dc.lstm(x, *params)
+        assert out.data.shape == (B, T, D)
+        dc.backward(dc.sum_all(dc.mul(out, dc.const(g))))
+        expect = [np.zeros_like(p.data) for p in params]
+        for xb, hb, gb in zip(x, out.data, g):
+            expect_h, expect_bk = oracle_lstm(xb, w_x, w_h, b)
+            np.testing.assert_allclose(hb, expect_h, rtol=0, atol=1e-12)
+            expect = [e + d for e, d in zip(expect, expect_bk(gb))]
+        for p, want in zip(params, expect):
+            assert np.all(np.abs(p.grad - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
+
+
 @pytest.mark.parametrize("w_x, w_h, b, x", [
     ((3, 6), (1, 6), (6,), (5, 3)),  # 4D not divisible by 4
     ((3, 8), (3, 8), (8,), (5, 3)),  # w_h must be (D, 4D)
     ((3, 8), (2, 4), (8,), (5, 3)),
     ((3, 8), (2, 8), (4,), (5, 3)),  # b must be (4D,)
     ((3, 8), (2, 8), (8,), (5, 4)),  # input width differs from w_x's rows
+    ((3, 8), (2, 8), (8,), (5,)),  # neither (T, M) nor (B, T, M)
+    ((3, 8), (2, 8), (8,), (2, 2, 5, 3)),
 ])
 def test_lstm_shape_errors(w_x, w_h, b, x):
     with pytest.raises(ShapeError):
@@ -376,8 +426,8 @@ def test_composite_model_gradcheck():
     def build():
         h = dc.tanh(dc.add(dc.matmul(dc.const(x), w1), b1))
         b_row = dc.reshape(b1, (1, 5))
-        s = dc.softmax(dc.matvec(h, dc.reshape(
-            dc.take_rows(dc.concat([b_row, b_row], axis=0), [0]), (5,))))
+        s = dc.softmax(dc.reshape(dc.matmul(h, dc.transpose(
+            dc.take_rows(dc.concat([b_row, b_row], axis=0), [0]))), (4,)))
         ws = dc.sum_all(dc.mul(s, q))
         out = dc.matmul(h, w2)
         mean = dc.reshape(dc.mean_pool(dc.sigmoid(out), axis=0), ())
@@ -400,16 +450,13 @@ def test_adjoints_skip_constant_operands():
     x3, k3 = rmat(rng, 2, 3, 3), dc.const(rng.standard_normal((2, 3, 3)))
     v, kv = rmat(rng, 3), dc.const(rng.standard_normal(3))
     cases = [(dc.matmul, x, k), (dc.bmm, x3, k3), (dc.mul, x, k), (dc.div, x, k),
-             (dc.add, x, k), (dc.sub, x, k), (dc.add, x, kv)]
+             (dc.add, x, k), (dc.sub, x, k), (dc.add, x, kv), (dc.mul, x, kv),
+             (dc.add, v, k), (dc.mul, v, k)]
     for op, live, fixed in cases:
         for args in ((live, fixed), (fixed, live)):
             out = op(*args)
             contributions = list(out._backward(np.ones_like(out.data)))
             assert [p for p, _ in contributions] == [live], op.__name__
-    out = dc.matvec(dc.const(rng.standard_normal((3, 3))), v)
-    assert [p for p, _ in out._backward(np.ones(3))] == [v]
-    out = dc.matvec(x, kv)
-    assert [p for p, _ in out._backward(np.ones(3))] == [x]
 
 
 def test_non_scalar_backward_rejected():

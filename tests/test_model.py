@@ -7,7 +7,7 @@ from cdgl import cdgin, diffcore as dc, dynamic_fc as dfc, fusion_head as fh, mo
 from cdgl import temporal_encoder as te
 from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries
-from cdgl.errors import NumericsError, WindowBudgetError
+from cdgl.errors import NumericsError, ShapeError, WindowBudgetError
 
 
 def toy_subject(rng, m=4, t=24, label=1, sid="s0"):
@@ -194,18 +194,37 @@ def test_model_gradcheck_small():
     assert report.max_rel_err < 1e-4, (report.worst_param, report.max_rel_err)
 
 
-def test_op_counts_at_readme_shape(op_names):
-    # README demo shape: M=10, T=120, windows 35/25 -> 4 windows, default dims
+def readme_batch(n, seed=12):
+    """n prepared subjects at the README demo shape (M=10, T=120, windows
+    35/25 -> 4 windows) with alternating labels, plus dims and params."""
     cfg = tv.TrainConfig()
-    ts = RoiTimeSeries("s0", np.random.default_rng(12).standard_normal((120, 10)), 1)
-    preps = tv.prepare_dataset([ts], cfg)
+    rng = np.random.default_rng(seed)
+    subjects = [RoiTimeSeries(f"s{i}", rng.standard_normal((120, 10)), i % 2)
+                for i in range(n)]
+    preps = tv.prepare_dataset(subjects, cfg)
     dims = tv.make_dims(preps, cfg)
-    store = model.init_params(dims, cfg.seed)
+    return cfg, preps, dims, model.init_params(dims, cfg.seed)
+
+
+def test_op_counts_at_readme_shape(op_names):
+    # the batched graph at B = 1, as a batch-1 train step builds it
+    cfg, preps, dims, store = readme_batch(1)
     op_names.clear()
-    out = model.forward_subject(store, dims, preps[0])
+    out = model.forward_batch(store, dims, preps)
     n_forward = len(op_names)
     cdgin.contrastive_loss(out.projections["r"], out.projections["d"], cfg.contrastive())
-    assert (n_forward, len(op_names) - n_forward) == (186, 18)
+    assert (n_forward, len(op_names) - n_forward) == (193, 19)
+
+
+def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
+    cfg, preps, dims, store = readme_batch(4)
+    sequences = []
+    for batch in (preps[:1], preps):
+        op_names.clear()
+        model.batch_loss_parts(store, dims, batch, cfg.contrastive())
+        sequences.append(list(op_names))
+    assert sequences[0] == sequences[1]
+    assert len(sequences[0]) == 193 + 19 + 6  # forward, contrastive, bce and total
 
 
 def test_forward_op_count_independent_of_window_count(op_names):
@@ -224,6 +243,36 @@ def test_forward_op_count_independent_of_window_count(op_names):
     assert [n for n, _ in counts] == [4, 58]
     assert counts[0][1] == counts[1][1]
     assert len(counts[0][1]) <= 200
+
+
+def matvec(m, v):
+    """(R, C) matrix times (C,) vector, from matmul and reshapes."""
+    return dc.reshape(dc.matmul(m, dc.reshape(v, (-1, 1))), (-1,))
+
+
+def per_subject_fusion(h_f, p):
+    """Oracle: CBAM fusion of one subject's (N_w, C) features, one subject
+    at a time; (attended features, channel factors (C,), temporal factors (N_w,))."""
+    def mlp(v):
+        hidden = dc.tanh(dc.add(matvec(p.chan_w1, v), p.chan_b1))
+        return dc.add(matvec(p.chan_w2, hidden), p.chan_b2)
+
+    n_w, c = h_f.data.shape
+    cf = dc.sigmoid(dc.add(mlp(dc.max_pool(h_f, axis=0)), mlp(dc.mean_pool(h_f, axis=0))))
+    traces = dc.concat([dc.reshape(dc.max_pool(h_f, axis=1), (1, n_w)),
+                        dc.reshape(dc.mean_pool(h_f, axis=1), (1, n_w))], axis=0)
+    tf = dc.sigmoid(dc.conv1d_same(traces, p.temporal_kernel))
+    chan_grid = dc.matmul(dc.const(np.ones((n_w, 1))), dc.reshape(cf, (1, c)))
+    temp_grid = dc.matmul(dc.reshape(tf, (n_w, 1)), dc.const(np.ones((1, c))))
+    return dc.mul(dc.mul(h_f, chan_grid), temp_grid), cf, tf
+
+
+def per_subject_classify(h_a_layers, p):
+    """Oracle: one subject's classifier over its per-layer (N_w, C) features."""
+    pooled = [dc.mean_pool(h_a, axis=0) for h_a in h_a_layers]
+    feat = pooled[0] if len(pooled) == 1 else dc.concat(pooled, axis=0)
+    hidden = dc.tanh(dc.add(matvec(p.w1, feat), p.b1))
+    return dc.sigmoid(dc.reshape(dc.add(matvec(p.w2, hidden), p.b2), ()))
 
 
 def per_window_forward(store, dims, prep):
@@ -258,10 +307,10 @@ def per_window_forward(store, dims, prep):
                 hidden1 = dc.tanh(dc.add(dc.matmul(dc.matmul(mixed, p.w), p.mlp_w1),
                                          p.mlp_b1))
                 h = dc.add(dc.matmul(hidden1, p.mlp_w2), p.mlp_b2)
-                q = dc.matvec(p.w_q, dc.mean_pool(h, axis=0))
+                q = matvec(p.w_q, dc.mean_pool(h, axis=0))
                 keys = dc.matmul(h, dc.transpose(p.w_k))
-                attn = dc.softmax(dc.mul_scalar(dc.matvec(keys, q), 1.0 / np.sqrt(d)))
-                readouts[s][layer].append(dc.matvec(dc.transpose(h), attn))
+                attn = dc.softmax(dc.mul_scalar(matvec(keys, q), 1.0 / np.sqrt(d)))
+                readouts[s][layer].append(matvec(dc.transpose(h), attn))
                 weights[s][layer].append(attn)
 
     h_a_layers, channel, temporal = [], [], []
@@ -270,17 +319,15 @@ def per_window_forward(store, dims, prep):
         for t in range(len(blocks)):
             parts = [readouts[s][layer][t] for s in dims.streams]
             rows.append(parts[0] if len(parts) == 1 else dc.concat(parts, axis=0))
-        h_f = stack(rows)
-        p = model.cbam_params(store, layer)
-        cf, tf = fh.channel_attention(h_f, p), fh.temporal_attention(h_f, p)
-        h_a_layers.append(fh.apply_attention(h_f, cf, tf))
+        h_a, cf, tf = per_subject_fusion(stack(rows), model.cbam_params(store, layer))
+        h_a_layers.append(h_a)
         channel.append(cf)
         temporal.append(tf)
-    y_hat = fh.classify(h_a_layers, model.classifier_params(store))
+    y_hat = per_subject_classify(h_a_layers, model.classifier_params(store))
 
     def project(vec):
-        hid = dc.tanh(dc.add(dc.matvec(store["project.w1"], vec), store["project.b1"]))
-        return dc.add(dc.matvec(store["project.w2"], hid), store["project.b2"])
+        hid = dc.tanh(dc.add(matvec(store["project.w1"], vec), store["project.b1"]))
+        return dc.add(matvec(store["project.w2"], hid), store["project.b2"])
 
     projections = {s: stack([project(v) for v in readouts[s][-1]]) for s in dims.streams}
     return (y_hat, projections, channel, temporal,
@@ -343,3 +390,161 @@ def test_numerics_error_names_subject_stream_layer_window():
     message = str(info.value)
     assert "subject 's7'" in message and "stream 'd', layer 0, window 3" in message
     assert "op 'bmm'" in message
+
+
+def test_numerics_error_in_a_batch_names_that_subject():
+    rng = np.random.default_rng(16)
+    dims = small_dims()
+    store = model.init_params(dims, seed=1)
+    subjects = [toy_subject(rng, sid=f"s{i}") for i in range(3)]
+
+    preps = [prep(ts) for ts in subjects]
+    preps[1].encoder_input[6, 2] = np.nan
+    with pytest.raises(NumericsError) as info:
+        model.forward_batch(store, dims, preps)
+    message = str(info.value)
+    assert "subject 's1'" in message and "timepoint 6" in message and "op 'lstm'" in message
+    assert "'s0'" not in message and "'s2'" not in message
+
+    preps = [prep(ts) for ts in subjects]
+    preps[2].adjacency["r"][3, 1, 0] = np.nan
+    with pytest.raises(NumericsError) as info:
+        model.batch_loss_parts(store, dims, preps, cdgin.ContrastiveConfig())
+    message = str(info.value)
+    assert "subject 's2'" in message and "stream 'r', layer 0, window 3" in message
+    assert "'s0'" not in message and "'s1'" not in message
+
+
+def test_batch_rejects_subjects_with_other_windows():
+    rng = np.random.default_rng(17)
+    dims = small_dims()
+    store = model.init_params(dims, seed=1)
+    preps = [prep(toy_subject(rng, sid="a")), prep(toy_subject(rng, t=28, sid="b"))]
+    with pytest.raises(ShapeError, match="'b'"):
+        model.forward_batch(store, dims, preps)
+    assert [[p.subject_id for p in g] for g in model.group_by_windows(preps)] == [["a"], ["b"]]
+
+
+def per_subject_contrastive(z_r, z_d, cfg):
+    """Oracle: one subject's (N_w, P) projections through the masked cosine matrix."""
+    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=0)
+    k, width = z.data.shape
+    negative, weights = cdgin._pair_weights(z_r.data.shape[0], k // z_r.data.shape[0],
+                                            cfg.delta)
+    sq = dc.matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
+    norms = dc.sqrt(dc.clip_min(sq, cdgin.COSINE_NORM_FLOOR ** 2))
+    cos = dc.div(dc.matmul(z, dc.transpose(z)), dc.matmul(norms, dc.transpose(norms)))
+    e = dc.exp(cos)
+    base = dc.matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
+    per_pair = dc.sub(dc.log(dc.add(base, e)), cos)
+    return dc.sum_all(dc.mul(per_pair, dc.const(weights)))
+
+
+def per_subject_forward(store, dims, prep):
+    """Oracle: one subject's forward on its whole (T, M) input, one subject at a time.
+
+    (y_hat, projections, channel factors, temporal factors, readout weights)
+    with the shapes of :class:`model.SubjectForward`.
+    """
+    hidden = te.lstm_forward(prep.encoder_input, store["encoder.lstm.w_x"],
+                             store["encoder.lstm.w_h"], store["encoder.lstm.b"])
+    feats = te.assemble_node_features(hidden, prep.starts, prep.window_size,
+                                      store["encoder.w_m"], dims.m)
+    readouts, weights = {}, {}
+    for s in dims.streams:
+        h, readouts[s], weights[s] = feats, [], []
+        for layer in range(dims.layers):
+            h, vec, attn = cdgin.gin_layer(h, prep.adjacency[s], model.gin_params(store, layer, s))
+            readouts[s].append(vec)
+            weights[s].append(attn)
+    h_a_layers, channel, temporal = [], [], []
+    for layer in range(dims.layers):
+        parts = [readouts[s][layer] for s in dims.streams]
+        h_f = parts[0] if len(parts) == 1 else dc.concat(parts, axis=1)
+        h_a, cf, tf = per_subject_fusion(h_f, model.cbam_params(store, layer))
+        h_a_layers.append(h_a)
+        channel.append(cf)
+        temporal.append(tf)
+    y_hat = per_subject_classify(h_a_layers, model.classifier_params(store))
+    projections = {s: cdgin.project(readouts[s][-1], store["project.w1"], store["project.b1"],
+                                    store["project.w2"], store["project.b2"])
+                   for s in dims.streams}
+    return y_hat, projections, channel, temporal, weights
+
+
+def per_subject_total(store, dims, prep, ccfg):
+    """Oracle: one subject's bce + alpha * contrastive loss."""
+    y_hat, proj, *_ = per_subject_forward(store, dims, prep)
+    if prep.label == 1:
+        total = dc.neg(dc.log(y_hat))
+    else:
+        total = dc.neg(dc.log(dc.sub(dc.const(1.0), y_hat)))
+    if ccfg.alpha > 0.0:
+        z = [proj[s] for s in dims.streams]
+        info = per_subject_contrastive(z[0], z[1] if len(z) == 2 else None, ccfg)
+        total = dc.add(total, dc.mul_scalar(info, ccfg.alpha))
+    return total
+
+
+def test_batches_match_per_subject_oracle():
+    # B from 1 to 6; subject lengths ragged within an N_w group (up to
+    # stride - 1 unread rows); every fourth case mixes two N_w, interleaved
+    rng = np.random.default_rng(18)
+    for case in range(36):
+        streams = (("r", "d"), ("r",), ("d",))[case % 3]
+        b = 1 + case % 6
+        mixed = case % 4 == 3
+        m = int(rng.integers(2, 9))
+        ws, ss = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+        base = int(rng.integers(1, 6))
+        n_w = [base + 1 + i % 2 for i in range(b)] if mixed else [base] * b
+        preps = []
+        for i, n in enumerate(n_w):
+            t = ws + (n - 1) * ss + int(rng.integers(0, ss))
+            ts = RoiTimeSeries(f"s{i}", rng.standard_normal((t, m)), int(rng.integers(0, 2)))
+            preps.append(model.prepare_subject(ts, dfc.WindowSpec(ws, ss),
+                                               dfc.DistanceKind("euclidean"), streams=streams))
+        dims = model.ModelDims(m=m, d=int(rng.integers(2, 6)), d_p=int(rng.integers(2, 5)),
+                               layers=int(rng.integers(1, 3)), n_windows_ref=min(n_w),
+                               streams=streams)
+        store = model.init_params(dims, seed=case)
+        for _, t in store.items():  # leave no epsilon or bias at its zero init
+            t.data += 0.3 * rng.standard_normal(t.data.shape)
+        ccfg = cdgin.ContrastiveConfig(delta=1, alpha=0.1 if min(n_w) > 1 else 0.0)
+        groups = model.group_by_windows(preps)
+        assert len(groups) == len(set(n_w))
+
+        store.zero_grad()
+        objective = None
+        totals = {}
+        for group in groups:
+            out = model.forward_batch(store, dims, group)
+            total = model.batch_loss_parts(store, dims, group, ccfg)[0]
+            part = dc.sum_all(total)
+            objective = part if objective is None else dc.add(objective, part)
+            for j, p in enumerate(group):
+                totals[p.subject_id] = total.data[j]
+                y_hat, proj, channel, temporal, attn = per_subject_forward(store, dims, p)
+                n = len(p.starts)
+                got = [out.y_hat.data[j]] + [out.projections[s].data[j] for s in streams]
+                got += [f.data[j] for f in out.channel_factors + out.temporal_factors]
+                got += [w.data[j * n:(j + 1) * n] for s in streams for w in out.readout_weights[s]]
+                expect = [y_hat.data] + [proj[s].data for s in streams]
+                expect += [f.data for f in channel + temporal]
+                expect += [w.data for s in streams for w in attn[s]]
+                for g, e in zip(got, expect, strict=True):
+                    assert g.shape == e.shape, case
+                    np.testing.assert_allclose(g, e, rtol=0, atol=1e-12, err_msg=str(case))
+        dc.backward(objective)
+        grads = {name: t.grad.copy() for name, t in store.items()}
+
+        store.zero_grad()
+        expect_total = None
+        for p in preps:
+            total = per_subject_total(store, dims, p, ccfg)
+            assert abs(float(total.data) - totals[p.subject_id]) <= 1e-12, case
+            expect_total = total if expect_total is None else dc.add(expect_total, total)
+        dc.backward(expect_total)
+        for name, t in store.items():
+            g, ge = grads[name], t.grad
+            assert np.all(np.abs(g - ge) <= 1e-9 * np.maximum(np.abs(ge), 1.0)), (case, name)

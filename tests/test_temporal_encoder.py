@@ -138,3 +138,16 @@ class TestAssembleNodeFeatures:
         assert w_m.grad is not None and np.any(w_m.grad != 0)
         # only the two window endpoints (timepoints 3 and 6) feed the features
         assert set(np.flatnonzero(np.abs(hidden.grad).sum(axis=1))) == {3, 6}
+
+    def test_batch_rows_are_subject_major(self):
+        m, d, t, starts, ws = 3, 4, 16, [0, 5, 10], 6
+        hidden = dc.param(self.rng.standard_normal((2, t, d)))
+        w_m = dc.param(self.rng.standard_normal((d, m + d)))
+        feats = te.assemble_node_features(hidden, starts, ws, w_m, m)
+        assert feats.data.shape == (2 * len(starts) * m, d)
+        for b, block in enumerate(np.split(feats.data, 2)):
+            single = te.assemble_node_features(dc.const(hidden.data[b]), starts, ws, w_m, m)
+            np.testing.assert_array_equal(block, single.data)
+        dc.backward(dc.sum_all(dc.tanh(feats)))
+        for b in range(2):  # each subject's endpoints 5, 10 and 15, and no other row
+            assert set(np.flatnonzero(np.abs(hidden.grad[b]).sum(axis=1))) == {5, 10, 15}

@@ -167,9 +167,14 @@ class TestTrain:
         result = tv.train(toy_pair(rng), tiny_cfg(epochs=3))
         assert [rec["epoch"] for rec in result.epoch_log] == [0, 1, 2]
         for rec in result.epoch_log:
-            assert set(rec) == {"epoch", "mean_loss", "bce", "info_loss"}
+            assert set(rec) == {"epoch", "mean_loss", "bce", "info_loss",
+                                "grad_norm", "param_norm"}
             assert rec["info_loss"] == 0.0  # alpha = 0 run
             assert rec["mean_loss"] == pytest.approx(rec["bce"], abs=1e-12)
+            assert 0.0 < rec["grad_norm"] < np.inf
+        final = np.concatenate([p.data.ravel() for _, p in result.store.items()])
+        assert result.epoch_log[-1]["param_norm"] == pytest.approx(
+            np.linalg.norm(final), rel=1e-12)
 
     def test_alpha_couples_components(self):
         rng = np.random.default_rng(2)
@@ -235,6 +240,20 @@ class TestEvaluate:
         report = tv.evaluate(result.store, result.dims, pos_only)
         assert report.auc is None and report.sp is None
         assert report.se is not None
+
+    def test_scores_match_per_subject_predictions(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        subs = toy_cohort(rng, n=7) + toy_cohort(rng, n=3, t=40)  # two window counts
+        cfg = tiny_cfg(epochs=1)
+        result = tv.train(subs, cfg)
+        preps = tv.prepare_dataset(subs, cfg)
+        expect = [tv.predict(result.store, result.dims, p) for p in preps]
+        whole = tv.score(result.store, result.dims, preps)
+        per_subject = len(preps[0].starts) * result.dims.m ** 2
+        monkeypatch.setattr(tv, "SCORE_STACK_ENTRIES", 3 * per_subject)  # batches of 3
+        split = tv.score(result.store, result.dims, preps)
+        for got in (whole, split):
+            np.testing.assert_allclose(got, expect, rtol=0, atol=1e-12)
 
     def test_empty_rejected(self):
         rng = np.random.default_rng(9)
