@@ -1,9 +1,14 @@
 """Reverse-mode autodiff substrate: float64 tensors, primitive ops, Adam, checkpoints.
 
 Everything trainable in the model lives in a :class:`ParamStore` of named
-:class:`Tensor` objects. Forward passes build a fresh op graph each time;
-:func:`backward` walks it once in reverse topological order and accumulates
-gradients into the leaves. The primitive set is deliberately small and every
+:class:`Tensor` objects. The store keeps all parameter values in one
+contiguous float64 buffer and all gradients in another, each tensor's
+``data`` and ``grad`` being a view into them; the Adam moments are two more
+such buffers. So zeroing the gradients is one fill and an Adam step is a few
+whole-array operations. Forward passes build a fresh op graph each time;
+:func:`backward` walks it once in reverse topological order, holding each
+node's pending gradient in a slot of the node, and accumulates gradients
+into the leaves. The primitive set is deliberately small and every
 primitive has a hand-written adjoint that is finite-difference tested;
 adjoints compute contributions only for operands that carry gradients, so
 constant operands (adjacencies, masks) cost nothing on the way back.
@@ -17,7 +22,7 @@ from __future__ import annotations
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +35,13 @@ class Tensor:
     """A float64 array with an optional gradient slot and graph linkage.
 
     Leaves created with ``requires_grad=True`` accumulate into ``grad`` on
-    :func:`backward`; intermediates keep transient buffers only for the
-    duration of one backward walk, so backward-ing the same graph twice
-    exactly doubles the leaf gradients.
+    :func:`backward`; intermediates hold their pending gradient in a slot
+    only for the duration of one backward walk, so backward-ing the same
+    graph twice exactly doubles the leaf gradients.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op")
+    __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op",
+                 "_pending", "_owned")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, op="leaf"):
         self.data = np.asarray(data, dtype=np.float64)
@@ -44,6 +50,7 @@ class Tensor:
         self._parents = parents
         self._backward = backward
         self.op = op
+        self._pending = None  # backward's walk state; None outside a walk
 
     @property
     def shape(self):
@@ -68,14 +75,38 @@ def param(data) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True)
 
 
+_FLOAT64 = np.dtype(np.float64)
+_new_tensor = object.__new__
+
+
 def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
-    if not np.all(np.isfinite(out)):
+    """The output Tensor of one op, after an exact check that every entry is finite.
+
+    Every primitive calls it once per output. It fills the slots directly,
+    as ``Tensor(out, ...)`` would, without a second float64 conversion of an
+    array that already is one.
+    """
+    if np.count_nonzero(np.isfinite(out)) != out.size:
         first = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
         raise NumericsError(f"non-finite values produced by op '{op}'",
                             index=first, shape=out.shape)
-    if any(p.requires_grad for p in parents):
-        return Tensor(out, requires_grad=True, parents=parents, backward=backward, op=op)
-    return Tensor(out, op=op)
+    if type(out) is not np.ndarray or out.dtype is not _FLOAT64:
+        out = np.asarray(out, dtype=np.float64)  # e.g. the numpy scalar of a full reduction
+    t = _new_tensor(Tensor)
+    t.data = out
+    t.grad = None
+    t.op = op
+    t._pending = None
+    for p in parents:
+        if p.requires_grad:
+            t.requires_grad = True
+            t._parents = parents
+            t._backward = backward
+            return t
+    t.requires_grad = False
+    t._parents = ()
+    t._backward = None
+    return t
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +122,8 @@ def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
     stray (n,) + (n, 1) cannot become an (n, n) outer product.
     """
     sa, sb = a.data.shape, b.data.shape
+    if sa == sb:
+        return
     if len(sa) != len(sb):
         small, large = sorted((sa, sb), key=len)
         ok = large[len(large) - len(small):] == small
@@ -484,58 +517,73 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
 # backward
 # ---------------------------------------------------------------------------
 
+# A node's ``_pending`` slot during a walk: None (not reached yet), _OPEN
+# (its ancestors are being ordered), _ORDERED (waiting for its first gradient
+# contribution), then the gradient buffer itself; None again once it is done.
+_OPEN, _ORDERED = object(), object()
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``."""
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
+
+    The walk orders the grad-carrying ancestors of ``loss`` by an iterative
+    depth-first post-order, then visits them in reverse, so every node's
+    consumers have contributed before its own adjoint runs.
+    """
     if loss.data.shape != ():
         raise ShapeError("backward: loss must be scalar")
     if not loss.requires_grad:
         return
 
+    # One stack holds both kinds of entry: a node popped while None is
+    # opened and pushed again under its parents; popped while _OPEN, all of
+    # its ancestors are ordered, so it is. In a DAG a node cannot be reached
+    # again while it is open, so a node popped in any other state was
+    # already ordered through another consumer.
     order = []
-    visited = set()
-    stack = [(loss, False)]
-    while stack:
-        node, processed = stack.pop()
-        if processed:
-            order.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
+    stack = [loss]
+    try:
+        while stack:
+            node = stack.pop()
+            state = node._pending
+            if state is None:
+                node._pending = _OPEN
+                stack.append(node)
+                for p in node._parents:
+                    if p.requires_grad and p._pending is None:
+                        stack.append(p)
+            elif state is _OPEN:
+                node._pending = _ORDERED
+                order.append(node)
 
-    # grads maps id(tensor) -> (buffer, owned); borrowed buffers are never
-    # mutated in place, ownership is taken on the second contribution.
-    grads: dict[int, tuple[np.ndarray, bool]] = {id(loss): (np.ones(()), True)}
-
-    def _accumulate(t: Tensor, contrib: np.ndarray) -> None:
-        key = id(t)
-        cur = grads.get(key)
-        if cur is None:
-            grads[key] = (contrib, False)
-        else:
-            buf, owned = cur
-            if owned:
-                buf += contrib
-            else:
-                # np.asarray: 0-d sums come back as immutable numpy scalars,
-                # which would silently drop later in-place accumulations
-                grads[key] = (np.asarray(buf + contrib), True)
-
-    for node in reversed(order):
-        g = grads.pop(id(node))[0]
-        if node._backward is None:
-            if node.grad is None:
-                node.grad = np.array(g)
-            else:
-                node.grad += g
-        else:
+        # A buffer is borrowed from an adjoint until the node's second
+        # contribution, which makes an owned sum that later ones add into.
+        loss._pending = np.ones(())
+        for node in reversed(order):
+            g = node._pending
+            node._pending = None
+            if node._backward is None:
+                if node.grad is None:
+                    node.grad = np.array(g)
+                else:
+                    node.grad += g
+                continue
             for parent, contrib in node._backward(g):
-                if parent.requires_grad:
-                    _accumulate(parent, contrib)
+                if not parent.requires_grad:
+                    continue
+                cur = parent._pending
+                if cur is _ORDERED:
+                    parent._pending, parent._owned = contrib, False
+                elif parent._owned:
+                    cur += contrib
+                else:
+                    # np.asarray: 0-d sums come back as immutable numpy
+                    # scalars, which would silently drop later in-place sums
+                    parent._pending, parent._owned = np.asarray(cur + contrib), True
+    except BaseException:
+        for node in order + stack:
+            node._pending = None
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -543,19 +591,65 @@ def backward(loss: Tensor) -> None:
 # ---------------------------------------------------------------------------
 
 class ParamStore:
-    """Named parameter tensors; iteration is always sorted by name."""
+    """Named parameter tensors in one flat arena; iteration is always sorted by name.
+
+    Parameter values and gradients each live in one contiguous float64
+    buffer, laid out in sorted-name order, and every tensor's ``data`` and
+    ``grad`` is a view into it. So :meth:`zero_grad` is one fill and
+    :func:`adam_step` works on whole buffers. The buffers are laid out
+    afresh on the first use of the store after an :meth:`add` or a
+    :func:`load_into`, so building or loading a store costs one copy. Write
+    into a tensor's arrays (``t.data[...] = x``); assigning it a new array
+    detaches it from the arena, which :func:`adam_step` rejects.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
+        self._names: list[str] = []
+        self._data = np.zeros(0)
+        self._grad = np.zeros(0)
+        self._views: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = []
+        self._laid_out = True
+        self._zeroed = False
 
     def add(self, name: str, data) -> Tensor:
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
         t = param(data)
         self._params[name] = t
+        self._laid_out = False
         return t
 
+    def _layout(self) -> None:
+        """Unless laid out already, copy every tensor's data and grad into fresh
+        buffers in sorted-name order and point the tensors at them."""
+        if self._laid_out:
+            return
+        self._names = sorted(self._params)
+        tensors = [self._params[n] for n in self._names]
+        data = np.concatenate([t.data.reshape(-1) for t in tensors] or [np.zeros(0)])
+        grad = np.zeros_like(data)
+        self._views = []
+        lo = 0
+        for name, t in zip(self._names, tensors):
+            shape = t.data.shape
+            hi = lo + t.data.size
+            if t.grad is not None:
+                grad[lo:hi] = t.grad.reshape(-1)
+            t.data, t.grad = data[lo:hi].reshape(shape), grad[lo:hi].reshape(shape)
+            self._views.append((name, t, t.data, t.grad))
+            lo = hi
+        self._data, self._grad = data, grad
+        self._laid_out = True
+
+    def _adopt(self, arrays: dict[str, np.ndarray]) -> None:
+        """Take ``arrays`` as the tensors' values; the next use lays them out in the arena."""
+        for name, t in self._params.items():
+            t.data = arrays[name]
+        self._laid_out = False
+
     def __getitem__(self, name: str) -> Tensor:
+        self._layout()
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -565,17 +659,17 @@ class ParamStore:
         return len(self._params)
 
     def names(self) -> list[str]:
-        return sorted(self._params)
+        self._layout()
+        return list(self._names)
 
     def items(self):
-        return [(n, self._params[n]) for n in sorted(self._params)]
+        self._layout()
+        return [(n, self._params[n]) for n in self._names]
 
     def zero_grad(self) -> None:
-        for _, p in self.items():
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
-            else:
-                p.grad.fill(0.0)
+        self._layout()
+        self._grad.fill(0.0)
+        self._zeroed = True
 
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
@@ -586,7 +680,11 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 
 @dataclass
 class AdamState:
-    """Adam moments plus hyperparameters; weight decay is decoupled."""
+    """Adam moments plus hyperparameters; weight decay is decoupled.
+
+    ``m`` and ``v`` are flat buffers laid out like the store's arena,
+    allocated as zeros by the first :func:`adam_step`.
+    """
 
     lr: float
     beta1: float = 0.9
@@ -594,33 +692,42 @@ class AdamState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step_count: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
 def adam_step(store: ParamStore, state: AdamState) -> None:
-    """One Adam update with bias correction; decay applied before the Adam delta."""
-    if all(p.grad is None for _, p in store.items()):
+    """One Adam update with bias correction; decay applied before the Adam delta.
+
+    The update runs on the store's whole parameter, gradient and moment
+    buffers at once, with the same elementwise expression per entry as a
+    per-tensor loop. A store whose gradients were never zeroed and are all
+    exactly zero has seen no backward pass, and is rejected.
+    """
+    store._layout()
+    for name, t, data, grad in store._views:
+        if t.data is not data or t.grad is not grad:
+            raise StateError(f"parameter {name!r} was given a new array, outside the "
+                             "store's buffer; write into it with [...] instead")
+    data, g = store._data, store._grad
+    if not store._zeroed and not g.any():
         raise StateError("adam_step called before any backward pass populated gradients")
+    if state.m is None:
+        state.m, state.v = np.zeros_like(data), np.zeros_like(data)
+    elif state.m.shape != data.shape:
+        raise StateError(f"Adam moments hold {state.m.size} values, the store {data.size}")
     state.step_count += 1
     t = state.step_count
     bc1 = 1.0 - state.beta1 ** t
     bc2 = 1.0 - state.beta2 ** t
-    for name, p in store.items():
-        g = p.grad if p.grad is not None else np.zeros_like(p.data)
-        if state.weight_decay:
-            p.data -= state.lr * state.weight_decay * p.data
-        m = state.m.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            state.m[name] = m
-            state.v[name] = np.zeros_like(p.data)
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+    m, v = state.m, state.v
+    if state.weight_decay:
+        data -= state.lr * state.weight_decay * data
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -651,7 +758,8 @@ def finite_diff_check(build_loss, named_tensors: list[tuple[str, Tensor]],
     (|analytic - numeric| < tol * 1e-6) with a healthy margin over the noise.
     """
     for _, t in named_tensors:
-        t.grad = None
+        if t.grad is not None:
+            t.grad.fill(0.0)  # in place: a store tensor's grad stays in its arena
     loss = build_loss()
     backward(loss)
     analytic = {name: (np.zeros_like(t.data) if t.grad is None else t.grad.copy())
@@ -732,6 +840,7 @@ def load_params(path: str) -> dict[str, np.ndarray]:
             if version != CHECKPOINT_SCHEMA_VERSION:
                 raise ParseError(f"{path}: unsupported checkpoint schema_version {version}")
             out: dict[str, np.ndarray] = {}
+            size = os.fstat(f.fileno()).st_size
             for _ in range(count):
                 (nlen,) = struct.unpack("<H", f.read(2))
                 name = f.read(nlen).decode("utf-8")
@@ -739,7 +848,7 @@ def load_params(path: str) -> dict[str, np.ndarray]:
                 shape = struct.unpack(f"<{ndim}I", f.read(4 * ndim)) if ndim else ()
                 # Python ints: numpy's product wraps on large shape words
                 nbytes = 8 * math.prod(shape)
-                left = os.fstat(f.fileno()).st_size - f.tell()
+                left = size - f.tell()
                 if nbytes > left:
                     raise ParseError(f"{path}: truncated checkpoint ({name!r} "
                                      f"needs {nbytes} bytes, {left} left)")
@@ -748,18 +857,33 @@ def load_params(path: str) -> dict[str, np.ndarray]:
         except (struct.error, UnicodeDecodeError) as err:
             raise ParseError(
                 f"{path}: truncated or corrupt checkpoint header ({err})") from None
+    # one check over all values; the per-tensor search runs only on a failure
+    flat = np.concatenate([v.reshape(-1) for v in out.values()]) if out else np.zeros(0)
+    if np.count_nonzero(np.isfinite(flat)) != flat.size:
+        for name, values in out.items():
+            bad = ~np.isfinite(values)
+            if bad.any():
+                first = tuple(int(i) for i in np.argwhere(bad)[0])
+                raise ParseError(f"{path}: non-finite value in {name!r} at index {first}")
     return out
 
 
 def load_into(store: ParamStore, path: str) -> None:
+    """Give every parameter of ``store`` its value from the checkpoint at ``path``.
+
+    Names and shapes are checked before anything is written, so on an
+    error the store keeps its values.
+    """
     values = load_params(path)
-    missing = set(store.names()) - set(values)
-    extra = set(values) - set(store.names())
+    names = sorted(store._params)
+    missing = set(names) - set(values)
+    extra = set(values) - set(names)
     if missing or extra:
         raise ParseError(f"{path}: parameter names do not match model "
                          f"(missing={sorted(missing)}, extra={sorted(extra)})")
-    for name, p in store.items():
-        if values[name].shape != p.data.shape:
+    for name in names:
+        shape = store._params[name].data.shape
+        if values[name].shape != shape:
             raise ShapeError(f"{path}: shape mismatch for {name!r}: "
-                             f"{values[name].shape} vs {p.data.shape}")
-        p.data[...] = values[name]
+                             f"{values[name].shape} vs {shape}")
+    store._adopt(values)

@@ -196,7 +196,7 @@ def make_dims(preps: list[model.PreparedSubject], cfg: TrainConfig) -> model.Mod
 
 def _global_norm(arrays) -> float:
     """L2 norm of all entries of ``arrays`` together."""
-    return math.sqrt(sum(float(np.dot(a.ravel(), a.ravel())) for a in arrays))
+    return math.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
 
 
 def fit(preps: list[model.PreparedSubject], cfg: TrainConfig,

@@ -225,6 +225,26 @@ class TestExitCodes:
                     "--out", str(tmp_path / "a")] + TINY)
         assert code == 3
 
+    def test_attn_export_non_finite_checkpoint_exit_3(self, dataset, tmp_path, capsys):
+        run_dir = str(tmp_path / "run")
+        assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
+        values = dc.load_params(os.path.join(run_dir, "checkpoint.ckpt"))
+        ckpt = str(tmp_path / "planted.ckpt")
+        for bad in (np.nan, np.inf, -np.inf):
+            store = dc.ParamStore()
+            for name, value in values.items():
+                store.add(name, value)
+            store["classifier.b2"].data[0] = bad
+            dc.save_params(ckpt, store)
+            capsys.readouterr()
+            code = run(["attn-export", "--checkpoint", ckpt, "--data", dataset,
+                        "--out", str(tmp_path / "a")] + TINY)
+            assert code == 3
+            err = capsys.readouterr().err
+            # the checkpoint is blamed, not the first subject's forward pass
+            assert "planted.ckpt: non-finite value in 'classifier.b2'" in err, err
+            assert "subject" not in err
+
     def test_unknown_subject_exit_2(self, dataset, tmp_path):
         code = run(["fc-dump", "--data", dataset, "--subject", "ghost",
                     "--window-size", "10", "--stride", "10",

@@ -5,6 +5,7 @@ random inputs; tiny closed-form cases are asserted exactly.
 """
 
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,6 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdgl import diffcore as dc
+from cdgl import model
+from cdgl import train_eval as tv
+from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import NumericsError, ParseError, ShapeError, StateError
 
 
@@ -444,6 +448,35 @@ def test_numerics_error_names_offending_op():
     assert info.value.index == (1,) and info.value.shape == (2,)
 
 
+def test_finite_outputs_whose_sum_overflows_pass():
+    # every entry finite, their sum not: the check must look at the entries
+    big = dc.const(np.full((2, 3), 1.5e308))
+    out = dc.add(big, dc.const(np.zeros((2, 3))))
+    with np.errstate(over="ignore"):
+        assert np.isinf(out.data.sum())
+    assert np.all(np.isfinite(out.data))
+    assert np.all(np.isfinite(dc.transpose(out).data))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_output_names_op_first_index_and_shape(bad):
+    x = np.zeros((2, 3, 4))
+    x[1, 2, 0] = x[1, 2, 3] = bad
+    with pytest.raises(NumericsError, match="op 'add'") as info:
+        dc.add(dc.const(x), dc.param(np.ones(4)))
+    assert info.value.index == (1, 2, 0) and info.value.shape == (2, 3, 4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_transposed_output_indexed_as_its_own_shape(bad):
+    # a non-contiguous output: the index is in the transposed array's axes
+    x = np.zeros((2, 3))
+    x[0, 2] = x[1, 1] = bad
+    with pytest.raises(NumericsError, match="op 'transpose'") as info:
+        dc.transpose(dc.param(x))
+    assert info.value.index == (1, 1) and info.value.shape == (3, 2)
+
+
 def test_adjoints_skip_constant_operands():
     rng = np.random.default_rng(12)
     x, k = rmat(rng, 3, 3), dc.const(rng.uniform(0.5, 2.0, (3, 3)))
@@ -530,6 +563,249 @@ class TestAdam:
         assert losses[-1] < losses[0]
 
 
+# ---------------------------------------------------------------------------
+# oracles: the per-tensor Adam step and the id()-keyed backward walk that the
+# flat parameter arena and the slot-held gradients replaced
+# ---------------------------------------------------------------------------
+
+def oracle_backward(loss):
+    """Depth-first post-order, then a reverse walk keeping (buffer, owned) per id()."""
+    order = []
+    visited = set()
+    stack = [(loss, False)]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in visited:
+            continue
+        visited.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if p.requires_grad and id(p) not in visited:
+                stack.append((p, False))
+
+    grads = {id(loss): (np.ones(()), True)}
+
+    def accumulate(t, contrib):
+        cur = grads.get(id(t))
+        if cur is None:
+            grads[id(t)] = (contrib, False)
+        elif cur[1]:
+            buf = cur[0]
+            buf += contrib
+        else:
+            grads[id(t)] = (np.asarray(cur[0] + contrib), True)
+
+    for node in reversed(order):
+        g = grads.pop(id(node))[0]
+        if node._backward is None:
+            if node.grad is None:
+                node.grad = np.array(g)
+            else:
+                node.grad += g
+        else:
+            for parent, contrib in node._backward(g):
+                if parent.requires_grad:
+                    accumulate(parent, contrib)
+
+
+def oracle_adam_step(params, grads, state):
+    """One step over {name: array} in sorted-name order, moments in per-name dicts."""
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1 ** t
+    bc2 = 1.0 - state.beta2 ** t
+    for name in sorted(params):
+        p, g = params[name], grads[name]
+        if state.weight_decay:
+            p -= state.lr * state.weight_decay * p
+        if name not in state.m:
+            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
+        m, v = state.m[name], state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.03])
+def test_adam_matches_per_tensor_oracle(weight_decay):
+    """Parameters bit-identical to the per-tensor step after 10 steps, on
+    random stores with 0-d tensors, added in shuffled name order."""
+    rng = np.random.default_rng(21)
+    for case in range(6):
+        shapes = {f"p{i}": tuple(int(n) for n in rng.integers(1, 5, rng.integers(0, 4)))
+                  for i in range(int(rng.integers(1, 9)))}
+        shapes["eps"] = ()
+        store = dc.ParamStore()
+        for name in rng.permutation(sorted(shapes)):
+            store.add(str(name), rng.standard_normal(shapes[name]))
+        expect = {name: t.data.copy() for name, t in store.items()}
+        state = dc.AdamState(lr=0.01, weight_decay=weight_decay)
+        ostate = SimpleNamespace(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
+                                 weight_decay=weight_decay, step_count=0, m={}, v={})
+        for step in range(10):
+            store.zero_grad()
+            grads = {name: 10.0 ** rng.uniform(-6, 2) * rng.standard_normal(shape)
+                     for name, shape in shapes.items()}
+            if step == 3:
+                grads["eps"] = np.zeros(())
+            for name, t in store.items():
+                t.grad[...] = grads[name]
+            dc.adam_step(store, state)
+            oracle_adam_step(expect, grads, ostate)
+        for name, t in store.items():
+            assert np.array_equal(t.data, expect[name]), (case, name)
+
+
+def readme_shape_loss(batch):
+    """The mean train objective over ``batch`` subjects at the README demo shape."""
+    cfg = tv.TrainConfig()
+    rng = np.random.default_rng(batch)
+    subjects = [RoiTimeSeries(f"s{i}", rng.standard_normal((120, 10)), i % 2)
+                for i in range(batch)]
+    preps = tv.prepare_dataset(subjects, cfg)
+    dims = tv.make_dims(preps, cfg)
+    store = model.init_params(dims, cfg.seed)
+    total = model.batch_loss_parts(store, dims, preps, cfg.contrastive())[0]
+    return store, dc.mul_scalar(dc.sum_all(total), 1.0 / batch)
+
+
+@pytest.mark.parametrize("batch", [1, 4])
+def test_backward_matches_dict_walk_on_full_model(batch):
+    store, loss = readme_shape_loss(batch)
+    store.zero_grad()
+    dc.backward(loss)
+    got = {name: t.grad.copy() for name, t in store.items()}
+    store.zero_grad()
+    oracle_backward(loss)
+    for name, t in store.items():
+        assert np.array_equal(got[name], t.grad), name
+    assert any(g.any() for g in got.values())
+
+
+def diamond():
+    rng = np.random.default_rng(31)
+    x, w = rmat(rng, 3, 4), rmat(rng, 4, 4)
+    h = dc.matmul(x, w)
+    left, right = dc.tanh(h), dc.sigmoid(h)  # h has two consumers that meet again
+    return [x, w], dc.sum_all(dc.mul(dc.add(left, h), right))
+
+
+def multi_consumer():
+    rng = np.random.default_rng(32)
+    a, v = rmat(rng, 5), dc.param(1.7)
+    s = dc.sqrt(dc.mul(v, v))  # a 0-d node with seven consumers
+    h = dc.tanh(a)  # a vector node with four, one through a broadcast
+    total = dc.sum_all(dc.mul(h, h))
+    for i in range(7):
+        total = dc.add(total, dc.mul_scalar(s, 1.0 + 0.1 * i))
+    total = dc.add(total, dc.sum_all(dc.add(dc.reshape(h, (1, 5)), dc.const(np.ones((3, 5))))))
+    return [a, v], dc.add(total, dc.sum_all(dc.scale(h, s)))
+
+
+@pytest.mark.parametrize("build", [diamond, multi_consumer])
+def test_backward_matches_dict_walk_on_shared_nodes(build):
+    leaves, loss = build()
+    dc.backward(loss)
+    got = [t.grad.copy() for t in leaves]
+    for t in leaves:
+        t.grad = None
+    oracle_backward(loss)
+    for t, g in zip(leaves, got):
+        assert np.array_equal(g, t.grad)
+
+
+def test_backward_interrupted_by_an_adjoint_leaves_no_walk_state():
+    x = dc.param(np.arange(3.0))
+    h = dc.tanh(x)
+
+    def failing(g):
+        raise RuntimeError("adjoint failed")
+
+    broken = dc.Tensor(np.asarray(h.data.sum()), True, (h,), failing, "broken")
+    with pytest.raises(RuntimeError, match="adjoint failed"):
+        dc.backward(dc.mul_scalar(broken, 2.0))
+    assert x._pending is None and h._pending is None and broken._pending is None
+    dc.backward(dc.sum_all(h))
+    np.testing.assert_array_equal(x.grad, 1.0 - h.data * h.data)
+
+
+def assert_in_arena(store):
+    """Every tensor's data and grad are views into the store's two buffers,
+    packed without gaps in sorted-name order (``items`` lays them out if a
+    tensor was added since the last use)."""
+    lo = 0
+    for name, t in store.items():
+        for arr, buf in ((t.data, store._data), (t.grad, store._grad)):
+            assert arr is not None and arr.flags.c_contiguous, name
+            offset = arr.__array_interface__["data"][0] - buf.__array_interface__["data"][0]
+            assert np.shares_memory(arr, buf) and offset == 8 * lo, name
+        lo += t.data.size
+    assert lo == store._data.size == store._grad.size
+
+
+def test_arena_views_survive_load_gradcheck_and_zero_grad(tmp_path):
+    rng = np.random.default_rng(0)
+    ts = RoiTimeSeries("s", rng.standard_normal((30, 4)), 1)
+    cfg = tv.TrainConfig(window_size=10, stride=5, hidden_dim=4, proj_dim=4, delta=1)
+    preps = tv.prepare_dataset([ts], cfg)
+    dims = tv.make_dims(preps, cfg)
+    store = model.init_params(dims, 0)
+    assert_in_arena(store)
+    assert not store._grad.any()
+
+    path = str(tmp_path / "m.ckpt")
+    dc.save_params(path, model.init_params(dims, 1))
+    dc.load_into(store, path)
+    assert_in_arena(store)
+    for (_, t), (_, u) in zip(store.items(), model.init_params(dims, 1).items()):
+        np.testing.assert_array_equal(t.data, u.data)
+
+    def build():
+        return model.subject_loss_parts(store, dims, preps[0], cfg.contrastive())[0]
+
+    coords = dc.sample_coords(store.items(), 30, rng)
+    report = dc.finite_diff_check(build, store.items(), coords)
+    assert report.max_rel_err < 1e-4
+    assert_in_arena(store)
+    assert store._grad.any()
+
+    store.zero_grad()
+    assert_in_arena(store)
+    assert not store._grad.any()
+    dc.backward(build())
+    dc.adam_step(store, dc.AdamState(lr=1e-3))
+    assert_in_arena(store)
+
+
+def test_add_after_use_lays_the_arena_out_again():
+    store = dc.ParamStore()
+    a, c = store.add("a", np.arange(3.0)), store.add("c", np.array(5.0))
+    store.zero_grad()
+    a.grad[...] = 1.0
+    c.grad[...] = 2.0
+    b = store.add("b", np.ones((2, 2)))
+    assert store.names() == ["a", "b", "c"]
+    assert_in_arena(store)
+    np.testing.assert_array_equal(store._data, [0, 1, 2, 1, 1, 1, 1, 5])
+    np.testing.assert_array_equal(store._grad, [1, 1, 1, 0, 0, 0, 0, 2])
+    assert store["a"] is a and store["b"] is b and store["c"] is c
+
+
+def test_adam_rejects_a_detached_parameter():
+    store = dc.ParamStore()
+    store.add("a", np.ones(3))
+    store.add("b", np.ones(2))
+    store.zero_grad()
+    store["b"].data = np.zeros(2)  # a new array: adam_step could not update it
+    with pytest.raises(StateError, match="'b'"):
+        dc.adam_step(store, dc.AdamState(lr=0.1))
+
+
 class TestCheckpoint:
     def make_store(self, seed=0):
         store = dc.ParamStore()
@@ -607,6 +883,32 @@ class TestCheckpoint:
         open(path, "wb").write(header_claiming(shape) + b"\x00" * 16)
         with pytest.raises(ParseError, match="model.ckpt"):
             dc.load_params(path)
+
+    def test_rejected_load_changes_nothing(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        dc.save_params(path, self.make_store())
+        other = dc.ParamStore()
+        other.add("cdgin.layer0.r.mlp.w1", np.zeros((4, 8)))
+        other.add("encoder.lstm.b", np.zeros(12))
+        other.add("eps", np.zeros(2))  # last in name order, and the wrong shape
+        with pytest.raises(ShapeError, match="'eps'"):
+            dc.load_into(other, path)
+        for name, t in other.items():
+            assert not t.data.any(), name
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_value_rejected(self, tmp_path, bad):
+        store = self.make_store()
+        store["encoder.lstm.b"].data[5] = bad
+        path = str(tmp_path / "model.ckpt")
+        dc.save_params(path, store)
+        fresh = self.make_store(seed=1)
+        before = {name: t.data.copy() for name, t in fresh.items()}
+        with pytest.raises(ParseError, match=r"model\.ckpt: non-finite value in "
+                                             r"'encoder\.lstm\.b' at index \(5,\)"):
+            dc.load_into(fresh, path)
+        for name, t in fresh.items():
+            np.testing.assert_array_equal(t.data, before[name])
 
     def test_name_mismatch_rejected(self, tmp_path):
         store = self.make_store()
