@@ -53,37 +53,63 @@ class SplitPlan:
     seed: int
 
 
+# np.loadtxt arguments for one subject's CSV body: C-level parsing of
+# comma-separated float64 cells, optionally double-quoted
+_CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', dtype=np.float64, ndmin=2)
+
+
 def load_roi_csv(path: str, subject_id: str = "", label: int = 0) -> RoiTimeSeries:
     """Read a rectangular numeric CSV into a RoiTimeSeries.
 
-    A first row that fails numeric parsing is treated as a header and
-    skipped. Labels come from the manifest, not the file; the default here is
-    a placeholder.
+    A first line with a cell that Python's ``float()`` rejects is treated as
+    a header and skipped. The rest is parsed in C by ``np.loadtxt``: every
+    cell is a decimal or exponent float literal, ``nan`` or ``inf`` (the
+    last two are rejected as non-finite), optionally padded with spaces or
+    wrapped in double quotes; empty lines are skipped. Digit-group
+    underscores (``1_0``) and non-ASCII digits are non-numeric. A ragged
+    or non-numeric line is a :class:`ParseError` naming ``path:line``.
+    Labels come from the manifest, not the file; the default here is a
+    placeholder.
     """
-    rows: list[list[float]] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        for lineno, cells in enumerate(reader, start=1):
-            if not cells:
-                continue
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                if lineno == 1:
-                    continue  # header row
-                raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
-            if rows and len(values) != len(rows[0]):
-                raise ParseError(f"{path}:{lineno}: ragged row "
-                                 f"({len(values)} cells, expected {len(rows[0])})")
-            rows.append(values)
-    if not rows:
+    with open(path) as f:
+        lines = f.readlines()
+    start = 1 if lines and _is_header(lines[0]) else 0
+    if all(line == "\n" for line in lines[start:]):
         raise ParseError(f"{path}: no data rows")
-    signals = np.array(rows, dtype=np.float64)
+    try:
+        signals = np.loadtxt(lines[start:], **_CSV_FORMAT)
+    except ValueError as err:
+        _raise_first_bad_line(path, lines, start)
+        raise ParseError(f"{path}: {err}") from None
     if not np.all(np.isfinite(signals)):
         raise ParseError(f"{path}: non-finite value in signals")
     if signals.shape[0] < 2 or signals.shape[1] < 2:
         raise ShapeError(f"{path}: need T >= 2 and M >= 2, got {signals.shape}")
     return RoiTimeSeries(subject_id=subject_id, signals=signals, label=int(label))
+
+
+def _is_header(line: str) -> bool:
+    try:
+        for cell in next(csv.reader([line]), []):
+            float(cell)
+    except ValueError:
+        return True
+    return False
+
+
+def _raise_first_bad_line(path: str, lines: list[str], start: int) -> None:
+    """Name the first line of ``lines[start:]`` that ``np.loadtxt`` rejects."""
+    width = None
+    for lineno, line in enumerate(lines[start:], start=start + 1):
+        if line == "\n":
+            continue
+        try:
+            n = np.loadtxt([line], **_CSV_FORMAT).shape[1]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
+        if width is not None and n != width:
+            raise ParseError(f"{path}:{lineno}: ragged row ({n} cells, expected {width})")
+        width = n
 
 
 def write_roi_csv(path: str, signals: np.ndarray, header: bool = True) -> None:

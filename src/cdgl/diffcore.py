@@ -458,25 +458,28 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     ig = np.empty((B, D))
     cell = slice(2 * D, 3 * D)
     in_g, forget_g, cell_g, out_g = (gates[..., k * D:(k + 1) * D] for k in range(4))
-    for t in range(T):
-        a = gates[t]
-        np.matmul(H[t], w_h.data, out=hw)
-        a += hw  # a = xw[t] + h @ w_h + b, summed in that order
-        a += b.data
-        g_t = G[t]
-        np.tanh(cell_g[t], out=g_t)
-        cell_g[t] = g_t
-        np.negative(a, out=a)
-        np.exp(a, out=a)
-        a += 1.0
-        np.divide(1.0, a, out=a)
-        c = C[t + 1]
-        np.multiply(forget_g[t], C[t], out=c)
-        np.multiply(in_g[t], g_t, out=ig)
-        c += ig
-        tc = TC[t]
-        np.tanh(c, out=tc)
-        np.multiply(out_g[t], tc, out=H[t + 1])
+    # a pre-activation below about -709 overflows the gate exp to inf, and
+    # 1 / (1 + inf) is the saturated gate's exact 0
+    with np.errstate(over="ignore"):
+        for t in range(T):
+            a = gates[t]
+            np.matmul(H[t], w_h.data, out=hw)
+            a += hw  # a = xw[t] + h @ w_h + b, summed in that order
+            a += b.data
+            g_t = G[t]
+            np.tanh(cell_g[t], out=g_t)
+            cell_g[t] = g_t
+            np.negative(a, out=a)
+            np.exp(a, out=a)
+            a += 1.0
+            np.divide(1.0, a, out=a)
+            c = C[t + 1]
+            np.multiply(forget_g[t], C[t], out=c)
+            np.multiply(in_g[t], g_t, out=ig)
+            c += ig
+            tc = TC[t]
+            np.tanh(c, out=tc)
+            np.multiply(out_g[t], tc, out=H[t + 1])
 
     def bk(g):
         gt = g[:, None, :] if x.ndim == 2 else g.transpose(1, 0, 2)  # (T, B, D)

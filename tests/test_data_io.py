@@ -1,5 +1,8 @@
 """CSV loading, normalization, manifest, and split tests."""
 
+import csv
+import os
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgl import cli
 from cdgl import data_io as dio
+from cdgl import synthgen as sg
 from cdgl.errors import NumericsError, ParseError, ShapeError, StratificationError
 
 
@@ -72,6 +77,124 @@ class TestLoadRoiCsv:
         p = write_csv(tmp_path / "empty.csv", "")
         with pytest.raises(ParseError):
             dio.load_roi_csv(p)
+
+
+def oracle_load_roi_csv(path):
+    """The reader before parsing moved to np.loadtxt: csv.reader plus a Python
+    float() per cell. Returns the signals or raises as load_roi_csv did."""
+    rows = []
+    with open(path, newline="") as f:
+        reader = csv.reader(f)
+        for lineno, cells in enumerate(reader, start=1):
+            if not cells:
+                continue
+            try:
+                values = [float(c) for c in cells]
+            except ValueError:
+                if lineno == 1:
+                    continue  # header row
+                raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
+            if rows and len(values) != len(rows[0]):
+                raise ParseError(f"{path}:{lineno}: ragged row "
+                                 f"({len(values)} cells, expected {len(rows[0])})")
+            rows.append(values)
+    if not rows:
+        raise ParseError(f"{path}: no data rows")
+    signals = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(signals)):
+        raise ParseError(f"{path}: non-finite value in signals")
+    if signals.shape[0] < 2 or signals.shape[1] < 2:
+        raise ShapeError(f"{path}: need T >= 2 and M >= 2, got {signals.shape}")
+    return signals
+
+
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225e-308, 1.5e-310, 1e300, -1e300, 1e-300,
+               -1e-300, 1.7976931348623157e308]
+CELL_FORMATS = [repr, "{:.17g}".format, "{:.17e}".format, lambda v: f'"{v!r}"',
+                lambda v: f" {v!r} "]
+
+
+class TestReaderMatchesOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 9), st.integers(2, 7), st.booleans(),
+           st.sampled_from(["\n", "\r\n"]), st.integers(0, 3), st.booleans())
+    def test_random_files(self, tmp_path_factory, seed, t, m, header, newline, blanks,
+                          final_newline):
+        rng = np.random.default_rng(seed)
+        sig = rng.standard_normal((t, m)) * 10.0 ** rng.integers(-300, 300, (t, m))
+        edge = rng.random((t, m)) < 0.3
+        sig[edge] = rng.choice(EDGE_VALUES, edge.sum())
+        lines = [",".join(CELL_FORMATS[rng.integers(len(CELL_FORMATS))](float(v)) for v in row)
+                 for row in sig]
+        for _ in range(blanks):  # blank lines anywhere after the first
+            lines.insert(int(rng.integers(1, len(lines) + 1)), "")
+        if header:
+            lines.insert(0, ",".join(f'"roi {j}"' if j % 2 else f"roi_{j}" for j in range(m)))
+        text = newline.join(lines) + (newline if final_newline else "")
+        path = tmp_path_factory.mktemp("csv") / "s.csv"
+        path.write_bytes(text.encode())
+        want = oracle_load_roi_csv(str(path))
+        got = dio.load_roi_csv(str(path)).signals
+        assert got.dtype == np.float64 and got.shape == want.shape == (t, m)
+        assert got.tobytes() == want.tobytes()  # bit-identical, signed zeros included
+
+    BAD_ROWS = {"ragged_short": "1.5", "ragged_long": "1.5,2.5,3.5", "non_numeric": "1.5,x",
+                "empty_cell": "1.5,", "whitespace": "  ", "quoted_comma": '"1,5",2'}
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("bad", sorted(BAD_ROWS))
+    def test_bad_row_named_like_oracle(self, tmp_path, header, position, bad):
+        rows = [f"{i}.25,{-i}.5" for i in range(5)]
+        rows[position] = self.BAD_ROWS[bad]
+        if header:
+            rows.insert(0, "roi_0,roi_1")
+        p = write_csv(tmp_path / "bad.csv", "\n".join(rows) + "\n")
+        if position == 0 and not header and bad not in ("ragged_short", "ragged_long"):
+            # a first line float() rejects is the header, for both readers
+            np.testing.assert_array_equal(dio.load_roi_csv(p).signals, oracle_load_roi_csv(p))
+            return
+        with pytest.raises(ParseError) as want:
+            oracle_load_roi_csv(p)
+        with pytest.raises(ParseError) as got:
+            dio.load_roi_csv(p)
+        assert str(got.value) == str(want.value)
+        assert str(got.value).startswith(f"{p}:")
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "roi_0,roi_1\n", "roi_0,roi_1\n\n\n",
+                                      "roi_0,roi_1"])
+    def test_no_data_rows_no_warning(self, tmp_path, text):
+        p = write_csv(tmp_path / "empty.csv", text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # numpy's "input contained no data" included
+            with pytest.raises(ParseError, match="no data rows"):
+                dio.load_roi_csv(p)
+
+    @pytest.mark.parametrize("cell", ["1_0", "\u0663", "\uff11"])
+    @pytest.mark.parametrize("lineno", [1, 3])
+    def test_float_only_syntax_is_non_numeric(self, tmp_path, cell, lineno):
+        """Digit-group underscores and non-ASCII digits, which float() accepts,
+        are non-numeric cells now, on the first line as on any other."""
+        rows = ["1.0,2.0", "3.0,4.0", "5.0,6.0"]
+        rows[lineno - 1] = f"{cell},2.0"
+        p = write_csv(tmp_path / "narrow.csv", "\n".join(rows) + "\n")
+        assert oracle_load_roi_csv(p).shape == (3, 2)
+        with pytest.raises(ParseError, match=f"^{re.escape(p)}:{lineno}: non-numeric cell$"):
+            dio.load_roi_csv(p)
+
+    def test_cv_on_underscore_digits_exits_3(self, tmp_path, capsys):
+        data = str(tmp_path / "data")
+        sg.generate(sg.SynthSpec(kind="correlation", n_subjects=8, m=4, t=30, seed=2), data)
+        path = os.path.join(data, "sub002.csv")
+        with open(path) as f:
+            lines = f.readlines()
+        lines[3] = "1_0" + lines[3][lines[3].index(","):]
+        with open(path, "w") as f:
+            f.writelines(lines)
+        code = cli.main(["cv", "--data", data, "--folds", "2", "--out", str(tmp_path / "cv"),
+                         "--set", "epochs=1"])
+        assert code == 3
+        assert f"{path}:4: non-numeric cell" in capsys.readouterr().err
 
 
 class TestZscore:

@@ -5,6 +5,7 @@ random inputs; tiny closed-form cases are asserted exactly.
 """
 
 import struct
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -402,6 +403,27 @@ def test_lstm_batch_matches_per_sequence_oracle():
             expect = [e + d for e, d in zip(expect, expect_bk(gb))]
         for p, want in zip(params, expect):
             assert np.all(np.abs(p.grad - want) <= 1e-9 * np.maximum(np.abs(want), 1.0))
+
+
+def test_lstm_saturated_gate_raises_no_overflow_warning():
+    """An input-gate pre-activation of about -1000 overflows the sigmoid's exp:
+    the gate is exactly 0, no RuntimeWarning escapes the op, and the hidden
+    sequence equals the per-step oracle's, for one sequence and a batch."""
+    rng = np.random.default_rng(12)
+    x = 100.0 * np.ones((5, 2))
+    w_x, w_h = 0.1 * rng.standard_normal((2, 12)), 0.1 * rng.standard_normal((3, 12))
+    w_x[:, 0:2] = -5.0
+    b = np.zeros(12)
+    with np.errstate(over="ignore"):  # the oracle's own exp overflows
+        expect_h, _ = oracle_lstm(x, w_x, w_h, b)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
+        out = dc.lstm(x, *params)
+        batch = dc.lstm(np.stack([x, x]), *params)
+        dc.backward(dc.sum_all(out))
+    assert np.array_equal(out.data, expect_h)
+    assert np.array_equal(batch.data, np.stack([expect_h, expect_h]))
 
 
 @pytest.mark.parametrize("w_x, w_h, b, x", [

@@ -418,6 +418,28 @@ class TestBatchedMatchesOracle:
             np.testing.assert_array_equal(a[t], window_binarize(s[t]))
             np.testing.assert_array_equal(dfc.binarize_topk(s[t]), a[t])
 
+    def test_binarize_mixed_tie_and_tie_free_windows(self):
+        """Windows whose ties straddle the cut and windows without any, in one
+        stack, each equal to the per-window lexsort oracle."""
+        rng = np.random.default_rng(17)
+        m = 12
+        k, e = dfc.topk_edge_count(m), m * (m - 1) // 2
+        s = rng.standard_normal((8, m, m))
+        s[1::2] = rng.integers(0, 3, size=(4, m, m))  # odd windows: three levels
+        s[6] = 0.0  # all tied
+        s = s + s.swapaxes(1, 2)
+        iu, ju = np.triu_indices(m, k=1)
+        straddle = []
+        for w in s:
+            vals = np.sort(w[iu, ju])[::-1]
+            straddle.append(vals[k - 1] == vals[k] if k < e else False)
+        assert any(straddle) and not all(straddle)
+        a = dfc.binarize_topk(s)
+        for t in range(len(s)):
+            np.testing.assert_array_equal(a[t], window_binarize(s[t]))
+        tie_free = [t for t in range(len(s)) if not straddle[t]]
+        np.testing.assert_array_equal(dfc.binarize_topk(s[tie_free]), a[tie_free])
+
     def test_plain_window_calls_match_stack_slices(self):
         rng = np.random.default_rng(21)
         x = rng.standard_normal((40, 7))
@@ -456,3 +478,72 @@ class TestBatchedMatchesOracle:
             np.testing.assert_array_equal(dumped("a_r"), window_binarize(r))
             np.testing.assert_array_equal(dumped("a_d"), window_binarize(d))
             assert np.abs(dumped("d") - d).max() <= D_REL_TOL * np.abs(d).max()
+
+
+def manhattan_oracle(windows):
+    """Manhattan distance_matrix as it was before the windows were batched:
+    one (M, M, WS) difference per window."""
+    x = np.asarray(windows, dtype=np.float64)
+    d = np.empty(x.shape[:-2] + (x.shape[-1],) * 2)
+    for w in np.ndindex(x.shape[:-2]):
+        cols = x[w].T  # (M, WS) vectors
+        d[w] = np.abs(cols[:, None, :] - cols[None, :, :]).sum(axis=2)
+    np.negative(d, out=d)
+    out = d + d.swapaxes(-1, -2)
+    out *= 0.5
+    idx = np.arange(x.shape[-1])
+    out[..., idx, idx] = 0.0
+    return out
+
+
+class TestBatchedManhattan:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(2, 20),
+           st.integers(1, 30), st.sampled_from([1, 2, 7, dfc.MANHATTAN_PAIRS]))
+    def test_bit_identical_to_per_window_loop(self, seed, n_w, ws, m, chunk):
+        """Bit-identical at WS below and above 8 (where numpy's pairwise
+        summation would start on a contiguous axis), in chunks down to a single
+        ROI pair, and for the plain (WS, M) window."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n_w, ws, m)) * 10.0 ** rng.integers(-5, 6, (n_w, ws, m))
+        x[:, :, rng.random(m) < 0.2] = 3.0  # flat and duplicated columns
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dfc, "MANHATTAN_PAIRS", chunk)
+            got = dfc.distance_matrix(x, dfc.DistanceKind("manhattan"))
+            got_one = dfc.distance_matrix(x[0], dfc.DistanceKind("manhattan"))
+        want = manhattan_oracle(x)
+        assert got.tobytes() == want.tobytes()
+        assert got_one.tobytes() == want[0].tobytes()
+
+    def test_strided_windows_and_ninety_rois(self):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((120, 90))
+        windows = dfc.extract_windows(x, dfc.WindowSpec(35, 17))  # overlapping view
+        got = dfc.distance_matrix(windows, dfc.DistanceKind("manhattan"))
+        assert got.tobytes() == manhattan_oracle(windows).tobytes()
+
+
+class TestRequireFinite:
+    def test_finite_entries_whose_sum_overflows_pass(self):
+        values = np.full((3, 4, 4), 1e308)
+        values[1] *= -1.0
+        values[2, 0, 0] = -1e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dfc._require_finite(values, "values")
+            dfc.binarize_topk(np.full((5, 5), 1.7e308))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_names_first_non_finite_entry(self, bad, where):
+        values = np.ones((3, 4, 5))
+        index = (0, 0, 0) if where == "first" else (2, 3, 4)
+        values[index] = bad
+        if where == "first":
+            values[2, 3, 4] = -bad  # a later one is not named
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="^non-finite things") as info:
+                dfc._require_finite(values, "things")
+        assert info.value.index == index
+        assert info.value.shape == (3, 4, 5)
