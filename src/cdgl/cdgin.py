@@ -5,11 +5,14 @@ Each stream updates node features as MLP((eps I + A) H W) with its own
 parameters; graph-level vectors come from a single-head query-key attention
 over nodes. Windows are a batch axis: one layer call updates and reads out
 every window of a stream, so the op count does not grow with the window
-count. The contrastive loss treats every (stream, window) projection as an
-anchor whose positives are the same-stream windows at offset +-delta; for
-a batch of subjects it is one stack of per-subject cosine matrices and a
-masked log-sum-exp, a fixed 19 autodiff ops (18 for one stream) whatever
-the window count or batch size.
+count. The node update and the readout are one fused autodiff op each,
+with hand-written adjoints, so a layer call is three ops (a reshape joins
+them); ``tests/composite_layers.py`` keeps the op-by-op forms they
+replaced as their oracle. The contrastive loss treats every (stream,
+window) projection as an anchor whose positives are the same-stream
+windows at offset +-delta; for a batch of subjects it is one stack of
+per-subject cosine matrices and a masked log-sum-exp, a fixed 19 autodiff
+ops (18 for one stream) whatever the window count or batch size.
 """
 
 from __future__ import annotations
@@ -50,49 +53,103 @@ class GinLayerParams:
     w_k: dc.Tensor
 
 
-def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams,
-                    activation=dc.tanh) -> dc.Tensor:
-    """MLP((eps I + A_t) H_t W) for every window t at once.
+def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Tensor:
+    """MLP((eps I + A_t) H_t W) for every window t at once, as one op.
 
     ``h_in`` is the (N_w * M, D) window-major node matrix and ``a`` the
     constant (N_w, M, M) adjacency stack; the neighbour sum is one batched
-    product and W and the MLP are shared matmuls over all N_w * M rows.
+    product and W and the two-layer tanh MLP are shared matmuls over all
+    N_w * M rows. A non-finite MLP pre-activation raises NumericsError
+    with its index in those rows, since tanh would hide an infinity.
     """
     rows, d = h_in.data.shape
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] * a.shape[1] != rows:
         raise ShapeError(f"adjacency stack {a.shape} does not match {rows} node rows")
-    if p.w.data.shape != (d, d):
-        raise ShapeError(f"w must be ({d}, {d}), got {p.w.data.shape}")
-    neighbours = dc.bmm(dc.const(a), dc.reshape(h_in, (a.shape[0], a.shape[1], d)))
-    mixed = dc.add(dc.scale(h_in, p.eps), dc.reshape(neighbours, (rows, d)))
-    x = dc.matmul(mixed, p.w)
-    h1 = activation(dc.add(dc.matmul(x, p.mlp_w1), p.mlp_b1))
-    return dc.add(dc.matmul(h1, p.mlp_w2), p.mlp_b2)
+    for name, t in (("w", p.w), ("mlp_w1", p.mlp_w1), ("mlp_w2", p.mlp_w2)):
+        if t.data.shape != (d, d):
+            raise ShapeError(f"{name} must be ({d}, {d}), got {t.data.shape}")
+    n, m = a.shape[0], a.shape[1]
+    h, eps = h_in.data, p.eps.data
+    w, w1, w2 = p.w.data, p.mlp_w1.data, p.mlp_w2.data
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+        mixed = h * eps + np.matmul(a, h.reshape(n, m, d)).reshape(rows, d)
+        x = mixed @ w
+        pre = x @ w1 + p.mlp_b1.data
+        dc.check_finite(pre, "gin_node_update", "MLP pre-activation in")
+        h1 = np.tanh(pre)
+        out = h1 @ w2 + p.mlp_b2.data
+
+    def bk(g):
+        grads = [(p.mlp_w2, h1.T @ g), (p.mlp_b2, g.sum(axis=0))]
+        g_pre = (g @ w2.T) * (1.0 - h1 * h1)
+        grads += [(p.mlp_w1, x.T @ g_pre), (p.mlp_b1, g_pre.sum(axis=0))]
+        g_x = g_pre @ w1.T
+        grads.append((p.w, mixed.T @ g_x))
+        g_mixed = g_x @ w.T
+        grads.append((p.eps, np.asarray((g_mixed * h).sum())))
+        if h_in.requires_grad:
+            g_h = np.matmul(a.transpose(0, 2, 1), g_mixed.reshape(n, m, d)).reshape(rows, d)
+            g_h += g_mixed * float(eps)
+            grads.append((h_in, g_h))
+        return grads
+
+    return dc._make(out, "gin_node_update",
+                    (h_in, p.eps, p.w, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2), bk)
 
 
 def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
                       w_k: dc.Tensor) -> tuple[dc.Tensor, dc.Tensor]:
-    """Per-window graph vectors (N_w, D) and attention weights (N_w, M).
+    """Per-window graph vectors (N_w, D), one op, and attention weights (N_w, M).
 
     ``h_nodes`` is (N_w, M, D). A window's query is W_q applied to its node
     mean; node logits are scaled dot products of the query with W_k keys,
     computed as H (W_k^T q) so no (N_w * M)-row key matrix is built; the
-    softmax runs over each window's nodes.
+    softmax runs over each window's nodes. The weights come back as a
+    constant record: the readout's adjoint already carries their
+    gradient. Non-finite logits raise NumericsError with their (window,
+    node) index, since the softmax would hide an infinity.
     """
+    if h_nodes.data.ndim != 3:
+        raise ShapeError(f"node features must be (N_w, M, D), got {h_nodes.data.shape}")
     n, m, d = h_nodes.data.shape
-    q = dc.matmul(dc.mean_pool(h_nodes, axis=1), dc.transpose(w_q))  # (N_w, D)
-    keyed = dc.reshape(dc.matmul(q, w_k), (n, d, 1))  # row t: W_k^T q_t
-    logits = dc.mul_scalar(dc.reshape(dc.bmm(h_nodes, keyed), (n, m)), 1.0 / np.sqrt(d))
-    weights = dc.softmax(logits)
-    readout = dc.bmm(dc.reshape(weights, (n, 1, m)), h_nodes)
-    return dc.reshape(readout, (n, d)), weights
+    if w_q.data.shape != (d, d) or w_k.data.shape != (d, d):
+        raise ShapeError(f"w_q and w_k must be ({d}, {d}), got {w_q.data.shape} "
+                         f"and {w_k.data.shape}")
+    h = h_nodes.data
+    scale = float(1.0 / np.sqrt(d))
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        mean = h.sum(axis=1) / m  # bit-equal to h.mean(axis=1), without its wrapper
+        q = mean @ w_q.data.T  # (N_w, D)
+        keyed = q @ w_k.data  # row t: W_k^T q_t
+        logits = np.matmul(h, keyed.reshape(n, d, 1)).reshape(n, m) * scale
+    dc.check_finite(logits, "attention_readout", "attention logits in")
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    readout = np.matmul(weights.reshape(n, 1, m), h).reshape(n, d)
+
+    def bk(g):
+        g_weights = np.matmul(h, g.reshape(n, d, 1)).reshape(n, m)
+        g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
+        g_logits *= scale
+        g_keyed = np.matmul(g_logits.reshape(n, 1, m), h).reshape(n, d)
+        g_q = g_keyed @ w_k.data.T
+        grads = [(w_q, g_q.T @ mean), (w_k, q.T @ g_keyed)]
+        if h_nodes.requires_grad:
+            g_h = weights[:, :, None] * g[:, None, :]
+            g_h += g_logits[:, :, None] * keyed[:, None, :]
+            g_h += (g_q @ w_q.data / m)[:, None, :]
+            grads.append((h_nodes, g_h))
+        return grads
+
+    return (dc._make(readout, "attention_readout", (h_nodes, w_q, w_k), bk),
+            dc.const(weights))
 
 
-def gin_layer(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams,
-              activation=dc.tanh) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor]:
+def gin_layer(h_in: dc.Tensor, a: np.ndarray,
+              p: GinLayerParams) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor]:
     """Node update plus readout over all windows: (H_out (N_w * M, D),
-    readouts (N_w, D), attention weights (N_w, M))."""
-    h_out = gin_node_update(h_in, a, p, activation=activation)
+    readouts (N_w, D), attention weights (N_w, M)); three ops."""
+    h_out = gin_node_update(h_in, a, p)
     n, m, _ = a.shape
     readout, weights = attention_readout(
         dc.reshape(h_out, (n, m, h_out.data.shape[1])), p.w_q, p.w_k)

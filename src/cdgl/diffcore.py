@@ -11,7 +11,11 @@ node's pending gradient in a slot of the node, and accumulates gradients
 into the leaves. The primitive set is deliberately small and every
 primitive has a hand-written adjoint that is finite-difference tested;
 adjoints compute contributions only for operands that carry gradients, so
-constant operands (adjacencies, masks) cost nothing on the way back.
+constant operands (adjacencies, masks) cost nothing on the way back. The
+LSTM here and the GIN and attention layers in ``cdgin`` and
+``fusion_head`` are fused ops: one graph node each, with an adjoint for
+the whole step, because at this library's shapes the time goes to
+per-op overhead rather than to arithmetic.
 
 All arithmetic is 64-bit; gradient checks at 1e-4 relative tolerance are not
 reliable below that precision.
@@ -79,17 +83,35 @@ _FLOAT64 = np.dtype(np.float64)
 _new_tensor = object.__new__
 
 
+def _raise_non_finite(values: np.ndarray, op: str, what: str) -> None:
+    first = tuple(int(i) for i in np.argwhere(~np.isfinite(values))[0])
+    raise NumericsError(f"non-finite {what} op '{op}'", index=first, shape=values.shape)
+
+
+def check_finite(values: np.ndarray, op: str, what: str) -> None:
+    """Raise :class:`NumericsError` unless every entry of ``values`` is finite.
+
+    The test is :func:`_make`'s; the error names ``what`` and ``op``, and
+    holds the first non-finite entry's index in ``values`` and its shape.
+    Fused ops call it on the arrays they feed into tanh, a softmax or a
+    sigmoid, which can map an infinity to a finite value.
+    """
+    if np.count_nonzero(np.isfinite(values)) != values.size:
+        _raise_non_finite(values, op, what)
+
+
 def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     """The output Tensor of one op, after an exact check that every entry is finite.
 
-    Every primitive calls it once per output. It fills the slots directly,
-    as ``Tensor(out, ...)`` would, without a second float64 conversion of an
+    Every op calls it once per output: the primitives here and the fused
+    layer ops of ``cdgin`` and ``fusion_head``. ``backward(g)`` yields
+    (parent, gradient) pairs; a parent that carries no gradient may be
+    left out or is skipped. It fills the slots directly, as
+    ``Tensor(out, ...)`` would, without a second float64 conversion of an
     array that already is one.
     """
     if np.count_nonzero(np.isfinite(out)) != out.size:
-        first = tuple(int(i) for i in np.argwhere(~np.isfinite(out))[0])
-        raise NumericsError(f"non-finite values produced by op '{op}'",
-                            index=first, shape=out.shape)
+        _raise_non_finite(out, op, "values produced by")
     if type(out) is not np.ndarray or out.dtype is not _FLOAT64:
         out = np.asarray(out, dtype=np.float64)  # e.g. the numpy scalar of a full reduction
     t = _new_tensor(Tensor)
@@ -193,15 +215,6 @@ def mul_scalar(a: Tensor, c: float) -> Tensor:
     return _make(a.data * c, "mul_scalar", (a,), lambda g: ((a, g * c),))
 
 
-def scale(a: Tensor, s: Tensor) -> Tensor:
-    """Multiply an array by a scalar () tensor (e.g. the learnable epsilon)."""
-    if s.data.shape != ():
-        raise ShapeError("scale: scalar tensor required")
-    out = a.data * s.data
-    return _make(out, "scale", (a, s),
-                 lambda g: ((a, g * float(s.data)), (s, np.asarray((g * a.data).sum()))))
-
-
 def div(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"div: {a.data.shape} vs {b.data.shape}")
@@ -267,10 +280,14 @@ def sum_all(a: Tensor) -> Tensor:
                  lambda g: ((a, np.full(a.data.shape, float(g))),))
 
 
+def sigmoid_array(x: np.ndarray) -> np.ndarray:
+    """The logistic function of an array, without overflow at any finite entry."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    out = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                   np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
+    out = sigmoid_array(a.data)
     return _make(out, "sigmoid", (a,), lambda g: ((a, g * out * (1.0 - out)),))
 
 
@@ -305,40 +322,20 @@ def clip_min(a: Tensor, lo: float) -> Tensor:
     return _make(out, "clip_min", (a,), lambda g: ((a, g * mask),))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Stable softmax over the last axis of a vector or of each row of a matrix."""
-    if a.data.ndim not in (1, 2):
-        raise ShapeError(f"softmax: 1-D or 2-D input, got {a.data.shape}")
-    e = np.exp(a.data - a.data.max(axis=-1, keepdims=True))
-    out = e / e.sum(axis=-1, keepdims=True)
-    return _make(out, "softmax", (a,),
-                 lambda g: ((a, out * (g - (g * out).sum(axis=-1, keepdims=True))),))
-
-
 def mean_pool(a: Tensor, axis: int) -> Tensor:
     """Mean over one axis of an array of any rank >= 1."""
     if not 0 <= axis < a.data.ndim:
         raise ShapeError(f"mean_pool: axis {axis} of a {a.data.ndim}-D input")
     shape = a.data.shape
-    out = a.data.mean(axis=axis)
-    return _make(out, "mean_pool", (a,),
-                 lambda g: ((a, np.broadcast_to(np.expand_dims(g / shape[axis], axis),
-                                                shape)),))
-
-
-def max_pool(a: Tensor, axis: int) -> Tensor:
-    """Max over one axis of an array of any rank >= 1; gradient routes to the first argmax."""
-    if not 0 <= axis < a.data.ndim:
-        raise ShapeError(f"max_pool: axis {axis} of a {a.data.ndim}-D input")
-    idx = np.expand_dims(a.data.argmax(axis=axis), axis)
-    out = a.data.max(axis=axis)
+    kept = shape[:axis] + (1,) + shape[axis + 1:]  # the pooled axis kept at length 1
+    out = a.data.sum(axis=axis) / shape[axis]  # what ndarray.mean computes, without its wrapper
 
     def bk(g):
-        ga = np.zeros_like(a.data)
-        np.put_along_axis(ga, idx, np.expand_dims(g, axis), axis)
+        ga = np.empty(shape)
+        ga[...] = (g / shape[axis]).reshape(kept)
         return ((a, ga),)
 
-    return _make(out, "max_pool", (a,), bk)
+    return _make(out, "mean_pool", (a,), bk)
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -375,39 +372,6 @@ def take_rows(m: Tensor, idx) -> Tensor:
         return ((m, gm),)
 
     return _make(out, "take_rows", (m,), bk)
-
-
-def conv1d_same(x: Tensor, kernel: Tensor) -> Tensor:
-    """1-D convolution with 'same' zero padding.
-
-    ``x`` is (C, L), or a (B, C, L) batch of such inputs; ``kernel`` is
-    (C, w) with w odd. Channels are summed into a single length-L output,
-    (L,) or (B, L). The input's adjoint is the same convolution of the
-    padded output gradient with the reversed kernel.
-    """
-    if (x.data.ndim not in (2, 3) or kernel.data.ndim != 2
-            or x.data.shape[-2] != kernel.data.shape[0]):
-        raise ShapeError(f"conv1d_same: {x.data.shape} with kernel {kernel.data.shape}")
-    w = kernel.data.shape[1]
-    if w % 2 != 1:
-        raise ShapeError("conv1d_same: kernel width must be odd")
-    pad = (w - 1) // 2
-    shape = x.data.shape
-
-    def windows(a):  # (B, ..., L) -> (B, ..., L, w), zero-padded at both ends
-        padded = np.pad(a, [(0, 0)] * (a.ndim - 1) + [(pad, pad)])
-        return np.lib.stride_tricks.sliding_window_view(padded, w, axis=-1)
-
-    win = windows(x.data.reshape((-1,) + shape[-2:]))  # (B, C, L, w)
-    out = np.einsum("bclw,cw->bl", win, kernel.data).reshape(shape[:-2] + shape[-1:])
-
-    def bk(g):
-        g = g.reshape(-1, shape[-1])  # (B, L)
-        gk = np.einsum("bclw,bl->cw", win, g)
-        gx = np.einsum("blw,cw->bcl", windows(g), kernel.data[:, ::-1])
-        return ((x, gx.reshape(shape)), (kernel, gk))
-
-    return _make(out, "conv1d_same", (x, kernel), bk)
 
 
 def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:

@@ -7,6 +7,12 @@ windows and gates channels; temporal attention pools over channels and
 gates windows. Attended features are mean-pooled per layer, concatenated
 across layers, and classified by a two-layer MLP with a sigmoid output:
 one probability per subject.
+
+Channel attention, temporal attention and the gating that applies them are
+one fused autodiff op each, with hand-written adjoints, so a fusion layer
+is three ops; ``tests/composite_layers.py`` keeps the op-by-op forms they
+replaced as their oracle. Each checks the arrays it feeds into tanh or
+the sigmoid, which would turn an infinity into a finite value.
 """
 
 from __future__ import annotations
@@ -45,46 +51,134 @@ def _check_features(h_f: dc.Tensor) -> None:
         raise ShapeError(f"fused features must be (B, N_w, C), got {h_f.data.shape}")
 
 
+def _taps(padded: np.ndarray, w: int) -> np.ndarray:
+    """View (..., L, w) of the width-w windows along the last axis of a
+    C-contiguous (..., L + w - 1) array, as sliding_window_view gives, built
+    without its argument handling."""
+    *lead, length = padded.shape
+    return np.ndarray((*lead, length - w + 1, w), np.float64, padded, 0,
+                      padded.strides + padded.strides[-1:])
+
+
 def channel_attention(h_f: dc.Tensor, p: CbamLayerParams) -> dc.Tensor:
-    """Per-subject channel factors (B, C) in (0,1): sigmoid of summed
-    MLP(max-pool) and MLP(mean-pool) over each subject's windows."""
+    """Per-subject channel factors (B, C) in (0,1), as one op: sigmoid of
+    summed MLP(max-pool) and MLP(mean-pool) over each subject's windows.
+
+    The max-pool's gradient goes to the first window holding the maximum.
+    A non-finite MLP pre-activation or sigmoid argument raises
+    NumericsError with its (subject, unit) index.
+    """
     _check_features(h_f)
-    w1_t, w2_t = dc.transpose(p.chan_w1), dc.transpose(p.chan_w2)
+    h = h_f.data
+    b, n_w, c = h.shape
+    w1, w2 = p.chan_w1.data, p.chan_w2.data
+    r = w1.shape[0]
+    if w1.shape != (r, c) or w2.shape != (c, r) or p.chan_b1.data.shape != (r,) \
+            or p.chan_b2.data.shape != (c,):
+        raise ShapeError(f"channel MLP shapes {w1.shape}/{w2.shape} do not fit {c} channels")
+    first = h.argmax(axis=1)  # (B, C): the window each max comes from
+    mx = h.max(axis=1)
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
+        av = h.sum(axis=1) / n_w  # bit-equal to h.mean(axis=1), without its wrapper
+        pre_mx = mx @ w1.T + p.chan_b1.data
+        pre_av = av @ w1.T + p.chan_b1.data
+        dc.check_finite(pre_mx, "channel_attention", "max-path MLP pre-activation in")
+        dc.check_finite(pre_av, "channel_attention", "mean-path MLP pre-activation in")
+        hid_mx, hid_av = np.tanh(pre_mx), np.tanh(pre_av)
+        logits = (hid_mx @ w2.T + p.chan_b2.data) + (hid_av @ w2.T + p.chan_b2.data)
+        dc.check_finite(logits, "channel_attention", "sigmoid argument in")
+    out = dc.sigmoid_array(logits)
 
-    def mlp(v):  # (B, C) rows
-        hidden = dc.tanh(dc.add(dc.matmul(v, w1_t), p.chan_b1))
-        return dc.add(dc.matmul(hidden, w2_t), p.chan_b2)
+    def bk(g):
+        g_logits = g * out * (1.0 - out)
+        g_hid = g_logits @ w2  # both paths' MLP outputs feed the sigmoid alike
+        g_pre_mx = g_hid * (1.0 - hid_mx * hid_mx)
+        g_pre_av = g_hid * (1.0 - hid_av * hid_av)
+        grads = [(p.chan_w2, g_logits.T @ hid_mx + g_logits.T @ hid_av),
+                 (p.chan_b2, 2.0 * g_logits.sum(axis=0)),
+                 (p.chan_w1, g_pre_mx.T @ mx + g_pre_av.T @ av),
+                 (p.chan_b1, g_pre_mx.sum(axis=0) + g_pre_av.sum(axis=0))]
+        if h_f.requires_grad:
+            g_h = np.empty_like(h)
+            g_h[...] = (g_pre_av @ w1 / n_w)[:, None, :]
+            g_h[np.arange(b)[:, None], first, np.arange(c)] += g_pre_mx @ w1
+            grads.append((h_f, g_h))
+        return grads
 
-    mx = dc.max_pool(h_f, axis=1)
-    av = dc.mean_pool(h_f, axis=1)
-    return dc.sigmoid(dc.add(mlp(mx), mlp(av)))
+    return dc._make(out, "channel_attention",
+                    (h_f, p.chan_w1, p.chan_b1, p.chan_w2, p.chan_b2), bk)
 
 
 def temporal_attention(h_f: dc.Tensor, p: CbamLayerParams) -> dc.Tensor:
-    """Per-window factors (B, N_w) in (0,1) from a conv over channel-pooled traces.
+    """Per-window factors (B, N_w) in (0,1) from a conv over channel-pooled
+    traces, as one op.
 
     Max-pooled and mean-pooled sequences enter as the two input channels of a
     single zero-padded width-w_k convolution whose channel outputs are summed.
+    The max-pool's gradient goes to the first channel holding the maximum.
+    A non-finite sigmoid argument raises NumericsError with its (subject,
+    window) index.
     """
     _check_features(h_f)
-    b, n_w, _ = h_f.data.shape
-    mx = dc.reshape(dc.max_pool(h_f, axis=2), (b, 1, n_w))
-    av = dc.reshape(dc.mean_pool(h_f, axis=2), (b, 1, n_w))
-    stacked = dc.concat([mx, av], axis=1)  # (B, 2, N_w)
-    logits = dc.conv1d_same(stacked, p.temporal_kernel)
-    return dc.sigmoid(logits)
+    h = h_f.data
+    b, n_w, c = h.shape
+    kernel = p.temporal_kernel.data
+    if kernel.ndim != 2 or kernel.shape[0] != 2 or kernel.shape[1] % 2 != 1:
+        raise ShapeError(f"temporal kernel must be (2, w) with w odd, got {kernel.shape}")
+    w = kernel.shape[1]
+    pad = (w - 1) // 2
+    first = h.argmax(axis=2)  # (B, N_w): the channel each max comes from
+    traces = np.zeros((b, 2, n_w + 2 * pad))  # max and mean traces, zero-padded
+    taps = _taps(traces, w)  # (B, 2, N_w, w)
+    traces[:, 0, pad:pad + n_w] = h.max(axis=2)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
+        traces[:, 1, pad:pad + n_w] = h.sum(axis=2) / c  # bit-equal to h.mean(axis=2)
+        logits = np.einsum("bclw,cw->bl", taps, kernel)
+    dc.check_finite(logits, "temporal_attention", "sigmoid argument in")
+    out = dc.sigmoid_array(logits)
+
+    def bk(g):
+        g_logits = g * out * (1.0 - out)
+        grads = [(p.temporal_kernel, np.einsum("bclw,bl->cw", taps, g_logits))]
+        if h_f.requires_grad:
+            padded = np.zeros((b, n_w + 2 * pad))
+            padded[:, pad:pad + n_w] = g_logits
+            # the input's adjoint: the same convolution with the reversed kernel
+            g_traces = np.einsum("blw,cw->bcl", _taps(padded, w), kernel[:, ::-1])
+            g_h = np.empty_like(h)
+            g_h[...] = (g_traces[:, 1] / c)[:, :, None]
+            g_h[np.arange(b)[:, None], np.arange(n_w), first] += g_traces[:, 0]
+            grads.append((h_f, g_h))
+        return grads
+
+    return dc._make(out, "temporal_attention", (h_f, p.temporal_kernel), bk)
 
 
 def apply_attention(h_f: dc.Tensor, channel: dc.Tensor,
                     temporal: dc.Tensor) -> dc.Tensor:
-    """H_a[b, t, c] = H_f[b, t, c] * channel[b, c] * temporal[b, t]."""
+    """H_a[b, t, c] = H_f[b, t, c] * channel[b, c] * temporal[b, t], as one op."""
     _check_features(h_f)
     b, n_w, c = h_f.data.shape
     if channel.data.shape != (b, c) or temporal.data.shape != (b, n_w):
         raise ShapeError(f"attention shapes {channel.data.shape}/{temporal.data.shape} "
                          f"do not fit features {h_f.data.shape}")
-    gated = dc.mul(h_f, dc.reshape(channel, (b, 1, c)))
-    return dc.mul(gated, dc.reshape(temporal, (b, n_w, 1)))
+    per_channel = channel.data.reshape(b, 1, c)
+    per_window = temporal.data.reshape(b, n_w, 1)
+    gated = h_f.data * per_channel
+    out = gated * per_window
+
+    def bk(g):
+        g_gated = g * per_window
+        grads = []
+        if h_f.requires_grad:
+            grads.append((h_f, g_gated * per_channel))
+        if channel.requires_grad:
+            grads.append((channel, (g_gated * h_f.data).sum(axis=1)))
+        if temporal.requires_grad:
+            grads.append((temporal, (g * gated).sum(axis=2)))
+        return grads
+
+    return dc._make(out, "apply_attention", (h_f, channel, temporal), bk)
 
 
 @dataclass

@@ -208,8 +208,9 @@ def fit(preps: list[model.PreparedSubject], cfg: TrainConfig,
     their per-subject losses and calls backward once; the objective is the
     minibatch mean of bce + alpha * info. Each epoch record holds the mean
     per-subject total loss and its BCE and contrastive components, the
-    largest global gradient L2 norm among the epoch's steps (``grad_norm``)
-    and the global parameter L2 norm after its last step (``param_norm``).
+    largest global gradient L2 norm among the epoch's steps (``grad_norm``),
+    the global parameter L2 norm after its last step (``param_norm``) and,
+    after that step, each stream's GIN epsilon per layer (``gin_eps``).
     Bit-reproducible for a fixed cfg.
     """
     _check_window_budget(preps, cfg)
@@ -240,7 +241,10 @@ def fit(preps: list[model.PreparedSubject], cfg: TrainConfig,
             dc.adam_step(store, adam)
         epoch_log.append({"epoch": epoch, **{key: v / n for key, v in sums.items()},
                           "grad_norm": grad_norm,
-                          "param_norm": _global_norm(p.data for _, p in store.items())})
+                          "param_norm": _global_norm(p.data for _, p in store.items()),
+                          "gin_eps": {s: [float(store[f"cdgin.layer{layer}.{s}.eps"].data)
+                                          for layer in range(dims.layers)]
+                                      for s in dims.streams}})
     if checkpoint_path is not None:
         dc.save_params(checkpoint_path, store)
     return TrainResult(store=store, dims=dims, epoch_log=epoch_log)

@@ -34,20 +34,22 @@ def identity_params(d):
 
 
 class TestGinLayer:
+    # identity_params makes W and both MLP layers identities with zero
+    # biases, so the update is tanh((eps I + A) H W) computed by hand
     def test_identity_reduction_gives_adjacency(self):
         a = np.array([[0.0, 1.0], [1.0, 0.0]])
         p = identity_params(2)
         h_in = dc.const(np.eye(2))
-        h_out = cdgin.gin_node_update(h_in, a[None], p, activation=lambda t: t)
-        np.testing.assert_allclose(h_out.data, a, atol=1e-15)
+        h_out = cdgin.gin_node_update(h_in, a[None], p)
+        np.testing.assert_allclose(h_out.data, np.tanh(a), atol=1e-15)
 
     def test_epsilon_self_contribution(self):
         a = np.zeros((1, 2, 2))
         p = identity_params(2)
         p.eps.data = np.asarray(2.5)
         h_in = dc.const(np.array([[1.0, 0.0], [0.0, 1.0]]))
-        h_out = cdgin.gin_node_update(h_in, a, p, activation=lambda t: t)
-        np.testing.assert_allclose(h_out.data, 2.5 * np.eye(2), atol=1e-15)
+        h_out = cdgin.gin_node_update(h_in, a, p)
+        np.testing.assert_allclose(h_out.data, np.tanh(2.5 * np.eye(2)), atol=1e-15)
 
     def test_isolated_nodes_identical(self):
         rng = np.random.default_rng(0)

@@ -277,7 +277,10 @@ class TestTrainCommand:
                    for line in open(os.path.join(r1, "epochs.jsonl"))]
         assert [r["epoch"] for r in records] == [0, 1]
         assert all({"epoch", "mean_loss", "bce", "info_loss", "grad_norm",
-                    "param_norm"} == set(r) for r in records)
+                    "param_norm", "gin_eps"} == set(r) for r in records)
+        eps = records[-1]["gin_eps"]
+        assert set(eps) == {"r", "d"} and len(eps["r"]) == len(eps["d"]) >= 1
+        assert all(isinstance(v, float) for vs in eps.values() for v in vs)
 
     def test_resolved_config_contents(self, dataset, tmp_path):
         out = str(tmp_path / "r")

@@ -1,0 +1,358 @@
+"""Fused layer kernels against their op-by-op oracle in ``composite_layers``.
+
+Each of ``cdgin.gin_node_update``, ``cdgin.attention_readout``,
+``fusion_head.channel_attention``, ``temporal_attention`` and
+``apply_attention`` is one autodiff op. On random shapes its values must
+equal the composite's bit for bit and its gradients, for every input and
+parameter, agree within 1e-9 of max(|g|, 1); each also passes central
+finite differences. The oracle's own primitives are finite-difference
+tested here too.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cdgl import cdgin
+from cdgl import diffcore as dc
+from cdgl import fusion_head as fh
+from cdgl.errors import NumericsError, ShapeError
+
+import composite_layers as oracle
+from test_diffcore import check_op, rmat
+
+
+def gin_case(rng, integer=False):
+    """Random (h_in, adjacency stack, params): B*N_w 1-8, M 1-12, D 1-16,
+    nonzero eps and biases."""
+    n, m, d = int(rng.integers(1, 9)), int(rng.integers(1, 13)), int(rng.integers(1, 17))
+    a = (rng.random((n, m, m)) < 0.4).astype(float)
+    h = rng.integers(-2, 3, (n * m, d)).astype(float) if integer \
+        else rng.standard_normal((n * m, d))
+    w = 0.5 / np.sqrt(d)
+    p = cdgin.GinLayerParams(
+        eps=dc.param(rng.uniform(-1.0, 1.0)),
+        w=dc.param(w * rng.standard_normal((d, d))),
+        mlp_w1=dc.param(w * rng.standard_normal((d, d))),
+        mlp_b1=dc.param(0.3 * rng.standard_normal(d)),
+        mlp_w2=dc.param(w * rng.standard_normal((d, d))),
+        mlp_b2=dc.param(0.3 * rng.standard_normal(d)),
+        w_q=dc.param(w * rng.standard_normal((d, d))),
+        w_k=dc.param(w * rng.standard_normal((d, d))))
+    return dc.param(h), a, p
+
+
+def gin_leaves(h, p):
+    return [("h", h), ("eps", p.eps), ("w", p.w), ("mlp_w1", p.mlp_w1),
+            ("mlp_b1", p.mlp_b1), ("mlp_w2", p.mlp_w2), ("mlp_b2", p.mlp_b2)]
+
+
+def cbam_case(rng, integer=False):
+    """Random (h_f, params): B 1-4 subjects of N_w 1-8 windows, C = streams * D
+    channels for one or two streams and D 1-16, nonzero biases."""
+    b, n_w = int(rng.integers(1, 5)), int(rng.integers(1, 9))
+    c = int(rng.integers(1, 3)) * int(rng.integers(1, 17))
+    r = max(1, c // fh.CHANNEL_REDUCTION)
+    w_k = fh.temporal_kernel_width(n_w)
+    h = rng.integers(-2, 3, (b, n_w, c)).astype(float) if integer \
+        else rng.standard_normal((b, n_w, c))
+    p = fh.CbamLayerParams(
+        chan_w1=dc.param(rng.standard_normal((r, c)) / np.sqrt(c)),
+        chan_b1=dc.param(0.3 * rng.standard_normal(r)),
+        chan_w2=dc.param(rng.standard_normal((c, r)) / np.sqrt(r)),
+        chan_b2=dc.param(0.3 * rng.standard_normal(c)),
+        temporal_kernel=dc.param(0.5 * rng.standard_normal((2, w_k))))
+    return dc.param(h), p
+
+
+def cbam_leaves(h, p):
+    return [("h", h), ("chan_w1", p.chan_w1), ("chan_b1", p.chan_b1),
+            ("chan_w2", p.chan_w2), ("chan_b2", p.chan_b2),
+            ("kernel", p.temporal_kernel)]
+
+
+def values_and_grads(build, leaves, rng_seed):
+    """The outputs of ``build()`` and every leaf's gradient of a random
+    weighted sum of the first output (the later ones are records)."""
+    for _, t in leaves:
+        t.grad = None
+    outs = build()
+    weights = np.random.default_rng(rng_seed).standard_normal(outs[0].data.shape)
+    dc.backward(dc.sum_all(dc.mul(outs[0], dc.const(weights))))
+    grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
+             for name, t in leaves}
+    return [o.data.copy() for o in outs], grads
+
+
+def assert_matches_oracle(fused, composite, leaves, case):
+    values, grads = values_and_grads(fused, leaves, case)
+    expect, expect_grads = values_and_grads(composite, leaves, case)
+    for v, e in zip(values, expect, strict=True):
+        assert v.shape == e.shape, case
+        assert np.array_equal(v, e), (case, np.abs(v - e).max())
+    for name, g in grads.items():
+        ge = expect_grads[name]
+        assert np.all(np.abs(g - ge) <= 1e-9 * np.maximum(np.abs(ge), 1.0)), (case, name)
+
+
+def assert_finite_differences(build, leaves):
+    weights = np.random.default_rng(0).standard_normal(build().data.shape)
+
+    def loss():
+        return dc.sum_all(dc.mul(build(), dc.const(weights)))
+
+    coords = {name: np.arange(t.data.size) for name, t in leaves}
+    report = dc.finite_diff_check(loss, leaves, coords)
+    assert report.max_rel_err < 1e-5, (report.worst_param, report.max_rel_err)
+
+
+class TestGinNodeUpdate:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_matches_oracle(self, integer):
+        rng = np.random.default_rng(1 + integer)
+        for case in range(60):
+            h, a, p = gin_case(rng, integer)
+            assert_matches_oracle(lambda: [cdgin.gin_node_update(h, a, p)],
+                                  lambda: [oracle.gin_node_update(h, a, p)],
+                                  gin_leaves(h, p), case)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(3)
+        for _ in range(4):
+            h, a, p = gin_case(rng)
+            assert_finite_differences(lambda: cdgin.gin_node_update(h, a, p), gin_leaves(h, p))
+
+    def test_constant_input_gets_no_gradient(self):
+        h, a, p = gin_case(np.random.default_rng(4))
+        h = dc.const(h.data)
+        out = cdgin.gin_node_update(h, a, p)
+        assert h not in [t for t, _ in out._backward(np.ones_like(out.data))]
+
+
+class TestAttentionReadout:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(5)
+        for case in range(60):
+            h, a, p = gin_case(rng)
+            n, m = a.shape[:2]
+            nodes = dc.param(h.data.reshape(n, m, -1))
+            leaves = [("h", nodes), ("w_q", p.w_q), ("w_k", p.w_k)]
+            assert_matches_oracle(lambda: cdgin.attention_readout(nodes, p.w_q, p.w_k),
+                                  lambda: oracle.attention_readout(nodes, p.w_q, p.w_k),
+                                  leaves, case)
+
+    def test_weights_are_a_constant_record(self):
+        h, a, p = gin_case(np.random.default_rng(6))
+        nodes = dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
+        _, weights = cdgin.attention_readout(nodes, p.w_q, p.w_k)
+        assert not weights.requires_grad
+        np.testing.assert_allclose(weights.data.sum(axis=1), 1.0, atol=1e-15)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            h, a, p = gin_case(rng)
+            nodes = dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
+            assert_finite_differences(lambda: cdgin.attention_readout(nodes, p.w_q, p.w_k)[0],
+                                      [("h", nodes), ("w_q", p.w_q), ("w_k", p.w_k)])
+
+
+class TestGinLayer:
+    def test_matches_oracle(self):
+        rng = np.random.default_rng(8)
+        for case in range(30):
+            h, a, p = gin_case(rng)
+            leaves = gin_leaves(h, p) + [("w_q", p.w_q), ("w_k", p.w_k)]
+
+            def through(layer):  # the loss reads the node output and the readout
+                h_out, readout, weights = layer(h, a, p)
+                return [dc.add(dc.sum_all(h_out), dc.sum_all(dc.tanh(readout))), h_out,
+                        readout, weights]
+
+            assert_matches_oracle(lambda: through(cdgin.gin_layer),
+                                  lambda: through(oracle.gin_layer), leaves, case)
+
+    def test_one_layer_call_is_three_ops(self, op_names):
+        h, a, p = gin_case(np.random.default_rng(9))
+        cdgin.gin_layer(h, a, p)
+        assert op_names == ["gin_node_update", "reshape", "attention_readout"]
+
+
+class TestCbam:
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_channel_attention_matches_oracle(self, integer):
+        # integer features tie often: the max-pool gradient must go to the
+        # first window holding the maximum, as the oracle's max_pool does
+        rng = np.random.default_rng(10 + integer)
+        for case in range(60):
+            h, p = cbam_case(rng, integer)
+            assert_matches_oracle(lambda: [fh.channel_attention(h, p)],
+                                  lambda: [oracle.channel_attention(h, p)],
+                                  cbam_leaves(h, p)[:5], case)
+
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_temporal_attention_matches_oracle(self, integer):
+        rng = np.random.default_rng(12 + integer)
+        for case in range(60):
+            h, p = cbam_case(rng, integer)
+            leaves = [cbam_leaves(h, p)[0], cbam_leaves(h, p)[5]]
+            assert_matches_oracle(lambda: [fh.temporal_attention(h, p)],
+                                  lambda: [oracle.temporal_attention(h, p)], leaves, case)
+
+    def test_apply_attention_matches_oracle(self):
+        rng = np.random.default_rng(14)
+        for case in range(60):
+            h, _ = cbam_case(rng)
+            b, n_w, c = h.data.shape
+            cf = dc.param(rng.uniform(0.05, 0.95, (b, c)))
+            tf = dc.param(rng.uniform(0.05, 0.95, (b, n_w)))
+            assert_matches_oracle(lambda: [fh.apply_attention(h, cf, tf)],
+                                  lambda: [oracle.apply_attention(h, cf, tf)],
+                                  [("h", h), ("cf", cf), ("tf", tf)], case)
+
+    def test_fusion_layer_matches_oracle(self):
+        # h_f reaches the loss three ways: both factors and the gated features
+        rng = np.random.default_rng(15)
+        for case in range(30):
+            h, p = cbam_case(rng)
+
+            def layer(channel, temporal, apply):
+                return [apply(h, channel(h, p), temporal(h, p))]
+
+            assert_matches_oracle(
+                lambda: layer(fh.channel_attention, fh.temporal_attention, fh.apply_attention),
+                lambda: layer(oracle.channel_attention, oracle.temporal_attention,
+                              oracle.apply_attention),
+                cbam_leaves(h, p), case)
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(16)
+        for _ in range(4):
+            h, p = cbam_case(rng)
+            b, n_w, c = h.data.shape
+            leaves = cbam_leaves(h, p)
+            assert_finite_differences(lambda: fh.channel_attention(h, p), leaves[:5])
+            assert_finite_differences(lambda: fh.temporal_attention(h, p),
+                                      [leaves[0], leaves[5]])
+            cf = dc.param(rng.uniform(0.05, 0.95, (b, c)))
+            tf = dc.param(rng.uniform(0.05, 0.95, (b, n_w)))
+            assert_finite_differences(lambda: fh.apply_attention(h, cf, tf),
+                                      [("h", h), ("cf", cf), ("tf", tf)])
+
+    def test_one_fusion_layer_is_three_ops(self, op_names):
+        h, p = cbam_case(np.random.default_rng(17))
+        fh.apply_attention(h, fh.channel_attention(h, p), fh.temporal_attention(h, p))
+        assert op_names == ["channel_attention", "temporal_attention", "apply_attention"]
+
+
+class TestNonFiniteIntermediates:
+    """Each fused op checks the arrays it feeds into tanh, softmax or the
+    sigmoid, which could map an infinity to a finite value."""
+
+    def test_gin_mlp_pre_activation(self):
+        h, a, p = gin_case(np.random.default_rng(18))
+        rows = h.data.shape[0]
+        h.data[rows - 1] = 1e300  # only the last node row overflows
+        p.eps.data[...] = 1.0
+        p.w.data[...] = 1e10
+        with pytest.raises(NumericsError, match="MLP pre-activation in op 'gin_node_update'") \
+                as info:
+            cdgin.gin_node_update(h, np.zeros_like(a), p)
+        assert info.value.shape == (rows, h.data.shape[1]) and info.value.index[0] == rows - 1
+
+    def test_readout_logits(self):
+        h, a, p = gin_case(np.random.default_rng(19))
+        n, m = a.shape[:2]
+        p.w_q.data[...] = 1e200
+        p.w_k.data[...] = 1e200
+        with pytest.raises(NumericsError, match="attention logits in op 'attention_readout'") \
+                as info:
+            cdgin.attention_readout(dc.param(np.ones((n, m, h.data.shape[1]))), p.w_q, p.w_k)
+        assert info.value.shape == (n, m)
+
+    def test_channel_mlp_pre_activation(self):
+        h, p = cbam_case(np.random.default_rng(20))
+        h.data[-1] = 1e300  # only the last subject's pooled features overflow
+        p.chan_w1.data[...] = 1e10
+        with pytest.raises(NumericsError, match="pre-activation in op 'channel_attention'") \
+                as info:
+            fh.channel_attention(h, p)
+        assert info.value.index[0] == h.data.shape[0] - 1
+
+    def test_temporal_sigmoid_argument(self):
+        h, p = cbam_case(np.random.default_rng(21))
+        h.data[-1, -1] = 1e300
+        p.temporal_kernel.data[...] = 1e10
+        with pytest.raises(NumericsError, match="sigmoid argument in op 'temporal_attention'") \
+                as info:
+            fh.temporal_attention(h, p)
+        assert info.value.shape == h.data.shape[:2]
+        assert info.value.index[0] == h.data.shape[0] - 1
+
+    def test_shape_errors(self):
+        h, a, p = gin_case(np.random.default_rng(22))
+        d = h.data.shape[1]
+        with pytest.raises(ShapeError):
+            cdgin.attention_readout(h, p.w_q, p.w_k)  # rows, not an (N_w, M, D) stack
+        with pytest.raises(ShapeError):
+            cdgin.attention_readout(dc.param(np.ones((1, 2, d + 1))), p.w_q, p.w_k)
+        hf, cp = cbam_case(np.random.default_rng(23))
+        cp.temporal_kernel = dc.param(np.ones((2, 2)))  # even width
+        with pytest.raises(ShapeError):
+            fh.temporal_attention(hf, cp)
+        with pytest.raises(ShapeError):
+            fh.channel_attention(dc.param(np.ones((1, 2, hf.data.shape[2] + 1))), cp)
+
+
+class TestOraclePrimitives:
+    rng = np.random.default_rng(42)
+
+    def test_scale(self):
+        a, s = rmat(self.rng, 3, 4), dc.param(0.7)
+        check_op(lambda: dc.sum_all(oracle.scale(dc.mul_scalar(a, 1.3), s)), [a, s])
+
+    def test_softmax(self):
+        a = rmat(self.rng, 6)
+        w = rmat(self.rng, 6)
+        check_op(lambda: dc.sum_all(dc.mul(oracle.softmax(a), w)), [a, w])
+        rows, wr = rmat(self.rng, 3, 5), rmat(self.rng, 3, 5)
+        check_op(lambda: dc.sum_all(dc.mul(oracle.softmax(rows), wr)), [rows, wr])
+        np.testing.assert_allclose(oracle.softmax(rows).data.sum(axis=1), 1.0, atol=1e-15)
+        for shape in ((), (2, 3, 4)):
+            with pytest.raises(ShapeError):
+                oracle.softmax(dc.const(np.zeros(shape)))
+
+    def test_max_pool(self):
+        b = dc.param(self.rng.permutation(20).astype(float).reshape(4, 5))
+        for axis in (0, 1):
+            check_op(lambda ax=axis: dc.sum_all(dc.mul(
+                oracle.max_pool(b, ax), oracle.max_pool(b, ax))), [b])
+        e = dc.param(self.rng.permutation(24).astype(float).reshape(2, 3, 4))
+        for axis in (0, 1, 2):
+            np.testing.assert_array_equal(oracle.max_pool(e, axis).data, e.data.max(axis=axis))
+            check_op(lambda ax=axis: dc.sum_all(dc.mul(
+                oracle.max_pool(e, ax), oracle.max_pool(e, ax))), [e])
+        with pytest.raises(ShapeError):
+            oracle.max_pool(e, 3)
+
+    def test_conv1d_same(self):
+        x = rmat(self.rng, 2, 9)
+        k = rmat(self.rng, 2, 5)
+        check_op(lambda: dc.sum_all(dc.mul(oracle.conv1d_same(x, k),
+                                           oracle.conv1d_same(x, k))), [x, k])
+        batch = rmat(self.rng, 3, 2, 9)  # a leading batch axis: one output row per entry
+        out = oracle.conv1d_same(batch, k)
+        for row, xb in zip(out.data, batch.data):
+            np.testing.assert_allclose(row, oracle.conv1d_same(dc.const(xb), k).data,
+                                       rtol=0, atol=1e-14)
+        check_op(lambda: dc.sum_all(dc.mul(oracle.conv1d_same(batch, k),
+                                           oracle.conv1d_same(batch, k))), [batch, k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-30, 30), min_size=1, max_size=12))
+def test_softmax_is_distribution(vals):
+    s = oracle.softmax(dc.const(np.array(vals)))
+    assert abs(float(s.data.sum()) - 1.0) < 1e-12
+    assert np.all(s.data >= 0)

@@ -9,6 +9,8 @@ from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import NumericsError, ShapeError, WindowBudgetError
 
+from composite_layers import conv1d_same, max_pool, scale, softmax
+
 
 def toy_subject(rng, m=4, t=24, label=1, sid="s0"):
     return RoiTimeSeries(sid, rng.standard_normal((t, m)), label)
@@ -213,7 +215,7 @@ def test_op_counts_at_readme_shape(op_names):
     out = model.forward_batch(store, dims, preps)
     n_forward = len(op_names)
     cdgin.contrastive_loss(out.projections["r"], out.projections["d"], cfg.contrastive())
-    assert (n_forward, len(op_names) - n_forward) == (193, 19)
+    assert (n_forward, len(op_names) - n_forward) == (61, 19)
 
 
 def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
@@ -224,7 +226,7 @@ def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
         model.batch_loss_parts(store, dims, batch, cfg.contrastive())
         sequences.append(list(op_names))
     assert sequences[0] == sequences[1]
-    assert len(sequences[0]) == 193 + 19 + 6  # forward, contrastive, bce and total
+    assert len(sequences[0]) == 61 + 19 + 6  # forward, contrastive, bce and total
 
 
 def test_forward_op_count_independent_of_window_count(op_names):
@@ -258,10 +260,10 @@ def per_subject_fusion(h_f, p):
         return dc.add(matvec(p.chan_w2, hidden), p.chan_b2)
 
     n_w, c = h_f.data.shape
-    cf = dc.sigmoid(dc.add(mlp(dc.max_pool(h_f, axis=0)), mlp(dc.mean_pool(h_f, axis=0))))
-    traces = dc.concat([dc.reshape(dc.max_pool(h_f, axis=1), (1, n_w)),
+    cf = dc.sigmoid(dc.add(mlp(max_pool(h_f, axis=0)), mlp(dc.mean_pool(h_f, axis=0))))
+    traces = dc.concat([dc.reshape(max_pool(h_f, axis=1), (1, n_w)),
                         dc.reshape(dc.mean_pool(h_f, axis=1), (1, n_w))], axis=0)
-    tf = dc.sigmoid(dc.conv1d_same(traces, p.temporal_kernel))
+    tf = dc.sigmoid(conv1d_same(traces, p.temporal_kernel))
     chan_grid = dc.matmul(dc.const(np.ones((n_w, 1))), dc.reshape(cf, (1, c)))
     temp_grid = dc.matmul(dc.reshape(tf, (n_w, 1)), dc.const(np.ones((1, c))))
     return dc.mul(dc.mul(h_f, chan_grid), temp_grid), cf, tf
@@ -302,14 +304,14 @@ def per_window_forward(store, dims, prep):
         for t, h in enumerate(blocks):
             for layer in range(dims.layers):
                 p = model.gin_params(store, layer, s)
-                mixed = dc.add(dc.scale(h, p.eps),
+                mixed = dc.add(scale(h, p.eps),
                                dc.matmul(dc.const(prep.adjacency[s][t]), h))
                 hidden1 = dc.tanh(dc.add(dc.matmul(dc.matmul(mixed, p.w), p.mlp_w1),
                                          p.mlp_b1))
                 h = dc.add(dc.matmul(hidden1, p.mlp_w2), p.mlp_b2)
                 q = matvec(p.w_q, dc.mean_pool(h, axis=0))
                 keys = dc.matmul(h, dc.transpose(p.w_k))
-                attn = dc.softmax(dc.mul_scalar(matvec(keys, q), 1.0 / np.sqrt(d)))
+                attn = softmax(dc.mul_scalar(matvec(keys, q), 1.0 / np.sqrt(d)))
                 readouts[s][layer].append(matvec(dc.transpose(h), attn))
                 weights[s][layer].append(attn)
 
@@ -389,7 +391,7 @@ def test_numerics_error_names_subject_stream_layer_window():
         model.forward_subject(store, dims, p)
     message = str(info.value)
     assert "subject 's7'" in message and "stream 'd', layer 0, window 3" in message
-    assert "op 'bmm'" in message
+    assert "op 'gin_node_update'" in message
 
 
 def test_numerics_error_in_a_batch_names_that_subject():
@@ -413,6 +415,51 @@ def test_numerics_error_in_a_batch_names_that_subject():
     message = str(info.value)
     assert "subject 's2'" in message and "stream 'r', layer 0, window 3" in message
     assert "'s0'" not in message and "'s1'" not in message
+
+
+def test_numerics_error_names_the_window_of_an_overflowing_mlp_pre_activation():
+    # tanh maps the overflow to a finite +-1, so only the fused op's check
+    # on its pre-activation can see it: one large adjacency entry in window 2
+    # of stream 'd' sends one row of that window past the float range once
+    # the layer's mlp_w1 is scaled up; every other row stays finite
+    rng = np.random.default_rng(19)
+    dims = small_dims()
+    store = model.init_params(dims, seed=1)
+    p = prep(toy_subject(rng, sid="s4"))
+    p.adjacency["d"][2, 1, 0] = 1e300
+    store["cdgin.layer0.d.mlp.w1"].data[...] *= 1e12
+    with pytest.raises(NumericsError) as info:
+        model.forward_subject(store, dims, p)
+    message = str(info.value)
+    assert "subject 's4'" in message and "stream 'd', layer 0, window 2" in message
+    assert "MLP pre-activation in op 'gin_node_update'" in message
+
+
+def test_numerics_error_names_the_subject_of_an_overflowing_channel_mlp(monkeypatch):
+    rng = np.random.default_rng(20)
+    dims = small_dims()
+    store = model.init_params(dims, seed=1)
+    preps = [prep(toy_subject(rng, sid=f"s{i}")) for i in range(3)]
+    seen = []
+    channel_attention = fh.channel_attention
+    monkeypatch.setattr(fh, "channel_attention",
+                        lambda h_f, p: seen.append(h_f.data) or channel_attention(h_f, p))
+    model.forward_batch(store, dims, preps)
+    monkeypatch.undo()
+    # layer 0's chan.w1 = k * sign(max-pool of subject t) gives t the
+    # pre-activation k * sum|max-pool|, and no other subject more than k
+    # times the larger of its two pooled L1 norms; k overflows t alone
+    pooled = seen[0].max(axis=1), seen[0].mean(axis=1)
+    reach = np.abs(pooled[0]).sum(axis=1)
+    t = int(np.argmax(reach))
+    others = max(np.abs(pool[b]).sum() for pool in pooled for b in range(3) if b != t)
+    assert t != 0 and reach[t] > 1.1 * others  # holds for this seed
+    store["fusion.layer0.chan.w1"].data[...] = 1.7e308 / others * np.sign(pooled[0][t])
+    with pytest.raises(NumericsError) as info:
+        model.forward_batch(store, dims, preps)
+    message = str(info.value)
+    assert f"subject 's{t}'" in message and "'s0'" not in message
+    assert "MLP pre-activation in op 'channel_attention'" in message
 
 
 def test_batch_rejects_subjects_with_other_windows():

@@ -168,13 +168,19 @@ class TestTrain:
         assert [rec["epoch"] for rec in result.epoch_log] == [0, 1, 2]
         for rec in result.epoch_log:
             assert set(rec) == {"epoch", "mean_loss", "bce", "info_loss",
-                                "grad_norm", "param_norm"}
+                                "grad_norm", "param_norm", "gin_eps"}
             assert rec["info_loss"] == 0.0  # alpha = 0 run
             assert rec["mean_loss"] == pytest.approx(rec["bce"], abs=1e-12)
             assert 0.0 < rec["grad_norm"] < np.inf
         final = np.concatenate([p.data.ravel() for _, p in result.store.items()])
         assert result.epoch_log[-1]["param_norm"] == pytest.approx(
             np.linalg.norm(final), rel=1e-12)
+        layers = result.dims.layers
+        assert result.epoch_log[-1]["gin_eps"] == {
+            s: [float(result.store[f"cdgin.layer{i}.{s}.eps"].data) for i in range(layers)]
+            for s in result.dims.streams}
+        assert all(len(eps) == layers for rec in result.epoch_log
+                   for eps in rec["gin_eps"].values())
 
     def test_alpha_couples_components(self):
         rng = np.random.default_rng(2)
