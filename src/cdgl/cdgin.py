@@ -59,41 +59,55 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
     ``h_in`` is the (N_w * M, D) window-major node matrix and ``a`` the
     constant (N_w, M, M) adjacency stack; the neighbour sum is one batched
     product and W and the two-layer tanh MLP are shared matmuls over all
-    N_w * M rows. A non-finite MLP pre-activation raises NumericsError
-    with its index in those rows, since tanh would hide an infinity.
+    N_w * M rows. Parameters stacked along a leading fold axis F apply per
+    fold: the rows split into F fold-major blocks, and each weight product
+    is one batched matmul over the blocks. A non-finite MLP pre-activation
+    raises NumericsError with its index in the rows, since tanh would hide
+    an infinity.
     """
     rows, d = h_in.data.shape
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] * a.shape[1] != rows:
         raise ShapeError(f"adjacency stack {a.shape} does not match {rows} node rows")
-    for name, t in (("w", p.w), ("mlp_w1", p.mlp_w1), ("mlp_w2", p.mlp_w2)):
-        if t.data.shape != (d, d):
-            raise ShapeError(f"{name} must be ({d}, {d}), got {t.data.shape}")
     n, m = a.shape[0], a.shape[1]
-    h, eps = h_in.data, p.eps.data
-    w, w1, w2 = p.w.data, p.mlp_w1.data, p.mlp_w2.data
+    folds = dc.fold_count(p.w.data, 2, n)
+    lead = p.w.data.shape[:-2]
+    for name, t in (("w", p.w), ("mlp_w1", p.mlp_w1), ("mlp_w2", p.mlp_w2)):
+        if t.data.shape != (*lead, d, d):
+            raise ShapeError(f"{name} must be {(*lead, d, d)}, got {t.data.shape}")
+    h = h_in.data.reshape(folds, -1, d)
+    eps = p.eps.data.reshape(folds, 1, 1)
+    w, w1, w2 = (t.data.reshape(folds, d, d) for t in (p.w, p.mlp_w1, p.mlp_w2))
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
-        mixed = h * eps + np.matmul(a, h.reshape(n, m, d)).reshape(rows, d)
-        x = mixed @ w
-        pre = x @ w1 + p.mlp_b1.data
-        dc.check_finite(pre, "gin_node_update", "MLP pre-activation in")
+        mixed = h * eps + np.matmul(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
+        x = np.matmul(mixed, w)
+        pre = np.matmul(x, w1) + p.mlp_b1.data.reshape(folds, 1, d)
+        dc.check_finite(pre.reshape(rows, d), "gin_node_update", "MLP pre-activation in")
         h1 = np.tanh(pre)
-        out = h1 @ w2 + p.mlp_b2.data
+        out = np.matmul(h1, w2) + p.mlp_b2.data.reshape(folds, 1, d)
 
     def bk(g):
-        grads = [(p.mlp_w2, h1.T @ g), (p.mlp_b2, g.sum(axis=0))]
-        g_pre = (g @ w2.T) * (1.0 - h1 * h1)
-        grads += [(p.mlp_w1, x.T @ g_pre), (p.mlp_b1, g_pre.sum(axis=0))]
-        g_x = g_pre @ w1.T
-        grads.append((p.w, mixed.T @ g_x))
-        g_mixed = g_x @ w.T
-        grads.append((p.eps, np.asarray((g_mixed * h).sum())))
+        # one row-sized gradient at a time: each rebinding of g_rows frees the last
+        g = g.reshape(h.shape)
+        grads = [(p.mlp_w2, np.matmul(h1.swapaxes(1, 2), g)), (p.mlp_b2, g.sum(axis=1))]
+        g_rows = np.matmul(g, w2.swapaxes(1, 2))
+        tanh_slope = h1 * h1
+        np.subtract(1.0, tanh_slope, out=tanh_slope)
+        g_rows *= tanh_slope  # the gradient of the MLP pre-activation
+        del tanh_slope
+        grads += [(p.mlp_w1, np.matmul(x.swapaxes(1, 2), g_rows)), (p.mlp_b1, g_rows.sum(axis=1))]
+        g_rows = np.matmul(g_rows, w1.swapaxes(1, 2))  # of x
+        grads.append((p.w, np.matmul(mixed.swapaxes(1, 2), g_rows)))
+        g_rows = np.matmul(g_rows, w.swapaxes(1, 2))  # of (eps I + A) H
+        grads.append((p.eps, (g_rows * h).reshape(folds, -1).sum(axis=1)))
+        grads = [(t, grad.reshape(t.data.shape)) for t, grad in grads]
         if h_in.requires_grad:
-            g_h = np.matmul(a.transpose(0, 2, 1), g_mixed.reshape(n, m, d)).reshape(rows, d)
-            g_h += g_mixed * float(eps)
-            grads.append((h_in, g_h))
+            g_h = np.matmul(a.transpose(0, 2, 1), g_rows.reshape(n, m, d)).reshape(h.shape)
+            g_rows *= eps
+            g_h += g_rows
+            grads.append((h_in, g_h.reshape(rows, d)))
         return grads
 
-    return dc._make(out, "gin_node_update",
+    return dc._make(out.reshape(rows, d), "gin_node_update",
                     (h_in, p.eps, p.w, p.mlp_w1, p.mlp_b1, p.mlp_w2, p.mlp_b2), bk)
 
 
@@ -104,23 +118,27 @@ def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
     ``h_nodes`` is (N_w, M, D). A window's query is W_q applied to its node
     mean; node logits are scaled dot products of the query with W_k keys,
     computed as H (W_k^T q) so no (N_w * M)-row key matrix is built; the
-    softmax runs over each window's nodes. The weights come back as a
-    constant record: the readout's adjoint already carries their
+    softmax runs over each window's nodes. W_q and W_k stacked along a fold
+    axis F apply to F fold-major blocks of windows. The weights come back
+    as a constant record: the readout's adjoint already carries their
     gradient. Non-finite logits raise NumericsError with their (window,
     node) index, since the softmax would hide an infinity.
     """
     if h_nodes.data.ndim != 3:
         raise ShapeError(f"node features must be (N_w, M, D), got {h_nodes.data.shape}")
     n, m, d = h_nodes.data.shape
-    if w_q.data.shape != (d, d) or w_k.data.shape != (d, d):
-        raise ShapeError(f"w_q and w_k must be ({d}, {d}), got {w_q.data.shape} "
+    folds = dc.fold_count(w_q.data, 2, n)
+    lead = w_q.data.shape[:-2]
+    if w_q.data.shape != (*lead, d, d) or w_k.data.shape != (*lead, d, d):
+        raise ShapeError(f"w_q and w_k must be {(*lead, d, d)}, got {w_q.data.shape} "
                          f"and {w_k.data.shape}")
     h = h_nodes.data
+    wq, wk = w_q.data.reshape(folds, d, d), w_k.data.reshape(folds, d, d)
     scale = float(1.0 / np.sqrt(d))
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
-        mean = h.sum(axis=1) / m  # bit-equal to h.mean(axis=1), without its wrapper
-        q = mean @ w_q.data.T  # (N_w, D)
-        keyed = q @ w_k.data  # row t: W_k^T q_t
+        mean = (h.sum(axis=1) / m).reshape(folds, -1, d)  # bit-equal to h.mean(axis=1)
+        q = np.matmul(mean, wq.swapaxes(1, 2))  # (F, N_w / F, D)
+        keyed = np.matmul(q, wk)  # row t: W_k^T q_t
         logits = np.matmul(h, keyed.reshape(n, d, 1)).reshape(n, m) * scale
     dc.check_finite(logits, "attention_readout", "attention logits in")
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
@@ -131,13 +149,14 @@ def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
         g_weights = np.matmul(h, g.reshape(n, d, 1)).reshape(n, m)
         g_logits = weights * (g_weights - (g_weights * weights).sum(axis=-1, keepdims=True))
         g_logits *= scale
-        g_keyed = np.matmul(g_logits.reshape(n, 1, m), h).reshape(n, d)
-        g_q = g_keyed @ w_k.data.T
-        grads = [(w_q, g_q.T @ mean), (w_k, q.T @ g_keyed)]
+        g_keyed = np.matmul(g_logits.reshape(n, 1, m), h).reshape(q.shape)
+        g_q = np.matmul(g_keyed, wk.swapaxes(1, 2))
+        grads = [(w_q, np.matmul(g_q.swapaxes(1, 2), mean).reshape(w_q.data.shape)),
+                 (w_k, np.matmul(q.swapaxes(1, 2), g_keyed).reshape(w_k.data.shape))]
         if h_nodes.requires_grad:
             g_h = weights[:, :, None] * g[:, None, :]
-            g_h += g_logits[:, :, None] * keyed[:, None, :]
-            g_h += (g_q @ w_q.data / m)[:, None, :]
+            g_h += g_logits[:, :, None] * keyed.reshape(n, 1, d)
+            g_h += (np.matmul(g_q, wq) / m).reshape(n, 1, d)
             grads.append((h_nodes, g_h))
         return grads
 

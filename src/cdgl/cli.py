@@ -235,13 +235,14 @@ def cmd_cv(args) -> int:
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             cv = tv.cross_validate(subjects, cfg, k=args.folds, mapper=pool.map,
-                                   checkpoint_paths=ckpts)
+                                   checkpoint_paths=ckpts, lockstep_groups=args.jobs)
     else:
         cv = tv.cross_validate(subjects, cfg, k=args.folds, checkpoint_paths=ckpts)
     for fold in cv.folds:
         _write_jsonl(os.path.join(out, f"fold{fold.fold_index}_epochs.jsonl"),
                      fold.epoch_log)
-    # Fold 0's dims: folds differ only in n_windows_ref, when subjects differ in length.
+    # Fold 0's dims. Folds differ only in n_windows_ref, when subjects differ in
+    # length; folds of equal dims train in lockstep, the others in their own groups.
     _write_json(os.path.join(out, "config.resolved.json"),
                 _resolved_payload(cfg, cv.folds[0].dims))
     report = tv.cv_report_dict(cv)
@@ -406,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="dataset dir (or manifest.json path)")
     p.add_argument("--out", default=None, help="output dir for report and checkpoints")
     p.add_argument("--folds", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1, help="parallel fold workers")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes; the folds split into this many groups, each "
+                        "trained in lockstep, with results byte-identical to --jobs 1")
     p.add_argument("--holdout", action="store_true",
                    help="also train on all fold data and score the held-out test split")
     p.set_defaults(func=cmd_cv)

@@ -17,6 +17,18 @@ LSTM here and the GIN and attention layers in ``cdgin`` and
 the whole step, because at this library's shapes the time goes to
 per-op overhead rather than to arithmetic.
 
+A store may also hold F models of one shape stacked on a leading fold
+axis, laid out fold-major so that each model is one row of the buffers.
+Ops that apply a parameter accept such a stack and treat their operand's
+rows as F fold-major blocks: ``matmul`` by a stack of F matrices multiplies
+block f by matrix f, ``add`` of an (F, ...) operand to F * k rows adds
+entry f to block f, ``take_rows`` takes rows of every matrix of a stack,
+and the LSTM runs every fold's sequences in one time loop. Each fold's
+block sees the same numpy calls as a lone model's, through batched
+``matmul``, so its values and gradients are bit-identical to that model's.
+:func:`adam_step` steps only the folds marked active, each with its own
+step count.
+
 All arithmetic is 64-bit; gradient checks at 1e-4 relative tolerance are not
 reliable below that precision.
 """
@@ -164,16 +176,58 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=stretched, keepdims=True) if stretched else g
 
 
+def fold_count(w: np.ndarray, ndim: int, rows: int | None = None) -> int:
+    """F of a parameter whose own rank is ``ndim``: the length of its leading
+    fold axis in a stacked store, 1 for a parameter of its own shape. With
+    ``rows``, raises unless that many rows split into F fold-major blocks."""
+    folds = w.shape[0] if w.ndim == ndim + 1 else 1
+    if rows is not None and rows % folds:
+        raise ShapeError(f"{rows} rows do not split into the {folds} folds of a "
+                         f"{w.shape} parameter")
+    return folds
+
+
+def _fold_pair(a: np.ndarray, b: np.ndarray) -> int:
+    """F when equal-rank ``a`` and ``b`` differ along the first axis, one of
+    length F and the other of a multiple F * k; else 1."""
+    if a.ndim != b.ndim or not a.ndim or a.shape[0] == b.shape[0]:
+        return 1
+    small, large = sorted((a.shape[0], b.shape[0]))
+    if small < 2 or large % small or any(x != y and 1 not in (x, y)
+                                         for x, y in zip(a.shape[1:], b.shape[1:])):
+        return 1
+    return small
+
+
+def _blocks(x: np.ndarray, folds: int) -> np.ndarray:
+    """(F, k, ...) view of a fold-major (F * k, ...) array; (F, 1, ...) of an (F, ...) one."""
+    return x.reshape(folds, x.shape[0] // folds, *x.shape[1:])
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; broadcasts as :func:`_check_broadcast` allows."""
-    _check_broadcast("add", a, b)
-    out = a.data + b.data
+    """Elementwise sum; broadcasts as :func:`_check_broadcast` allows.
+
+    Along the first axis, an operand of length F also broadcasts over one
+    of length F * k of the same rank: its entry f covers the f-th block of
+    k rows. That is a per-fold bias added to fold-major rows; F = 1 is the
+    ordinary broadcast of a length-1 axis.
+    """
+    folds = _fold_pair(a.data, b.data)
+    if folds == 1:
+        _check_broadcast("add", a, b)
+        out = a.data + b.data
+    else:
+        blocks = _blocks(a.data, folds) + _blocks(b.data, folds)
+        out = blocks.reshape(-1, *blocks.shape[2:])
 
     def bk(g):
-        if a.requires_grad:
-            yield a, _unbroadcast(g, a.data.shape)
-        if b.requires_grad:
-            yield b, _unbroadcast(g, b.data.shape)
+        for t in (a, b):
+            if t.requires_grad:
+                if folds == 1:
+                    yield t, _unbroadcast(g, t.data.shape)
+                else:
+                    block = _blocks(t.data, folds).shape
+                    yield t, _unbroadcast(_blocks(g, folds), block).reshape(t.data.shape)
 
     return _make(out, "add", (a, b), bk)
 
@@ -231,15 +285,20 @@ def div(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
-        raise ShapeError(f"matmul: {a.data.shape} @ {b.data.shape}")
-    out = a.data @ b.data
+    """(R, K) @ (K, N). A stack ``b`` of F (K, N) matrices, one per fold,
+    multiplies fold-major ``a``: its f-th block of R / F rows by ``b[f]``."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) not in (2, 3) or sa[1] != sb[-2]:
+        raise ShapeError(f"matmul: {sa} @ {sb}")
+    a_blocks = _blocks(a.data, fold_count(b.data, 2, sa[0]))
+    out = np.matmul(a_blocks, b.data).reshape(sa[0], sb[-1])
 
     def bk(g):
+        g_blocks = g.reshape(a_blocks.shape[:2] + g.shape[1:])
         if a.requires_grad:
-            yield a, g @ b.data.T
+            yield a, np.matmul(g_blocks, b.data.swapaxes(-1, -2)).reshape(sa)
         if b.requires_grad:
-            yield b, a.data.T @ g
+            yield b, np.matmul(a_blocks.swapaxes(1, 2), g_blocks).reshape(sb)
 
     return _make(out, "matmul", (a, b), bk)
 
@@ -358,17 +417,18 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
 
 
 def take_rows(m: Tensor, idx) -> Tensor:
-    """Rows ``idx`` of a 2-D tensor, in order, as a (len(idx), C) matrix."""
+    """Rows ``idx`` of a 2-D tensor, in order, as a (len(idx), C) matrix; of
+    a stack of matrices, those rows of each."""
     idx = np.asarray(idx, dtype=np.intp)
-    if m.data.ndim != 2 or idx.ndim != 1:
-        raise ShapeError(f"take_rows: 2-D tensor and 1-D indices, got {m.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[0]):
-        raise ShapeError(f"take_rows: index out of range for {m.data.shape[0]} rows")
-    out = m.data[idx]
+    if m.data.ndim not in (2, 3) or idx.ndim != 1:
+        raise ShapeError(f"take_rows: 2-D tensor or stack and 1-D indices, got {m.data.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[-2]):
+        raise ShapeError(f"take_rows: index out of range for {m.data.shape[-2]} rows")
+    out = m.data[..., idx, :]
 
     def bk(g):
         gm = np.zeros_like(m.data)
-        np.add.at(gm, idx, g)
+        np.add.at(gm, (Ellipsis, idx, slice(None)), g)
         return ((m, gm),)
 
     return _make(out, "take_rows", (m,), bk)
@@ -378,106 +438,138 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Single-layer LSTM over a constant (T, M) input; returns the (T, D) hidden sequence.
 
     A (B, T, M) input runs B sequences through one time loop and returns
-    (B, T, D); the (T, M) call is the B = 1 case. Fused into one op with a
-    hand-written BPTT adjoint: the per-timestep graph would otherwise
-    dominate runtime. Gate layout along the 4D axis is input, forget,
-    cell, output.
+    (B, T, D); the (T, M) call is the B = 1 case. Weights stacked along a
+    leading fold axis, (F, M, 4D), (F, D, 4D) and (F, 4D), run F models in
+    the same loop: the B sequences split into F fold-major blocks, and
+    every product with a weight is one batched ``matmul`` over the folds,
+    each fold's operands laid out as a lone model's are. Fused into one op
+    with a hand-written BPTT adjoint: the per-timestep graph would
+    otherwise dominate runtime. Gate layout along the 4D axis is input,
+    forget, cell, output.
 
     Each time loop keeps only the recurrence; everything else is done for
-    all timesteps at once outside it. Buffers are time-major, so step t of
-    every sequence is one contiguous (B, ...) block. The forward writes
-    each step's gates in place into one (T, B, 4D) buffer, as
-    ``xw[t] + h @ w_h + b`` followed by one sigmoid over the whole block;
-    the cell slot's tanh is taken first, kept in G and written back, so the
-    sigmoid cannot overflow on that slot, whose sigmoid is then unused. The
-    cell and hidden states live in (T + 1, B, D) buffers whose row 0 is the
-    zero initial state, so the previous state is a view. The adjoint first
-    forms the local derivative factors of every step, K = [G I(1-I),
-    C_{t-1} F(1-F), I(1-G^2), tanh C O(1-O)] and P = O(1 - tanh^2 C); its
-    loop then only carries ``dc = dc F_{t+1} + dh P_t`` and
-    ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``. It starts at the last
-    timestep whose output gradient is non-zero in any sequence: later steps
-    contribute exact zeros.
+    all timesteps at once outside it. Buffers are fold-major, then
+    time-major, so step t of a fold's sequences is one contiguous block.
+    The forward writes each step's gates in place into one (F, T, B / F,
+    4D) buffer, as ``xw[t] + h @ w_h + b`` followed by one sigmoid over the
+    step's block. The cell slot's tanh, G, is taken first and then written
+    over that slot's sigmoid, which is unused. The cell and hidden states
+    live in buffers with T + 1 steps whose step 0 is the zero initial
+    state, so the previous state is a view. The adjoint first forms the
+    local derivative factors of every step, K = [G I(1-I), C_{t-1} F(1-F),
+    I(1-G^2), tanh C O(1-O)] and P = O(1 - tanh^2 C); its loop then only
+    carries ``dc = dc F_{t+1} + dh P_t`` and ``dh = ([dc, dc, dc, dh] * K_t)
+    @ w_h^T``, writing each step's gate gradient over K_t. It starts at the
+    last timestep whose output gradient is non-zero in any sequence: later
+    steps contribute exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (2, 3):
         raise ShapeError(f"lstm: (T, M) or (B, T, M) input required, got {x.shape}")
-    four_d = w_x.data.shape[1]
-    if four_d % 4 != 0 or w_h.data.shape != (four_d // 4, four_d) or b.data.shape != (four_d,):
-        raise ShapeError("lstm: inconsistent gate shapes")
-    if x.shape[-1] != w_x.data.shape[0]:
-        raise ShapeError(f"lstm: input width {x.shape[-1]} vs w_x {w_x.data.shape}")
+    rows = x.shape[0] if x.ndim == 3 else 1
+    folds = fold_count(w_x.data, 2, rows)
+    lead = w_x.data.shape[:-2]
+    four_d = w_x.data.shape[-1]
     D = four_d // 4
-    # time-major (T, B, M); the (T, M) input is a view with B = 1
-    xt = x[:, None, :] if x.ndim == 2 else np.ascontiguousarray(x.transpose(1, 0, 2))
-    T, B, M = xt.shape
+    if four_d % 4 != 0 or w_h.data.shape != (*lead, D, four_d) \
+            or b.data.shape != (*lead, four_d):
+        raise ShapeError("lstm: inconsistent gate shapes")
+    if x.shape[-1] != w_x.data.shape[-2]:
+        raise ShapeError(f"lstm: input width {x.shape[-1]} vs w_x {w_x.data.shape}")
+    B = rows // folds  # sequences per fold
+    T, M = x.shape[-2], x.shape[-1]
+    # (F, T, B, M); the (T, M) input is a view
+    xf = x[None, :, None, :] if x.ndim == 2 else \
+        np.ascontiguousarray(x.reshape(folds, B, T, M).transpose(0, 2, 1, 3))
+    w_h3 = w_h.data.reshape(folds, D, four_d)
+    b3 = b.data.reshape(folds, 1, four_d)
 
     # input projection, overwritten by the gate values
-    gates = (xt.reshape(T * B, M) @ w_x.data).reshape(T, B, four_d)
-    G = np.empty((T, B, D))  # tanh of the cell-gate pre-activation
-    C = np.zeros((T + 1, B, D))  # C[t + 1] is c_t; row 0 is the initial state
-    H = np.zeros((T + 1, B, D))
-    TC = np.empty((T, B, D))
-    hw = np.empty((B, four_d))
-    ig = np.empty((B, D))
-    cell = slice(2 * D, 3 * D)
-    in_g, forget_g, cell_g, out_g = (gates[..., k * D:(k + 1) * D] for k in range(4))
+    gates = np.matmul(xf.reshape(folds, T * B, M),
+                      w_x.data.reshape(folds, M, four_d)).reshape(folds, T, B, four_d)
+    C = np.zeros((folds, T + 1, B, D))  # C[:, t + 1] is c_t; step 0 is the initial state
+    H = np.zeros((folds, T + 1, B, D))
+    TC = np.empty((folds, T, B, D))
+    hw = np.empty((folds, B, four_d))
+    ig = np.empty((folds, B, D))
+    g_t = np.empty((folds, B, D))
+    # G, the cell gate's tanh, ends up in the cell slot
+    in_g, forget_g, G, out_g = (gates[..., k * D:(k + 1) * D] for k in range(4))
+    # step-major views, (T, F, B, ...): [t] is step t of every fold
+    a_s, in_s, forget_s, G_s, out_s, C_s, H_s, TC_s = (
+        v.swapaxes(0, 1) for v in (gates, in_g, forget_g, G, out_g, C, H, TC))
     # a pre-activation below about -709 overflows the gate exp to inf, and
     # 1 / (1 + inf) is the saturated gate's exact 0
     with np.errstate(over="ignore"):
         for t in range(T):
-            a = gates[t]
-            np.matmul(H[t], w_h.data, out=hw)
+            a = a_s[t]
+            np.matmul(H_s[t], w_h3, out=hw)
             a += hw  # a = xw[t] + h @ w_h + b, summed in that order
-            a += b.data
-            g_t = G[t]
-            np.tanh(cell_g[t], out=g_t)
-            cell_g[t] = g_t
+            a += b3
+            np.tanh(G_s[t], out=g_t)
             np.negative(a, out=a)
             np.exp(a, out=a)
             a += 1.0
             np.divide(1.0, a, out=a)
-            c = C[t + 1]
-            np.multiply(forget_g[t], C[t], out=c)
-            np.multiply(in_g[t], g_t, out=ig)
+            G_s[t] = g_t  # over the cell slot's unused sigmoid
+            c = C_s[t + 1]
+            np.multiply(forget_s[t], C_s[t], out=c)
+            np.multiply(in_s[t], g_t, out=ig)
             c += ig
-            tc = TC[t]
+            tc = TC_s[t]
             np.tanh(c, out=tc)
-            np.multiply(out_g[t], tc, out=H[t + 1])
+            np.multiply(out_s[t], tc, out=H_s[t + 1])
 
     def bk(g):
-        gt = g[:, None, :] if x.ndim == 2 else g.transpose(1, 0, 2)  # (T, B, D)
-        live = np.flatnonzero(gt.reshape(T, -1).any(axis=1))
-        n = int(live[-1]) + 1 if live.size else 0  # rows from n on contribute exact zeros
-        I, F, O = in_g[:n], forget_g[:n], out_g[:n]
-        Gn, TCn = G[:n], TC[:n]
-        K = np.empty((n, B, 4 * D))
-        K[..., :D] = Gn * I * (1.0 - I)
-        K[..., D:2 * D] = C[:n] * F * (1.0 - F)
-        K[..., cell] = I * (1.0 - Gn * Gn)
-        K[..., 3 * D:] = TCn * O * (1.0 - O)
-        P = O * (1.0 - TCn * TCn)
-        w_h_t = w_h.data.T
-        DA = np.empty((n, B, 4 * D))
-        d = np.zeros((B, 4, D))  # per sequence [dc, dc, dc, dh]: the gate gradient's multiplier
-        d_rows = d.reshape(B, four_d)
-        dc, dc_copies, dh = d[:, 0], d[:, 1:3], d[:, 3]
-        dc_b = dc[:, None]
-        dh_p = np.empty((B, D))
+        g_s = g.reshape(folds, B, T, D).transpose(2, 0, 1, 3)  # step-major, as a_s
+        live = np.flatnonzero(g.reshape(rows, T, D).any(axis=(0, 2)))
+        n = int(live[-1]) + 1 if live.size else 0  # steps from n on contribute exact zeros
+        I, F, O = in_g[:, :n], forget_g[:, :n], out_g[:, :n]
+        Gn, TCn = G[:, :n], TC[:, :n]
+        K = np.empty((folds, n, B, four_d))
+        k_i, k_f, k_g, k_o = (K[..., k * D:(k + 1) * D] for k in range(4))
+        P = np.empty(I.shape)  # the factors' scratch, then P
+        np.subtract(1.0, I, out=P)
+        np.multiply(Gn, I, out=k_i)
+        k_i *= P
+        np.subtract(1.0, F, out=P)
+        np.multiply(C[:, :n], F, out=k_f)
+        k_f *= P
+        np.multiply(Gn, Gn, out=P)
+        np.subtract(1.0, P, out=P)
+        np.multiply(I, P, out=k_g)
+        np.subtract(1.0, O, out=P)
+        np.multiply(TCn, O, out=k_o)
+        k_o *= P
+        np.multiply(TCn, TCn, out=P)
+        np.subtract(1.0, P, out=P)
+        P *= O
+        w_h_t = w_h3.transpose(0, 2, 1)
+        # per sequence [dc, dc, dc, dh]: the gate gradient's multiplier
+        d = np.zeros((folds, B, 4, D))
+        d_rows = d.reshape(folds, B, four_d)
+        dc, dc_copies, dh = d[:, :, 0], d[:, :, 1:3], d[:, :, 3]
+        dc_b = dc[:, :, None]
+        dh_p = np.empty((folds, B, D))
+        K_s, P_s, F_s = (v.swapaxes(0, 1) for v in (K, P, F))
         for t in range(n - 1, -1, -1):
-            dh += gt[t]
-            np.multiply(dh, P[t], out=dh_p)
+            dh += g_s[t]
+            np.multiply(dh, P_s[t], out=dh_p)
             dc += dh_p
             dc_copies[...] = dc_b
-            np.multiply(d_rows, K[t], out=DA[t])
-            np.matmul(DA[t], w_h_t, out=dh)
-            dc *= F[t]
-        da = DA.reshape(n * B, four_d)
-        return ((w_x, xt[:n].reshape(n * B, M).T @ da),
-                (w_h, H[:n].reshape(n * B, D).T @ da), (b, da.sum(axis=0)))
+            da_t = K_s[t]
+            np.multiply(d_rows, da_t, out=da_t)  # K_t becomes the gate gradient
+            np.matmul(da_t, w_h_t, out=dh)
+            dc *= F_s[t]
+        da = K.reshape(folds, n * B, four_d)
+        x_n = xf[:, :n].reshape(folds, n * B, M)
+        h_n = H[:, :n].reshape(folds, n * B, D)
+        return ((w_x, np.matmul(x_n.transpose(0, 2, 1), da).reshape(w_x.data.shape)),
+                (w_h, np.matmul(h_n.transpose(0, 2, 1), da).reshape(w_h.data.shape)),
+                (b, da.sum(axis=1).reshape(b.data.shape)))
 
-    out = H[1:, 0] if x.ndim == 2 else H[1:].transpose(1, 0, 2)
-    return _make(out, "lstm", (w_x, w_h, b), bk)
+    out = H[:, 1:].transpose(0, 2, 1, 3).reshape(rows, T, D)
+    return _make(out[0] if x.ndim == 2 else out, "lstm", (w_x, w_h, b), bk)
 
 
 # ---------------------------------------------------------------------------
@@ -490,12 +582,20 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
 _OPEN, _ORDERED = object(), object()
 
 
-def backward(loss: Tensor) -> None:
+def _released(g):
+    raise StateError("backward through a graph whose adjoints were released "
+                     "by backward(..., retain_graph=False)")
+
+
+def backward(loss: Tensor, retain_graph: bool = True) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
     The walk orders the grad-carrying ancestors of ``loss`` by an iterative
     depth-first post-order, then visits them in reverse, so every node's
-    consumers have contributed before its own adjoint runs.
+    consumers have contributed before its own adjoint runs. With
+    ``retain_graph=False`` each node drops its adjoint once it has run, so
+    the forward arrays that adjoint held are freed during the walk rather
+    than with the graph, and a second backward through the graph raises.
     """
     if loss.data.shape != ():
         raise ShapeError("backward: loss must be scalar")
@@ -547,6 +647,8 @@ def backward(loss: Tensor) -> None:
                     # np.asarray: 0-d sums come back as immutable numpy
                     # scalars, which would silently drop later in-place sums
                     parent._pending, parent._owned = np.asarray(cur + contrib), True
+            if not retain_graph:
+                node._backward = _released
     except BaseException:
         for node in order + stack:
             node._pending = None
@@ -568,6 +670,14 @@ class ParamStore:
     :func:`load_into`, so building or loading a store costs one copy. Write
     into a tensor's arrays (``t.data[...] = x``); assigning it a new array
     detaches it from the arena, which :func:`adam_step` rejects.
+
+    A store may hold F models of one shape, one per fold (:meth:`stack`).
+    Its buffers are then fold-major, F rows of one model's buffer each
+    (:meth:`rows`), and every tensor has a leading fold axis, (F, *shape).
+    :meth:`folds` gives a contiguous range of the folds as a store that
+    shares the buffers. A range of one fold has tensors of the plain
+    shapes, so it runs wherever a one-model store does, and its checkpoint
+    is that fold's row.
     """
 
     def __init__(self):
@@ -578,8 +688,13 @@ class ParamStore:
         self._views: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = []
         self._laid_out = True
         self._zeroed = False
+        self.n_folds = 1
+        self._shared = False  # the buffers belong to the store this one ranges over
+        self._ranges: dict[tuple[int, int], ParamStore] = {}
 
     def add(self, name: str, data) -> Tensor:
+        if self.n_folds != 1 or self._shared:
+            raise StateError("parameters are added to a one-model store that owns its buffers")
         if name in self._params:
             raise StateError(f"duplicate parameter name {name!r}")
         t = param(data)
@@ -596,18 +711,80 @@ class ParamStore:
         tensors = [self._params[n] for n in self._names]
         data = np.concatenate([t.data.reshape(-1) for t in tensors] or [np.zeros(0)])
         grad = np.zeros_like(data)
+        lo = 0
+        for t in tensors:
+            if t.grad is not None:
+                grad[lo:lo + t.data.size] = t.grad.reshape(-1)
+            lo += t.data.size
+        self._point(data, grad, [t.data.shape for t in tensors])
+        self._laid_out = True
+
+    def _point(self, data: np.ndarray, grad: np.ndarray, shapes: list[tuple]) -> None:
+        """Take ``data`` and ``grad`` as the buffers, F rows of one model each,
+        and make every tensor's arrays views into them; ``shapes`` are the
+        per-fold shapes in sorted-name order."""
+        folds = self.n_folds
+        rows_d, rows_g = data.reshape(folds, -1), grad.reshape(folds, -1)
+        lead = () if folds == 1 else (folds,)
         self._views = []
         lo = 0
-        for name, t in zip(self._names, tensors):
-            shape = t.data.shape
-            hi = lo + t.data.size
-            if t.grad is not None:
-                grad[lo:hi] = t.grad.reshape(-1)
-            t.data, t.grad = data[lo:hi].reshape(shape), grad[lo:hi].reshape(shape)
+        for name, shape in zip(self._names, shapes):
+            t = self._params[name]
+            hi = lo + math.prod(shape)
+            t.data = rows_d[:, lo:hi].reshape(lead + tuple(shape))
+            t.grad = rows_g[:, lo:hi].reshape(lead + tuple(shape))
             self._views.append((name, t, t.data, t.grad))
             lo = hi
         self._data, self._grad = data, grad
-        self._laid_out = True
+
+    @classmethod
+    def stack(cls, stores: list[ParamStore]) -> ParamStore:
+        """One store of F = len(stores) folds holding these one-model stores'
+        values in order; a single store is returned as it is."""
+        first = stores[0]
+        names = first.names()
+        shapes = [first[n].data.shape for n in names]
+        for other in stores:
+            if other.n_folds != 1 or other.names() != names \
+                    or [other[n].data.shape for n in names] != shapes:
+                raise StateError("stacked stores must each hold one model of the same "
+                                 "names and shapes")
+        if len(stores) == 1:
+            return first
+        out = cls()
+        out.n_folds = len(stores)
+        out._names = names
+        out._params = {n: Tensor(np.zeros(0), requires_grad=True) for n in names}
+        data = np.concatenate([s._data for s in stores])
+        out._point(data, np.zeros_like(data), shapes)
+        return out
+
+    def folds(self, lo: int, hi: int) -> ParamStore:
+        """Folds lo, ..., hi - 1 as a store of hi - lo folds over the same buffers."""
+        self._layout()
+        if not 0 <= lo < hi <= self.n_folds:
+            raise StateError(f"fold range [{lo}, {hi}) of a store of {self.n_folds}")
+        if (lo, hi) == (0, self.n_folds):
+            return self
+        view = self._ranges.get((lo, hi))
+        if view is None:
+            width = self._data.size // self.n_folds
+            view = ParamStore()
+            view.n_folds, view._shared, view._names = hi - lo, True, self._names
+            view._params = {n: Tensor(np.zeros(0), requires_grad=True) for n in self._names}
+            view._point(self._data[lo * width:hi * width], self._grad[lo * width:hi * width],
+                        [self._params[n].data.shape[1:] for n in self._names])
+            self._ranges[(lo, hi)] = view
+        return view
+
+    def fold(self, f: int) -> ParamStore:
+        """Fold f's model as a one-model store over the same buffers."""
+        return self.folds(f, f + 1)
+
+    def rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """(F, P) views of the value and gradient buffers: row f is fold f's model."""
+        self._layout()
+        return self._data.reshape(self.n_folds, -1), self._grad.reshape(self.n_folds, -1)
 
     def _adopt(self, arrays: dict[str, np.ndarray]) -> None:
         """Take ``arrays`` as the tensors' values; the next use lays them out in the arena."""
@@ -649,8 +826,9 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...],
 class AdamState:
     """Adam moments plus hyperparameters; weight decay is decoupled.
 
-    ``m`` and ``v`` are flat buffers laid out like the store's arena,
-    allocated as zeros by the first :func:`adam_step`.
+    ``m`` and ``v`` are laid out like the store's buffers, as its (F, P)
+    rows, and ``step_count`` holds each fold's step count; the first
+    :func:`adam_step` allocates all three as zeros.
     """
 
     lr: float
@@ -658,43 +836,59 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     weight_decay: float = 0.0
-    step_count: int = 0
+    step_count: np.ndarray | None = None
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
 
-def adam_step(store: ParamStore, state: AdamState) -> None:
+def _runs(mask: np.ndarray) -> list[tuple[int, int]]:
+    """(lo, hi) of every maximal run of True entries in a 1-D boolean array."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], mask.astype(np.int8), [0]))))
+    return [(int(lo), int(hi)) for lo, hi in zip(edges[::2], edges[1::2])]
+
+
+def adam_step(store: ParamStore, state: AdamState, active=None) -> None:
     """One Adam update with bias correction; decay applied before the Adam delta.
 
-    The update runs on the store's whole parameter, gradient and moment
-    buffers at once, with the same elementwise expression per entry as a
-    per-tensor loop. A store whose gradients were never zeroed and are all
-    exactly zero has seen no backward pass, and is rejected.
+    The update runs on whole rows of the store's parameter, gradient and
+    moment buffers, with the same elementwise expression per entry as a
+    per-tensor loop. ``active`` (one boolean per fold; every fold when
+    None) names the folds that take this step. The others keep their
+    parameters, moments and step count bit for bit: with weight decay, a
+    step moves parameters even on a zero gradient. Each fold's bias
+    correction uses its own step count. A store whose gradients were never
+    zeroed and are all exactly zero has seen no backward pass, and is
+    rejected.
     """
     store._layout()
     for name, t, data, grad in store._views:
         if t.data is not data or t.grad is not grad:
             raise StateError(f"parameter {name!r} was given a new array, outside the "
                              "store's buffer; write into it with [...] instead")
-    data, g = store._data, store._grad
+    data, g = store.rows()
     if not store._zeroed and not g.any():
         raise StateError("adam_step called before any backward pass populated gradients")
     if state.m is None:
         state.m, state.v = np.zeros_like(data), np.zeros_like(data)
+        state.step_count = np.zeros(len(data), dtype=np.int64)
     elif state.m.shape != data.shape:
-        raise StateError(f"Adam moments hold {state.m.size} values, the store {data.size}")
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    m, v = state.m, state.v
-    if state.weight_decay:
-        data -= state.lr * state.weight_decay * data
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        raise StateError(f"Adam moments hold {state.m.shape} values, the store {data.shape}")
+    mask = np.ones(len(data), dtype=bool) if active is None else np.asarray(active, dtype=bool)
+    if mask.shape != (len(data),):
+        raise ShapeError(f"active mask {mask.shape} for a store of {len(data)} folds")
+    state.step_count[mask] += 1
+    for lo, hi in _runs(mask):
+        steps = [int(t) for t in state.step_count[lo:hi]]
+        bc1 = np.array([[1.0 - state.beta1 ** t] for t in steps])
+        bc2 = np.array([[1.0 - state.beta2 ** t] for t in steps])
+        p, gr, m, v = data[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        if state.weight_decay:
+            p -= state.lr * state.weight_decay * p
+        m *= state.beta1
+        m += (1.0 - state.beta1) * gr
+        v *= state.beta2
+        v += (1.0 - state.beta2) * gr * gr
+        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
 
 
 # ---------------------------------------------------------------------------
@@ -734,15 +928,15 @@ def finite_diff_check(build_loss, named_tensors: list[tuple[str, Tensor]],
 
     report = GradCheckReport(0.0, 0, "", -1, 0.0, 0.0)
     for name, t in named_tensors:
-        flat = t.data.reshape(-1)
         for idx in coords.get(name, ()):
             idx = int(idx)
-            orig = flat[idx]
-            flat[idx] = orig + h
+            at = np.unravel_index(idx, t.data.shape)  # in place, in any view of an arena
+            orig = t.data[at]
+            t.data[at] = orig + h
             fp = float(build_loss().data)
-            flat[idx] = orig - h
+            t.data[at] = orig - h
             fm = float(build_loss().data)
-            flat[idx] = orig
+            t.data[at] = orig
             fd = (fp - fm) / (2.0 * h)
             ad = float(analytic[name].reshape(-1)[idx])
             rel = abs(ad - fd) / max(abs(ad), abs(fd), denom_floor)
@@ -779,7 +973,12 @@ CHECKPOINT_SCHEMA_VERSION = 1
 
 
 def save_params(path: str, store: ParamStore) -> None:
-    """Write a versioned binary checkpoint: magic, schema, sorted (name, shape, float64 LE)."""
+    """Write a versioned binary checkpoint: magic, schema, sorted (name, shape, float64 LE).
+
+    A checkpoint holds one model: save one fold of a stacked store (``store.fold(f)``).
+    """
+    if store.n_folds != 1:
+        raise StateError(f"a checkpoint holds one model, the store {store.n_folds} folds")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
@@ -841,6 +1040,8 @@ def load_into(store: ParamStore, path: str) -> None:
     Names and shapes are checked before anything is written, so on an
     error the store keeps its values.
     """
+    if store.n_folds != 1 or store._shared:
+        raise StateError("a checkpoint loads into a one-model store that owns its buffers")
     values = load_params(path)
     names = sorted(store._params)
     missing = set(names) - set(values)

@@ -64,44 +64,55 @@ def channel_attention(h_f: dc.Tensor, p: CbamLayerParams) -> dc.Tensor:
     """Per-subject channel factors (B, C) in (0,1), as one op: sigmoid of
     summed MLP(max-pool) and MLP(mean-pool) over each subject's windows.
 
-    The max-pool's gradient goes to the first window holding the maximum.
-    A non-finite MLP pre-activation or sigmoid argument raises
-    NumericsError with its (subject, unit) index.
+    Parameters stacked along a fold axis F apply to F fold-major blocks of
+    subjects, through batched matmuls. The max-pool's gradient goes to the
+    first window holding the maximum. A non-finite MLP pre-activation or
+    sigmoid argument raises NumericsError with its (subject, unit) index.
     """
     _check_features(h_f)
     h = h_f.data
     b, n_w, c = h.shape
     w1, w2 = p.chan_w1.data, p.chan_w2.data
-    r = w1.shape[0]
-    if w1.shape != (r, c) or w2.shape != (c, r) or p.chan_b1.data.shape != (r,) \
-            or p.chan_b2.data.shape != (c,):
+    lead, r = w1.shape[:-2], w1.shape[-2]
+    if w1.shape != (*lead, r, c) or w2.shape != (*lead, c, r) \
+            or p.chan_b1.data.shape != (*lead, r) or p.chan_b2.data.shape != (*lead, c):
         raise ShapeError(f"channel MLP shapes {w1.shape}/{w2.shape} do not fit {c} channels")
+    folds = dc.fold_count(p.chan_w1.data, 2, b)
+    w1, w2 = w1.reshape(folds, r, c), w2.reshape(folds, c, r)
+    b1, b2 = p.chan_b1.data.reshape(folds, 1, r), p.chan_b2.data.reshape(folds, 1, c)
     first = h.argmax(axis=1)  # (B, C): the window each max comes from
-    mx = h.max(axis=1)
+    mx = h.max(axis=1).reshape(folds, -1, c)
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
-        av = h.sum(axis=1) / n_w  # bit-equal to h.mean(axis=1), without its wrapper
-        pre_mx = mx @ w1.T + p.chan_b1.data
-        pre_av = av @ w1.T + p.chan_b1.data
-        dc.check_finite(pre_mx, "channel_attention", "max-path MLP pre-activation in")
-        dc.check_finite(pre_av, "channel_attention", "mean-path MLP pre-activation in")
+        av = (h.sum(axis=1) / n_w).reshape(mx.shape)  # bit-equal to h.mean(axis=1)
+        w1_t, w2_t = w1.swapaxes(1, 2), w2.swapaxes(1, 2)
+        pre_mx = np.matmul(mx, w1_t) + b1
+        pre_av = np.matmul(av, w1_t) + b1
+        dc.check_finite(pre_mx.reshape(b, r), "channel_attention",
+                        "max-path MLP pre-activation in")
+        dc.check_finite(pre_av.reshape(b, r), "channel_attention",
+                        "mean-path MLP pre-activation in")
         hid_mx, hid_av = np.tanh(pre_mx), np.tanh(pre_av)
-        logits = (hid_mx @ w2.T + p.chan_b2.data) + (hid_av @ w2.T + p.chan_b2.data)
-        dc.check_finite(logits, "channel_attention", "sigmoid argument in")
-    out = dc.sigmoid_array(logits)
+        logits = (np.matmul(hid_mx, w2_t) + b2) + (np.matmul(hid_av, w2_t) + b2)
+        dc.check_finite(logits.reshape(b, c), "channel_attention", "sigmoid argument in")
+    out = dc.sigmoid_array(logits).reshape(b, c)
 
     def bk(g):
-        g_logits = g * out * (1.0 - out)
-        g_hid = g_logits @ w2  # both paths' MLP outputs feed the sigmoid alike
+        g_logits = (g * out * (1.0 - out)).reshape(mx.shape)
+        g_hid = np.matmul(g_logits, w2)  # both paths' MLP outputs feed the sigmoid alike
         g_pre_mx = g_hid * (1.0 - hid_mx * hid_mx)
         g_pre_av = g_hid * (1.0 - hid_av * hid_av)
-        grads = [(p.chan_w2, g_logits.T @ hid_mx + g_logits.T @ hid_av),
-                 (p.chan_b2, 2.0 * g_logits.sum(axis=0)),
-                 (p.chan_w1, g_pre_mx.T @ mx + g_pre_av.T @ av),
-                 (p.chan_b1, g_pre_mx.sum(axis=0) + g_pre_av.sum(axis=0))]
+        g_logits_t = g_logits.swapaxes(1, 2)
+        grads = [(p.chan_w2, np.matmul(g_logits_t, hid_mx) + np.matmul(g_logits_t, hid_av)),
+                 (p.chan_b2, 2.0 * g_logits.sum(axis=1)),
+                 (p.chan_w1, np.matmul(g_pre_mx.swapaxes(1, 2), mx)
+                  + np.matmul(g_pre_av.swapaxes(1, 2), av)),
+                 (p.chan_b1, g_pre_mx.sum(axis=1) + g_pre_av.sum(axis=1))]
+        grads = [(t, grad.reshape(t.data.shape)) for t, grad in grads]
         if h_f.requires_grad:
             g_h = np.empty_like(h)
-            g_h[...] = (g_pre_av @ w1 / n_w)[:, None, :]
-            g_h[np.arange(b)[:, None], first, np.arange(c)] += g_pre_mx @ w1
+            g_h[...] = (np.matmul(g_pre_av, w1) / n_w).reshape(b, 1, c)
+            g_h[np.arange(b)[:, None], first, np.arange(c)] += \
+                np.matmul(g_pre_mx, w1).reshape(b, c)
             grads.append((h_f, g_h))
         return grads
 
@@ -115,36 +126,41 @@ def temporal_attention(h_f: dc.Tensor, p: CbamLayerParams) -> dc.Tensor:
 
     Max-pooled and mean-pooled sequences enter as the two input channels of a
     single zero-padded width-w_k convolution whose channel outputs are summed.
-    The max-pool's gradient goes to the first channel holding the maximum.
-    A non-finite sigmoid argument raises NumericsError with its (subject,
-    window) index.
+    A kernel stacked along a fold axis F convolves F fold-major blocks of
+    subjects. The max-pool's gradient goes to the first channel holding the
+    maximum. A non-finite sigmoid argument raises NumericsError with its
+    (subject, window) index.
     """
     _check_features(h_f)
     h = h_f.data
     b, n_w, c = h.shape
     kernel = p.temporal_kernel.data
-    if kernel.ndim != 2 or kernel.shape[0] != 2 or kernel.shape[1] % 2 != 1:
+    if kernel.ndim not in (2, 3) or kernel.shape[-2] != 2 or kernel.shape[-1] % 2 != 1:
         raise ShapeError(f"temporal kernel must be (2, w) with w odd, got {kernel.shape}")
-    w = kernel.shape[1]
+    folds = dc.fold_count(kernel, 2, b)
+    w = kernel.shape[-1]
+    kernel = kernel.reshape(folds, 2, w)
     pad = (w - 1) // 2
     first = h.argmax(axis=2)  # (B, N_w): the channel each max comes from
     traces = np.zeros((b, 2, n_w + 2 * pad))  # max and mean traces, zero-padded
-    taps = _taps(traces, w)  # (B, 2, N_w, w)
+    taps = _taps(traces, w).reshape(folds, b // folds, 2, n_w, w)
     traces[:, 0, pad:pad + n_w] = h.max(axis=2)
     with np.errstate(over="ignore", invalid="ignore"):  # the check below reports it
         traces[:, 1, pad:pad + n_w] = h.sum(axis=2) / c  # bit-equal to h.mean(axis=2)
-        logits = np.einsum("bclw,cw->bl", taps, kernel)
+        logits = np.einsum("fbclw,fcw->fbl", taps, kernel).reshape(b, n_w)
     dc.check_finite(logits, "temporal_attention", "sigmoid argument in")
     out = dc.sigmoid_array(logits)
 
     def bk(g):
-        g_logits = g * out * (1.0 - out)
-        grads = [(p.temporal_kernel, np.einsum("bclw,bl->cw", taps, g_logits))]
+        g_logits = (g * out * (1.0 - out)).reshape(folds, -1, n_w)
+        grads = [(p.temporal_kernel, np.einsum("fbclw,fbl->fcw", taps, g_logits)
+                  .reshape(p.temporal_kernel.data.shape))]
         if h_f.requires_grad:
-            padded = np.zeros((b, n_w + 2 * pad))
-            padded[:, pad:pad + n_w] = g_logits
+            padded = np.zeros((folds, b // folds, n_w + 2 * pad))
+            padded[..., pad:pad + n_w] = g_logits
             # the input's adjoint: the same convolution with the reversed kernel
-            g_traces = np.einsum("blw,cw->bcl", _taps(padded, w), kernel[:, ::-1])
+            g_traces = np.einsum("fblw,fcw->fbcl", _taps(padded, w),
+                                 kernel[..., ::-1]).reshape(b, 2, n_w)
             g_h = np.empty_like(h)
             g_h[...] = (g_traces[:, 1] / c)[:, :, None]
             g_h[np.arange(b)[:, None], np.arange(n_w), first] += g_traces[:, 0]

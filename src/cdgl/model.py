@@ -10,6 +10,11 @@ Subjects are a batch axis: subjects that share their windows (equal N_w
 under one window spec) are stacked on a leading axis and run through one
 graph, whose op count does not depend on the batch size. One subject is
 the B = 1 case of the same code.
+
+So are models. A store of F stacked models (``ParamStore.stack``, the
+folds of a cross-validation trained in lockstep) runs a batch of F * B
+subjects, fold-major: every layer applies model f's parameters to the
+f-th block of B subjects, through the same ops as one model's graph.
 """
 
 from __future__ import annotations
@@ -228,6 +233,9 @@ def forward_batch(store: dc.ParamStore, dims: ModelDims,
     subject and the op, in the encoder also the timepoint, and inside a
     GIN layer also the stream, layer and first window holding it.
     """
+    if len(preps) % store.n_folds:
+        raise ShapeError(f"{len(preps)} subjects do not split into the store's "
+                         f"{store.n_folds} folds")
     x, adjacency = _stack(preps)
     try:
         return _forward(store, dims, x, adjacency, preps[0].starts, preps[0].window_size)

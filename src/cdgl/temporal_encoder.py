@@ -46,20 +46,22 @@ def assemble_node_features(hidden: dc.Tensor, starts: list[int], window_size: in
     by subject. W_M [one_hot(v) || h_tau] splits into a node term (the
     first M columns of W_M) and a window term (the rest applied to h_tau);
     their broadcast sum gives all windows at once without an
-    (N_w * M)-row selector.
+    (N_w * M)-row selector. A W_M stacked along a fold axis, (F, D, M + D),
+    applies to F fold-major blocks of the batch with the same ops.
     """
     *lead, t, d = hidden.data.shape
     if len(lead) > 1:
         raise ShapeError(f"hidden must be (T, D) or (B, T, D), got {hidden.data.shape}")
-    if w_m.data.shape != (d, m + d):
+    if w_m.data.ndim not in (2, 3) or w_m.data.shape[-2:] != (d, m + d):
         raise ShapeError(f"w_m must be ({d}, {m + d}), got {w_m.data.shape}")
     ends = window_endpoints(starts, window_size, t)
     b = lead[0] if lead else 1
+    dc.fold_count(w_m.data, 2, b)  # raises unless the batch splits into w_m's folds
     rows = dc.reshape(hidden, (b * t, d)) if lead else hidden
     picked = (t * np.arange(b)[:, None] + np.asarray(ends)).ravel()  # (B * N_w,)
-    w_m_t = dc.transpose(w_m)  # (M + D, D)
-    node = dc.take_rows(w_m_t, np.arange(m))  # (M, D)
+    w_m_t = dc.transpose(w_m)  # (M + D, D), per fold
+    node = dc.take_rows(w_m_t, np.arange(m))  # (M, D), per fold
     context = dc.matmul(dc.take_rows(rows, picked),
                         dc.take_rows(w_m_t, np.arange(m, m + d)))  # (B * N_w, D)
-    feats = dc.add(dc.reshape(context, (len(picked), 1, d)), dc.reshape(node, (1, m, d)))
+    feats = dc.add(dc.reshape(context, (len(picked), 1, d)), dc.reshape(node, (-1, m, d)))
     return dc.reshape(feats, (len(picked) * m, d))

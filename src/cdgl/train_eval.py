@@ -1,19 +1,26 @@
 """Training loop, evaluation metrics, and stratified cross-validation.
 
-Everything here is deterministic for a fixed config: batch order comes from
-one seeded generator, fold seeds are derived as seed + fold_index, and every
-numeric path runs in float64, so repeated runs produce identical loss logs,
-checkpoints, and reports. Subjects are a batch axis: a train step builds
-one graph per group of minibatch subjects that share their windows, and
-evaluation scores each such group in one forward (split when it would
-stack very many adjacency entries). Cross-validation
-prepares its subjects once and hands every fold the prepared subjects.
+Everything here is deterministic for a fixed config: each model's batch
+order comes from its own seeded generator, fold seeds are derived as
+seed + fold_index, and every numeric path runs in float64, so repeated runs
+produce identical loss logs, checkpoints, and reports. Subjects are a batch
+axis: a train step builds one graph per group of minibatch subjects that
+share their windows, and evaluation scores each such group in one forward
+(split when it would stack very many adjacency entries).
+
+Folds are a batch axis too. Cross-validation prepares its subjects once,
+and the folds whose training subjects give the same model dims train in
+lockstep (:func:`fit_folds`): their models are the rows of one stacked
+store, and each step's minibatches of all of them run through one graph
+and one backward call. No fold is padded; a fold whose minibatch differs
+in shape runs that step alone, so each fold's results are bit-identical to
+training it alone. Training one model is the one-fold case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -194,60 +201,133 @@ def make_dims(preps: list[model.PreparedSubject], cfg: TrainConfig) -> model.Mod
                            streams=cfg.stream_tuple())
 
 
-def _global_norm(arrays) -> float:
-    """L2 norm of all entries of ``arrays`` together."""
-    return math.sqrt(sum(float(np.vdot(a, a)) for a in arrays))
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """L2 norm of each row of a store's (F, P) buffer: one per fold's model."""
+    return np.sqrt((rows * rows).sum(axis=1))
+
+
+def _shape_key(groups: list[list[model.PreparedSubject]]) -> list[tuple]:
+    """What a minibatch's graph shape depends on: each window group's windows and size."""
+    return [(g[0].window_size, tuple(g[0].starts), len(g)) for g in groups]
+
+
+def _lockstep_runs(groups: list[list[list[model.PreparedSubject]]]) -> list[tuple[int, int]]:
+    """(lo, hi) of each maximal run of consecutive folds whose minibatches have
+    one shape; a fold without a minibatch in this step is in none."""
+    runs: list[list] = []
+    for f, fold_groups in enumerate(groups):
+        if not fold_groups:
+            continue
+        key = _shape_key(fold_groups)
+        if runs and runs[-1][1] == f and runs[-1][2] == key:
+            runs[-1][1] = f + 1
+        else:
+            runs.append([f, f + 1, key])
+    return [(lo, hi) for lo, hi, _ in runs]
+
+
+_SUM_KEYS = ("mean_loss", "bce", "info_loss")
+
+
+def _lockstep_step(store: dc.ParamStore, dims: model.ModelDims,
+                   groups: list[list[list[model.PreparedSubject]]],
+                   ccfg: ContrastiveConfig, sums: list[dict]) -> None:
+    """Forward and backward of one minibatch per fold of ``store``, in one graph.
+
+    The folds' minibatches have one shape, so window group i of every fold
+    stacks into one fold-major batch; each fold's per-subject losses are
+    added to its ``sums`` in the order a lone fold adds them.
+    """
+    objective = None
+    for parts in zip(*groups):  # window group i of every fold
+        n = len(parts[0])
+        total, l_bce, l_info = model.batch_loss_parts(
+            store, dims, [p for part in parts for p in part], ccfg)
+        for key, values in zip(_SUM_KEYS, (total, l_bce, l_info)):
+            if values is not None:
+                flat = values.data.tolist()
+                for f, fold_sums in enumerate(sums):
+                    fold_sums[key] += sum(flat[f * n:(f + 1) * n])
+        part = dc.sum_all(total)
+        objective = part if objective is None else dc.add(objective, part)
+    dc.backward(dc.mul_scalar(objective, 1.0 / sum(len(g) for g in groups[0])),
+                retain_graph=False)
+
+
+def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
+              seeds: list[int],
+              checkpoint_paths: list[str | None] | None = None) -> list[TrainResult]:
+    """Shuffled-minibatch Adam training of one model per fold, in lockstep.
+
+    Fold f trains on ``fold_preps[f]`` from ``seeds[f]``, which seeds both
+    its initial parameters and its batch order; the folds must give the same
+    :class:`model.ModelDims`. Their models are the rows of one stacked
+    store. Step s takes every fold's s-th minibatch: folds whose minibatches
+    have one shape (the same window groups, of the same sizes) build one
+    graph together, with one backward call, and a fold whose minibatch
+    differs (a ragged last batch, other window groups) runs that step on
+    its own. One Adam call then steps the folds that had a minibatch, each
+    with its own step count. No fold is padded, so every fold's checkpoint
+    bytes and epoch log equal those it gets when trained alone; training a
+    single model is the one-fold case.
+
+    A minibatch stacks into one graph per group of subjects that share
+    their windows (one graph when all have the same N_w), adds up their
+    per-subject losses and calls backward once; the objective is the
+    minibatch mean of bce + alpha * info. Each epoch record holds the mean
+    per-subject total loss and its BCE and contrastive components, the
+    largest L2 norm of the model's gradient among the epoch's steps
+    (``grad_norm``), the L2 norm of its parameters after its last step
+    (``param_norm``) and, after that step, each stream's GIN epsilon per
+    layer (``gin_eps``). Bit-reproducible for a fixed cfg.
+    """
+    for preps in fold_preps:
+        _check_window_budget(preps, cfg)
+    dims = make_dims(fold_preps[0], cfg)
+    if any(make_dims(preps, cfg) != dims for preps in fold_preps[1:]):
+        raise ShapeError("folds trained in lockstep must share their model dims")
+    folds = len(fold_preps)
+    store = dc.ParamStore.stack([model.init_params(dims, seed) for seed in seeds])
+    adam = dc.AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+    ccfg = cfg.contrastive()
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    sizes = [len(preps) for preps in fold_preps]
+    logs: list[list[dict]] = [[] for _ in range(folds)]
+    for epoch in range(cfg.epochs):
+        orders = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
+        sums = [dict.fromkeys(_SUM_KEYS, 0.0) for _ in range(folds)]
+        grad_norm = np.zeros(folds)
+        for lo in range(0, max(sizes), cfg.batch_size):
+            groups = [model.group_by_windows([preps[i] for i in order[lo:lo + cfg.batch_size]])
+                      for preps, order in zip(fold_preps, orders)]
+            store.zero_grad()
+            for f0, f1 in _lockstep_runs(groups):
+                _lockstep_step(store.folds(f0, f1), dims, groups[f0:f1], ccfg, sums[f0:f1])
+            # a fold without a minibatch has a zero gradient row
+            grad_norm = np.maximum(grad_norm, _norms(store.rows()[1]))
+            dc.adam_step(store, adam, [bool(g) for g in groups])
+        param_norm = _norms(store.rows()[0])
+        for f in range(folds):
+            fold = store.fold(f)
+            logs[f].append({
+                "epoch": epoch, **{key: v / sizes[f] for key, v in sums[f].items()},
+                "grad_norm": float(grad_norm[f]), "param_norm": float(param_norm[f]),
+                "gin_eps": {s: [float(fold[f"cdgin.layer{layer}.{s}.eps"].data)
+                                for layer in range(dims.layers)]
+                            for s in dims.streams}})
+    results = [TrainResult(store=store.fold(f), dims=dims, epoch_log=logs[f])
+               for f in range(folds)]
+    for result, path in zip(results, checkpoint_paths or []):
+        if path is not None:
+            dc.save_params(path, result.store)
+    return results
 
 
 def fit(preps: list[model.PreparedSubject], cfg: TrainConfig,
         checkpoint_path: str | None = None) -> TrainResult:
-    """Shuffled-minibatch Adam training on prepared subjects.
-
-    A step stacks its minibatch into one graph per group of subjects that
-    share their windows (one graph when all have the same N_w), adds up
-    their per-subject losses and calls backward once; the objective is the
-    minibatch mean of bce + alpha * info. Each epoch record holds the mean
-    per-subject total loss and its BCE and contrastive components, the
-    largest global gradient L2 norm among the epoch's steps (``grad_norm``),
-    the global parameter L2 norm after its last step (``param_norm``) and,
-    after that step, each stream's GIN epsilon per layer (``gin_eps``).
-    Bit-reproducible for a fixed cfg.
-    """
-    _check_window_budget(preps, cfg)
-    dims = make_dims(preps, cfg)
-    store = model.init_params(dims, cfg.seed)
-    adam = dc.AdamState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    ccfg = cfg.contrastive()
-    rng = np.random.default_rng(cfg.seed)
-    n = len(preps)
-    epoch_log = []
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        sums = {"mean_loss": 0.0, "bce": 0.0, "info_loss": 0.0}
-        grad_norm = 0.0
-        for lo in range(0, n, cfg.batch_size):
-            batch = [preps[i] for i in order[lo:lo + cfg.batch_size]]
-            store.zero_grad()
-            objective = None
-            for group in model.group_by_windows(batch):
-                total, l_bce, l_info = model.batch_loss_parts(store, dims, group, ccfg)
-                for key, values in zip(sums, (total, l_bce, l_info)):
-                    if values is not None:
-                        sums[key] += sum(values.data.tolist())
-                part = dc.sum_all(total)
-                objective = part if objective is None else dc.add(objective, part)
-            dc.backward(dc.mul_scalar(objective, 1.0 / len(batch)))
-            grad_norm = max(grad_norm, _global_norm(p.grad for _, p in store.items()))
-            dc.adam_step(store, adam)
-        epoch_log.append({"epoch": epoch, **{key: v / n for key, v in sums.items()},
-                          "grad_norm": grad_norm,
-                          "param_norm": _global_norm(p.data for _, p in store.items()),
-                          "gin_eps": {s: [float(store[f"cdgin.layer{layer}.{s}.eps"].data)
-                                          for layer in range(dims.layers)]
-                                      for s in dims.streams}})
-    if checkpoint_path is not None:
-        dc.save_params(checkpoint_path, store)
-    return TrainResult(store=store, dims=dims, epoch_log=epoch_log)
+    """Train one model on prepared subjects from ``cfg.seed``: :func:`fit_folds`
+    with one fold."""
+    return fit_folds([preps], cfg, [cfg.seed], [checkpoint_path])[0]
 
 
 def train(subjects: list[RoiTimeSeries], cfg: TrainConfig,
@@ -333,25 +413,44 @@ def split_subjects(subjects: list[RoiTimeSeries], test_fraction: float,
     return stratified_split(manifest, test_fraction, k, seed)
 
 
-def run_fold(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPlan,
-             fold_index: int, checkpoint_path: str | None = None) -> FoldResult:
-    """Train on one fold's training ids, evaluate on its validation ids.
+def run_folds(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPlan,
+              fold_indices: list[int],
+              checkpoint_paths: list[str | None] | None = None) -> list[FoldResult]:
+    """Train the given folds on their training ids, evaluate each on its
+    validation ids; results in ``fold_indices`` order.
 
-    ``preps`` holds the prepared CV subjects; preparation depends only on
-    the graph settings, which folds share, so the fold's seed does not
-    enter it.
+    Fold i's seed is ``cfg.seed + i``. Folds whose training subjects give
+    the same :class:`model.ModelDims` train in lockstep (:func:`fit_folds`),
+    so their results equal those of each fold run alone. ``preps`` holds
+    the prepared CV subjects; preparation depends only on the graph
+    settings, which folds share, so no fold's seed enters it.
     """
     by_id = {p.subject_id: p for p in preps}
-    train_ids, val_ids = plan.folds[fold_index]
-    fold_cfg = replace(cfg, seed=cfg.seed + fold_index)
-    result = fit([by_id[i] for i in train_ids], fold_cfg, checkpoint_path=checkpoint_path)
-    report = evaluate(result.store, result.dims, [by_id[i] for i in val_ids])
-    return FoldResult(fold_index=fold_index, report=report,
-                      epoch_log=result.epoch_log, dims=result.dims)
+    paths = dict(zip(fold_indices, checkpoint_paths or [None] * len(fold_indices)))
+    train_preps = {i: [by_id[s] for s in plan.folds[i][0]] for i in fold_indices}
+    lockstep: dict[model.ModelDims, list[int]] = {}
+    for i in fold_indices:
+        lockstep.setdefault(make_dims(train_preps[i], cfg), []).append(i)
+    done = {}
+    for members in lockstep.values():
+        trained = fit_folds([train_preps[i] for i in members], cfg,
+                            [cfg.seed + i for i in members], [paths[i] for i in members])
+        for i, result in zip(members, trained):
+            report = evaluate(result.store, result.dims, [by_id[s] for s in plan.folds[i][1]])
+            done[i] = FoldResult(fold_index=i, report=report,
+                                 epoch_log=result.epoch_log, dims=result.dims)
+    return [done[i] for i in fold_indices]
 
 
-def _run_fold_packed(args) -> FoldResult:
-    return run_fold(*args)
+def run_fold(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPlan,
+             fold_index: int, checkpoint_path: str | None = None) -> FoldResult:
+    """Train on one fold's training ids, evaluate on its validation ids: the
+    one-fold case of :func:`run_folds`."""
+    return run_folds(preps, cfg, plan, [fold_index], [checkpoint_path])[0]
+
+
+def _run_folds_packed(args) -> list[FoldResult]:
+    return run_folds(*args)
 
 
 def summarize_folds(reports: list[EvalReport]) -> dict[str, float | None]:
@@ -371,15 +470,19 @@ def summarize_folds(reports: list[EvalReport]) -> dict[str, float | None]:
 
 def cross_validate(subjects: list[RoiTimeSeries], cfg: TrainConfig, k: int = 4,
                    test_fraction: float = 0.2, mapper=None,
-                   checkpoint_paths: list[str] | None = None) -> CvResult:
-    """k independent fold runs under one plan; summary is mean and
-    population std per metric.
+                   checkpoint_paths: list[str] | None = None,
+                   lockstep_groups: int = 1) -> CvResult:
+    """k fold models under one plan; summary is mean and population std per metric.
 
     The CV subjects (``plan.train_ids``) are prepared once, here, and
-    returned with the result for reuse. mapper, when given, is a map-like
-    callable over the packed fold arguments (e.g. a process pool's map);
-    results keep fold order.
+    returned with the result for reuse. The folds split into
+    ``lockstep_groups`` contiguous groups, and each group trains its folds
+    in lockstep (:func:`run_folds`), so the results do not depend on the
+    split. mapper, when given, is a map-like callable over the packed
+    group arguments (e.g. a process pool's map); results keep fold order.
     """
+    if lockstep_groups < 1:
+        raise ConfigError(f"lockstep_groups must be >= 1, got {lockstep_groups}")
     plan = split_subjects(subjects, test_fraction, k, cfg.seed)
     if checkpoint_paths is None:
         checkpoint_paths = [None] * len(plan.folds)
@@ -387,12 +490,16 @@ def cross_validate(subjects: list[RoiTimeSeries], cfg: TrainConfig, k: int = 4,
         raise ConfigError("checkpoint_paths must match the fold count")
     by_id = {ts.subject_id: ts for ts in subjects}
     preps = prepare_dataset([by_id[i] for i in plan.train_ids], cfg)
-    packed = [(preps, cfg, plan, i, checkpoint_paths[i])
-              for i in range(len(plan.folds))]
+    chunks = [[int(i) for i in chunk]
+              for chunk in np.array_split(np.arange(len(plan.folds)), lockstep_groups)
+              if len(chunk)]
+    packed = [(preps, cfg, plan, chunk, [checkpoint_paths[i] for i in chunk])
+              for chunk in chunks]
     if mapper is None:
-        folds = [run_fold(*args) for args in packed]
+        done = [run_folds(*args) for args in packed]
     else:
-        folds = list(mapper(_run_fold_packed, packed))
+        done = list(mapper(_run_folds_packed, packed))
+    folds = [fold for group in done for fold in group]
     summary = summarize_folds([f.report for f in folds])
     return CvResult(plan=plan, folds=folds, summary=summary, preps=preps)
 

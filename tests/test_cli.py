@@ -323,6 +323,22 @@ class TestCvCommand:
             b2 = open(os.path.join(par, name), "rb").read()
             assert b1 == b2, name
 
+    def test_four_folds_in_two_jobs_match_sequential(self, tmp_path_factory, tmp_path):
+        # two lockstep groups of two folds each, one per worker process
+        data = str(tmp_path_factory.mktemp("data12") / "corr")
+        assert run(["synth", "--kind", "correlation", "--subjects", "12", "--rois", "6",
+                    "--timepoints", "40", "--seed", "4", "--out", data]) == 0
+        seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
+        base = ["cv", "--data", data, "--folds", "4"] + TINY
+        assert run(base + ["--out", seq]) == 0
+        assert run(base + ["--out", par, "--jobs", "2"]) == 0
+        names = sorted(os.listdir(seq))
+        assert "fold3.ckpt" in names and names == sorted(os.listdir(par))
+        for name in names:
+            b1 = open(os.path.join(seq, name), "rb").read()
+            b2 = open(os.path.join(par, name), "rb").read()
+            assert b1 == b2, name
+
     def test_holdout_section(self, dataset, tmp_path):
         out = str(tmp_path / "h")
         assert run(["cv", "--data", dataset, "--folds", "2", "--holdout",

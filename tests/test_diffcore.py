@@ -947,3 +947,157 @@ def test_glorot_within_limit(seed):
     w = dc.glorot_uniform(rng, (5, 7), fan_in=5, fan_out=7)
     limit = np.sqrt(6.0 / 12.0)
     assert np.all(np.abs(w) <= limit)
+
+
+# ---------------------------------------------------------------------------
+# fold stacks: F models' parameters on a leading axis, their rows fold-major
+# ---------------------------------------------------------------------------
+
+class TestFoldStacks:
+    rng = np.random.default_rng(40)
+
+    def test_matmul_with_a_weight_stack_is_one_product_per_fold(self):
+        a, w = rmat(self.rng, 6, 4), rmat(self.rng, 3, 4, 2)
+        out = dc.matmul(a, w).data
+        for f in range(3):
+            np.testing.assert_array_equal(out[2 * f:2 * f + 2], a.data[2 * f:2 * f + 2] @ w.data[f])
+        check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, w))), [a, w])
+        for sa, sb in (((5, 4), (3, 4, 2)),  # rows do not split into the folds
+                       ((6, 4), (3, 2, 4)),  # inner sizes differ
+                       ((2, 6, 4), (3, 4, 2))):  # a must be a matrix
+            with pytest.raises(ShapeError):
+                dc.matmul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
+
+    def test_add_of_a_per_fold_bias_covers_its_block_of_rows(self):
+        x, b = rmat(self.rng, 6, 4), rmat(self.rng, 3, 4)
+        out = dc.add(x, b).data
+        for f in range(3):
+            np.testing.assert_array_equal(out[2 * f:2 * f + 2], x.data[2 * f:2 * f + 2] + b.data[f])
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(x, b))), [x, b])
+        u, w = rmat(self.rng, 6, 1, 4), rmat(self.rng, 2, 5, 4)  # and along a stretched axis
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(u, w))), [u, w])
+        np.testing.assert_array_equal(dc.add(u, w).data[3:], u.data[3:] + w.data[1])
+        for sa, sb in (((5, 4), (2, 4)), ((6, 4), (3, 5)), ((6, 1, 4), (2, 5, 3))):
+            with pytest.raises(ShapeError):
+                dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
+
+    def test_take_rows_of_a_stack(self):
+        m = rmat(self.rng, 2, 5, 3)
+        np.testing.assert_array_equal(dc.take_rows(m, [4, 0]).data, m.data[:, [4, 0]])
+        check_op(lambda: dc.sum_all(dc.tanh(dc.take_rows(m, [1, 3, 1]))), [m])
+        with pytest.raises(ShapeError):
+            dc.take_rows(m, [5])
+
+    def test_stacked_lstm_equals_each_fold_alone(self):
+        x = self.rng.standard_normal((6, 7, 3))
+        w_x, w_h, b = (rmat(self.rng, 3, *s) for s in ((3, 8), (2, 8), (8,)))
+        g = self.rng.standard_normal((6, 7, 2))
+        out = dc.lstm(x, w_x, w_h, b)
+        grads = [grad for _, grad in out._backward(g)]
+        for f in range(3):
+            alone = [dc.param(t.data[f]) for t in (w_x, w_h, b)]
+            one = dc.lstm(x[2 * f:2 * f + 2], *alone)
+            np.testing.assert_array_equal(out.data[2 * f:2 * f + 2], one.data)
+            for got, (_, want) in zip(grads, one._backward(g[2 * f:2 * f + 2])):
+                np.testing.assert_array_equal(got[f], want)
+        with pytest.raises(ShapeError):
+            dc.lstm(x[:5], w_x, w_h, b)  # 5 sequences do not split into 3 folds
+
+
+def stores(n, seed=0):
+    """n one-model stores of the same names and shapes, different values."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        store = dc.ParamStore()
+        store.add("w", rng.standard_normal((2, 3)))
+        store.add("b", rng.standard_normal(3))
+        store.add("eps", rng.standard_normal(()))
+        out.append(store)
+    return out
+
+
+def test_stacked_store_rows_folds_and_checkpoints(tmp_path):
+    parts = stores(3)
+    stacked = dc.ParamStore.stack(parts)
+    assert stacked.n_folds == 3 and stacked["w"].data.shape == (3, 2, 3)
+    assert stacked["eps"].data.shape == (3,)
+    data, grad = stacked.rows()
+    for f, part in enumerate(parts):
+        np.testing.assert_array_equal(data[f], part._data)
+        fold = stacked.fold(f)
+        assert fold.n_folds == 1 and fold is stacked.fold(f)
+        for name, t in fold.items():
+            assert t.data.shape == part[name].data.shape
+            assert np.shares_memory(t.data, data[f]) and np.shares_memory(t.grad, grad[f])
+        dc.save_params(str(tmp_path / f"{f}.ckpt"), fold)
+        dc.save_params(str(tmp_path / f"part{f}.ckpt"), part)
+        assert (tmp_path / f"{f}.ckpt").read_bytes() == (tmp_path / f"part{f}.ckpt").read_bytes()
+    middle = stacked.folds(1, 3)
+    assert middle.n_folds == 2 and np.shares_memory(middle["w"].data, data[1:])
+    stacked.fold(2)["b"].data[...] = 7.0
+    np.testing.assert_array_equal(stacked["b"].data[2], 7.0)
+    assert dc.ParamStore.stack(parts[:1]) is parts[0]
+    with pytest.raises(StateError):
+        dc.save_params(str(tmp_path / "all.ckpt"), stacked)  # a checkpoint holds one model
+    with pytest.raises(StateError):
+        dc.load_into(stacked.fold(0), str(tmp_path / "0.ckpt"))
+    with pytest.raises(StateError):
+        stacked.add("c", np.zeros(1))
+    with pytest.raises(StateError):
+        stacked.folds(2, 4)
+    other = stores(1)[0]
+    other.add("c", np.zeros(1))
+    with pytest.raises(StateError):
+        dc.ParamStore.stack([parts[0], other])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.05])
+def test_masked_adam_steps_only_the_active_folds(weight_decay):
+    """Each fold of a stacked store ends bit-equal to a lone store stepped
+    only on that fold's active steps: an inactive fold keeps its
+    parameters, moments and step count, and each fold's bias correction
+    uses its own step count."""
+    rng = np.random.default_rng(3)
+    stacked = dc.ParamStore.stack(stores(3, seed=1))
+    alone = stores(3, seed=1)
+    state = dc.AdamState(lr=0.01, weight_decay=weight_decay)
+    states = [dc.AdamState(lr=0.01, weight_decay=weight_decay) for _ in alone]
+    masks = [[True, True, True], [True, False, True], [False, False, True],
+             [False, True, False], [True, True, True]]
+    for mask in masks:
+        stacked.zero_grad()
+        _, grad = stacked.rows()
+        grad[...] = rng.standard_normal(grad.shape)
+        before = (stacked.rows()[0].copy(), state.m.copy() if state.m is not None else None)
+        dc.adam_step(stacked, state, mask)
+        for f, (store, lone) in enumerate(zip(alone, states)):
+            if mask[f]:
+                store.zero_grad()
+                store._grad[...] = grad[f]
+                dc.adam_step(store, lone)
+            else:
+                np.testing.assert_array_equal(stacked.rows()[0][f], before[0][f])
+                if before[1] is not None:
+                    np.testing.assert_array_equal(state.m[f], before[1][f])
+            np.testing.assert_array_equal(stacked.rows()[0][f], store._data)
+            if lone.m is not None:
+                np.testing.assert_array_equal(state.m[f], lone.m[0])
+                np.testing.assert_array_equal(state.v[f], lone.v[0])
+                assert state.step_count[f] == lone.step_count[0]
+    assert state.step_count.tolist() == [3, 3, 4]
+    with pytest.raises(ShapeError):
+        dc.adam_step(stacked, state, [True, False])
+
+
+def test_backward_without_retained_graph_frees_adjoints():
+    rng = np.random.default_rng(2)
+    a, b = rmat(rng, 3, 4), rmat(rng, 4, 2)
+    loss = dc.sum_all(dc.tanh(dc.matmul(a, b)))
+    dc.backward(loss, retain_graph=False)
+    expect = a.grad.copy()
+    a.grad = None
+    dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
+    np.testing.assert_array_equal(a.grad, expect)
+    with pytest.raises(StateError, match="released"):
+        dc.backward(loss)

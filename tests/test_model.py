@@ -229,6 +229,24 @@ def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
     assert len(sequences[0]) == 61 + 19 + 6  # forward, contrastive, bce and total
 
 
+def test_four_fold_lockstep_step_builds_the_graph_of_one_fold(op_names):
+    # one train step of four folds' batches of four through one stacked
+    # store, against the same step of one fold alone
+    cfg, preps, dims, _ = readme_batch(16)
+    stacked = dc.ParamStore.stack([model.init_params(dims, seed) for seed in range(4)])
+    groups = [[preps[4 * f:4 * f + 4]] for f in range(4)]
+    sequences = []
+    for store, fold_groups in ((stacked.fold(0), groups[:1]), (stacked, groups)):
+        sums = [dict.fromkeys(tv._SUM_KEYS, 0.0) for _ in fold_groups]
+        op_names.clear()
+        tv._lockstep_step(store, dims, fold_groups, cfg.contrastive(), sums)
+        sequences.append(list(op_names))
+    assert sequences[0] == sequences[1]
+    # forward, contrastive, bce and total, then the step's sum and mean
+    assert len(sequences[0]) == 61 + 19 + 6 + 2
+    assert sequences[0][-2:] == ["sum", "mul_scalar"]
+
+
 def test_forward_op_count_independent_of_window_count(op_names):
     # README shape (M=10, T=120, 35/25 -> 4 windows) and the long-scan shape
     # (M=90, T=600, 30/10 -> 58 windows) build the same graph
