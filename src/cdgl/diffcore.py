@@ -20,12 +20,14 @@ per-op overhead rather than to arithmetic.
 A store may also hold F models of one shape stacked on a leading fold
 axis, laid out fold-major so that each model is one row of the buffers.
 Ops that apply a parameter accept such a stack and treat their operand's
-rows as F fold-major blocks: ``matmul`` by a stack of F matrices multiplies
-block f by matrix f, ``add`` of an (F, ...) operand to F * k rows adds
-entry f to block f, ``take_rows`` takes rows of every matrix of a stack,
-and the LSTM runs every fold's sequences in one time loop. Each fold's
-block sees the same numpy calls as a lone model's, through batched
-``matmul``, so its values and gradients are bit-identical to that model's.
+rows as F fold-major blocks. ``matmul`` and ``add`` are told F by their
+caller (``folds=F``; their plain broadcast rules are unchanged): then a
+stack of F matrices multiplies block f by matrix f, and an (F, ...)
+operand adds its entry f to block f. ``take_rows`` takes rows of every
+matrix of a stack, and the LSTM runs every fold's sequences in one time
+loop. Each fold's block sees the same numpy calls as a lone model's,
+through batched ``matmul``, so its values and gradients are bit-identical
+to that model's.
 :func:`adam_step` steps only the folds marked active, each with its own
 step count.
 
@@ -147,15 +149,14 @@ def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
 # primitive ops
 # ---------------------------------------------------------------------------
 
-def _check_broadcast(op: str, a: Tensor, b: Tensor) -> None:
-    """Raise unless ``a`` and ``b`` broadcast under this module's narrow rule.
+def _check_broadcast(op: str, sa: tuple[int, ...], sb: tuple[int, ...]) -> None:
+    """Raise unless shapes ``sa`` and ``sb`` broadcast under this module's narrow rule.
 
     Operands of equal rank broadcast along axes where one side is 1. Ranks
     may differ only when the smaller operand matches the trailing axes of
     the larger exactly (a bias row); any other rank mismatch raises, so a
     stray (n,) + (n, 1) cannot become an (n, n) outer product.
     """
-    sa, sb = a.data.shape, b.data.shape
     if sa == sb:
         return
     if len(sa) != len(sb):
@@ -187,38 +188,30 @@ def fold_count(w: np.ndarray, ndim: int, rows: int | None = None) -> int:
     return folds
 
 
-def _fold_pair(a: np.ndarray, b: np.ndarray) -> int:
-    """F when equal-rank ``a`` and ``b`` differ along the first axis, one of
-    length F and the other of a multiple F * k; else 1."""
-    if a.ndim != b.ndim or not a.ndim or a.shape[0] == b.shape[0]:
-        return 1
-    small, large = sorted((a.shape[0], b.shape[0]))
-    if small < 2 or large % small or any(x != y and 1 not in (x, y)
-                                         for x, y in zip(a.shape[1:], b.shape[1:])):
-        return 1
-    return small
-
-
 def _blocks(x: np.ndarray, folds: int) -> np.ndarray:
     """(F, k, ...) view of a fold-major (F * k, ...) array; (F, 1, ...) of an (F, ...) one."""
     return x.reshape(folds, x.shape[0] // folds, *x.shape[1:])
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, folds: int = 1) -> Tensor:
     """Elementwise sum; broadcasts as :func:`_check_broadcast` allows.
 
-    Along the first axis, an operand of length F also broadcasts over one
-    of length F * k of the same rank: its entry f covers the f-th block of
-    k rows. That is a per-fold bias added to fold-major rows; F = 1 is the
-    ordinary broadcast of a length-1 axis.
+    With ``folds`` = F > 1, ``a``'s rows are F fold-major blocks and ``b``
+    is stacked on a leading fold axis of length F, at ``a``'s rank: entry f
+    of ``b`` is added to block f, as the (F, k, ...) blocks and the
+    (F, 1, ...) stack broadcast. That is a per-fold bias on fold-major rows.
     """
-    folds = _fold_pair(a.data, b.data)
     if folds == 1:
-        _check_broadcast("add", a, b)
+        _check_broadcast("add", a.data.shape, b.data.shape)
         out = a.data + b.data
     else:
-        blocks = _blocks(a.data, folds) + _blocks(b.data, folds)
-        out = blocks.reshape(-1, *blocks.shape[2:])
+        sa, sb = a.data.shape, b.data.shape
+        if len(sa) != len(sb) or sb[0] != folds or sa[0] % folds:
+            raise ShapeError(f"add: {sa} rows in {folds} folds vs {sb}")
+        a_blocks, b_blocks = _blocks(a.data, folds), _blocks(b.data, folds)
+        _check_broadcast("add", a_blocks.shape, b_blocks.shape)
+        out = a_blocks + b_blocks
+        out = out.reshape(-1, *out.shape[2:])
 
     def bk(g):
         for t in (a, b):
@@ -252,7 +245,7 @@ def neg(a: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product; broadcasts as :func:`add` does."""
-    _check_broadcast("mul", a, b)
+    _check_broadcast("mul", a.data.shape, b.data.shape)
     out = a.data * b.data
 
     def bk(g):
@@ -284,13 +277,15 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "div", (a, b), bk)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """(R, K) @ (K, N). A stack ``b`` of F (K, N) matrices, one per fold,
-    multiplies fold-major ``a``: its f-th block of R / F rows by ``b[f]``."""
+def matmul(a: Tensor, b: Tensor, folds: int = 1) -> Tensor:
+    """(R, K) @ (K, N). With ``folds`` = F > 1, ``b`` is a stack of F (K, N)
+    matrices, one per fold, and multiplies fold-major ``a``: its f-th block
+    of R / F rows by ``b[f]``."""
     sa, sb = a.data.shape, b.data.shape
-    if len(sa) != 2 or len(sb) not in (2, 3) or sa[1] != sb[-2]:
-        raise ShapeError(f"matmul: {sa} @ {sb}")
-    a_blocks = _blocks(a.data, fold_count(b.data, 2, sa[0]))
+    if len(sa) != 2 or len(sb) != (2 if folds == 1 else 3) or sa[1] != sb[-2] \
+            or (folds > 1 and (sb[0] != folds or sa[0] % folds)):
+        raise ShapeError(f"matmul: {sa} @ {sb} in {folds} folds")
+    a_blocks = _blocks(a.data, folds)
     out = np.matmul(a_blocks, b.data).reshape(sa[0], sb[-1])
 
     def bk(g):

@@ -210,8 +210,9 @@ def classify(h_a_layers: list[dc.Tensor], p: ClassifierParams) -> dc.Tensor:
     (B,) probabilities."""
     pooled = [dc.mean_pool(h_a, axis=1) for h_a in h_a_layers]  # (B, C) each
     feat = pooled[0] if len(pooled) == 1 else dc.concat(pooled, axis=1)
-    hidden = dc.tanh(dc.add(dc.matmul(feat, dc.transpose(p.w1)), p.b1))
-    logit = dc.add(dc.matmul(hidden, dc.transpose(p.w2)), p.b2)  # (B, 1)
+    folds = dc.fold_count(p.w1.data, 2)
+    hidden = dc.tanh(dc.add(dc.matmul(feat, dc.transpose(p.w1), folds), p.b1, folds))
+    logit = dc.add(dc.matmul(hidden, dc.transpose(p.w2), folds), p.b2, folds)  # (B, 1)
     return dc.sigmoid(dc.reshape(logit, (logit.data.shape[0],)))
 
 

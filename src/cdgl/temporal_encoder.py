@@ -56,12 +56,12 @@ def assemble_node_features(hidden: dc.Tensor, starts: list[int], window_size: in
         raise ShapeError(f"w_m must be ({d}, {m + d}), got {w_m.data.shape}")
     ends = window_endpoints(starts, window_size, t)
     b = lead[0] if lead else 1
-    dc.fold_count(w_m.data, 2, b)  # raises unless the batch splits into w_m's folds
+    folds = dc.fold_count(w_m.data, 2, b)
     rows = dc.reshape(hidden, (b * t, d)) if lead else hidden
     picked = (t * np.arange(b)[:, None] + np.asarray(ends)).ravel()  # (B * N_w,)
     w_m_t = dc.transpose(w_m)  # (M + D, D), per fold
     node = dc.take_rows(w_m_t, np.arange(m))  # (M, D), per fold
     context = dc.matmul(dc.take_rows(rows, picked),
-                        dc.take_rows(w_m_t, np.arange(m, m + d)))  # (B * N_w, D)
-    feats = dc.add(dc.reshape(context, (len(picked), 1, d)), dc.reshape(node, (-1, m, d)))
+                        dc.take_rows(w_m_t, np.arange(m, m + d)), folds)  # (B * N_w, D)
+    feats = dc.add(dc.reshape(context, (len(picked), 1, d)), dc.reshape(node, (-1, m, d)), folds)
     return dc.reshape(feats, (len(picked) * m, d))

@@ -11,10 +11,13 @@ share their windows, and evaluation scores each such group in one forward
 Folds are a batch axis too. Cross-validation prepares its subjects once,
 and the folds whose training subjects give the same model dims train in
 lockstep (:func:`fit_folds`): their models are the rows of one stacked
-store, and each step's minibatches of all of them run through one graph
-and one backward call. No fold is padded; a fold whose minibatch differs
-in shape runs that step alone, so each fold's results are bit-identical to
-training it alone. Training one model is the one-fold case.
+store, and each step's minibatches of consecutive folds run through one
+graph and one backward call, as long as that graph stacks few node rows
+(LOCKSTEP_STACK_ROWS): lockstep saves per-op overhead, which only
+dominates at small shapes. No fold is padded; a fold whose minibatch
+differs in shape runs that step alone, so each fold's results are
+bit-identical to training it alone. Training one model is the one-fold
+case.
 """
 
 from __future__ import annotations
@@ -38,6 +41,17 @@ STREAM_CHOICES = ("rd", "r", "d")
 # shapes are scored a few subjects at a time, while the README demo's
 # validation folds still take one forward each.
 SCORE_STACK_ENTRIES = 1 << 20
+# Node rows (subjects x windows x ROIs, summed over its folds) that one
+# lockstep train step may stack. Lockstep saves time only while each op's
+# arithmetic is small next to its fixed cost per call, and its graph holds
+# the forward arrays of every fold it stacks until backward. On a 2-CPU
+# host a 4-fold step ran 1.2-1.7x faster than four 1-fold steps up to
+# about 3,000 rows, and no faster from about 5,700 (M = 90 with 4 subjects
+# of 4 windows, or one subject of 58 windows, where it also took twice the
+# memory). The README demo's 4-fold step stacks 640 rows; one subject of
+# the 58-window, M = 90 shape stacks 5,220, so at that shape folds train
+# one at a time.
+LOCKSTEP_STACK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -211,15 +225,20 @@ def _shape_key(groups: list[list[model.PreparedSubject]]) -> list[tuple]:
     return [(g[0].window_size, tuple(g[0].starts), len(g)) for g in groups]
 
 
-def _lockstep_runs(groups: list[list[list[model.PreparedSubject]]]) -> list[tuple[int, int]]:
-    """(lo, hi) of each maximal run of consecutive folds whose minibatches have
-    one shape; a fold without a minibatch in this step is in none."""
+def _lockstep_runs(groups: list[list[list[model.PreparedSubject]]],
+                   m: int) -> list[tuple[int, int]]:
+    """(lo, hi) of each run of consecutive folds whose minibatches have one
+    shape, cut so that no run of two or more folds stacks more than
+    LOCKSTEP_STACK_ROWS node rows; a fold without a minibatch in this step
+    is in none."""
     runs: list[list] = []
     for f, fold_groups in enumerate(groups):
         if not fold_groups:
             continue
         key = _shape_key(fold_groups)
-        if runs and runs[-1][1] == f and runs[-1][2] == key:
+        rows = m * sum(len(g) * len(g[0].starts) for g in fold_groups)
+        if runs and runs[-1][1] == f and runs[-1][2] == key \
+                and (f + 1 - runs[-1][0]) * rows <= LOCKSTEP_STACK_ROWS:
             runs[-1][1] = f + 1
         else:
             runs.append([f, f + 1, key])
@@ -264,9 +283,10 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
     :class:`model.ModelDims`. Their models are the rows of one stacked
     store. Step s takes every fold's s-th minibatch: folds whose minibatches
     have one shape (the same window groups, of the same sizes) build one
-    graph together, with one backward call, and a fold whose minibatch
-    differs (a ragged last batch, other window groups) runs that step on
-    its own. One Adam call then steps the folds that had a minibatch, each
+    graph together, with one backward call, a run of them cut where the
+    graph would stack more than LOCKSTEP_STACK_ROWS node rows, and a fold
+    whose minibatch differs (a ragged last batch, other window groups) runs
+    that step on its own. One Adam call then steps the folds that had a minibatch, each
     with its own step count. No fold is padded, so every fold's checkpoint
     bytes and epoch log equal those it gets when trained alone; training a
     single model is the one-fold case.
@@ -301,7 +321,7 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
             groups = [model.group_by_windows([preps[i] for i in order[lo:lo + cfg.batch_size]])
                       for preps, order in zip(fold_preps, orders)]
             store.zero_grad()
-            for f0, f1 in _lockstep_runs(groups):
+            for f0, f1 in _lockstep_runs(groups, dims.m):
                 _lockstep_step(store.folds(f0, f1), dims, groups[f0:f1], ccfg, sums[f0:f1])
             # a fold without a minibatch has a zero gradient row
             grad_norm = np.maximum(grad_norm, _norms(store.rows()[1]))

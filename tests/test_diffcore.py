@@ -958,28 +958,40 @@ class TestFoldStacks:
 
     def test_matmul_with_a_weight_stack_is_one_product_per_fold(self):
         a, w = rmat(self.rng, 6, 4), rmat(self.rng, 3, 4, 2)
-        out = dc.matmul(a, w).data
+        out = dc.matmul(a, w, 3).data
         for f in range(3):
             np.testing.assert_array_equal(out[2 * f:2 * f + 2], a.data[2 * f:2 * f + 2] @ w.data[f])
-        check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, w))), [a, w])
-        for sa, sb in (((5, 4), (3, 4, 2)),  # rows do not split into the folds
-                       ((6, 4), (3, 2, 4)),  # inner sizes differ
-                       ((2, 6, 4), (3, 4, 2))):  # a must be a matrix
+        check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, w, 3))), [a, w])
+        for sa, sb, folds in (((5, 4), (3, 4, 2), 3),  # rows do not split into the folds
+                              ((6, 4), (3, 2, 4), 3),  # inner sizes differ
+                              ((6, 4), (2, 4, 2), 3),  # a stack of other than F matrices
+                              ((2, 6, 4), (3, 4, 2), 3),  # a must be a matrix
+                              ((6, 4), (3, 4, 2), 1)):  # a stack only when told F
             with pytest.raises(ShapeError):
-                dc.matmul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
+                dc.matmul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)), folds)
 
     def test_add_of_a_per_fold_bias_covers_its_block_of_rows(self):
         x, b = rmat(self.rng, 6, 4), rmat(self.rng, 3, 4)
-        out = dc.add(x, b).data
+        out = dc.add(x, b, 3).data
         for f in range(3):
             np.testing.assert_array_equal(out[2 * f:2 * f + 2], x.data[2 * f:2 * f + 2] + b.data[f])
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(x, b))), [x, b])
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(x, b, 3))), [x, b])
         u, w = rmat(self.rng, 6, 1, 4), rmat(self.rng, 2, 5, 4)  # and along a stretched axis
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(u, w))), [u, w])
-        np.testing.assert_array_equal(dc.add(u, w).data[3:], u.data[3:] + w.data[1])
-        for sa, sb in (((5, 4), (2, 4)), ((6, 4), (3, 5)), ((6, 1, 4), (2, 5, 3))):
+        check_op(lambda: dc.sum_all(dc.tanh(dc.add(u, w, 2))), [u, w])
+        np.testing.assert_array_equal(dc.add(u, w, 2).data[3:], u.data[3:] + w.data[1])
+        for sa, sb, folds in (((5, 4), (2, 4), 2), ((6, 4), (3, 5), 3), ((6, 1, 4), (2, 5, 3), 2),
+                              ((6, 4), (2, 4), 3),  # the stack's fold axis is not F
+                              ((6, 4), (4,), 3)):  # nor is there one
             with pytest.raises(ShapeError):
-                dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
+                dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)), folds)
+
+    @pytest.mark.parametrize("sa, sb", [((3, 3), (6, 3)), ((2, 4), (4, 4)), ((6, 4), (3, 4)),
+                                        ((2, 3), (3, 3))])
+    def test_plain_add_keeps_its_broadcast_rule(self, sa, sb):
+        """Only an add told F broadcasts per fold: equal-rank operands whose
+        first axes differ, neither being 1, raise as they always have."""
+        with pytest.raises(ShapeError):
+            dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
 
     def test_take_rows_of_a_stack(self):
         m = rmat(self.rng, 2, 5, 3)

@@ -175,3 +175,34 @@ def test_stacked_model_gradcheck():
     report = dc.finite_diff_check(build, store.items(), coords)
     assert report.n_coords >= 120
     assert report.max_rel_err < 1e-4, (report.worst_param, report.max_rel_err)
+
+
+def test_lockstep_runs_stack_few_node_rows():
+    """Lockstep stacks the README demo's four folds, but not the folds of the
+    long-scan shape (58 windows, 90 ROIs), whose one-subject minibatch
+    alone holds more node rows than a lockstep step may stack."""
+    rng = np.random.default_rng(5)
+    demo_cfg = tv.TrainConfig()
+    demo = tv.prepare_dataset(cohort(rng, [120] * 4, m=10), demo_cfg)
+    groups = [model.group_by_windows(demo)] * 4
+    assert tv._lockstep_runs(groups, 10) == [(0, 4)]
+    long_cfg = tv.TrainConfig(window_size=30, stride=10, batch_size=1)
+    long = tv.prepare_dataset(cohort(rng, [600], m=90), long_cfg)
+    assert len(long[0].starts) * 90 > tv.LOCKSTEP_STACK_ROWS
+    assert tv._lockstep_runs([[long]] * 4, 90) == [(0, 1), (1, 2), (2, 3), (3, 4)]
+
+
+def test_runs_cut_at_the_row_budget_match_each_fold_alone(tmp_path, steps, monkeypatch):
+    rng = np.random.default_rng(6)
+    subjects = cohort(rng, [30] * 20)
+    cfg = cfg_of(epochs=2)
+    preps = tv.prepare_dataset(subjects, cfg)
+    ids = [p.subject_id for p in preps]
+    # a full minibatch is 4 subjects x 5 windows x 5 ROIs = 100 rows: two
+    # folds fit in a step, three do not
+    monkeypatch.setattr(tv, "LOCKSTEP_STACK_ROWS", 200)
+    plan = plan_of([(ids[4 * i:4 * i + 4] + ids[16:], ids[4 * j:4 * j + 2])
+                    for i, j in zip(range(4), (1, 2, 3, 0))] + [(ids[:8], ids[16:18])])
+    record = assert_lockstep_matches_alone(preps, cfg, plan, tmp_path, steps)
+    assert record["graphs"] and max(n for n, _ in record["graphs"]) == 2
+    assert {tuple(a) for a in record["active"]} == {(True,) * 5}
