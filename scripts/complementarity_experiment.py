@@ -50,7 +50,9 @@ def run(args) -> dict:
             "epochs": args.epochs, "arms": results}
 
 
-def main(argv=None) -> int:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The experiment's settings: the defaults below, then ``argv``'s flags.
+    ``parse_args([])`` gives the defaults without a command line."""
     ap = argparse.ArgumentParser(
         description=__doc__.splitlines()[0],
         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
@@ -70,8 +72,11 @@ def main(argv=None) -> int:
     ap.add_argument("--distance", default="euclidean")
     ap.add_argument("--epochs", type=int, default=20)
     ap.add_argument("--out", default=None, help="optional JSON results path")
-    args = ap.parse_args(argv)
+    return ap.parse_args(argv)
 
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
     summary = run(args)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as f:

@@ -12,7 +12,8 @@ replaced as their oracle. The contrastive loss treats every (stream,
 window) projection as an anchor whose positives are the same-stream
 windows at offset +-delta; for a batch of subjects it is one stack of
 per-subject cosine matrices and a masked log-sum-exp, a fixed 19 autodiff
-ops (18 for one stream) whatever the window count or batch size.
+ops (18 for one stream) whatever the window count or batch size. The loss
+takes only that batch; one subject is the B = 1 batch.
 """
 
 from __future__ import annotations
@@ -199,37 +200,32 @@ def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndar
 
 def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
                      cfg: ContrastiveConfig) -> dc.Tensor:
-    """Mean InfoNCE-style loss over all (stream, window) anchors of a subject.
+    """Mean InfoNCE-style loss over all (stream, window) anchors, per subject.
 
-    ``z_r`` and ``z_d`` hold one projection per window: one subject's
-    (N_w, P) rows, which give a scalar loss, or a (B, N_w, P) batch, which
-    gives the (B,) per-subject losses. For anchor i of a stream, positives
-    are the in-range same-stream windows at i - delta and i + delta (loss
-    averaged when both exist). Each denominator holds the positive's own
-    term once, every cross-stream window, and all same-stream windows
-    outside {i, i - delta, i + delta}. ``z_d = None`` is the one-stream
+    ``z_r`` and ``z_d`` hold one projection per window as a (B, N_w, P)
+    batch of subjects, and the result is the (B,) per-subject losses. For
+    anchor i of a stream, positives are the in-range same-stream windows
+    at i - delta and i + delta (loss averaged when both exist). Each
+    denominator holds the positive's own term once, every cross-stream
+    window, and all same-stream windows outside {i, i - delta, i + delta}. ``z_d = None`` is the one-stream
     case: anchors come from ``z_r`` alone, there are no cross-stream terms,
     and an anchor without negatives has denominator exp(s_pos), so it
     contributes 0. A batch is one (B, K, K) stack of cosine matrices with
-    the constant (K, K) masks broadcast over subjects; one subject's rows
-    are the B = 1 case.
+    the constant (K, K) masks broadcast over subjects; one subject is the
+    B = 1 batch.
     """
-    if z_r.data.ndim not in (2, 3):
-        raise ShapeError(f"projections must be an (N_w, P) matrix or a (B, N_w, P) stack, "
-                         f"got {z_r.data.shape}")
+    if z_r.data.ndim != 3:
+        raise ShapeError(f"projections must be a (B, N_w, P) stack, got {z_r.data.shape}")
     if z_d is not None and z_d.data.shape != z_r.data.shape:
         raise ShapeError(f"streams disagree on projection shape: "
                          f"{z_r.data.shape} vs {z_d.data.shape}")
-    *lead, n, width = z_r.data.shape
+    b, n, width = z_r.data.shape
     if n < cfg.delta + 1:
         raise ContrastiveConfigError(
             f"need at least delta+1={cfg.delta + 1} windows, got {n}")
 
-    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=-2)  # (..., K, P)
+    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=-2)  # (B, K, P)
     k = z.data.shape[-2]
-    b = lead[0] if lead else 1
-    if not lead:
-        z = dc.reshape(z, (1, k, width))
     negative, weights = _pair_weights(n, k // n, cfg.delta)
     sq = dc.bmm(dc.mul(z, z), dc.const(np.ones((b, width, 1))))
     norms = dc.sqrt(dc.clip_min(sq, COSINE_NORM_FLOOR ** 2))  # (B, K, 1)
@@ -240,4 +236,4 @@ def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
     per_pair = dc.sub(dc.log(dc.add(base, e)), cos)  # base broadcasts along rows
     pair_weights = np.broadcast_to(weights.reshape(k * k, 1), (b, k * k, 1))
     loss = dc.bmm(dc.reshape(per_pair, (b, 1, k * k)), dc.const(pair_weights))
-    return dc.reshape(loss, tuple(lead))
+    return dc.reshape(loss, (b,))

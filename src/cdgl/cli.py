@@ -14,7 +14,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -23,7 +22,13 @@ from . import dynamic_fc as dfc
 from . import model
 from . import synthgen as sg
 from . import train_eval as tv
-from .data_io import RoiTimeSeries, load_dataset, load_manifest, zscore_columns
+from .data_io import (
+    RoiTimeSeries,
+    load_dataset,
+    load_manifest,
+    write_roi_csv,
+    zscore_columns,
+)
 from .errors import (
     ConfigError,
     ContrastiveConfigError,
@@ -165,11 +170,6 @@ def _write_jsonl(path: str, records: list[dict]) -> None:
     _write_text(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
-def _write_matrix_csv(path: str, matrix: np.ndarray) -> None:
-    lines = [",".join(repr(float(v)) for v in row) for row in matrix]
-    _write_text(path, "\n".join(lines) + "\n")
-
-
 def _load_subjects(data: str | None) -> list[RoiTimeSeries]:
     if data is None:
         raise ConfigError("no data path given (use --data or the 'data' config key)")
@@ -227,17 +227,11 @@ def cmd_cv(args) -> int:
     cfg, paths = resolve_config(args.config, args.set)
     data = _require(args.data, paths, "data")
     out = _require(args.out, paths, "out")
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     subjects = _load_subjects(data)
     os.makedirs(out, exist_ok=True)
     ckpts = [os.path.join(out, f"fold{i}.ckpt") for i in range(args.folds)]
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            cv = tv.cross_validate(subjects, cfg, k=args.folds, mapper=pool.map,
-                                   checkpoint_paths=ckpts, lockstep_groups=args.jobs)
-    else:
-        cv = tv.cross_validate(subjects, cfg, k=args.folds, checkpoint_paths=ckpts)
+    cv = tv.cross_validate(subjects, cfg, k=args.folds, checkpoint_paths=ckpts,
+                           jobs=args.jobs)
     for fold in cv.folds:
         _write_jsonl(os.path.join(out, f"fold{fold.fold_index}_epochs.jsonl"),
                      fold.epoch_log)
@@ -310,7 +304,7 @@ def cmd_fc_dump(args) -> int:
     for t in range(n_w):
         for tag, stack in (("r", fc.r), ("d", fc.d), ("a_r", fc.a_r), ("a_d", fc.a_d)):
             name = f"{ts.subject_id}_w{t:03d}_{tag}.csv"
-            _write_matrix_csv(os.path.join(args.out, name), stack[t])
+            write_roi_csv(os.path.join(args.out, name), stack[t], header=False)
     print(f"wrote {4 * n_w} matrices for {ts.subject_id} "
           f"({n_w} windows) to {args.out}")
     return 0

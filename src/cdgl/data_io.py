@@ -113,7 +113,8 @@ def _raise_first_bad_line(path: str, lines: list[str], start: int) -> None:
 
 
 def write_roi_csv(path: str, signals: np.ndarray, header: bool = True) -> None:
-    """Write signals as CSV with full float64 round-trip precision."""
+    """Write a 2-D array as CSV with full float64 round-trip precision, under
+    a ``roi_<j>`` header row unless ``header`` is False."""
     signals = np.asarray(signals, dtype=np.float64)
     if signals.ndim != 2:
         raise ShapeError(f"write_roi_csv: 2-D array required, got {signals.shape}")

@@ -7,8 +7,9 @@ contiguous float64 buffer and all gradients in another, each tensor's
 such buffers. So zeroing the gradients is one fill and an Adam step is a few
 whole-array operations. Forward passes build a fresh op graph each time;
 :func:`backward` walks it once in reverse topological order, holding each
-node's pending gradient in a slot of the node, and accumulates gradients
-into the leaves. The primitive set is deliberately small and every
+node's pending gradient in a slot of the node, accumulates gradients into
+the leaves and releases each adjoint once it has run, so a graph can be
+walked only once. The primitive set is deliberately small and every
 primitive has a hand-written adjoint that is finite-difference tested;
 adjoints compute contributions only for operands that carry gradients, so
 constant operands (adjacencies, masks) cost nothing on the way back. The
@@ -54,8 +55,7 @@ class Tensor:
 
     Leaves created with ``requires_grad=True`` accumulate into ``grad`` on
     :func:`backward`; intermediates hold their pending gradient in a slot
-    only for the duration of one backward walk, so backward-ing the same
-    graph twice exactly doubles the leaf gradients.
+    only for the duration of the one backward walk their graph allows.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward", "op",
@@ -77,9 +77,6 @@ class Tensor:
     def __len__(self) -> int:
         """Length of the first axis, as for a numpy array."""
         return len(self.data)
-
-    def item(self) -> float:
-        return float(self.data)
 
     def __repr__(self):
         return f"Tensor(op={self.op!r}, shape={self.data.shape})"
@@ -430,10 +427,10 @@ def take_rows(m: Tensor, idx) -> Tensor:
 
 
 def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
-    """Single-layer LSTM over a constant (T, M) input; returns the (T, D) hidden sequence.
+    """Single-layer LSTM over a constant (B, T, M) batch; returns the (B, T, D)
+    hidden sequences.
 
-    A (B, T, M) input runs B sequences through one time loop and returns
-    (B, T, D); the (T, M) call is the B = 1 case. Weights stacked along a
+    The B sequences run through one time loop. Weights stacked along a
     leading fold axis, (F, M, 4D), (F, D, 4D) and (F, 4D), run F models in
     the same loop: the B sequences split into F fold-major blocks, and
     every product with a weight is one batched ``matmul`` over the folds,
@@ -459,9 +456,9 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     steps contribute exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"lstm: (T, M) or (B, T, M) input required, got {x.shape}")
-    rows = x.shape[0] if x.ndim == 3 else 1
+    if x.ndim != 3:
+        raise ShapeError(f"lstm: (B, T, M) input required, got {x.shape}")
+    rows = x.shape[0]
     folds = fold_count(w_x.data, 2, rows)
     lead = w_x.data.shape[:-2]
     four_d = w_x.data.shape[-1]
@@ -473,9 +470,7 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"lstm: input width {x.shape[-1]} vs w_x {w_x.data.shape}")
     B = rows // folds  # sequences per fold
     T, M = x.shape[-2], x.shape[-1]
-    # (F, T, B, M); the (T, M) input is a view
-    xf = x[None, :, None, :] if x.ndim == 2 else \
-        np.ascontiguousarray(x.reshape(folds, B, T, M).transpose(0, 2, 1, 3))
+    xf = np.ascontiguousarray(x.reshape(folds, B, T, M).transpose(0, 2, 1, 3))  # (F, T, B, M)
     w_h3 = w_h.data.reshape(folds, D, four_d)
     b3 = b.data.reshape(folds, 1, four_d)
 
@@ -564,7 +559,7 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
                 (b, da.sum(axis=1).reshape(b.data.shape)))
 
     out = H[:, 1:].transpose(0, 2, 1, 3).reshape(rows, T, D)
-    return _make(out[0] if x.ndim == 2 else out, "lstm", (w_x, w_h, b), bk)
+    return _make(out, "lstm", (w_x, w_h, b), bk)
 
 
 # ---------------------------------------------------------------------------
@@ -578,19 +573,19 @@ _OPEN, _ORDERED = object(), object()
 
 
 def _released(g):
-    raise StateError("backward through a graph whose adjoints were released "
-                     "by backward(..., retain_graph=False)")
+    raise StateError("backward through a graph that was already walked: "
+                     "its adjoints were released; build the forward again")
 
 
-def backward(loss: Tensor, retain_graph: bool = True) -> None:
+def backward(loss: Tensor) -> None:
     """Accumulate d(loss)/d(leaf) into every reachable leaf's ``grad``.
 
     The walk orders the grad-carrying ancestors of ``loss`` by an iterative
     depth-first post-order, then visits them in reverse, so every node's
-    consumers have contributed before its own adjoint runs. With
-    ``retain_graph=False`` each node drops its adjoint once it has run, so
-    the forward arrays that adjoint held are freed during the walk rather
-    than with the graph, and a second backward through the graph raises.
+    consumers have contributed before its own adjoint runs. Each node drops
+    its adjoint once it has run, so the forward arrays that adjoint held are
+    freed during the walk rather than with the graph; a second backward
+    through any node of a walked graph raises :class:`StateError`.
     """
     if loss.data.shape != ():
         raise ShapeError("backward: loss must be scalar")
@@ -642,8 +637,7 @@ def backward(loss: Tensor, retain_graph: bool = True) -> None:
                     # np.asarray: 0-d sums come back as immutable numpy
                     # scalars, which would silently drop later in-place sums
                     parent._pending, parent._owned = np.asarray(cur + contrib), True
-            if not retain_graph:
-                node._backward = _released
+            node._backward = _released
     except BaseException:
         for node in order + stack:
             node._pending = None

@@ -3,10 +3,10 @@
 The LSTM runs once over the whole normalized sequence; each window then takes
 the hidden state at its endpoint timepoint. Node v's input feature for a
 window is W_M [one_hot(v) || h_endpoint], so the one-hot block separates
-nodes while the hidden block injects shared temporal context. Windows are a
-batch axis, and so are subjects: a batch of subjects that share their
-windows runs through one LSTM loop, and all their windows' node features
-come back as one matrix.
+nodes while the hidden block injects shared temporal context. Both steps
+take only a batch: a (B, T, M) stack of subjects that share their windows
+runs through one LSTM loop, and all their windows' node features come back
+as one matrix. One subject is the B = 1 batch.
 """
 
 from __future__ import annotations
@@ -19,14 +19,7 @@ from .errors import ShapeError
 
 def lstm_forward(x: np.ndarray, w_x: dc.Tensor, w_h: dc.Tensor,
                  b: dc.Tensor) -> dc.Tensor:
-    """Hidden sequence (T, D) of a single-layer LSTM over the (T, M) input.
-
-    A (B, T, M) batch of equal-length inputs gives (B, T, D).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3):
-        raise ShapeError(f"lstm_forward: (T, M) input required, or (B, T, M) for a batch; "
-                         f"got {x.shape}")
+    """Hidden sequences (B, T, D) of a single-layer LSTM over a (B, T, M) batch."""
     return dc.lstm(x, w_x, w_h, b)
 
 
@@ -39,25 +32,23 @@ def window_endpoints(starts: list[int], window_size: int, t: int) -> list[int]:
 
 def assemble_node_features(hidden: dc.Tensor, starts: list[int], window_size: int,
                            w_m: dc.Tensor, m: int) -> dc.Tensor:
-    """Node features of every window as one (N_w * M, D) matrix, window-major.
+    """Node features of every window as one (B * N_w * M, D) matrix.
 
-    ``hidden`` is one subject's (T, D) sequence or a (B, T, D) batch whose
-    subjects share ``starts``; a batch gives (B * N_w * M, D) rows, subject
-    by subject. W_M [one_hot(v) || h_tau] splits into a node term (the
-    first M columns of W_M) and a window term (the rest applied to h_tau);
-    their broadcast sum gives all windows at once without an
-    (N_w * M)-row selector. A W_M stacked along a fold axis, (F, D, M + D),
+    ``hidden`` is the (B, T, D) batch of subjects that share ``starts``;
+    rows are subject-major, then window-major. W_M [one_hot(v) || h_tau]
+    splits into a node term (the first M columns of W_M) and a window term
+    (the rest applied to h_tau); their broadcast sum gives all windows at
+    once without an (N_w * M)-row selector. A W_M stacked along a fold axis, (F, D, M + D),
     applies to F fold-major blocks of the batch with the same ops.
     """
-    *lead, t, d = hidden.data.shape
-    if len(lead) > 1:
-        raise ShapeError(f"hidden must be (T, D) or (B, T, D), got {hidden.data.shape}")
+    if hidden.data.ndim != 3:
+        raise ShapeError(f"hidden must be (B, T, D), got {hidden.data.shape}")
+    b, t, d = hidden.data.shape
     if w_m.data.ndim not in (2, 3) or w_m.data.shape[-2:] != (d, m + d):
         raise ShapeError(f"w_m must be ({d}, {m + d}), got {w_m.data.shape}")
     ends = window_endpoints(starts, window_size, t)
-    b = lead[0] if lead else 1
     folds = dc.fold_count(w_m.data, 2, b)
-    rows = dc.reshape(hidden, (b * t, d)) if lead else hidden
+    rows = dc.reshape(hidden, (b * t, d))
     picked = (t * np.arange(b)[:, None] + np.asarray(ends)).ravel()  # (B * N_w,)
     w_m_t = dc.transpose(w_m)  # (M + D, D), per fold
     node = dc.take_rows(w_m_t, np.arange(m))  # (M, D), per fold

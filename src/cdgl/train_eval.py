@@ -23,6 +23,7 @@ case.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -269,8 +270,7 @@ def _lockstep_step(store: dc.ParamStore, dims: model.ModelDims,
                     fold_sums[key] += sum(flat[f * n:(f + 1) * n])
         part = dc.sum_all(total)
         objective = part if objective is None else dc.add(objective, part)
-    dc.backward(dc.mul_scalar(objective, 1.0 / sum(len(g) for g in groups[0])),
-                retain_graph=False)
+    dc.backward(dc.mul_scalar(objective, 1.0 / sum(len(g) for g in groups[0])))
 
 
 def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
@@ -469,10 +469,6 @@ def run_fold(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPl
     return run_folds(preps, cfg, plan, [fold_index], [checkpoint_path])[0]
 
 
-def _run_folds_packed(args) -> list[FoldResult]:
-    return run_folds(*args)
-
-
 def summarize_folds(reports: list[EvalReport]) -> dict[str, float | None]:
     """Per-metric mean and population std over folds, skipping undefined folds."""
     summary: dict[str, float | None] = {}
@@ -489,20 +485,18 @@ def summarize_folds(reports: list[EvalReport]) -> dict[str, float | None]:
 
 
 def cross_validate(subjects: list[RoiTimeSeries], cfg: TrainConfig, k: int = 4,
-                   test_fraction: float = 0.2, mapper=None,
-                   checkpoint_paths: list[str] | None = None,
-                   lockstep_groups: int = 1) -> CvResult:
+                   test_fraction: float = 0.2,
+                   checkpoint_paths: list[str] | None = None, jobs: int = 1) -> CvResult:
     """k fold models under one plan; summary is mean and population std per metric.
 
     The CV subjects (``plan.train_ids``) are prepared once, here, and
-    returned with the result for reuse. The folds split into
-    ``lockstep_groups`` contiguous groups, and each group trains its folds
-    in lockstep (:func:`run_folds`), so the results do not depend on the
-    split. mapper, when given, is a map-like callable over the packed
-    group arguments (e.g. a process pool's map); results keep fold order.
+    returned with the result for reuse. The folds split into ``jobs``
+    contiguous groups, and each group trains its folds in lockstep
+    (:func:`run_folds`), in its own worker process when ``jobs`` > 1.
+    Results keep fold order and do not depend on ``jobs``.
     """
-    if lockstep_groups < 1:
-        raise ConfigError(f"lockstep_groups must be >= 1, got {lockstep_groups}")
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
     plan = split_subjects(subjects, test_fraction, k, cfg.seed)
     if checkpoint_paths is None:
         checkpoint_paths = [None] * len(plan.folds)
@@ -511,14 +505,14 @@ def cross_validate(subjects: list[RoiTimeSeries], cfg: TrainConfig, k: int = 4,
     by_id = {ts.subject_id: ts for ts in subjects}
     preps = prepare_dataset([by_id[i] for i in plan.train_ids], cfg)
     chunks = [[int(i) for i in chunk]
-              for chunk in np.array_split(np.arange(len(plan.folds)), lockstep_groups)
-              if len(chunk)]
+              for chunk in np.array_split(np.arange(len(plan.folds)), jobs) if len(chunk)]
     packed = [(preps, cfg, plan, chunk, [checkpoint_paths[i] for i in chunk])
               for chunk in chunks]
-    if mapper is None:
+    if jobs == 1:
         done = [run_folds(*args) for args in packed]
     else:
-        done = list(mapper(_run_folds_packed, packed))
+        with ProcessPoolExecutor(max_workers=len(packed)) as pool:
+            done = list(pool.map(run_folds, *zip(*packed)))
     folds = [fold for group in done for fold in group]
     summary = summarize_folds([f.report for f in folds])
     return CvResult(plan=plan, folds=folds, summary=summary, preps=preps)

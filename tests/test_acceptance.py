@@ -8,9 +8,11 @@ stream complementarity, correlation learning, windowed-vs-static dynamics).
 Budgets are asserted so the suite stays runnable at desk scale.
 """
 
+import importlib.util
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -156,40 +158,28 @@ class TestFullModelGradients:
 
 class TestContrastiveHandCase:
     def test_two_identical_unit_vectors_give_ln3(self):
-        e1 = np.array([[1.0, 0.0, 0.0]])
-        z_r = dc.param(np.repeat(e1, 2, axis=0))
-        z_d = dc.param(np.repeat(e1, 2, axis=0))
+        e1 = np.array([[[1.0, 0.0, 0.0]]])
+        z_r = dc.param(np.repeat(e1, 2, axis=1))  # one subject of two windows
+        z_d = dc.param(np.repeat(e1, 2, axis=1))
         loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
-        assert abs(float(loss.data) - np.log(3.0)) < 1e-12
+        assert abs(float(loss.data[0]) - np.log(3.0)) < 1e-12
 
 
-def _split(subjects, seed=0):
-    plan = tv.split_subjects(subjects, 0.2, 4, seed=seed)
-    by_id = {ts.subject_id: ts for ts in subjects}
-    train = [by_id[i] for i in plan.train_ids]
-    test = [by_id[i] for i in plan.test_ids]
-    return train, test
-
-
-def _holdout_auc(train_subs, test_subs, cfg):
-    result = tv.train(train_subs, cfg)
-    preps = tv.prepare_dataset(test_subs, cfg)
-    return tv.evaluate(result.store, result.dims, preps).auc
+def _script(name):
+    """``scripts/<name>.py`` as a module: the experiments the README prints."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"scripts_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 class TestStreamComplementarity:
     def test_distance_stream_required_on_amplitude_classes(self):
         t0 = time.perf_counter()
-        spec = sg.SynthSpec("amplitude", 60, 10, 120, noise_std=0.1, seed=7)
-        train_subs, test_subs = _split(sg.make_subjects(spec))
-        base = dict(layers=2, batch_size=4, lr=1e-3, weight_decay=2e-4,
-                    window_size=35, stride=25, hidden_dim=8, proj_dim=8,
-                    alpha=0.1, delta=1, distance_kind="euclidean",
-                    epochs=20, seed=0, normalize_fc=False)
-        pcc_only = _holdout_auc(train_subs, test_subs,
-                                tv.TrainConfig(streams="r", **base))
-        dual = _holdout_auc(train_subs, test_subs,
-                            tv.TrainConfig(streams="rd", **base))
+        script = _script("complementarity_experiment")
+        arms = script.run(script.parse_args([]))["arms"]
+        pcc_only, dual = arms["pcc_only"]["auc"], arms["dual"]["auc"]
         assert 0.35 <= pcc_only <= 0.65, f"pcc-only auc {pcc_only}"
         assert dual >= 0.85, f"dual-stream auc {dual}"
         assert time.perf_counter() - t0 < 600.0
@@ -212,16 +202,9 @@ class TestCorrelationLearning:
 class TestDynamicVersusStatic:
     def test_quarter_windows_beat_whole_scan(self):
         t0 = time.perf_counter()
-        spec = sg.SynthSpec("switching", 60, 10, 120, noise_std=0.1, seed=7)
-        subjects = sg.make_subjects(spec)
-        base = dict(layers=2, batch_size=4, lr=1e-3, weight_decay=2e-4,
-                    hidden_dim=8, proj_dim=8, alpha=0.0, delta=1,
-                    distance_kind="euclidean", epochs=30, seed=0)
-        means = {}
-        for ws in (30, 120):
-            cfg = tv.TrainConfig(window_size=ws, stride=ws, **base)
-            cv = tv.cross_validate(subjects, cfg, k=4, test_fraction=0.2)
-            means[ws] = cv.summary["auc_mean"]
+        script = _script("dynamic_vs_static")
+        by_size = script.run(script.parse_args([]))["by_window_size"]
+        means = {int(ws): summary["auc_mean"] for ws, summary in by_size.items()}
         assert means[30] - means[120] >= 0.15, means
         assert time.perf_counter() - t0 < 900.0
 

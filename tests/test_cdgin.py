@@ -203,76 +203,79 @@ def value_and_grads(loss_fn, z_r, z_d, cfg):
     return float(loss.data), [z.grad.copy() for z in z_r + z_d]
 
 
+def loss_of_one(z_r, z_d, cfg):
+    """``contrastive_loss`` of a B = 1 batch, as a scalar."""
+    return dc.reshape(cdgin.contrastive_loss(z_r, z_d, cfg), ())
+
+
 def matrix_value_and_grads(z_r, z_d, cfg):
     """``contrastive_loss`` on the rows of ``z_r``/``z_d``; gradients come back per row."""
-    mats = [dc.param(np.array([z.data for z in zs])) for zs in (z_r, z_d) if zs]
-    loss = cdgin.contrastive_loss(mats[0], mats[1] if len(mats) == 2 else None, cfg)
+    mats = [dc.param(np.array([[z.data for z in zs]])) for zs in (z_r, z_d) if zs]
+    loss = loss_of_one(mats[0], mats[1] if len(mats) == 2 else None, cfg)
     dc.backward(loss)
-    return float(loss.data), [row for mat in mats for row in mat.grad]
+    return float(loss.data), [row for mat in mats for row in mat.grad[0]]
 
 
 def rows(*vectors):
-    return dc.param(np.array(vectors, dtype=float))
+    """One subject's projections, one vector per window, as a B = 1 batch."""
+    return dc.param(np.array([vectors], dtype=float))
 
 
 class TestContrastiveLoss:
     def test_hand_case_ln3(self):
         e1 = unit([1.0, 0.0, 0.0])
-        loss = cdgin.contrastive_loss(rows(e1, e1), rows(e1, e1),
-                                      cdgin.ContrastiveConfig(delta=1))
+        loss = loss_of_one(rows(e1, e1), rows(e1, e1), cdgin.ContrastiveConfig(delta=1))
         assert float(loss.data) == pytest.approx(np.log(3.0), abs=1e-12)
 
     def test_one_stream_hand_case(self):
         cfg = cdgin.ContrastiveConfig(delta=1)
         e1 = np.array([1.0, 0.0])
         # N=2: no same-stream negatives remain, so every anchor is exactly zero
-        loss = cdgin.contrastive_loss(rows(e1, e1), None, cfg)
+        loss = loss_of_one(rows(e1, e1), None, cfg)
         assert float(loss.data) == pytest.approx(0.0, abs=1e-12)
         # N=3: anchors 0 and 2 see one negative: denom = 2e -> ln 2; anchor 1
         # has two positives and no negatives -> 0; mean = (2 ln 2) / 3
-        loss3 = cdgin.contrastive_loss(rows(e1, e1, e1), None, cfg)
+        loss3 = loss_of_one(rows(e1, e1, e1), None, cfg)
         assert float(loss3.data) == pytest.approx(2.0 * np.log(2.0) / 3.0, abs=1e-12)
 
     def test_orthogonal_negatives_lower_loss(self):
         # anchor stream r window 0: keep its positive aligned, rotate the
         # cross-stream vectors to be orthogonal to everything in stream r
         e1, e2 = unit([1.0, 0.0]), unit([0.0, 1.0])
-        aligned = cdgin.contrastive_loss(rows(e1, e1), rows(e1, e1),
-                                         cdgin.ContrastiveConfig(delta=1))
-        separated = cdgin.contrastive_loss(rows(e1, e1), rows(e2, e2),
-                                           cdgin.ContrastiveConfig(delta=1))
+        aligned = loss_of_one(rows(e1, e1), rows(e1, e1), cdgin.ContrastiveConfig(delta=1))
+        separated = loss_of_one(rows(e1, e1), rows(e2, e2), cdgin.ContrastiveConfig(delta=1))
         assert float(separated.data) < float(aligned.data)
 
     def test_positivity(self):
         rng = np.random.default_rng(6)
         for n in (2, 3, 5):
-            z_r = dc.param(rng.standard_normal((n, 4)))
-            z_d = dc.param(rng.standard_normal((n, 4)))
-            loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
+            z_r = dc.param(rng.standard_normal((1, n, 4)))
+            z_d = dc.param(rng.standard_normal((1, n, 4)))
+            loss = loss_of_one(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
             assert float(loss.data) > 0.0
 
     def test_stream_symmetry(self):
         rng = np.random.default_rng(7)
         n = 4
-        z_r = dc.param(rng.standard_normal((n, 3)))
-        z_d = dc.param(rng.standard_normal((n, 3)))
+        z_r = dc.param(rng.standard_normal((1, n, 3)))
+        z_d = dc.param(rng.standard_normal((1, n, 3)))
         cfg = cdgin.ContrastiveConfig(delta=2)
-        a = cdgin.contrastive_loss(z_r, z_d, cfg)
-        b = cdgin.contrastive_loss(z_d, z_r, cfg)
+        a = loss_of_one(z_r, z_d, cfg)
+        b = loss_of_one(z_d, z_r, cfg)
         assert float(a.data) == pytest.approx(float(b.data), abs=1e-12)
 
     def test_too_few_windows(self):
-        z = dc.param(np.ones((1, 3)))
+        z = dc.param(np.ones((1, 1, 3)))
         with pytest.raises(ContrastiveConfigError):
             cdgin.contrastive_loss(z, z, cdgin.ContrastiveConfig(delta=1))
-        z2 = dc.param(np.ones((2, 3)))
+        z2 = dc.param(np.ones((1, 2, 3)))
         with pytest.raises(ContrastiveConfigError):
             cdgin.contrastive_loss(z2, z2, cdgin.ContrastiveConfig(delta=2))
 
     def test_zero_vectors_no_blowup(self):
-        z_r = dc.param(np.zeros((2, 3)))
-        z_d = dc.param(np.zeros((2, 3)))
-        loss = cdgin.contrastive_loss(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
+        z_r = dc.param(np.zeros((1, 2, 3)))
+        z_d = dc.param(np.zeros((1, 2, 3)))
+        loss = loss_of_one(z_r, z_d, cdgin.ContrastiveConfig(delta=1))
         dc.backward(loss)
         assert np.isfinite(float(loss.data))
         for z in (z_r, z_d):
@@ -281,12 +284,12 @@ class TestContrastiveLoss:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(8)
         n = 3
-        z_r = dc.param(rng.standard_normal((n, 4)))
-        z_d = dc.param(rng.standard_normal((n, 4)))
+        z_r = dc.param(rng.standard_normal((1, n, 4)))
+        z_d = dc.param(rng.standard_normal((1, n, 4)))
         cfg = cdgin.ContrastiveConfig(delta=1)
 
         def build():
-            return cdgin.contrastive_loss(z_r, z_d, cfg)
+            return loss_of_one(z_r, z_d, cfg)
 
         loss = build()
         for z in (z_r, z_d):
@@ -313,11 +316,11 @@ class TestContrastiveLoss:
         if n < delta + 1:
             return
         rng = np.random.default_rng(seed)
-        z_r = dc.param(rng.standard_normal((n, 3)))
-        z_d = dc.param(rng.standard_normal((n, 3)))
+        z_r = dc.param(rng.standard_normal((1, n, 3)))
+        z_d = dc.param(rng.standard_normal((1, n, 3)))
         cfg = cdgin.ContrastiveConfig(delta=delta)
-        loss = cdgin.contrastive_loss(z_r, z_d, cfg)
-        swapped = cdgin.contrastive_loss(z_d, z_r, cfg)
+        loss = loss_of_one(z_r, z_d, cfg)
+        swapped = loss_of_one(z_d, z_r, cfg)
         assert float(loss.data) > 0.0
         assert float(loss.data) == pytest.approx(float(swapped.data), abs=1e-12)
 
@@ -355,40 +358,43 @@ class TestContrastiveLoss:
             dc.backward(dc.sum_all(batch))
             grads = [z.grad.copy() for z in (z_r, z_d) if z is not None]
             for i in range(b):
-                rows = [dc.param(z.data[i]) for z in (z_r, z_d) if z is not None]
-                single = cdgin.contrastive_loss(rows[0], rows[1] if len(rows) == 2 else None,
-                                                cfg)
+                rows = [dc.param(z.data[i:i + 1]) for z in (z_r, z_d) if z is not None]
+                single = loss_of_one(rows[0], rows[1] if len(rows) == 2 else None, cfg)
                 assert abs(float(single.data) - batch.data[i]) <= 1e-12, case
                 dc.backward(single)
                 for row, g in zip(rows, grads):
-                    assert np.all(np.abs(g[i] - row.grad)
-                                  <= 1e-9 * np.maximum(np.abs(row.grad), 1.0)), case
+                    assert np.all(np.abs(g[i] - row.grad[0])
+                                  <= 1e-9 * np.maximum(np.abs(row.grad[0]), 1.0)), case
 
     def test_op_count_independent_of_window_count(self, op_names):
-        # a (B, N_w, P) stack takes 19 ops (18 for one stream) at any N_w and
-        # B; one subject's (N_w, P) rows add one reshape
+        # a (B, N_w, P) stack takes 19 ops (18 for one stream) at any N_w and B
         rng = np.random.default_rng(10)
         cfg = cdgin.ContrastiveConfig(delta=1)
         counts = []
         for n in (4, 58):
-            for lead in ((), (1,), (5,)):
-                z_r = dc.param(rng.standard_normal(lead + (n, 8)))
-                for z_d in (dc.param(rng.standard_normal(lead + (n, 8))), None):
+            for b in (1, 5):
+                z_r = dc.param(rng.standard_normal((b, n, 8)))
+                for z_d in (dc.param(rng.standard_normal((b, n, 8))), None):
                     op_names.clear()
                     cdgin.contrastive_loss(z_r, z_d, cfg)
                     counts.append(len(op_names))
-        assert counts == [20, 19, 19, 18, 19, 18] * 2
+        assert counts == [19, 18, 19, 18] * 2
 
     def test_ragged_projection_width(self):
         cfg = cdgin.ContrastiveConfig(delta=1)
-        with pytest.raises(ShapeError):  # projections come as a matrix or a stack
+        with pytest.raises(ShapeError):  # projections come as a (B, N_w, P) stack
             cdgin.contrastive_loss(dc.param(np.ones(3)), None, cfg)
+        for z_d in (dc.param(np.ones((2, 3))), None):  # one subject's rows; B = 1 is a stack
+            with pytest.raises(ShapeError):
+                cdgin.contrastive_loss(dc.param(np.ones((2, 3))), z_d, cfg)
         with pytest.raises(ShapeError):
             cdgin.contrastive_loss(dc.param(np.ones((1, 1, 2, 3))), None, cfg)
         with pytest.raises(ShapeError):
-            cdgin.contrastive_loss(dc.param(np.ones((2, 3))), dc.param(np.ones((2, 4))), cfg)
+            cdgin.contrastive_loss(dc.param(np.ones((1, 2, 3))), dc.param(np.ones((1, 2, 4))),
+                                   cfg)
         with pytest.raises(ShapeError):
-            cdgin.contrastive_loss(dc.param(np.ones((2, 3))), dc.param(np.ones((3, 3))), cfg)
+            cdgin.contrastive_loss(dc.param(np.ones((1, 2, 3))), dc.param(np.ones((1, 3, 3))),
+                                   cfg)
 
     def test_config_validation(self):
         with pytest.raises(ContrastiveConfigError):

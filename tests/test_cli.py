@@ -339,6 +339,11 @@ class TestCvCommand:
             b2 = open(os.path.join(par, name), "rb").read()
             assert b1 == b2, name
 
+    def test_jobs_below_one_exit_2(self, dataset, tmp_path, capsys):
+        assert run(["cv", "--data", dataset, "--folds", "2", "--jobs", "0",
+                    "--out", str(tmp_path / "j")] + TINY) == 2
+        assert "error: jobs must be >= 1, got 0" in capsys.readouterr().err
+
     def test_holdout_section(self, dataset, tmp_path):
         out = str(tmp_path / "h")
         assert run(["cv", "--data", dataset, "--folds", "2", "--holdout",
@@ -398,6 +403,26 @@ class TestFcDump:
                 a = np.array(rows, dtype=float)
                 assert a[0, 1] == 1.0 and a[1, 0] == 1.0
                 assert a[0, 0] == 0.0 and a[1, 1] == 0.0
+
+    def test_dumped_text_is_pinned(self, tmp_path):
+        # two ROIs, one window: full-precision repr cells, no header, "\n" rows
+        data_dir = str(tmp_path / "two")
+        os.makedirs(data_dir)
+        t = np.arange(10.0)
+        write_roi_csv(os.path.join(data_dir, "s0.csv"), np.stack([t, t * t], axis=1))
+        save_manifest(os.path.join(data_dir, "manifest.json"),
+                      DatasetManifest(entries=[ManifestEntry("s0", "s0.csv", 0)], roi_count=2))
+        out = str(tmp_path / "fc")
+        assert run(["fc-dump", "--data", data_dir, "--window-size", "10", "--stride", "10",
+                    "--raw", "--out", out]) == 0
+        assert sorted(os.listdir(out)) == [f"s0_w000_{tag}.csv" for tag in ("a_d", "a_r", "d", "r")]
+
+        def text(tag):
+            return open(os.path.join(out, f"s0_w000_{tag}.csv"), newline="").read()
+
+        assert text("a_r") == text("a_d") == "0.0,1.0\n1.0,0.0\n"
+        assert text("r") == "1.0,0.9626907371412559\n0.9626907371412559,1.0\n"
+        assert text("d") == "0.0,-107.55463727799001\n-107.55463727799001,0.0\n"
 
     def test_matrix_round_trip(self, dataset, tmp_path):
         out = str(tmp_path / "fc")

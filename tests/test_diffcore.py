@@ -82,13 +82,13 @@ def test_sigmoid_sum_grad_at_zero_is_quarter():
 
 
 def test_backward_twice_doubles_leaf_grads():
+    # a graph is walked once; a rebuilt one accumulates into the same leaves
     rng = np.random.default_rng(0)
     a = rmat(rng, 3, 4)
     b = rmat(rng, 4, 2)
-    loss = dc.sum_all(dc.tanh(dc.matmul(a, b)))
-    dc.backward(loss)
+    dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
     first = a.grad.copy(), b.grad.copy()
-    dc.backward(loss)
+    dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
     np.testing.assert_array_equal(a.grad, 2.0 * first[0])
     np.testing.assert_array_equal(b.grad, 2.0 * first[1])
 
@@ -110,16 +110,21 @@ def test_scalar_node_with_many_consumers():
 def test_grad_accumulation_is_linear():
     rng = np.random.default_rng(1)
     x = rmat(rng, 5)
-    l1 = dc.sum_all(dc.mul(x, x))
-    l2 = dc.sum_all(dc.sigmoid(x))
+
+    def l1():
+        return dc.sum_all(dc.mul(x, x))
+
+    def l2():
+        return dc.sum_all(dc.sigmoid(x))
+
     x.grad = None
-    dc.backward(l1)
+    dc.backward(l1())
     g1 = x.grad.copy()
     x.grad = None
-    dc.backward(l2)
+    dc.backward(l2())
     g2 = x.grad.copy()
     x.grad = None
-    dc.backward(dc.add(l1, l2))
+    dc.backward(dc.add(l1(), l2()))
     np.testing.assert_allclose(x.grad, g1 + g2, rtol=0, atol=1e-12)
 
 
@@ -249,7 +254,7 @@ class TestPrimitiveGradients:
     def test_lstm_matches_finite_differences(self):
         rng = np.random.default_rng(7)
         T, M, D = 6, 3, 4
-        x = rng.standard_normal((T, M))
+        x = rng.standard_normal((1, T, M))
         w_x = rmat(rng, M, 4 * D)
         w_h = rmat(rng, D, 4 * D)
         b = rmat(rng, 4 * D)
@@ -278,8 +283,8 @@ def test_lstm_matches_stepwise_oracle():
         c = f * c + i * g
         h = o * np.tanh(c)
         expect.append(h.copy())
-    out = dc.lstm(x, dc.param(w_x), dc.param(w_h), dc.param(b))
-    np.testing.assert_allclose(out.data, np.array(expect), rtol=0, atol=1e-10)
+    out = dc.lstm(x[None], dc.param(w_x), dc.param(w_h), dc.param(b))
+    np.testing.assert_allclose(out.data[0], np.array(expect), rtol=0, atol=1e-10)
 
 
 def oracle_lstm(x, w_x, w_h, b):
@@ -350,9 +355,9 @@ def test_lstm_matches_per_step_oracle(pattern):
         params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
         with np.errstate(over="ignore"):  # saturated gates at the largest scales
             expect_h, expect_bk = oracle_lstm(x, w_x, w_h, b)
-            out = dc.lstm(x, *params)
-        assert np.array_equal(out.data, expect_h), (T, M, D, scale)
-        dc.backward(dc.sum_all(dc.mul(out, dc.const(g))))
+            out = dc.lstm(x[None], *params)
+        assert np.array_equal(out.data[0], expect_h), (T, M, D, scale)
+        dc.backward(dc.sum_all(dc.mul(out, dc.const(g[None]))))
         for p, want in zip(params, expect_bk(g)):
             if pattern == "zero":
                 assert not p.grad.any()
@@ -399,20 +404,21 @@ def test_lstm_saturated_gate_raises_no_overflow_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
-        out = dc.lstm(x, *params)
+        out = dc.lstm(x[None], *params)
         batch = dc.lstm(np.stack([x, x]), *params)
         dc.backward(dc.sum_all(out))
-    assert np.array_equal(out.data, expect_h)
+    assert np.array_equal(out.data[0], expect_h)
     assert np.array_equal(batch.data, np.stack([expect_h, expect_h]))
 
 
 @pytest.mark.parametrize("w_x, w_h, b, x", [
-    ((3, 6), (1, 6), (6,), (5, 3)),  # 4D not divisible by 4
-    ((3, 8), (3, 8), (8,), (5, 3)),  # w_h must be (D, 4D)
-    ((3, 8), (2, 4), (8,), (5, 3)),
-    ((3, 8), (2, 8), (4,), (5, 3)),  # b must be (4D,)
-    ((3, 8), (2, 8), (8,), (5, 4)),  # input width differs from w_x's rows
-    ((3, 8), (2, 8), (8,), (5,)),  # neither (T, M) nor (B, T, M)
+    ((3, 6), (1, 6), (6,), (1, 5, 3)),  # 4D not divisible by 4
+    ((3, 8), (3, 8), (8,), (1, 5, 3)),  # w_h must be (D, 4D)
+    ((3, 8), (2, 4), (8,), (1, 5, 3)),
+    ((3, 8), (2, 8), (4,), (1, 5, 3)),  # b must be (4D,)
+    ((3, 8), (2, 8), (8,), (1, 5, 4)),  # input width differs from w_x's rows
+    ((3, 8), (2, 8), (8,), (5,)),  # not a (B, T, M) batch
+    ((3, 8), (2, 8), (8,), (5, 3)),  # one sequence's (T, M) rows; the B = 1 batch is
     ((3, 8), (2, 8), (8,), (2, 2, 5, 3)),
 ])
 def test_lstm_shape_errors(w_x, w_h, b, x):
@@ -678,15 +684,16 @@ def readme_shape_loss(batch):
 
 @pytest.mark.parametrize("batch", [1, 4])
 def test_backward_matches_dict_walk_on_full_model(batch):
+    # the oracle walks first: backward releases the graph it walks
     store, loss = readme_shape_loss(batch)
     store.zero_grad()
-    dc.backward(loss)
-    got = {name: t.grad.copy() for name, t in store.items()}
-    store.zero_grad()
     oracle_backward(loss)
+    want = {name: t.grad.copy() for name, t in store.items()}
+    store.zero_grad()
+    dc.backward(loss)
     for name, t in store.items():
-        assert np.array_equal(got[name], t.grad), name
-    assert any(g.any() for g in got.values())
+        assert np.array_equal(t.grad, want[name]), name
+    assert any(g.any() for g in want.values())
 
 
 def diamond():
@@ -712,13 +719,13 @@ def multi_consumer():
 @pytest.mark.parametrize("build", [diamond, multi_consumer])
 def test_backward_matches_dict_walk_on_shared_nodes(build):
     leaves, loss = build()
-    dc.backward(loss)
-    got = [t.grad.copy() for t in leaves]
+    oracle_backward(loss)  # first: backward releases the graph it walks
+    want = [t.grad.copy() for t in leaves]
     for t in leaves:
         t.grad = None
-    oracle_backward(loss)
-    for t, g in zip(leaves, got):
-        assert np.array_equal(g, t.grad)
+    dc.backward(loss)
+    for t, g in zip(leaves, want):
+        assert np.array_equal(t.grad, g)
 
 
 def test_backward_interrupted_by_an_adjoint_leaves_no_walk_state():
@@ -1102,14 +1109,19 @@ def test_masked_adam_steps_only_the_active_folds(weight_decay):
         dc.adam_step(stacked, state, [True, False])
 
 
-def test_backward_without_retained_graph_frees_adjoints():
+def test_backward_releases_adjoints():
+    """A walked graph's nodes drop their adjoints: a second walk through any
+    of them raises, while a rebuilt graph gives the same gradients."""
     rng = np.random.default_rng(2)
     a, b = rmat(rng, 3, 4), rmat(rng, 4, 2)
-    loss = dc.sum_all(dc.tanh(dc.matmul(a, b)))
-    dc.backward(loss, retain_graph=False)
+    h = dc.tanh(dc.matmul(a, b))
+    loss = dc.sum_all(h)
+    dc.backward(loss)
     expect = a.grad.copy()
     a.grad = None
     dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
     np.testing.assert_array_equal(a.grad, expect)
     with pytest.raises(StateError, match="released"):
         dc.backward(loss)
+    with pytest.raises(StateError, match="released"):
+        dc.backward(dc.sum_all(dc.mul(h, h)))  # a new graph over a walked node

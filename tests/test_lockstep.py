@@ -134,7 +134,7 @@ def test_cross_validate_groups_match_one_group():
     subjects = cohort(rng, [30] * 20)
     cfg = cfg_of(epochs=2)
     one = tv.cross_validate(subjects, cfg, k=4, test_fraction=0.2)
-    split = tv.cross_validate(subjects, cfg, k=4, test_fraction=0.2, lockstep_groups=3)
+    split = tv.cross_validate(subjects, cfg, k=4, test_fraction=0.2, jobs=3)
     assert tv.cv_report_dict(one) == tv.cv_report_dict(split)
     assert [f.epoch_log for f in one.folds] == [f.epoch_log for f in split.folds]
 

@@ -302,8 +302,9 @@ def per_window_forward(store, dims, prep):
     with the shapes of :class:`model.SubjectForward`.
     """
     m, d = dims.m, dims.d
-    hidden = te.lstm_forward(prep.encoder_input, store["encoder.lstm.w_x"],
+    hidden = te.lstm_forward(prep.encoder_input[None], store["encoder.lstm.w_x"],
                              store["encoder.lstm.w_h"], store["encoder.lstm.b"])
+    hidden = dc.reshape(hidden, hidden.data.shape[1:])  # the B = 1 batch's (T, D)
     eye = dc.const(np.eye(m))
     ones = dc.const(np.ones((m, 1)))
     w_m_t = dc.transpose(store["encoder.w_m"])
@@ -511,7 +512,7 @@ def per_subject_forward(store, dims, prep):
     (y_hat, projections, channel factors, temporal factors, readout weights)
     with the shapes of :class:`model.SubjectForward`.
     """
-    hidden = te.lstm_forward(prep.encoder_input, store["encoder.lstm.w_x"],
+    hidden = te.lstm_forward(prep.encoder_input[None], store["encoder.lstm.w_x"],
                              store["encoder.lstm.w_h"], store["encoder.lstm.b"])
     feats = te.assemble_node_features(hidden, prep.starts, prep.window_size,
                                       store["encoder.w_m"], dims.m)

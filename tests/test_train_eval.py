@@ -326,13 +326,18 @@ class TestCrossValidate:
         d2 = tv.cv_report_dict(tv.cross_validate(subs, cfg, k=2, test_fraction=0.25))
         assert d1 == d2
 
-    def test_mapper_matches_sequential(self):
+    def test_jobs_match_sequential(self):
         rng = np.random.default_rng(13)
         subs = toy_cohort(rng)
         cfg = tiny_cfg(epochs=2)
         seq = tv.cross_validate(subs, cfg, k=2, test_fraction=0.25)
-        par = tv.cross_validate(subs, cfg, k=2, test_fraction=0.25, mapper=map)
+        par = tv.cross_validate(subs, cfg, k=2, test_fraction=0.25, jobs=2)
         assert tv.cv_report_dict(seq) == tv.cv_report_dict(par)
+
+    def test_jobs_below_one_rejected(self):
+        subs = toy_cohort(np.random.default_rng(13))
+        with pytest.raises(ConfigError, match="jobs must be >= 1"):
+            tv.cross_validate(subs, tiny_cfg(epochs=1), k=2, test_fraction=0.25, jobs=0)
 
     def test_validation_disjoint_from_training(self):
         rng = np.random.default_rng(14)
