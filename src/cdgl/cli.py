@@ -197,14 +197,6 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _resolved_payload(cfg: tv.TrainConfig, dims: model.ModelDims) -> dict:
-    return {
-        "train_config": dataclasses.asdict(cfg),
-        "dims": {"m": dims.m, "d": dims.d, "d_p": dims.d_p, "layers": dims.layers,
-                 "n_windows_ref": dims.n_windows_ref, "streams": list(dims.streams)},
-    }
-
-
 def cmd_train(args) -> int:
     cfg, paths = resolve_config(args.config, args.set)
     data = _require(args.data, paths, "data")
@@ -215,7 +207,7 @@ def cmd_train(args) -> int:
                       checkpoint_path=os.path.join(out, "checkpoint.ckpt"))
     _write_jsonl(os.path.join(out, "epochs.jsonl"), result.epoch_log)
     _write_json(os.path.join(out, "config.resolved.json"),
-                _resolved_payload(cfg, result.dims))
+                tv.resolved_config(cfg, result.dims))
     final = result.epoch_log[-1]["mean_loss"]
     print(f"trained on {len(subjects)} subjects for {cfg.epochs} epochs; "
           f"final mean loss {final:.6f}")
@@ -238,7 +230,7 @@ def cmd_cv(args) -> int:
     # Fold 0's dims. Folds differ only in n_windows_ref, when subjects differ in
     # length; folds of equal dims train in lockstep, the others in their own groups.
     _write_json(os.path.join(out, "config.resolved.json"),
-                _resolved_payload(cfg, cv.folds[0].dims))
+                tv.resolved_config(cfg, cv.folds[0].dims))
     report = tv.cv_report_dict(cv)
     if args.holdout:
         by_id = {ts.subject_id: ts for ts in subjects}
@@ -319,17 +311,17 @@ def _stream_block_means(channel: np.ndarray, streams: tuple[str, ...],
 def cmd_attn_export(args) -> int:
     if not os.path.isfile(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
-    cfg, _ = resolve_config(args.config, args.set)
+    store, dims, cfg = tv.load_model(args.checkpoint)
     subjects = _load_subjects(args.data)
-    preps = tv.prepare_dataset(subjects, cfg)
-    dims = tv.make_dims(preps, cfg)
-    store = model.init_params(dims, cfg.seed)
-    dc.load_into(store, args.checkpoint)
     if args.subject is not None:
-        keep = [p for p in preps if p.subject_id == args.subject]
-        if not keep:
+        subjects = [ts for ts in subjects if ts.subject_id == args.subject]
+        if not subjects:
             raise ConfigError(f"subject {args.subject!r} not in dataset")
-        preps = keep
+    m = subjects[0].signals.shape[1]
+    if m != dims.m:
+        raise ShapeError(f"{args.checkpoint}: the model was trained on {dims.m} ROIs, "
+                         f"the data have {m}")
+    preps = tv.prepare_dataset(subjects, cfg)
     os.makedirs(args.out, exist_ok=True)
     written = 0
     for prep in preps:
@@ -434,8 +426,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("attn-export",
                        help="export fusion attention factors for plotting",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    add_config_flags(p)
-    p.add_argument("--checkpoint", required=True, help="trained checkpoint path")
+    p.add_argument("--checkpoint", required=True,
+                   help="trained checkpoint path; its header gives the config and model dims")
     p.add_argument("--data", required=True, help="dataset dir (or manifest.json path)")
     p.add_argument("--subject", default=None, help="restrict to one subject id")
     p.add_argument("--out", required=True, help="output directory")

@@ -38,6 +38,7 @@ reliable below that precision.
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import struct
@@ -958,20 +959,25 @@ def sample_coords(store_items: list[tuple[str, Tensor]], target: int,
 # ---------------------------------------------------------------------------
 
 CHECKPOINT_MAGIC = b"CDGIN1"
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
-def save_params(path: str, store: ParamStore) -> None:
-    """Write a versioned binary checkpoint: magic, schema, sorted (name, shape, float64 LE).
+def save_params(path: str, store: ParamStore, header: dict | None = None) -> None:
+    """Write a versioned binary checkpoint: magic, schema, a length-prefixed
+    sort_keys JSON header (``header``, ``{}`` by default), then sorted
+    (name, shape, float64 LE) tensors.
 
     A checkpoint holds one model: save one fold of a stacked store (``store.fold(f)``).
     """
     if store.n_folds != 1:
         raise StateError(f"a checkpoint holds one model, the store {store.n_folds} folds")
+    meta = json.dumps({} if header is None else header, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as f:
         f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<II", CHECKPOINT_SCHEMA_VERSION, len(store)))
+        f.write(struct.pack("<II", CHECKPOINT_SCHEMA_VERSION, len(meta)))
+        f.write(meta)
+        f.write(struct.pack("<I", len(store)))
         for name, p in store.items():
             raw = name.encode("utf-8")
             f.write(struct.pack("<H", len(raw)))
@@ -983,19 +989,38 @@ def save_params(path: str, store: ParamStore) -> None:
     os.replace(tmp, path)
 
 
-def load_params(path: str) -> dict[str, np.ndarray]:
+def load_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header and the tensors of the checkpoint at ``path``.
+
+    Anything malformed, from the magic to a non-finite value, is a
+    ParseError naming the file.
+    """
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
         if magic != CHECKPOINT_MAGIC:
             raise ParseError(f"{path}: not a checkpoint (bad magic)")
-        # a file cut inside a header field gives short reads, which struct
-        # and utf-8 decoding report with their own exception types
+        size = os.fstat(f.fileno()).st_size
+        # a file cut inside a field gives short reads, which struct and
+        # utf-8 decoding report with their own exception types
         try:
-            version, count = struct.unpack("<II", f.read(8))
+            version, meta_len = struct.unpack("<II", f.read(8))
+            if version == 1:
+                raise ParseError(f"{path}: checkpoint schema 1 holds no training config; "
+                                 f"retrain the model to write schema {CHECKPOINT_SCHEMA_VERSION}")
             if version != CHECKPOINT_SCHEMA_VERSION:
                 raise ParseError(f"{path}: unsupported checkpoint schema_version {version}")
+            left = size - f.tell()
+            if meta_len > left:
+                raise ParseError(f"{path}: truncated checkpoint (header needs {meta_len} "
+                                 f"bytes, {left} left)")
+            try:
+                header = json.loads(f.read(meta_len))
+            except (ValueError, RecursionError) as err:
+                raise ParseError(f"{path}: checkpoint header is not JSON ({err})") from None
+            if not isinstance(header, dict):
+                raise ParseError(f"{path}: checkpoint header is not a JSON object")
+            (count,) = struct.unpack("<I", f.read(4))
             out: dict[str, np.ndarray] = {}
-            size = os.fstat(f.fileno()).st_size
             for _ in range(count):
                 (nlen,) = struct.unpack("<H", f.read(2))
                 name = f.read(nlen).decode("utf-8")
@@ -1010,8 +1035,7 @@ def load_params(path: str) -> dict[str, np.ndarray]:
                 buf = f.read(nbytes)
                 out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
         except (struct.error, UnicodeDecodeError) as err:
-            raise ParseError(
-                f"{path}: truncated or corrupt checkpoint header ({err})") from None
+            raise ParseError(f"{path}: truncated or corrupt checkpoint ({err})") from None
     # one check over all values; the per-tensor search runs only on a failure
     flat = np.concatenate([v.reshape(-1) for v in out.values()]) if out else np.zeros(0)
     if np.count_nonzero(np.isfinite(flat)) != flat.size:
@@ -1020,18 +1044,19 @@ def load_params(path: str) -> dict[str, np.ndarray]:
             if bad.any():
                 first = tuple(int(i) for i in np.argwhere(bad)[0])
                 raise ParseError(f"{path}: non-finite value in {name!r} at index {first}")
-    return out
+    return header, out
 
 
 def load_into(store: ParamStore, path: str) -> None:
     """Give every parameter of ``store`` its value from the checkpoint at ``path``.
 
-    Names and shapes are checked before anything is written, so on an
+    The header is not read: ``train_eval.load_model`` builds a model from
+    it. Names and shapes are checked before anything is written, so on an
     error the store keeps its values.
     """
     if store.n_folds != 1 or store._shared:
         raise StateError("a checkpoint loads into a one-model store that owns its buffers")
-    values = load_params(path)
+    _, values = load_params(path)
     names = sorted(store._params)
     missing = set(names) - set(values)
     extra = set(values) - set(names)

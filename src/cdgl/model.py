@@ -43,7 +43,10 @@ class ModelDims:
     streams: tuple[str, ...] = STREAMS
 
     def __post_init__(self):
-        if self.m < 2 or self.d < 1 or self.d_p < 1 or self.layers < 1:
+        sizes = (self.m, self.d, self.d_p, self.layers, self.n_windows_ref)
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in sizes) \
+                or self.m < 2 or self.d < 1 or self.d_p < 1 or self.layers < 1 \
+                or self.n_windows_ref < 1:
             raise ShapeError(f"invalid model dims {self}")
         if not self.streams or any(s not in STREAMS for s in self.streams):
             raise ShapeError(f"streams must be drawn from {STREAMS}, got {self.streams}")
@@ -57,56 +60,54 @@ class ModelDims:
         return fh.temporal_kernel_width(self.n_windows_ref)
 
 
-def init_params(dims: ModelDims, seed: int) -> dc.ParamStore:
-    """Glorot-initialized store; epsilons exactly zero, biases zero."""
-    rng = np.random.default_rng(seed)
-    store = dc.ParamStore()
+def param_specs(dims: ModelDims) -> list[tuple[str, tuple[int, ...], tuple[int, int] | None]]:
+    """(name, shape, Glorot (fan_in, fan_out) or None for zeros) of every
+    parameter, in the order :func:`init_params` draws them."""
     m, d, d_p = dims.m, dims.d, dims.d_p
-
-    def glorot(name, shape, fan_in, fan_out):
-        store.add(name, dc.glorot_uniform(rng, shape, fan_in, fan_out))
-
-    def zeros(name, shape):
-        store.add(name, np.zeros(shape))
-
-    glorot("encoder.lstm.w_x", (m, 4 * d), m, 4 * d)
-    glorot("encoder.lstm.w_h", (d, 4 * d), d, 4 * d)
-    zeros("encoder.lstm.b", 4 * d)
-    glorot("encoder.w_m", (d, m + d), m + d, d)
-
+    specs = [("encoder.lstm.w_x", (m, 4 * d), (m, 4 * d)),
+             ("encoder.lstm.w_h", (d, 4 * d), (d, 4 * d)),
+             ("encoder.lstm.b", (4 * d,), None),
+             ("encoder.w_m", (d, m + d), (m + d, d))]
     for layer in range(dims.layers):
         for s in dims.streams:
             base = f"cdgin.layer{layer}.{s}"
-            store.add(f"{base}.eps", 0.0)
-            glorot(f"{base}.w", (d, d), d, d)
-            glorot(f"{base}.mlp.w1", (d, d), d, d)
-            zeros(f"{base}.mlp.b1", d)
-            glorot(f"{base}.mlp.w2", (d, d), d, d)
-            zeros(f"{base}.mlp.b2", d)
-            glorot(f"{base}.readout.w_q", (d, d), d, d)
-            glorot(f"{base}.readout.w_k", (d, d), d, d)
-
-    glorot("project.w1", (d_p, d), d, d_p)
-    zeros("project.b1", d_p)
-    glorot("project.w2", (d_p, d_p), d_p, d_p)
-    zeros("project.b2", d_p)
-
+            specs += [(f"{base}.eps", (), None),
+                      (f"{base}.w", (d, d), (d, d)),
+                      (f"{base}.mlp.w1", (d, d), (d, d)),
+                      (f"{base}.mlp.b1", (d,), None),
+                      (f"{base}.mlp.w2", (d, d), (d, d)),
+                      (f"{base}.mlp.b2", (d,), None),
+                      (f"{base}.readout.w_q", (d, d), (d, d)),
+                      (f"{base}.readout.w_k", (d, d), (d, d))]
+    specs += [("project.w1", (d_p, d), (d, d_p)),
+              ("project.b1", (d_p,), None),
+              ("project.w2", (d_p, d_p), (d_p, d_p)),
+              ("project.b2", (d_p,), None)]
     c = dims.fused_channels
     reduced = max(1, c // fh.CHANNEL_REDUCTION)
     for layer in range(dims.layers):
         base = f"fusion.layer{layer}"
-        glorot(f"{base}.chan.w1", (reduced, c), c, reduced)
-        zeros(f"{base}.chan.b1", reduced)
-        glorot(f"{base}.chan.w2", (c, reduced), reduced, c)
-        zeros(f"{base}.chan.b2", c)
-        glorot(f"{base}.temporal.kernel", (2, dims.kernel_width),
-               2 * dims.kernel_width, 1)
-
+        specs += [(f"{base}.chan.w1", (reduced, c), (c, reduced)),
+                  (f"{base}.chan.b1", (reduced,), None),
+                  (f"{base}.chan.w2", (c, reduced), (reduced, c)),
+                  (f"{base}.chan.b2", (c,), None),
+                  (f"{base}.temporal.kernel", (2, dims.kernel_width),
+                   (2 * dims.kernel_width, 1))]
     hidden = 2 * d
-    glorot("classifier.w1", (hidden, dims.layers * c), dims.layers * c, hidden)
-    zeros("classifier.b1", hidden)
-    glorot("classifier.w2", (1, hidden), hidden, 1)
-    zeros("classifier.b2", 1)
+    specs += [("classifier.w1", (hidden, dims.layers * c), (dims.layers * c, hidden)),
+              ("classifier.b1", (hidden,), None),
+              ("classifier.w2", (1, hidden), (hidden, 1)),
+              ("classifier.b2", (1,), None)]
+    return specs
+
+
+def init_params(dims: ModelDims, seed: int) -> dc.ParamStore:
+    """Glorot-initialized store; epsilons exactly zero, biases zero."""
+    rng = np.random.default_rng(seed)
+    store = dc.ParamStore()
+    for name, shape, fans in param_specs(dims):
+        store.add(name, np.zeros(shape) if fans is None
+                  else dc.glorot_uniform(rng, shape, *fans))
     return store
 
 

@@ -22,6 +22,8 @@ case.
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -33,7 +35,7 @@ from . import dynamic_fc as dfc
 from . import model
 from .cdgin import ContrastiveConfig
 from .data_io import DatasetManifest, ManifestEntry, RoiTimeSeries, SplitPlan, stratified_split
-from .errors import ConfigError, ShapeError, WindowBudgetError
+from .errors import ConfigError, ParseError, ShapeError, WindowBudgetError
 
 STREAM_CHOICES = ("rd", "r", "d")
 # Adjacency entries per stream that one scoring forward may stack. A
@@ -88,7 +90,7 @@ class TrainConfig:
             "delta": self.delta, "epochs": self.epochs,
         }
         for name, value in positive_ints.items():
-            if not isinstance(value, int) or value < 1:
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
         floats = {"lr": self.lr, "weight_decay": self.weight_decay, "alpha": self.alpha,
                   "ridge_scale": self.ridge_scale}
@@ -108,8 +110,10 @@ class TrainConfig:
                 f"distance_kind must be one of {dfc.DISTANCE_KINDS}, got {self.distance_kind!r}")
         if self.streams not in STREAM_CHOICES:
             raise ConfigError(f"streams must be one of {STREAM_CHOICES}, got {self.streams!r}")
-        if not isinstance(self.seed, int):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.normalize_fc, bool):
+            raise ConfigError(f"normalize_fc must be true or false, got {self.normalize_fc!r}")
 
     def window_spec(self) -> dfc.WindowSpec:
         return dfc.WindowSpec(self.window_size, self.stride)
@@ -209,11 +213,19 @@ def _check_window_budget(preps: list[model.PreparedSubject], cfg: TrainConfig) -
 
 
 def make_dims(preps: list[model.PreparedSubject], cfg: TrainConfig) -> model.ModelDims:
-    m = preps[0].encoder_input.shape[1]
-    n_ref = min(len(p.starts) for p in preps)
+    return _dims(cfg, preps[0].encoder_input.shape[1], min(len(p.starts) for p in preps))
+
+
+def _dims(cfg: TrainConfig, m: int, n_windows_ref: int) -> model.ModelDims:
     return model.ModelDims(m=m, d=cfg.hidden_dim, d_p=cfg.proj_dim,
-                           layers=cfg.layers, n_windows_ref=n_ref,
+                           layers=cfg.layers, n_windows_ref=n_windows_ref,
                            streams=cfg.stream_tuple())
+
+
+def resolved_config(cfg: TrainConfig, dims: model.ModelDims) -> dict:
+    """The config and model dims a model was trained under: its checkpoint's
+    header, and the content of ``config.resolved.json``."""
+    return {"train_config": dataclasses.asdict(cfg), "dims": dataclasses.asdict(dims)}
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
@@ -337,9 +349,10 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
                             for s in dims.streams}})
     results = [TrainResult(store=store.fold(f), dims=dims, epoch_log=logs[f])
                for f in range(folds)]
+    header = resolved_config(cfg, dims)
     for result, path in zip(results, checkpoint_paths or []):
         if path is not None:
-            dc.save_params(path, result.store)
+            dc.save_params(path, result.store, header)
     return results
 
 
@@ -374,6 +387,38 @@ def score(store: dc.ParamStore, dims: model.ModelDims,
             probs = model.forward_batch(store, dims, batch).y_hat.data
             score_of.update(zip(map(id, batch), probs.tolist()))
     return [score_of[id(p)] for p in preps]
+
+
+def load_model(path: str) -> tuple[dc.ParamStore, model.ModelDims, TrainConfig]:
+    """The model in the checkpoint at ``path``, its dims and the config it was
+    trained under, from the file alone.
+
+    The header must be a :func:`resolved_config` whose config and dims are
+    valid and agree, and the tensors must be those its dims build; anything
+    else is a ParseError naming the file. Prepare subjects for the model
+    with ``prepare_dataset(subjects, cfg)``.
+    """
+    header, values = dc.load_params(path)
+    try:
+        cfg = TrainConfig(**header["train_config"])
+        dims = _dims(cfg, header["dims"]["m"], header["dims"]["n_windows_ref"])
+    except (KeyError, TypeError, ConfigError, ShapeError) as err:
+        raise ParseError(f"{path}: invalid checkpoint header "
+                         f"({type(err).__name__}: {err})") from None
+    want = json.loads(json.dumps(resolved_config(cfg, dims)))
+    if want != header:
+        raise ParseError(f"{path}: checkpoint header {header} disagrees with the "
+                         f"config and dims it resolves to, {want}")
+    shapes = {name: shape for name, shape, _ in model.param_specs(dims)}
+    for name in sorted(shapes.keys() | values.keys()):
+        stored = values[name].shape if name in values else "absent"
+        if stored != shapes.get(name, "absent"):
+            raise ParseError(f"{path}: tensor {name!r} is {stored} in the file but "
+                             f"{shapes.get(name, 'absent')} under the header's dims")
+    store = dc.ParamStore()
+    for name, value in values.items():
+        store.add(name, value)
+    return store, dims, cfg
 
 
 def auc_mann_whitney(scores, labels) -> float | None:

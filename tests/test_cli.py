@@ -7,13 +7,18 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cdgl.cli as cli
 from cdgl import diffcore as dc
+from cdgl import dynamic_fc as dfc
 from cdgl import model
+from cdgl import train_eval as tv
 from cdgl.data_io import (
     DatasetManifest,
     ManifestEntry,
+    RoiTimeSeries,
     load_roi_csv,
     save_manifest,
     write_roi_csv,
@@ -32,12 +37,44 @@ TINY = ["--set", "epochs=2", "--set", "window_size=10", "--set", "stride=10",
         "--set", "hidden_dim=4", "--set", "proj_dim=4", "--set", "batch_size=4"]
 
 
+def sets(items):
+    return [arg for item in items for arg in ("--set", item)]
+
+
+def read_series(out, sid):
+    with open(os.path.join(out, f"attn_{sid}.json"), encoding="utf-8") as f:
+        return json.load(f)
+
+
+def write_dataset(out, lengths, m=6, seed=0):
+    """One subject per entry of ``lengths`` (time points), labels alternating."""
+    rng = np.random.default_rng(seed)
+    os.makedirs(out)
+    entries = []
+    for i, t in enumerate(lengths):
+        sid = f"s{i:02d}"
+        write_roi_csv(os.path.join(out, f"{sid}.csv"), rng.standard_normal((t, m)))
+        entries.append(ManifestEntry(sid, f"{sid}.csv", i % 2))
+    save_manifest(os.path.join(out, "manifest.json"),
+                  DatasetManifest(entries=entries, roi_count=m))
+    return out
+
+
 @pytest.fixture(scope="module")
 def dataset(tmp_path_factory):
     out = str(tmp_path_factory.mktemp("data") / "corr")
     code = run(["synth", "--kind", "correlation", "--subjects", "8", "--rois", "6",
                 "--timepoints", "40", "--seed", "3", "--out", out])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def demo120(tmp_path_factory):
+    """The README demo's 120 time points, at 8 subjects of 6 ROIs."""
+    out = str(tmp_path_factory.mktemp("data") / "t120")
+    assert run(["synth", "--kind", "correlation", "--subjects", "8", "--rois", "6",
+                "--timepoints", "120", "--seed", "3", "--out", out]) == 0
     return out
 
 
@@ -205,45 +242,96 @@ class TestExitCodes:
 
     def test_attn_export_missing_checkpoint_file(self, dataset, tmp_path):
         code = run(["attn-export", "--checkpoint", str(tmp_path / "no.ckpt"),
-                    "--data", dataset, "--out", str(tmp_path / "a")] + TINY)
+                    "--data", dataset, "--out", str(tmp_path / "a")])
         assert code == 2
 
     def test_attn_export_truncated_checkpoint_exit_3(self, dataset, tmp_path):
         ckpt = tmp_path / "cut.ckpt"
-        ckpt.write_bytes(dc.CHECKPOINT_MAGIC + b"\x01\x00")  # cut inside the header
+        ckpt.write_bytes(dc.CHECKPOINT_MAGIC
+                         + struct.pack("<II", dc.CHECKPOINT_SCHEMA_VERSION, 40)
+                         + b'{"dims": {')  # cut inside the header
         code = run(["attn-export", "--checkpoint", str(ckpt), "--data", dataset,
-                    "--out", str(tmp_path / "a")] + TINY)
+                    "--out", str(tmp_path / "a")])
         assert code == 3
 
     # shape words whose element product wraps in numpy
     @pytest.mark.parametrize("shape", [(2 ** 32 - 1, 2 ** 32 - 1), (2 ** 32 - 1, 2 ** 31)])
     def test_attn_export_oversized_shape_exit_3(self, dataset, tmp_path, shape):
         ckpt = tmp_path / "big.ckpt"
-        ckpt.write_bytes(dc.CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w"
+        ckpt.write_bytes(dc.CHECKPOINT_MAGIC
+                         + struct.pack("<II", dc.CHECKPOINT_SCHEMA_VERSION, 2) + b"{}"
+                         + struct.pack("<IH", 1, 1) + b"w"
                          + struct.pack("<B2I", 2, *shape) + b"\x00" * 16)
         code = run(["attn-export", "--checkpoint", str(ckpt), "--data", dataset,
-                    "--out", str(tmp_path / "a")] + TINY)
+                    "--out", str(tmp_path / "a")])
         assert code == 3
 
     def test_attn_export_non_finite_checkpoint_exit_3(self, dataset, tmp_path, capsys):
         run_dir = str(tmp_path / "run")
         assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
-        values = dc.load_params(os.path.join(run_dir, "checkpoint.ckpt"))
+        header, values = dc.load_params(os.path.join(run_dir, "checkpoint.ckpt"))
         ckpt = str(tmp_path / "planted.ckpt")
         for bad in (np.nan, np.inf, -np.inf):
             store = dc.ParamStore()
             for name, value in values.items():
                 store.add(name, value)
             store["classifier.b2"].data[0] = bad
-            dc.save_params(ckpt, store)
+            dc.save_params(ckpt, store, header)
             capsys.readouterr()
             code = run(["attn-export", "--checkpoint", ckpt, "--data", dataset,
-                        "--out", str(tmp_path / "a")] + TINY)
+                        "--out", str(tmp_path / "a")])
             assert code == 3
             err = capsys.readouterr().err
             # the checkpoint is blamed, not the first subject's forward pass
             assert "planted.ckpt: non-finite value in 'classifier.b2'" in err, err
             assert "subject" not in err
+
+    @pytest.mark.parametrize("flags", [["--set", "epochs=2"], ["--config", "c.toml"]])
+    def test_attn_export_config_flags_exit_2(self, dataset, tmp_path, flags):
+        # the checkpoint's header is the only config attn-export reads
+        code = run(["attn-export", "--checkpoint", str(tmp_path / "m.ckpt"), "--data", dataset,
+                    "--out", str(tmp_path / "a")] + flags)
+        assert code == 2  # argparse: unrecognized arguments
+
+    def test_attn_export_schema_1_checkpoint_exit_3(self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "old.ckpt"
+        ckpt.write_bytes(dc.CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B", 0) + b"\x00" * 8)
+        code = run(["attn-export", "--checkpoint", str(ckpt), "--data", dataset,
+                    "--out", str(tmp_path / "a")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "old.ckpt: checkpoint schema 1" in err and "retrain" in err
+
+    def test_attn_export_header_config_error_exit_3(self, dataset, tmp_path, capsys):
+        # a value TrainConfig rejects is a usage error on the command line
+        # (exit 2), but in a checkpoint it is bad data
+        run_dir = str(tmp_path / "run")
+        assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
+        header, values = dc.load_params(os.path.join(run_dir, "checkpoint.ckpt"))
+        header["train_config"]["epochs"] = 0
+        store = dc.ParamStore()
+        for name, value in values.items():
+            store.add(name, value)
+        ckpt = str(tmp_path / "edited.ckpt")
+        dc.save_params(ckpt, store, header)
+        capsys.readouterr()
+        code = run(["attn-export", "--checkpoint", ckpt, "--data", dataset,
+                    "--out", str(tmp_path / "a")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "edited.ckpt: invalid checkpoint header" in err and "epochs" in err
+
+    def test_attn_export_roi_count_mismatch_exit_3(self, dataset, tmp_path, capsys):
+        run_dir = str(tmp_path / "run")
+        assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
+        data = write_dataset(str(tmp_path / "four"), [40, 40], m=4)
+        capsys.readouterr()
+        code = run(["attn-export", "--checkpoint", os.path.join(run_dir, "checkpoint.ckpt"),
+                    "--data", data, "--out", str(tmp_path / "a")])
+        assert code == 3
+        assert ("checkpoint.ckpt: the model was trained on 6 ROIs, the data have 4"
+                in capsys.readouterr().err)
 
     def test_unknown_subject_exit_2(self, dataset, tmp_path):
         code = run(["fc-dump", "--data", dataset, "--subject", "ghost",
@@ -338,6 +426,30 @@ class TestCvCommand:
             b1 = open(os.path.join(seq, name), "rb").read()
             b2 = open(os.path.join(par, name), "rb").read()
             assert b1 == b2, name
+
+    def test_fold_headers_hold_their_own_dims(self, tmp_path):
+        # one short CV subject: the fold that validates it trains on longer
+        # subjects only, so its n_windows_ref differs from the other fold's
+        cfg, _ = cli.resolve_config(None, TINY[1::2])
+        ids = [RoiTimeSeries(f"s{i:02d}", np.zeros((1, 2)), i % 2) for i in range(10)]
+        short = tv.split_subjects(ids, 0.2, 2, cfg.seed).train_ids[0]
+        data = write_dataset(str(tmp_path / "data"),
+                             [20 if f"s{i:02d}" == short else 40 for i in range(10)])
+        out = str(tmp_path / "cv")
+        assert run(["cv", "--data", data, "--folds", "2", "--holdout", "--out", out]
+                   + TINY) == 0
+        by_id = {ts.subject_id: ts for ts in cli._load_subjects(data)}
+        plan = tv.split_subjects(list(by_id.values()), 0.2, 2, cfg.seed)
+
+        def dims_of(ids):
+            return tv.make_dims(tv.prepare_dataset([by_id[i] for i in ids], cfg), cfg)
+
+        want = [dims_of(train) for train, _ in plan.folds]
+        assert want[0] != want[1]
+        for i, dims in enumerate(want):
+            assert tv.load_model(os.path.join(out, f"fold{i}.ckpt"))[1:] == (dims, cfg)
+        assert tv.load_model(os.path.join(out, "holdout.ckpt"))[1:] == \
+            (dims_of(plan.train_ids), cfg)
 
     def test_jobs_below_one_exit_2(self, dataset, tmp_path, capsys):
         assert run(["cv", "--data", dataset, "--folds", "2", "--jobs", "0",
@@ -447,7 +559,7 @@ class TestAttnExport:
         out = str(tmp_path / "attn")
         ckpt = os.path.join(run_dir, "checkpoint.ckpt")
         assert run(["attn-export", "--checkpoint", ckpt, "--data", dataset,
-                    "--subject", "sub000", "--out", out] + TINY) == 0
+                    "--subject", "sub000", "--out", out]) == 0
         csv_path = os.path.join(out, "attn_sub000_layer0.csv")
         lines = open(csv_path).read().splitlines()
         header = lines[0].split(",")
@@ -469,6 +581,89 @@ class TestAttnExport:
         out = str(tmp_path / "attn_all")
         ckpt = os.path.join(run_dir, "checkpoint.ckpt")
         assert run(["attn-export", "--checkpoint", ckpt, "--data", dataset,
-                    "--out", out] + TINY) == 0
+                    "--out", out]) == 0
         json_files = [n for n in os.listdir(out) if n.endswith(".json")]
         assert len(json_files) == 8
+
+    # Each model reads its own config from the checkpoint. The expected
+    # factors come from the model as the flags would rebuild it: the graphs
+    # of the training config and the dims of the training data.
+    @pytest.mark.parametrize("trained", [["window_size=20", "stride=20"], ["streams=r"],
+                                         ["distance_kind=mahalanobis"]])
+    def test_config_comes_from_the_checkpoint(self, demo120, tmp_path, trained):
+        run_dir, out = str(tmp_path / "run"), str(tmp_path / "attn")
+        items = trained + ["epochs=1"]
+        assert run(["train", "--data", demo120, "--out", run_dir] + sets(items)) == 0
+        ckpt = os.path.join(run_dir, "checkpoint.ckpt")
+        assert run(["attn-export", "--checkpoint", ckpt, "--data", demo120, "--out", out]) == 0
+        cfg, _ = cli.resolve_config(None, items)
+        preps = tv.prepare_dataset(cli._load_subjects(demo120), cfg)
+        dims = tv.make_dims(preps, cfg)
+        store = model.init_params(dims, 0)
+        dc.load_into(store, ckpt)
+        for prep in preps:
+            fwd = model.forward_subject(store, dims, prep)
+            series = read_series(out, prep.subject_id)
+            for layer, got in enumerate(series["layers"]):
+                assert got["temporal_factor"] == fwd.temporal_factors[layer].data.tolist()
+                assert got["start_timepoint"] == list(prep.starts)
+
+    def test_subjects_with_fewer_windows_than_trained(self, tmp_path):
+        # trained on 6 windows per subject; scored on 3 and on 1
+        train_data = write_dataset(str(tmp_path / "long"), [60] * 4)
+        new_data = write_dataset(str(tmp_path / "short"), [30, 10], seed=1)
+        run_dir, out = str(tmp_path / "run"), str(tmp_path / "attn")
+        assert run(["train", "--data", train_data, "--out", run_dir] + TINY) == 0
+        ckpt = os.path.join(run_dir, "checkpoint.ckpt")
+        assert tv.load_model(ckpt)[1].n_windows_ref == 6
+        assert run(["attn-export", "--checkpoint", ckpt, "--data", new_data,
+                    "--out", out]) == 0
+        for sid, n_w in (("s00", 3), ("s01", 1)):
+            series = read_series(out, sid)
+            for layer in series["layers"]:
+                assert len(layer["temporal_factor"]) == n_w
+                assert all(0.0 < v < 1.0 for v in layer["temporal_factor"])
+
+    def test_subject_chosen_before_preparing(self, tmp_path):
+        # s01 is shorter than one window: preparing it fails, so only a
+        # --subject that leaves it out can succeed
+        data = write_dataset(str(tmp_path / "data"), [40, 5, 40])
+        run_dir = str(tmp_path / "run")
+        train_data = write_dataset(str(tmp_path / "train"), [40] * 4)
+        assert run(["train", "--data", train_data, "--out", run_dir] + TINY) == 0
+        ckpt = os.path.join(run_dir, "checkpoint.ckpt")
+        out = str(tmp_path / "attn")
+        assert run(["attn-export", "--checkpoint", ckpt, "--data", data, "--out", out]) == 3
+        assert run(["attn-export", "--checkpoint", ckpt, "--data", data, "--subject", "s02",
+                    "--out", out]) == 0
+        assert sorted(os.listdir(out)) == ["attn_s02.json", "attn_s02_layer0.csv",
+                                           "attn_s02_layer1.csv"]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(streams=st.sampled_from(["r", "d", "rd"]),
+       distance_kind=st.sampled_from(dfc.DISTANCE_KINDS),
+       alpha=st.sampled_from([0.0, 0.1]), layers=st.integers(1, 3),
+       lengths=st.lists(st.integers(10, 40), min_size=2, max_size=5))
+def test_train_then_export_without_flags(tmp_path_factory, streams, distance_kind, alpha,
+                                         layers, lengths):
+    """Any README-valid config trains on mixed-length subjects, and the
+    checkpoint alone exports factors in (0, 1) for every subject."""
+    if alpha > 0:  # the contrastive term needs delta + 1 = 2 windows
+        lengths = [max(t, 15) for t in lengths]
+    root = tmp_path_factory.mktemp("prop")
+    data = write_dataset(str(root / "data"), lengths, m=4)
+    items = [f"streams={streams}", f"distance_kind={distance_kind}", f"alpha={alpha}",
+             f"layers={layers}", "window_size=10", "stride=5", "hidden_dim=4",
+             "proj_dim=4", "epochs=1"]
+    assert run(["train", "--data", data, "--out", str(root / "run")] + sets(items)) == 0
+    out = str(root / "attn")
+    assert run(["attn-export", "--checkpoint", str(root / "run" / "checkpoint.ckpt"),
+                "--data", data, "--out", out]) == 0
+    for i, t in enumerate(lengths):
+        series = read_series(out, f"s{i:02d}")
+        assert len(series["layers"]) == layers
+        for layer in series["layers"]:
+            assert len(layer["temporal_factor"]) == (t - 10) // 5 + 1
+            factors = layer["temporal_factor"] + list(layer["mean_channel_factor"].values())
+            assert all(0.0 < v < 1.0 for v in factors)

@@ -62,9 +62,11 @@ def rmat(rng, *shape):
 
 
 def header_claiming(shape):
-    """Checkpoint bytes up to the data of one parameter 'w' of ``shape``."""
-    return (dc.CHECKPOINT_MAGIC + struct.pack("<IIH", dc.CHECKPOINT_SCHEMA_VERSION, 1, 1)
-            + b"w" + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
+    """Checkpoint bytes, with an empty JSON header, up to the data of one
+    parameter 'w' of ``shape``."""
+    return (dc.CHECKPOINT_MAGIC + struct.pack("<II", dc.CHECKPOINT_SCHEMA_VERSION, 2) + b"{}"
+            + struct.pack("<IH", 1, 1) + b"w"
+            + struct.pack(f"<B{len(shape)}I", len(shape), *shape))
 
 
 def test_square_at_three_grad_is_six():
@@ -853,6 +855,38 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="schema_version"):
             dc.load_params(str(path))
 
+    def test_header_round_trip(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        dc.save_params(path, self.make_store(), {"b": [1, 2], "a": {"x": 0.1}})
+        header, values = dc.load_params(path)
+        assert header == {"a": {"x": 0.1}, "b": [1, 2]}
+        assert sorted(values) == self.make_store().names()
+        dc.save_params(path, self.make_store())  # header-less: an empty header
+        assert dc.load_params(path)[0] == {}
+        with open(path, "rb") as f:
+            assert f.read()[10:16] == struct.pack("<I", 2) + b"{}"
+
+    def test_schema_1_asks_for_retraining(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(dc.CHECKPOINT_MAGIC + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B", 0) + b"\x00" * 8)
+        with pytest.raises(ParseError, match=r"old\.ckpt: checkpoint schema 1 .*retrain"):
+            dc.load_params(str(path))
+
+    # a length word past the end of the file, text that is not JSON, JSON
+    # followed by other bytes, JSON that is not an object, nesting past the
+    # parser's recursion limit
+    @pytest.mark.parametrize("meta_len, meta", [
+        (2 ** 32 - 1, b"{}"), (5, b"{oops"), (6, b"{} {} "), (2, b"[]"),
+        (100_000, b"[" * 100_000)])
+    def test_bad_header_rejected(self, tmp_path, meta_len, meta):
+        path = tmp_path / "model.ckpt"
+        path.write_bytes(dc.CHECKPOINT_MAGIC
+                         + struct.pack("<II", dc.CHECKPOINT_SCHEMA_VERSION, meta_len)
+                         + meta + struct.pack("<I", 0))
+        with pytest.raises(ParseError, match=r"model\.ckpt: .*header"):
+            dc.load_params(str(path))
+
     def test_truncated_rejected(self, tmp_path):
         store = self.make_store()
         path = str(tmp_path / "model.ckpt")
@@ -862,9 +896,10 @@ class TestCheckpoint:
         with pytest.raises(ParseError):
             dc.load_params(path)
 
-    # 8 and 12 cut the version/count words, 15 the first name length, 20 the
-    # name itself, 40 its shape
-    @pytest.mark.parametrize("cut", [8, 12, 15, 20, 40])
+    # 8 and 12 cut the version and header-length words, 15 the JSON header,
+    # 18 the count, 20 and 21 the first name length, 40 the name itself, 48
+    # its shape
+    @pytest.mark.parametrize("cut", [8, 12, 15, 18, 20, 21, 40, 48])
     def test_truncated_header_rejected(self, tmp_path, cut):
         path = str(tmp_path / "model.ckpt")
         dc.save_params(path, self.make_store())
@@ -877,7 +912,7 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         dc.save_params(path, self.make_store())
         blob = bytearray(open(path, "rb").read())
-        blob[16] = 0xFF  # first byte of the first parameter name
+        blob[22] = 0xFF  # first byte of the first parameter name
         open(path, "wb").write(bytes(blob))
         with pytest.raises(ParseError, match="model.ckpt"):
             dc.load_params(path)

@@ -59,6 +59,22 @@ class TestInitParams:
         assert store["fusion.layer0.chan.w2"].data.shape == (4, 2)
 
 
+    @pytest.mark.parametrize("bad", [{"m": 1}, {"n_windows_ref": 0}, {"m": 4.0},
+                                     {"d": True}, {"streams": ("x",)}])
+    def test_invalid_dims_rejected(self, bad):
+        with pytest.raises(ShapeError):
+            model.ModelDims(**{**dict(m=4, d=4, d_p=4, layers=2, n_windows_ref=4), **bad})
+
+    def test_specs_describe_the_initialized_store(self):
+        dims = small_dims(streams=("d",))
+        store = model.init_params(dims, seed=0)
+        specs = model.param_specs(dims)
+        assert sorted(name for name, _, _ in specs) == store.names()
+        for name, shape, fans in specs:
+            assert store[name].data.shape == shape
+            assert (fans is None) == (not store[name].data.any())
+
+
 class TestPrepare:
     def test_window_budget(self):
         rng = np.random.default_rng(0)

@@ -1,13 +1,16 @@
 """Metric oracles, training determinism, and cross-validation plumbing."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cdgl.train_eval as tv
+from cdgl import diffcore as dc
 from cdgl.data_io import RoiTimeSeries
-from cdgl.errors import ConfigError, WindowBudgetError
+from cdgl.errors import ConfigError, ParseError, WindowBudgetError
 
 
 def sigmoid(x):
@@ -24,7 +27,8 @@ class TestTrainConfig:
     @pytest.mark.parametrize("kwargs", [
         {"layers": 0}, {"batch_size": -1}, {"lr": 0.0}, {"weight_decay": -0.1},
         {"alpha": -0.5}, {"epochs": 0}, {"distance_kind": "cosine"},
-        {"streams": "dr"}, {"window_size": 0}, {"delta": 0},
+        {"streams": "dr"}, {"window_size": 0}, {"delta": 0}, {"normalize_fc": 1},
+        {"epochs": True}, {"seed": False},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
@@ -268,6 +272,76 @@ class TestEvaluate:
         result = tv.train(subs, cfg)
         with pytest.raises(ConfigError):
             tv.evaluate(result.store, result.dims, [])
+
+
+class TestLoadModel:
+    @pytest.fixture
+    def trained(self, tmp_path):
+        rng = np.random.default_rng(21)
+        subs = toy_cohort(rng, n=5) + toy_cohort(rng, n=3, t=40)  # two window counts
+        cfg = tiny_cfg(epochs=2, streams="d", distance_kind="mahalanobis")
+        path = str(tmp_path / "model.ckpt")
+        return subs, cfg, tv.train(subs, cfg, checkpoint_path=path), path
+
+    def rewrite(self, path, edit):
+        """Save the checkpoint at ``path`` again with ``edit`` applied to its header."""
+        header, values = dc.load_params(path)
+        edit(header)
+        store = dc.ParamStore()
+        for name, value in values.items():
+            store.add(name, value)
+        dc.save_params(path, store, header)
+
+    def test_scores_bit_identical_to_the_trained_model(self, trained):
+        subs, cfg, result, path = trained
+        store, dims, loaded_cfg = tv.load_model(path)
+        assert (dims, loaded_cfg) == (result.dims, cfg)
+        preps = tv.prepare_dataset(subs, loaded_cfg)
+        assert tv.score(store, dims, preps) == tv.score(result.store, result.dims, preps)
+
+    def test_header_is_the_resolved_config(self, trained):
+        _, cfg, result, path = trained
+        header, _ = dc.load_params(path)
+        assert header["dims"]["streams"] == ["d"]
+        assert header == json.loads(json.dumps(tv.resolved_config(cfg, result.dims)))
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda h: h.pop("train_config"), "KeyError: 'train_config'"),
+        (lambda h: h.pop("dims"), "KeyError: 'dims'"),
+        (lambda h: h["train_config"].update(epochs=0), "ConfigError: epochs"),
+        (lambda h: h["train_config"].update(lr="fast"), "TypeError"),
+        (lambda h: h["train_config"].update(normalize_fc="yes"), "ConfigError: normalize_fc"),
+        (lambda h: h["train_config"].update(learning_rate=0.1), "TypeError"),
+        (lambda h: h["dims"].update(m=1), "ShapeError: invalid model dims"),
+        (lambda h: h["dims"].update(m=6.0), "ShapeError: invalid model dims"),
+        (lambda h: h["dims"].pop("n_windows_ref"), "KeyError"),
+        (lambda h: h.update(dims=[6]), "TypeError"),
+        (lambda h: h["train_config"].pop("ridge_scale"), "disagrees"),
+        (lambda h: h["dims"].update(d=5), "disagrees"),
+        (lambda h: h["dims"].update(streams=["r", "d"]), "disagrees"),
+        (lambda h: h["dims"].update(n_windows_ref=2),
+         "'fusion.layer0.temporal.kernel' is (2, 5) in the file but (2, 1) under"),
+        (lambda h: h["dims"].update(m=7), "'encoder.lstm.w_x' is (6, 24) in the file"),
+        (lambda h: (h["train_config"].update(layers=2), h["dims"].update(layers=2)),
+         "'cdgin.layer1.d.eps' is absent in the file but () under"),
+    ])
+    def test_bad_header_is_a_parse_error(self, trained, edit, message):
+        path = trained[3]
+        self.rewrite(path, edit)
+        with pytest.raises(ParseError, match="model.ckpt: ") as err:
+            tv.load_model(path)
+        assert message in str(err.value)
+
+    def test_non_finite_value_blamed_on_the_tensor(self, trained):
+        path = trained[3]
+        header, values = dc.load_params(path)
+        store = dc.ParamStore()
+        for name, value in values.items():
+            store.add(name, value)
+        store["classifier.b1"].data[1] = np.inf
+        dc.save_params(path, store, header)
+        with pytest.raises(ParseError, match=r"non-finite value in 'classifier\.b1'"):
+            tv.load_model(path)
 
 
 def toy_cohort(rng, n=8, m=6, t=30, separation=3.0):
