@@ -9,6 +9,7 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import dataclasses
 import json
 import os
@@ -43,6 +44,12 @@ from .errors import (
 GRADCHECK_ROIS = 6
 GRADCHECK_TIMEPOINTS = 40
 PATH_KEYS = ("data", "out")
+# glibc's mallopt parameters (malloc.h) and the values main() gives them
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+HEAP_MMAP_THRESHOLD = 32 << 20  # glibc's largest allowed value on 64-bit hosts
+# above what one train step frees at 58 windows of 90 ROIs and batch size 4,
+# where 64 MiB still handed each step's graph back to the OS
+HEAP_TRIM_THRESHOLD = 256 << 20
 
 _USAGE_ERRORS = (ConfigError, SpecError, ContrastiveConfigError)
 _DATA_ERRORS = (ParseError, ShapeError, StratificationError, WindowBudgetError,
@@ -170,14 +177,30 @@ def _write_jsonl(path: str, records: list[dict]) -> None:
     _write_text(path, "".join(json.dumps(rec) + "\n" for rec in records))
 
 
-def _load_subjects(data: str | None) -> list[RoiTimeSeries]:
+def _load_subjects(data: str | None, subject: str | None = None,
+                   first_only: bool = False) -> list[RoiTimeSeries]:
+    """The data set's subjects, parsing only the CSVs of the entries kept.
+
+    ``subject`` keeps that id alone, and an id not in the manifest is a
+    :class:`ConfigError`; otherwise ``first_only`` keeps the first entry,
+    and by default every entry is kept.
+    """
     if data is None:
         raise ConfigError("no data path given (use --data or the 'data' config key)")
     manifest_path = data if data.endswith(".json") else os.path.join(data, "manifest.json")
     if not os.path.isfile(manifest_path):
         raise ParseError(f"dataset manifest not found: {manifest_path}")
     manifest = load_manifest(manifest_path)
-    return load_dataset(manifest, os.path.dirname(manifest_path) or ".")
+    entries = manifest.entries
+    if subject is not None:
+        entries = [e for e in entries if e.subject_id == subject]
+        if not entries:
+            ids = ", ".join(e.subject_id for e in manifest.entries[:8])
+            raise ConfigError(f"subject {subject!r} not in dataset (ids: {ids} ...)")
+    elif first_only:
+        entries = entries[:1]
+    return load_dataset(dataclasses.replace(manifest, entries=entries),
+                        os.path.dirname(manifest_path) or ".")
 
 
 def _require(value: str | None, paths: dict, key: str) -> str:
@@ -278,15 +301,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_fc_dump(args) -> int:
-    subjects = _load_subjects(args.data)
-    if args.subject is None:
-        ts = subjects[0]
-    else:
-        match = [s for s in subjects if s.subject_id == args.subject]
-        if not match:
-            raise ConfigError(f"subject {args.subject!r} not in dataset "
-                              f"(ids: {', '.join(s.subject_id for s in subjects[:8])} ...)")
-        ts = match[0]
+    ts = _load_subjects(args.data, args.subject, first_only=True)[0]
     signals = ts.signals if args.raw else zscore_columns(ts.signals)
     wspec = dfc.WindowSpec(args.window_size, args.stride)
     kind = dfc.DistanceKind(args.distance)
@@ -312,11 +327,7 @@ def cmd_attn_export(args) -> int:
     if not os.path.isfile(args.checkpoint):
         raise ConfigError(f"checkpoint not found: {args.checkpoint}")
     store, dims, cfg = tv.load_model(args.checkpoint)
-    subjects = _load_subjects(args.data)
-    if args.subject is not None:
-        subjects = [ts for ts in subjects if ts.subject_id == args.subject]
-        if not subjects:
-            raise ConfigError(f"subject {args.subject!r} not in dataset")
+    subjects = _load_subjects(args.data, args.subject)
     m = subjects[0].signals.shape[1]
     if m != dims.m:
         raise ShapeError(f"{args.checkpoint}: the model was trained on {dims.m} ROIs, "
@@ -436,9 +447,33 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_memory() -> None:
+    """Keep memory that the process frees for its next allocations.
+
+    A train step frees its graph's arrays, and the next step allocates
+    arrays of the same sizes again. By default glibc gives each block of
+    128 KiB or more its own mapping and hands the heap's free top back to
+    the OS, so the next step faults those pages in again. With blocks up to
+    HEAP_MMAP_THRESHOLD served from the heap and up to HEAP_TRIM_THRESHOLD
+    of free heap kept, the pages stay resident. Only the command line sets
+    this; the library changes no process state. Worker processes forked by
+    ``cv --jobs`` inherit it. Where the C library has no ``mallopt``, this
+    does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _keep_freed_memory()
     try:
         return args.func(args)
     except _USAGE_ERRORS as err:

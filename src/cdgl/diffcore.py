@@ -441,20 +441,27 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     forget, cell, output.
 
     Each time loop keeps only the recurrence; everything else is done for
-    all timesteps at once outside it. Buffers are fold-major, then
-    time-major, so step t of a fold's sequences is one contiguous block.
-    The forward writes each step's gates in place into one (F, T, B / F,
-    4D) buffer, as ``xw[t] + h @ w_h + b`` followed by one sigmoid over the
-    step's block. The cell slot's tanh, G, is taken first and then written
-    over that slot's sigmoid, which is unused. The cell and hidden states
-    live in buffers with T + 1 steps whose step 0 is the zero initial
-    state, so the previous state is a view. The adjoint first forms the
-    local derivative factors of every step, K = [G I(1-I), C_{t-1} F(1-F),
-    I(1-G^2), tanh C O(1-O)] and P = O(1 - tanh^2 C); its loop then only
-    carries ``dc = dc F_{t+1} + dh P_t`` and ``dh = ([dc, dc, dc, dh] * K_t)
-    @ w_h^T``, writing each step's gate gradient over K_t. It starts at the
-    last timestep whose output gradient is non-zero in any sequence: later
-    steps contribute exact zeros.
+    all timesteps at once outside it. The gate, cell, hidden and tanh-cell
+    buffers are time-major, (T, F, B / F, ·), so step t of every fold is one
+    contiguous block that each call of the loop covers at once; at F = 1
+    this is a lone model's (T, B, ·) layout. Each fold's input projection
+    is one (T B / F, M) @ (M, 4D) product, written into the gate buffer
+    (directly at F = 1, through a one-fold scratch otherwise). The forward
+    then writes each step's gates over it in place, as ``xw[t] + h @ w_h +
+    b`` followed by one sigmoid over the step's block. The cell slot's
+    tanh, G, is taken first and then written over that slot's sigmoid,
+    which is unused. The cell and hidden states live in buffers with T + 1
+    steps whose step 0 is the zero initial state, so the previous state is
+    a view. The adjoint first forms the local derivative factors of every
+    step, K = [G I(1-I), C_{t-1} F(1-F), I(1-G^2), tanh C O(1-O)] and P =
+    O(1 - tanh^2 C); its loop then only carries ``dc = dc F_{t+1} + dh
+    P_t`` and ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``, writing each step's
+    gate gradient over K_t. K alone is fold-major, (F, T, B / F, 4D), and is
+    written through a time-major view, so that each fold's gate gradients
+    are one matrix for the weight gradients; those read the hidden states
+    through a fold-major copy when F > 1. The loop starts at the last
+    timestep whose output gradient is non-zero in any sequence: later steps
+    contribute exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -472,59 +479,62 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     B = rows // folds  # sequences per fold
     T, M = x.shape[-2], x.shape[-1]
     xf = np.ascontiguousarray(x.reshape(folds, B, T, M).transpose(0, 2, 1, 3))  # (F, T, B, M)
+    w_x3 = w_x.data.reshape(folds, M, four_d)
     w_h3 = w_h.data.reshape(folds, D, four_d)
     b3 = b.data.reshape(folds, 1, four_d)
 
     # input projection, overwritten by the gate values
-    gates = np.matmul(xf.reshape(folds, T * B, M),
-                      w_x.data.reshape(folds, M, four_d)).reshape(folds, T, B, four_d)
-    C = np.zeros((folds, T + 1, B, D))  # C[:, t + 1] is c_t; step 0 is the initial state
-    H = np.zeros((folds, T + 1, B, D))
-    TC = np.empty((folds, T, B, D))
+    gates = np.empty((T, folds, B, four_d))
+    if folds == 1:
+        np.matmul(xf[0].reshape(T * B, M), w_x3[0], out=gates.reshape(T * B, four_d))
+    else:  # one fold's product at a time, copied into its time-major slice
+        for f in range(folds):
+            gates[:, f] = np.matmul(xf[f].reshape(T * B, M), w_x3[f]).reshape(T, B, four_d)
+    C =np.zeros((T + 1, folds, B, D))  # C[t + 1] is c_t; step 0 is the initial state
+    H = np.zeros((T + 1, folds, B, D))
+    TC = np.empty((T, folds, B, D))
     hw = np.empty((folds, B, four_d))
     ig = np.empty((folds, B, D))
     g_t = np.empty((folds, B, D))
     # G, the cell gate's tanh, ends up in the cell slot
     in_g, forget_g, G, out_g = (gates[..., k * D:(k + 1) * D] for k in range(4))
-    # step-major views, (T, F, B, ...): [t] is step t of every fold
-    a_s, in_s, forget_s, G_s, out_s, C_s, H_s, TC_s = (
-        v.swapaxes(0, 1) for v in (gates, in_g, forget_g, G, out_g, C, H, TC))
     # a pre-activation below about -709 overflows the gate exp to inf, and
     # 1 / (1 + inf) is the saturated gate's exact 0
     with np.errstate(over="ignore"):
         for t in range(T):
-            a = a_s[t]
-            np.matmul(H_s[t], w_h3, out=hw)
+            a = gates[t]
+            np.matmul(H[t], w_h3, out=hw)
             a += hw  # a = xw[t] + h @ w_h + b, summed in that order
             a += b3
-            np.tanh(G_s[t], out=g_t)
+            np.tanh(G[t], out=g_t)
             np.negative(a, out=a)
             np.exp(a, out=a)
             a += 1.0
             np.divide(1.0, a, out=a)
-            G_s[t] = g_t  # over the cell slot's unused sigmoid
-            c = C_s[t + 1]
-            np.multiply(forget_s[t], C_s[t], out=c)
-            np.multiply(in_s[t], g_t, out=ig)
+            G[t] = g_t  # over the cell slot's unused sigmoid
+            c = C[t + 1]
+            np.multiply(forget_g[t], C[t], out=c)
+            np.multiply(in_g[t], g_t, out=ig)
             c += ig
-            tc = TC_s[t]
+            tc = TC[t]
             np.tanh(c, out=tc)
-            np.multiply(out_s[t], tc, out=H_s[t + 1])
+            np.multiply(out_g[t], tc, out=H[t + 1])
 
     def bk(g):
-        g_s = g.reshape(folds, B, T, D).transpose(2, 0, 1, 3)  # step-major, as a_s
+        g_s = g.reshape(folds, B, T, D).transpose(2, 0, 1, 3)  # time-major, as the buffers
         live = np.flatnonzero(g.reshape(rows, T, D).any(axis=(0, 2)))
         n = int(live[-1]) + 1 if live.size else 0  # steps from n on contribute exact zeros
-        I, F, O = in_g[:, :n], forget_g[:, :n], out_g[:, :n]
-        Gn, TCn = G[:, :n], TC[:, :n]
+        I, F, O = in_g[:n], forget_g[:n], out_g[:n]
+        Gn, TCn = G[:n], TC[:n]
         K = np.empty((folds, n, B, four_d))
-        k_i, k_f, k_g, k_o = (K[..., k * D:(k + 1) * D] for k in range(4))
+        K_s = K.swapaxes(0, 1)  # time-major, as the buffers
+        k_i, k_f, k_g, k_o = (K_s[..., k * D:(k + 1) * D] for k in range(4))
         P = np.empty(I.shape)  # the factors' scratch, then P
         np.subtract(1.0, I, out=P)
         np.multiply(Gn, I, out=k_i)
         k_i *= P
         np.subtract(1.0, F, out=P)
-        np.multiply(C[:, :n], F, out=k_f)
+        np.multiply(C[:n], F, out=k_f)
         k_f *= P
         np.multiply(Gn, Gn, out=P)
         np.subtract(1.0, P, out=P)
@@ -542,24 +552,23 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         dc, dc_copies, dh = d[:, :, 0], d[:, :, 1:3], d[:, :, 3]
         dc_b = dc[:, :, None]
         dh_p = np.empty((folds, B, D))
-        K_s, P_s, F_s = (v.swapaxes(0, 1) for v in (K, P, F))
         for t in range(n - 1, -1, -1):
             dh += g_s[t]
-            np.multiply(dh, P_s[t], out=dh_p)
+            np.multiply(dh, P[t], out=dh_p)
             dc += dh_p
             dc_copies[...] = dc_b
             da_t = K_s[t]
             np.multiply(d_rows, da_t, out=da_t)  # K_t becomes the gate gradient
             np.matmul(da_t, w_h_t, out=dh)
-            dc *= F_s[t]
+            dc *= F[t]
         da = K.reshape(folds, n * B, four_d)
         x_n = xf[:, :n].reshape(folds, n * B, M)
-        h_n = H[:, :n].reshape(folds, n * B, D)
+        h_n = H[:n].swapaxes(0, 1).reshape(folds, n * B, D)  # a copy when F > 1
         return ((w_x, np.matmul(x_n.transpose(0, 2, 1), da).reshape(w_x.data.shape)),
                 (w_h, np.matmul(h_n.transpose(0, 2, 1), da).reshape(w_h.data.shape)),
                 (b, da.sum(axis=1).reshape(b.data.shape)))
 
-    out = H[:, 1:].transpose(0, 2, 1, 3).reshape(rows, T, D)
+    out = H[1:].transpose(1, 2, 0, 3).reshape(rows, T, D)
     return _make(out, "lstm", (w_x, w_h, b), bk)
 
 

@@ -1,8 +1,13 @@
 """CLI contract: exit codes, config parsing, determinism, file outputs."""
 
+import ctypes
 import json
 import os
+import shutil
 import struct
+import subprocess
+import sys
+import textwrap
 import warnings
 
 import numpy as np
@@ -66,6 +71,16 @@ def dataset(tmp_path_factory):
     code = run(["synth", "--kind", "correlation", "--subjects", "8", "--rois", "6",
                 "--timepoints", "40", "--seed", "3", "--out", out])
     assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def bad_second(dataset, tmp_path_factory):
+    """The dataset, with a non-numeric last line in sub001.csv."""
+    out = str(tmp_path_factory.mktemp("data") / "bad")
+    shutil.copytree(dataset, out)
+    with open(os.path.join(out, "sub001.csv"), "a", encoding="utf-8") as f:
+        f.write("1.0,oops,2.0,3.0,4.0,5.0\n")
     return out
 
 
@@ -551,6 +566,12 @@ class TestFcDump:
         np.testing.assert_allclose(np.diag(r), 1.0, atol=1e-12)
         np.testing.assert_allclose(r, r.T, atol=1e-15)
 
+    def test_only_the_dumped_subject_is_parsed(self, bad_second, tmp_path):
+        base = ["fc-dump", "--data", bad_second, "--window-size", "10", "--stride", "10"]
+        assert run(base + ["--out", str(tmp_path / "first")]) == 0  # sub000, the first
+        assert run(base + ["--subject", "sub002", "--out", str(tmp_path / "named")]) == 0
+        assert run(base + ["--subject", "sub001", "--out", str(tmp_path / "bad")]) == 3
+
 
 class TestAttnExport:
     def test_csv_and_json_outputs(self, dataset, tmp_path):
@@ -638,6 +659,79 @@ class TestAttnExport:
                     "--out", out]) == 0
         assert sorted(os.listdir(out)) == ["attn_s02.json", "attn_s02_layer0.csv",
                                            "attn_s02_layer1.csv"]
+
+    def test_only_the_named_subject_is_parsed(self, dataset, bad_second, tmp_path, capsys):
+        run_dir = str(tmp_path / "run")
+        assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
+        base = ["attn-export", "--checkpoint", os.path.join(run_dir, "checkpoint.ckpt"),
+                "--data", bad_second, "--out", str(tmp_path / "attn")]
+        assert run(base + ["--subject", "sub000"]) == 0
+        assert sorted(os.listdir(tmp_path / "attn")) == [
+            "attn_sub000.json", "attn_sub000_layer0.csv", "attn_sub000_layer1.csv"]
+        capsys.readouterr()
+        assert run(base) == 3
+        assert "sub001.csv:42: non-numeric cell" in capsys.readouterr().err
+        assert run(base + ["--subject", "ghost"]) == 2
+        assert "error: subject 'ghost' not in dataset (ids: sub000, sub001" \
+            in capsys.readouterr().err
+
+
+class RecordingLibc:
+    """A C library whose ``mallopt`` records its calls.
+
+    ``mallopt`` is a plain function, which takes ``argtypes`` and
+    ``restype`` as a ctypes function does (a bound method would not).
+    """
+
+    def __init__(self, calls):
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 1
+        self.mallopt = mallopt
+
+
+class TestResidentHeap:
+    """``cli.main`` keeps freed memory in the heap; the library sets nothing."""
+
+    def test_main_raises_the_thresholds(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: RecordingLibc(calls))
+        assert run(["synth", "--kind", "correlation", "--subjects", "2", "--rois", "4",
+                    "--timepoints", "20", "--out", str(tmp_path / "d")]) == 0
+        assert calls == [(-3, cli.HEAP_MMAP_THRESHOLD), (-1, cli.HEAP_TRIM_THRESHOLD)]
+
+    def test_library_sets_nothing(self, dataset):
+        cdgl_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        script = textwrap.dedent(f"""
+            import ctypes
+            calls = []
+            class Libc:
+                def mallopt(self, *args):
+                    calls.append(args)
+            ctypes.CDLL = lambda name: Libc()
+            from cdgl import cli, train_eval as tv
+            cfg, _ = cli.resolve_config(None, {TINY[1::2]!r})
+            cv = tv.cross_validate(cli._load_subjects({dataset!r}), cfg, k=2)
+            assert len(cv.folds) == 2
+            print(calls)
+        """)
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": cdgl_root}, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[]\n"
+
+    def test_cv_without_mallopt_writes_the_same_files(self, dataset, tmp_path, monkeypatch):
+        with_heap, without = str(tmp_path / "heap"), str(tmp_path / "plain")
+        base = ["cv", "--data", dataset, "--folds", "2"] + TINY
+        assert run(base + ["--out", with_heap]) == 0
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+        assert run(base + ["--out", without]) == 0
+        names = sorted(os.listdir(with_heap))
+        assert "fold1.ckpt" in names and names == sorted(os.listdir(without))
+        for name in names:
+            b1 = open(os.path.join(with_heap, name), "rb").read()
+            b2 = open(os.path.join(without, name), "rb").read()
+            assert b1 == b2, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -1057,6 +1057,24 @@ class TestFoldStacks:
         with pytest.raises(ShapeError):
             dc.lstm(x[:5], w_x, w_h, b)  # 5 sequences do not split into 3 folds
 
+    @pytest.mark.parametrize("T", [110, 120])
+    def test_stacked_lstm_at_the_readme_lockstep_shape(self, T):
+        """4 folds of 4 subjects, M = 10, D = 16, read at the README windows'
+        endpoints (35 / 25); at T = 120 the adjoint starts before the last step."""
+        F, B, M, D = 4, 4, 10, 16
+        x = self.rng.standard_normal((F * B, T, M))
+        w_x, w_h, b = (rmat(self.rng, F, *s) for s in ((M, 4 * D), (D, 4 * D), (4 * D,)))
+        g = np.zeros((F * B, T, D))
+        g[:, [34, 59, 84, 109]] = self.rng.standard_normal((F * B, 4, D))
+        out = dc.lstm(x, w_x, w_h, b)
+        grads = [grad for _, grad in out._backward(g)]
+        for f in range(F):
+            rows = slice(B * f, B * (f + 1))
+            one = dc.lstm(x[rows], *(dc.param(t.data[f]) for t in (w_x, w_h, b)))
+            np.testing.assert_array_equal(out.data[rows], one.data)
+            for got, (_, want) in zip(grads, one._backward(g[rows])):
+                np.testing.assert_array_equal(got[f], want)
+
 
 def stores(n, seed=0):
     """n one-model stores of the same names and shapes, different values."""
