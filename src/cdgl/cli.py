@@ -47,9 +47,9 @@ PATH_KEYS = ("data", "out")
 # glibc's mallopt parameters (malloc.h) and the values main() gives them
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 HEAP_MMAP_THRESHOLD = 32 << 20  # glibc's largest allowed value on 64-bit hosts
-# above what one train step frees at 58 windows of 90 ROIs and batch size 4,
-# where 64 MiB still handed each step's graph back to the OS
-HEAP_TRIM_THRESHOLD = 256 << 20
+# the README demo's cv stops faulting its train steps in at 8 MiB (4 MiB does
+# not); 64 MiB leaves room for graphs eight times as large
+HEAP_TRIM_THRESHOLD = 64 << 20
 
 _USAGE_ERRORS = (ConfigError, SpecError, ContrastiveConfigError)
 _DATA_ERRORS = (ParseError, ShapeError, StratificationError, WindowBudgetError,
@@ -456,10 +456,14 @@ def _keep_freed_memory() -> None:
     the OS, so the next step faults those pages in again. With blocks up to
     HEAP_MMAP_THRESHOLD served from the heap and up to HEAP_TRIM_THRESHOLD
     of free heap kept, the pages stay resident. Only the command line sets
-    this; the library changes no process state. Worker processes forked by
-    ``cv --jobs`` inherit it. Where the C library has no ``mallopt``, this
-    does nothing.
+    this; the library changes no process state. ``cv --jobs`` workers
+    inherit it only where they are forked (Linux's default start method
+    before Python 3.14); workers started otherwise run with glibc's
+    defaults. The parameters are glibc's, so this does nothing off Linux
+    or where the C library has no ``mallopt``.
     """
+    if not sys.platform.startswith("linux"):
+        return
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (OSError, AttributeError):

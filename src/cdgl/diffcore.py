@@ -445,23 +445,22 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     buffers are time-major, (T, F, B / F, ·), so step t of every fold is one
     contiguous block that each call of the loop covers at once; at F = 1
     this is a lone model's (T, B, ·) layout. Each fold's input projection
-    is one (T B / F, M) @ (M, 4D) product, written into the gate buffer
-    (directly at F = 1, through a one-fold scratch otherwise). The forward
-    then writes each step's gates over it in place, as ``xw[t] + h @ w_h +
-    b`` followed by one sigmoid over the step's block. The cell slot's
-    tanh, G, is taken first and then written over that slot's sigmoid,
-    which is unused. The cell and hidden states live in buffers with T + 1
-    steps whose step 0 is the zero initial state, so the previous state is
-    a view. The adjoint first forms the local derivative factors of every
-    step, K = [G I(1-I), C_{t-1} F(1-F), I(1-G^2), tanh C O(1-O)] and P =
-    O(1 - tanh^2 C); its loop then only carries ``dc = dc F_{t+1} + dh
-    P_t`` and ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``, writing each step's
-    gate gradient over K_t. K alone is fold-major, (F, T, B / F, 4D), and is
-    written through a time-major view, so that each fold's gate gradients
-    are one matrix for the weight gradients; those read the hidden states
-    through a fold-major copy when F > 1. The loop starts at the last
-    timestep whose output gradient is non-zero in any sequence: later steps
-    contribute exact zeros.
+    is one (T B / F, M) @ (M, 4D) product, copied into its slice of the
+    gate buffer. The forward then writes each step's gates over it in
+    place, as ``xw[t] + h @ w_h + b`` followed by one sigmoid over the
+    step's block. The cell slot's tanh, G, is taken first and then written
+    over that slot's sigmoid, which is unused. The cell and hidden states
+    live in buffers with T + 1 steps whose step 0 is the zero initial
+    state, so the previous state is a view. The adjoint first forms the
+    local derivative factors of every step, K = [G I(1-I), C_{t-1} F(1-F),
+    I(1-G^2), tanh C O(1-O)] and P = O(1 - tanh^2 C); its loop then only
+    carries ``dc = dc F_{t+1} + dh P_t`` and ``dh = ([dc, dc, dc, dh] *
+    K_t) @ w_h^T``, writing each step's gate gradient over K_t. K alone is
+    fold-major, (F, T, B / F, 4D), and is written through a time-major
+    view, so that each fold's gate gradients are one matrix for the weight
+    gradients; those read the hidden states through a fold-major copy when
+    F > 1. The loop starts at the last timestep whose output gradient is
+    non-zero in any sequence: later steps contribute exact zeros.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -485,12 +484,9 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
 
     # input projection, overwritten by the gate values
     gates = np.empty((T, folds, B, four_d))
-    if folds == 1:
-        np.matmul(xf[0].reshape(T * B, M), w_x3[0], out=gates.reshape(T * B, four_d))
-    else:  # one fold's product at a time, copied into its time-major slice
-        for f in range(folds):
-            gates[:, f] = np.matmul(xf[f].reshape(T * B, M), w_x3[f]).reshape(T, B, four_d)
-    C =np.zeros((T + 1, folds, B, D))  # C[t + 1] is c_t; step 0 is the initial state
+    for f in range(folds):  # one fold's product at a time, copied into its time-major slice
+        gates[:, f] = np.matmul(xf[f].reshape(T * B, M), w_x3[f]).reshape(T, B, four_d)
+    C = np.zeros((T + 1, folds, B, D))  # C[t + 1] is c_t; step 0 is the initial state
     H = np.zeros((T + 1, folds, B, D))
     TC = np.empty((T, folds, B, D))
     hw = np.empty((folds, B, four_d))

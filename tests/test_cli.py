@@ -693,12 +693,22 @@ class RecordingLibc:
 class TestResidentHeap:
     """``cli.main`` keeps freed memory in the heap; the library sets nothing."""
 
+    SYNTH = ["synth", "--kind", "correlation", "--subjects", "2", "--rois", "4",
+             "--timepoints", "20", "--out"]
+
     def test_main_raises_the_thresholds(self, tmp_path, monkeypatch):
         calls = []
+        monkeypatch.setattr(sys, "platform", "linux")
         monkeypatch.setattr(ctypes, "CDLL", lambda name: RecordingLibc(calls))
-        assert run(["synth", "--kind", "correlation", "--subjects", "2", "--rois", "4",
-                    "--timepoints", "20", "--out", str(tmp_path / "d")]) == 0
+        assert run(self.SYNTH + [str(tmp_path / "d")]) == 0
         assert calls == [(-3, cli.HEAP_MMAP_THRESHOLD), (-1, cli.HEAP_TRIM_THRESHOLD)]
+
+    def test_off_linux_no_c_library_is_loaded(self, tmp_path, monkeypatch):
+        def windows_cdll(name):  # CPython's CDLL(None) on Windows
+            raise TypeError("argument of type 'NoneType' is not iterable")
+        monkeypatch.setattr(sys, "platform", "win32")
+        monkeypatch.setattr(ctypes, "CDLL", windows_cdll)
+        assert run(self.SYNTH + [str(tmp_path / "d")]) == 0
 
     def test_library_sets_nothing(self, dataset):
         cdgl_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
