@@ -180,9 +180,7 @@ def project(h: dc.Tensor, w1: dc.Tensor, b1: dc.Tensor, w2: dc.Tensor,
             b2: dc.Tensor) -> dc.Tensor:
     """Shared two-layer projection head over the rows of ``h`` (N, D) -> (N, P);
     nonlinearity between layers only."""
-    folds = dc.fold_count(w1.data, 2)
-    hidden = dc.tanh(dc.add(dc.matmul(h, dc.transpose(w1), folds), b1, folds))
-    return dc.add(dc.matmul(hidden, dc.transpose(w2), folds), b2, folds)
+    return dc.linear(dc.tanh(dc.linear(h, w1, b1)), w2, b2)
 
 
 def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndarray]:

@@ -181,9 +181,10 @@ def _load_subjects(data: str | None, subject: str | None = None,
                    first_only: bool = False) -> list[RoiTimeSeries]:
     """The data set's subjects, parsing only the CSVs of the entries kept.
 
-    ``subject`` keeps that id alone, and an id not in the manifest is a
-    :class:`ConfigError`; otherwise ``first_only`` keeps the first entry,
-    and by default every entry is kept.
+    A manifest that lists no entries is a :class:`ConfigError`. ``subject``
+    keeps that id alone, and an id not in the manifest is one too;
+    otherwise ``first_only`` keeps the first entry, and by default every
+    entry is kept.
     """
     if data is None:
         raise ConfigError("no data path given (use --data or the 'data' config key)")
@@ -192,6 +193,8 @@ def _load_subjects(data: str | None, subject: str | None = None,
         raise ParseError(f"dataset manifest not found: {manifest_path}")
     manifest = load_manifest(manifest_path)
     entries = manifest.entries
+    if not entries:
+        raise ConfigError(f"dataset is empty: {manifest_path}")
     if subject is not None:
         entries = [e for e in entries if e.subject_id == subject]
         if not entries:
@@ -276,12 +279,12 @@ def _gradcheck_defaults() -> tv.TrainConfig:
 
 def cmd_gradcheck(args) -> int:
     cfg, _ = resolve_config(args.config, args.set, base=_gradcheck_defaults())
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(cfg.seed)
     signals = rng.standard_normal((GRADCHECK_TIMEPOINTS, GRADCHECK_ROIS))
     ts = RoiTimeSeries("gradcheck", signals, 1)
     preps = tv.prepare_dataset([ts], cfg)
     dims = tv.make_dims(preps, cfg)
-    store = model.init_params(dims, args.seed)
+    store = model.init_params(dims, cfg.seed)
     ccfg = cfg.contrastive()
 
     def build_loss():
@@ -415,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="finite-difference check of the full model gradient",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
     add_config_flags(p)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--coords", type=int, default=240,
                    help="minimum number of coordinates to probe")
     p.add_argument("--tolerance", type=float, default=1e-4)

@@ -20,15 +20,14 @@ per-op overhead rather than to arithmetic.
 
 A store may also hold F models of one shape stacked on a leading fold
 axis, laid out fold-major so that each model is one row of the buffers.
-Ops that apply a parameter accept such a stack and treat their operand's
-rows as F fold-major blocks. ``matmul`` and ``add`` are told F by their
-caller (``folds=F``; their plain broadcast rules are unchanged): then a
-stack of F matrices multiplies block f by matrix f, and an (F, ...)
-operand adds its entry f to block f. ``take_rows`` takes rows of every
-matrix of a stack, and the LSTM runs every fold's sequences in one time
-loop. Each fold's block sees the same numpy calls as a lone model's,
-through batched ``matmul``, so its values and gradients are bit-identical
-to that model's.
+Ops that apply a parameter accept such a stack, read F from its rank
+(:func:`fold_count`) and treat their operand's rows as F fold-major
+blocks: ``linear`` applies weight and bias f to block f, and the LSTM runs
+every fold's sequences in one time loop. ``take_rows`` takes rows of every
+matrix of a stack. Each fold's block sees the same numpy calls as a lone
+model's, through batched ``np.matmul``, so its values and gradients are
+bit-identical to that model's. The other primitives know nothing of
+folds; ``add`` and ``mul`` keep their one broadcast rule.
 :func:`adam_step` steps only the folds marked active, each with its own
 step count.
 
@@ -186,39 +185,15 @@ def fold_count(w: np.ndarray, ndim: int, rows: int | None = None) -> int:
     return folds
 
 
-def _blocks(x: np.ndarray, folds: int) -> np.ndarray:
-    """(F, k, ...) view of a fold-major (F * k, ...) array; (F, 1, ...) of an (F, ...) one."""
-    return x.reshape(folds, x.shape[0] // folds, *x.shape[1:])
-
-
-def add(a: Tensor, b: Tensor, folds: int = 1) -> Tensor:
-    """Elementwise sum; broadcasts as :func:`_check_broadcast` allows.
-
-    With ``folds`` = F > 1, ``a``'s rows are F fold-major blocks and ``b``
-    is stacked on a leading fold axis of length F, at ``a``'s rank: entry f
-    of ``b`` is added to block f, as the (F, k, ...) blocks and the
-    (F, 1, ...) stack broadcast. That is a per-fold bias on fold-major rows.
-    """
-    if folds == 1:
-        _check_broadcast("add", a.data.shape, b.data.shape)
-        out = a.data + b.data
-    else:
-        sa, sb = a.data.shape, b.data.shape
-        if len(sa) != len(sb) or sb[0] != folds or sa[0] % folds:
-            raise ShapeError(f"add: {sa} rows in {folds} folds vs {sb}")
-        a_blocks, b_blocks = _blocks(a.data, folds), _blocks(b.data, folds)
-        _check_broadcast("add", a_blocks.shape, b_blocks.shape)
-        out = a_blocks + b_blocks
-        out = out.reshape(-1, *out.shape[2:])
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise sum; broadcasts as :func:`_check_broadcast` allows."""
+    _check_broadcast("add", a.data.shape, b.data.shape)
+    out = a.data + b.data
 
     def bk(g):
         for t in (a, b):
             if t.requires_grad:
-                if folds == 1:
-                    yield t, _unbroadcast(g, t.data.shape)
-                else:
-                    block = _blocks(t.data, folds).shape
-                    yield t, _unbroadcast(_blocks(g, folds), block).reshape(t.data.shape)
+                yield t, _unbroadcast(g, t.data.shape)
 
     return _make(out, "add", (a, b), bk)
 
@@ -275,25 +250,35 @@ def div(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "div", (a, b), bk)
 
 
-def matmul(a: Tensor, b: Tensor, folds: int = 1) -> Tensor:
-    """(R, K) @ (K, N). With ``folds`` = F > 1, ``b`` is a stack of F (K, N)
-    matrices, one per fold, and multiplies fold-major ``a``: its f-th block
-    of R / F rows by ``b[f]``."""
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) != 2 or len(sb) != (2 if folds == 1 else 3) or sa[1] != sb[-2] \
-            or (folds > 1 and (sb[0] != folds or sa[0] % folds)):
-        raise ShapeError(f"matmul: {sa} @ {sb} in {folds} folds")
-    a_blocks = _blocks(a.data, folds)
-    out = np.matmul(a_blocks, b.data).reshape(sa[0], sb[-1])
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """x @ w^T (+ b) over the rows of an (R, K) ``x``, for an (N, K) weight
+    and an (N,) bias: an (R, N) result.
+
+    Weight and bias stacked on a leading fold axis, (F, N, K) and (F, N),
+    apply entry f to the f-th of F fold-major blocks of R / F rows.
+    """
+    sx, sw = x.data.shape, w.data.shape
+    if len(sx) != 2 or len(sw) not in (2, 3) or sx[1] != sw[-1] \
+            or (b is not None and b.data.shape != sw[:-1]):
+        raise ShapeError(f"linear: {sx} by weight {sw}"
+                         + ("" if b is None else f" and bias {b.data.shape}"))
+    folds = fold_count(w.data, 2, sx[0])
+    x_blocks = x.data.reshape(folds, sx[0] // folds, sx[1])  # (F, R / F, K)
+    out = np.matmul(x_blocks, w.data.swapaxes(-1, -2))
+    if b is not None:
+        out += b.data.reshape(folds, 1, sw[-2])
+    out = out.reshape(sx[0], sw[-2])
 
     def bk(g):
-        g_blocks = g.reshape(a_blocks.shape[:2] + g.shape[1:])
-        if a.requires_grad:
-            yield a, np.matmul(g_blocks, b.data.swapaxes(-1, -2)).reshape(sa)
-        if b.requires_grad:
-            yield b, np.matmul(a_blocks.swapaxes(1, 2), g_blocks).reshape(sb)
+        g_blocks = g.reshape(folds, -1, sw[-2])
+        if x.requires_grad:
+            yield x, np.matmul(g_blocks, w.data).reshape(sx)
+        if w.requires_grad:
+            yield w, np.matmul(x_blocks.swapaxes(1, 2), g_blocks).swapaxes(-1, -2).reshape(sw)
+        if b is not None and b.requires_grad:
+            yield b, g_blocks.sum(axis=1).reshape(b.data.shape)
 
-    return _make(out, "matmul", (a, b), bk)
+    return _make(out, "linear", (x, w) if b is None else (x, w, b), bk)
 
 
 def bmm(a: Tensor, b: Tensor) -> Tensor:
@@ -434,7 +419,7 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     The B sequences run through one time loop. Weights stacked along a
     leading fold axis, (F, M, 4D), (F, D, 4D) and (F, 4D), run F models in
     the same loop: the B sequences split into F fold-major blocks, and
-    every product with a weight is one batched ``matmul`` over the folds,
+    every product with a weight is one batched ``np.matmul`` over the folds,
     each fold's operands laid out as a lone model's are. Fused into one op
     with a hand-written BPTT adjoint: the per-timestep graph would
     otherwise dominate runtime. Gate layout along the 4D axis is input,
@@ -459,8 +444,9 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     fold-major, (F, T, B / F, 4D), and is written through a time-major
     view, so that each fold's gate gradients are one matrix for the weight
     gradients; those read the hidden states through a fold-major copy when
-    F > 1. The loop starts at the last timestep whose output gradient is
-    non-zero in any sequence: later steps contribute exact zeros.
+    F > 1. The loop runs back from the last timestep: ``model._stack`` cuts
+    the input at the last timestep the model reads, so that step carries an
+    output gradient and no step of the adjoint is wasted.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -518,27 +504,24 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
 
     def bk(g):
         g_s = g.reshape(folds, B, T, D).transpose(2, 0, 1, 3)  # time-major, as the buffers
-        live = np.flatnonzero(g.reshape(rows, T, D).any(axis=(0, 2)))
-        n = int(live[-1]) + 1 if live.size else 0  # steps from n on contribute exact zeros
-        I, F, O = in_g[:n], forget_g[:n], out_g[:n]
-        Gn, TCn = G[:n], TC[:n]
-        K = np.empty((folds, n, B, four_d))
+        I, F, O = in_g, forget_g, out_g
+        K = np.empty((folds, T, B, four_d))
         K_s = K.swapaxes(0, 1)  # time-major, as the buffers
         k_i, k_f, k_g, k_o = (K_s[..., k * D:(k + 1) * D] for k in range(4))
         P = np.empty(I.shape)  # the factors' scratch, then P
         np.subtract(1.0, I, out=P)
-        np.multiply(Gn, I, out=k_i)
+        np.multiply(G, I, out=k_i)
         k_i *= P
         np.subtract(1.0, F, out=P)
-        np.multiply(C[:n], F, out=k_f)
+        np.multiply(C[:-1], F, out=k_f)
         k_f *= P
-        np.multiply(Gn, Gn, out=P)
+        np.multiply(G, G, out=P)
         np.subtract(1.0, P, out=P)
         np.multiply(I, P, out=k_g)
         np.subtract(1.0, O, out=P)
-        np.multiply(TCn, O, out=k_o)
+        np.multiply(TC, O, out=k_o)
         k_o *= P
-        np.multiply(TCn, TCn, out=P)
+        np.multiply(TC, TC, out=P)
         np.subtract(1.0, P, out=P)
         P *= O
         w_h_t = w_h3.transpose(0, 2, 1)
@@ -548,7 +531,7 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         dc, dc_copies, dh = d[:, :, 0], d[:, :, 1:3], d[:, :, 3]
         dc_b = dc[:, :, None]
         dh_p = np.empty((folds, B, D))
-        for t in range(n - 1, -1, -1):
+        for t in range(T - 1, -1, -1):
             dh += g_s[t]
             np.multiply(dh, P[t], out=dh_p)
             dc += dh_p
@@ -557,11 +540,11 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
             np.multiply(d_rows, da_t, out=da_t)  # K_t becomes the gate gradient
             np.matmul(da_t, w_h_t, out=dh)
             dc *= F[t]
-        da = K.reshape(folds, n * B, four_d)
-        x_n = xf[:, :n].reshape(folds, n * B, M)
-        h_n = H[:n].swapaxes(0, 1).reshape(folds, n * B, D)  # a copy when F > 1
-        return ((w_x, np.matmul(x_n.transpose(0, 2, 1), da).reshape(w_x.data.shape)),
-                (w_h, np.matmul(h_n.transpose(0, 2, 1), da).reshape(w_h.data.shape)),
+        da = K.reshape(folds, T * B, four_d)
+        x_rows = xf.reshape(folds, T * B, M)
+        h_rows = H[:-1].swapaxes(0, 1).reshape(folds, T * B, D)  # a copy when F > 1
+        return ((w_x, np.matmul(x_rows.transpose(0, 2, 1), da).reshape(w_x.data.shape)),
+                (w_h, np.matmul(h_rows.transpose(0, 2, 1), da).reshape(w_h.data.shape)),
                 (b, da.sum(axis=1).reshape(b.data.shape)))
 
     out = H[1:].transpose(1, 2, 0, 3).reshape(rows, T, D)

@@ -52,7 +52,9 @@ def assemble_node_features(hidden: dc.Tensor, starts: list[int], window_size: in
     picked = (t * np.arange(b)[:, None] + np.asarray(ends)).ravel()  # (B * N_w,)
     w_m_t = dc.transpose(w_m)  # (M + D, D), per fold
     node = dc.take_rows(w_m_t, np.arange(m))  # (M, D), per fold
-    context = dc.matmul(dc.take_rows(rows, picked),
-                        dc.take_rows(w_m_t, np.arange(m, m + d)), folds)  # (B * N_w, D)
-    feats = dc.add(dc.reshape(context, (len(picked), 1, d)), dc.reshape(node, (-1, m, d)), folds)
+    w_context = dc.transpose(dc.take_rows(w_m_t, np.arange(m, m + d)))  # (D, D), per fold
+    context = dc.linear(dc.take_rows(rows, picked), w_context)  # (B * N_w, D)
+    windows = len(picked) // folds  # per fold
+    feats = dc.add(dc.reshape(context, (folds, windows, 1, d)),
+                   dc.reshape(node, (folds, 1, m, d)))
     return dc.reshape(feats, (len(picked) * m, d))

@@ -3,9 +3,9 @@
 ``cdgin`` and ``fusion_head`` compute each layer step as one fused op with
 a hand-written adjoint. The forms here build the same steps op by op, with
 the same numpy expressions in the same order, so the fused ops must match
-them bit for bit in values and within roundoff in gradients. The four
-primitives below exist only for these oracles; every other primitive is
-``diffcore``'s own.
+them bit for bit in values and within roundoff in gradients. The five
+primitives below exist only for these oracles and for the autodiff core's
+own tests; every other primitive is ``diffcore``'s own.
 """
 
 import numpy as np
@@ -13,6 +13,22 @@ import numpy as np
 from cdgl import cdgin
 from cdgl import diffcore as dc
 from cdgl.errors import ShapeError
+
+
+def matmul(a: dc.Tensor, b: dc.Tensor) -> dc.Tensor:
+    """(R, K) @ (K, N): the product of two matrices."""
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) != 2 or len(sb) != 2 or sa[1] != sb[0]:
+        raise ShapeError(f"matmul: {sa} @ {sb}")
+    out = np.matmul(a.data, b.data)
+
+    def bk(g):
+        if a.requires_grad:
+            yield a, np.matmul(g, b.data.T)
+        if b.requires_grad:
+            yield b, np.matmul(a.data.T, g)
+
+    return dc._make(out, "matmul", (a, b), bk)
 
 
 def scale(a: dc.Tensor, s: dc.Tensor) -> dc.Tensor:
@@ -87,16 +103,16 @@ def gin_node_update(h_in, a, p: cdgin.GinLayerParams, activation=dc.tanh):
     rows, d = h_in.data.shape
     neighbours = dc.bmm(dc.const(a), dc.reshape(h_in, (a.shape[0], a.shape[1], d)))
     mixed = dc.add(scale(h_in, p.eps), dc.reshape(neighbours, (rows, d)))
-    x = dc.matmul(mixed, p.w)
-    h1 = activation(dc.add(dc.matmul(x, p.mlp_w1), p.mlp_b1))
-    return dc.add(dc.matmul(h1, p.mlp_w2), p.mlp_b2)
+    x = matmul(mixed, p.w)
+    h1 = activation(dc.add(matmul(x, p.mlp_w1), p.mlp_b1))
+    return dc.add(matmul(h1, p.mlp_w2), p.mlp_b2)
 
 
 def attention_readout(h_nodes, w_q, w_k):
     """Per-window graph vectors (N_w, D) and attention weights (N_w, M), op by op."""
     n, m, d = h_nodes.data.shape
-    q = dc.matmul(dc.mean_pool(h_nodes, axis=1), dc.transpose(w_q))  # (N_w, D)
-    keyed = dc.reshape(dc.matmul(q, w_k), (n, d, 1))  # row t: W_k^T q_t
+    q = matmul(dc.mean_pool(h_nodes, axis=1), dc.transpose(w_q))  # (N_w, D)
+    keyed = dc.reshape(matmul(q, w_k), (n, d, 1))  # row t: W_k^T q_t
     logits = dc.mul_scalar(dc.reshape(dc.bmm(h_nodes, keyed), (n, m)), 1.0 / np.sqrt(d))
     weights = softmax(logits)
     readout = dc.bmm(dc.reshape(weights, (n, 1, m)), h_nodes)
@@ -117,8 +133,8 @@ def channel_attention(h_f, p):
     w1_t, w2_t = dc.transpose(p.chan_w1), dc.transpose(p.chan_w2)
 
     def mlp(v):  # (B, C) rows
-        hidden = dc.tanh(dc.add(dc.matmul(v, w1_t), p.chan_b1))
-        return dc.add(dc.matmul(hidden, w2_t), p.chan_b2)
+        hidden = dc.tanh(dc.add(matmul(v, w1_t), p.chan_b1))
+        return dc.add(matmul(hidden, w2_t), p.chan_b2)
 
     mx = max_pool(h_f, axis=1)
     av = dc.mean_pool(h_f, axis=1)

@@ -354,6 +354,20 @@ class TestExitCodes:
                     "--out", str(tmp_path / "fc")])
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["fc-dump", "attn-export", "train", "cv"])
+    def test_empty_dataset_exit_2(self, dataset, tmp_path, capsys, command):
+        empty = write_dataset(str(tmp_path / "empty"), [])
+        if command == "attn-export":
+            run_dir = str(tmp_path / "run")
+            assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
+            argv = [command, "--checkpoint", os.path.join(run_dir, "checkpoint.ckpt")]
+        else:
+            argv = [command] + (TINY if command in ("train", "cv") else [])
+        capsys.readouterr()
+        assert run(argv + ["--data", empty, "--out", str(tmp_path / "out")]) == 2
+        manifest = os.path.join(empty, "manifest.json")
+        assert capsys.readouterr().err == f"error: dataset is empty: {manifest}\n"
+
 
 class TestSynthCommand:
     def test_rerun_byte_identical(self, tmp_path):
@@ -484,13 +498,21 @@ class TestCvCommand:
 
 class TestGradcheckCommand:
     def test_passes_at_default_tolerance(self, capsys):
-        assert run(["gradcheck", "--seed", "1", "--coords", "40"]) == 0
+        assert run(["gradcheck", "--set", "seed=1", "--coords", "40"]) == 0
         out = capsys.readouterr().out
         assert "max relative error" in out and "PASS" in out
 
     def test_fails_at_absurd_tolerance(self):
-        assert run(["gradcheck", "--seed", "1", "--coords", "8",
+        assert run(["gradcheck", "--set", "seed=1", "--coords", "8",
                     "--tolerance", "1e-18"]) == 4
+
+    def test_seed_comes_from_the_config(self, capsys):
+        # the line that the removed --seed 1 flag printed
+        assert run(["gradcheck", "--set", "seed=1", "--coords", "8"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == (
+            "gradcheck: 54 coordinates over 54 tensors, max relative error 2.487e-06 "
+            "at cdgin.layer0.d.readout.w_k[48]")
+        assert run(["gradcheck", "--seed", "1"]) == 2  # one seed setting: the config's
 
     def test_set_overrides_gradcheck_defaults(self):
         # the TrainConfig default window of 35 leaves one window at T=40 (exit 3)

@@ -28,3 +28,43 @@ def test_package_imports_only_numpy_and_the_standard_library():
     outside = {f"{path.name}: {root}" for path in modules
                for root in imported_roots(path) - ALLOWED}
     assert not outside, sorted(outside)
+
+
+def diffcore_aliases(tree: ast.Module) -> set[str]:
+    """Names under which a package module imports ``diffcore``."""
+    return {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names if alias.name == "diffcore"}
+
+
+def test_every_diffcore_op_has_a_caller_in_the_package():
+    """No primitive lives in ``diffcore`` for tests alone.
+
+    An op is a module-level function that builds a node through ``_make``.
+    It needs a caller in another module of the package, or in a ``diffcore``
+    function that has one. Primitives that only tests use belong in
+    ``tests/composite_layers.py``.
+    """
+    package = Path(cdgl.__file__).parent
+    core = ast.parse((package / "diffcore.py").read_text(encoding="utf-8"))
+    functions = {node.name: node for node in core.body if isinstance(node, ast.FunctionDef)}
+
+    def names_in(node) -> set[str]:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+    ops = {name for name, node in functions.items() if "_make" in names_in(node)}
+    assert {"add", "lstm"} <= ops
+    used = set()
+    for path in package.glob("*.py"):
+        if path.name == "diffcore.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        aliases = diffcore_aliases(tree)
+        used |= {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id in aliases}
+    pending = [name for name in used if name in functions]
+    while pending:  # what a used diffcore function calls is used too
+        for name in names_in(functions[pending.pop()]) & functions.keys() - used:
+            used.add(name)
+            pending.append(name)
+    assert not ops - used, sorted(ops - used)

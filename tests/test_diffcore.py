@@ -19,7 +19,7 @@ from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import NumericsError, ParseError, ShapeError, StateError
 
-from composite_layers import scale, softmax
+from composite_layers import matmul, scale, softmax
 
 
 def fd_grad(build_loss, tensor, h=1e-6):
@@ -88,9 +88,9 @@ def test_backward_twice_doubles_leaf_grads():
     rng = np.random.default_rng(0)
     a = rmat(rng, 3, 4)
     b = rmat(rng, 4, 2)
-    dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
+    dc.backward(dc.sum_all(dc.tanh(matmul(a, b))))
     first = a.grad.copy(), b.grad.copy()
-    dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
+    dc.backward(dc.sum_all(dc.tanh(matmul(a, b))))
     np.testing.assert_array_equal(a.grad, 2.0 * first[0])
     np.testing.assert_array_equal(b.grad, 2.0 * first[1])
 
@@ -166,7 +166,7 @@ class TestPrimitiveGradients:
 
     def test_matmul(self):
         a, b = rmat(self.rng, 3, 4), rmat(self.rng, 4, 2)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, b))), [a, b])
+        check_op(lambda: dc.sum_all(dc.tanh(matmul(a, b))), [a, b])
 
     def test_bmm(self):
         a, b = rmat(self.rng, 3, 2, 4), rmat(self.rng, 3, 4, 5)
@@ -438,12 +438,12 @@ def test_composite_model_gradcheck():
     q = rmat(rng, 4)
 
     def build():
-        h = dc.tanh(dc.add(dc.matmul(dc.const(x), w1), b1))
+        h = dc.tanh(dc.add(matmul(dc.const(x), w1), b1))
         b_row = dc.reshape(b1, (1, 5))
-        s = softmax(dc.reshape(dc.matmul(h, dc.transpose(
+        s = softmax(dc.reshape(matmul(h, dc.transpose(
             dc.take_rows(dc.concat([b_row, b_row], axis=0), [0]))), (4,)))
         ws = dc.sum_all(dc.mul(s, q))
-        out = dc.matmul(h, w2)
+        out = matmul(h, w2)
         mean = dc.reshape(dc.mean_pool(dc.sigmoid(out), axis=0), ())
         return dc.add(mean, dc.mul(ws, ws))
 
@@ -492,7 +492,7 @@ def test_adjoints_skip_constant_operands():
     x, k = rmat(rng, 3, 3), dc.const(rng.uniform(0.5, 2.0, (3, 3)))
     x3, k3 = rmat(rng, 2, 3, 3), dc.const(rng.standard_normal((2, 3, 3)))
     v, kv = rmat(rng, 3), dc.const(rng.standard_normal(3))
-    cases = [(dc.matmul, x, k), (dc.bmm, x3, k3), (dc.mul, x, k), (dc.div, x, k),
+    cases = [(matmul, x, k), (dc.linear, x, k), (dc.bmm, x3, k3), (dc.mul, x, k), (dc.div, x, k),
              (dc.add, x, k), (dc.sub, x, k), (dc.add, x, kv), (dc.mul, x, kv),
              (dc.add, v, k), (dc.mul, v, k)]
     for op, live, fixed in cases:
@@ -549,7 +549,7 @@ class TestAdam:
             for _ in range(5):
                 store.zero_grad()
                 loss = dc.sum_all(dc.sigmoid(dc.add(
-                    dc.matmul(store["a"], store["a"]), store["b"])))
+                    matmul(store["a"], store["a"]), store["b"])))
                 dc.backward(loss)
                 dc.adam_step(store, state)
             return {n: p.data.copy() for n, p in store.items()}
@@ -701,7 +701,7 @@ def test_backward_matches_dict_walk_on_full_model(batch):
 def diamond():
     rng = np.random.default_rng(31)
     x, w = rmat(rng, 3, 4), rmat(rng, 4, 4)
-    h = dc.matmul(x, w)
+    h = matmul(x, w)
     left, right = dc.tanh(h), dc.sigmoid(h)  # h has two consumers that meet again
     return [x, w], dc.sum_all(dc.mul(dc.add(left, h), right))
 
@@ -979,7 +979,7 @@ def test_matmul_grad_matches_fd_property(seed, n, m):
     rng = np.random.default_rng(seed)
     a = dc.param(rng.standard_normal((n, m)))
     b = dc.param(rng.standard_normal((m, n)))
-    check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, b))), [a, b], tol=1e-5)
+    check_op(lambda: dc.sum_all(dc.tanh(matmul(a, b))), [a, b], tol=1e-5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -998,34 +998,44 @@ def test_glorot_within_limit(seed):
 class TestFoldStacks:
     rng = np.random.default_rng(40)
 
-    def test_matmul_with_a_weight_stack_is_one_product_per_fold(self):
-        a, w = rmat(self.rng, 6, 4), rmat(self.rng, 3, 4, 2)
-        out = dc.matmul(a, w, 3).data
-        for f in range(3):
-            np.testing.assert_array_equal(out[2 * f:2 * f + 2], a.data[2 * f:2 * f + 2] @ w.data[f])
-        check_op(lambda: dc.sum_all(dc.tanh(dc.matmul(a, w, 3))), [a, w])
-        for sa, sb, folds in (((5, 4), (3, 4, 2), 3),  # rows do not split into the folds
-                              ((6, 4), (3, 2, 4), 3),  # inner sizes differ
-                              ((6, 4), (2, 4, 2), 3),  # a stack of other than F matrices
-                              ((2, 6, 4), (3, 4, 2), 3),  # a must be a matrix
-                              ((6, 4), (3, 4, 2), 1)):  # a stack only when told F
-            with pytest.raises(ShapeError):
-                dc.matmul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)), folds)
+    @pytest.mark.parametrize("folds", [1, 3])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_matches_finite_differences(self, folds, bias):
+        lead = (folds,) if folds > 1 else ()
+        x, w = rmat(self.rng, 2 * folds, 4), rmat(self.rng, *lead, 3, 4)
+        b = rmat(self.rng, *lead, 3) if bias else None
+        assert dc.linear(x, w, b).data.shape == (2 * folds, 3)
+        check_op(lambda: dc.sum_all(dc.tanh(dc.linear(x, w, b))),
+                 [x, w] + ([b] if bias else []))
 
-    def test_add_of_a_per_fold_bias_covers_its_block_of_rows(self):
-        x, b = rmat(self.rng, 6, 4), rmat(self.rng, 3, 4)
-        out = dc.add(x, b, 3).data
+    def test_linear_with_a_weight_stack_is_each_folds_own_linear(self):
+        x, w, b = rmat(self.rng, 6, 4), rmat(self.rng, 3, 5, 4), rmat(self.rng, 3, 5)
+        g = self.rng.standard_normal((6, 5))
+        out = dc.linear(x, w, b)
+        grads = {id(t): grad for t, grad in out._backward(g)}
         for f in range(3):
-            np.testing.assert_array_equal(out[2 * f:2 * f + 2], x.data[2 * f:2 * f + 2] + b.data[f])
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(x, b, 3))), [x, b])
-        u, w = rmat(self.rng, 6, 1, 4), rmat(self.rng, 2, 5, 4)  # and along a stretched axis
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(u, w, 2))), [u, w])
-        np.testing.assert_array_equal(dc.add(u, w, 2).data[3:], u.data[3:] + w.data[1])
-        for sa, sb, folds in (((5, 4), (2, 4), 2), ((6, 4), (3, 5), 3), ((6, 1, 4), (2, 5, 3), 2),
-                              ((6, 4), (2, 4), 3),  # the stack's fold axis is not F
-                              ((6, 4), (4,), 3)):  # nor is there one
-            with pytest.raises(ShapeError):
-                dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)), folds)
+            rows = slice(2 * f, 2 * f + 2)
+            xf, wf, bf = (dc.param(a) for a in (x.data[rows], w.data[f], b.data[f]))
+            one = dc.linear(xf, wf, bf)
+            np.testing.assert_array_equal(out.data[rows], one.data)
+            np.testing.assert_array_equal(out.data[rows], x.data[rows] @ w.data[f].T + b.data[f])
+            for t, grad in one._backward(g[rows]):
+                whole = {id(xf): grads[id(x)][rows], id(wf): grads[id(w)][f],
+                         id(bf): grads[id(b)][f]}[id(t)]
+                np.testing.assert_array_equal(whole, grad)
+
+    @pytest.mark.parametrize("sx, sw, sb", [
+        ((5, 4), (3, 2, 4), None),  # rows do not split into the folds
+        ((6, 4), (3, 2, 4), (3, 3)),  # weight and bias widths disagree
+        ((6, 4), (2, 4), (3,)),  # the same at one fold
+        ((6, 4), (3, 2, 4), (2,)),  # a stacked weight with a lone bias
+        ((6, 4), (2, 5), None),  # inner sizes differ
+        ((2, 3, 4), (2, 4), None),  # x must be a matrix
+        ((6, 4), (4,), None)])  # and w a matrix or a stack of them
+    def test_linear_shape_errors(self, sx, sw, sb):
+        with pytest.raises(ShapeError):
+            dc.linear(dc.const(np.zeros(sx)), dc.const(np.zeros(sw)),
+                      None if sb is None else dc.const(np.zeros(sb)))
 
     @pytest.mark.parametrize("sa, sb", [((3, 3), (6, 3)), ((2, 4), (4, 4)), ((6, 4), (3, 4)),
                                         ((2, 3), (3, 3))])
@@ -1167,12 +1177,12 @@ def test_backward_releases_adjoints():
     of them raises, while a rebuilt graph gives the same gradients."""
     rng = np.random.default_rng(2)
     a, b = rmat(rng, 3, 4), rmat(rng, 4, 2)
-    h = dc.tanh(dc.matmul(a, b))
+    h = dc.tanh(matmul(a, b))
     loss = dc.sum_all(h)
     dc.backward(loss)
     expect = a.grad.copy()
     a.grad = None
-    dc.backward(dc.sum_all(dc.tanh(dc.matmul(a, b))))
+    dc.backward(dc.sum_all(dc.tanh(matmul(a, b))))
     np.testing.assert_array_equal(a.grad, expect)
     with pytest.raises(StateError, match="released"):
         dc.backward(loss)

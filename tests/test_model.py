@@ -9,7 +9,7 @@ from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import NumericsError, ShapeError, WindowBudgetError
 
-from composite_layers import conv1d_same, max_pool, scale, softmax
+from composite_layers import conv1d_same, matmul, max_pool, scale, softmax
 
 
 def toy_subject(rng, m=4, t=24, label=1, sid="s0"):
@@ -231,7 +231,7 @@ def test_op_counts_at_readme_shape(op_names):
     out = model.forward_batch(store, dims, preps)
     n_forward = len(op_names)
     cdgin.contrastive_loss(out.projections["r"], out.projections["d"], cfg.contrastive())
-    assert (n_forward, len(op_names) - n_forward) == (61, 19)
+    assert (n_forward, len(op_names) - n_forward) == (50, 19)
 
 
 def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
@@ -242,7 +242,7 @@ def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
         model.batch_loss_parts(store, dims, batch, cfg.contrastive())
         sequences.append(list(op_names))
     assert sequences[0] == sequences[1]
-    assert len(sequences[0]) == 61 + 19 + 6  # forward, contrastive, bce and total
+    assert len(sequences[0]) == 50 + 19 + 6  # forward, contrastive, bce and total
 
 
 def test_four_fold_lockstep_step_builds_the_graph_of_one_fold(op_names):
@@ -259,7 +259,7 @@ def test_four_fold_lockstep_step_builds_the_graph_of_one_fold(op_names):
         sequences.append(list(op_names))
     assert sequences[0] == sequences[1]
     # forward, contrastive, bce and total, then the step's sum and mean
-    assert len(sequences[0]) == 61 + 19 + 6 + 2
+    assert len(sequences[0]) == 50 + 19 + 6 + 2
     assert sequences[0][-2:] == ["sum", "mul_scalar"]
 
 
@@ -283,7 +283,7 @@ def test_forward_op_count_independent_of_window_count(op_names):
 
 def matvec(m, v):
     """(R, C) matrix times (C,) vector, from matmul and reshapes."""
-    return dc.reshape(dc.matmul(m, dc.reshape(v, (-1, 1))), (-1,))
+    return dc.reshape(matmul(m, dc.reshape(v, (-1, 1))), (-1,))
 
 
 def per_subject_fusion(h_f, p):
@@ -298,8 +298,8 @@ def per_subject_fusion(h_f, p):
     traces = dc.concat([dc.reshape(max_pool(h_f, axis=1), (1, n_w)),
                         dc.reshape(dc.mean_pool(h_f, axis=1), (1, n_w))], axis=0)
     tf = dc.sigmoid(conv1d_same(traces, p.temporal_kernel))
-    chan_grid = dc.matmul(dc.const(np.ones((n_w, 1))), dc.reshape(cf, (1, c)))
-    temp_grid = dc.matmul(dc.reshape(tf, (n_w, 1)), dc.const(np.ones((1, c))))
+    chan_grid = matmul(dc.const(np.ones((n_w, 1))), dc.reshape(cf, (1, c)))
+    temp_grid = matmul(dc.reshape(tf, (n_w, 1)), dc.const(np.ones((1, c))))
     return dc.mul(dc.mul(h_f, chan_grid), temp_grid), cf, tf
 
 
@@ -326,8 +326,8 @@ def per_window_forward(store, dims, prep):
     w_m_t = dc.transpose(store["encoder.w_m"])
     blocks = []
     for tau in te.window_endpoints(prep.starts, prep.window_size, hidden.data.shape[0]):
-        stacked = dc.concat([eye, dc.matmul(ones, dc.take_rows(hidden, [tau]))], axis=1)
-        blocks.append(dc.matmul(stacked, w_m_t))
+        stacked = dc.concat([eye, matmul(ones, dc.take_rows(hidden, [tau]))], axis=1)
+        blocks.append(matmul(stacked, w_m_t))
 
     def stack(vectors):
         return dc.concat([dc.reshape(v, (1, -1)) for v in vectors], axis=0)
@@ -340,12 +340,12 @@ def per_window_forward(store, dims, prep):
             for layer in range(dims.layers):
                 p = model.gin_params(store, layer, s)
                 mixed = dc.add(scale(h, p.eps),
-                               dc.matmul(dc.const(prep.adjacency[s][t]), h))
-                hidden1 = dc.tanh(dc.add(dc.matmul(dc.matmul(mixed, p.w), p.mlp_w1),
+                               matmul(dc.const(prep.adjacency[s][t]), h))
+                hidden1 = dc.tanh(dc.add(matmul(matmul(mixed, p.w), p.mlp_w1),
                                          p.mlp_b1))
-                h = dc.add(dc.matmul(hidden1, p.mlp_w2), p.mlp_b2)
+                h = dc.add(matmul(hidden1, p.mlp_w2), p.mlp_b2)
                 q = matvec(p.w_q, dc.mean_pool(h, axis=0))
-                keys = dc.matmul(h, dc.transpose(p.w_k))
+                keys = matmul(h, dc.transpose(p.w_k))
                 attn = softmax(dc.mul_scalar(matvec(keys, q), 1.0 / np.sqrt(d)))
                 readouts[s][layer].append(matvec(dc.transpose(h), attn))
                 weights[s][layer].append(attn)
@@ -513,11 +513,11 @@ def per_subject_contrastive(z_r, z_d, cfg):
     k, width = z.data.shape
     negative, weights = cdgin._pair_weights(z_r.data.shape[0], k // z_r.data.shape[0],
                                             cfg.delta)
-    sq = dc.matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
+    sq = matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
     norms = dc.sqrt(dc.clip_min(sq, cdgin.COSINE_NORM_FLOOR ** 2))
-    cos = dc.div(dc.matmul(z, dc.transpose(z)), dc.matmul(norms, dc.transpose(norms)))
+    cos = dc.div(matmul(z, dc.transpose(z)), matmul(norms, dc.transpose(norms)))
     e = dc.exp(cos)
-    base = dc.matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
+    base = matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
     per_pair = dc.sub(dc.log(dc.add(base, e)), cos)
     return dc.sum_all(dc.mul(per_pair, dc.const(weights)))
 
