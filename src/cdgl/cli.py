@@ -229,8 +229,8 @@ def cmd_train(args) -> int:
     out = _require(args.out, paths, "out")
     subjects = _load_subjects(data)
     os.makedirs(out, exist_ok=True)
-    result = tv.train(subjects, cfg,
-                      checkpoint_path=os.path.join(out, "checkpoint.ckpt"))
+    result = tv.train(subjects, cfg)
+    tv.save_model(os.path.join(out, "checkpoint.ckpt"), result.store, result.dims, cfg)
     _write_jsonl(os.path.join(out, "epochs.jsonl"), result.epoch_log)
     _write_json(os.path.join(out, "config.resolved.json"),
                 tv.resolved_config(cfg, result.dims))
@@ -247,23 +247,18 @@ def cmd_cv(args) -> int:
     out = _require(args.out, paths, "out")
     subjects = _load_subjects(data)
     os.makedirs(out, exist_ok=True)
-    ckpts = [os.path.join(out, f"fold{i}.ckpt") for i in range(args.folds)]
-    cv = tv.cross_validate(subjects, cfg, k=args.folds, checkpoint_paths=ckpts,
-                           jobs=args.jobs)
+    cv = tv.cross_validate(subjects, cfg, k=args.folds, jobs=args.jobs, holdout=args.holdout)
     for fold in cv.folds:
-        _write_jsonl(os.path.join(out, f"fold{fold.fold_index}_epochs.jsonl"),
-                     fold.epoch_log)
+        stem = os.path.join(out, f"fold{fold.fold_index}")
+        tv.save_model(f"{stem}.ckpt", fold.store, fold.dims, cfg)
+        _write_jsonl(f"{stem}_epochs.jsonl", fold.epoch_log)
+    if cv.holdout is not None:
+        tv.save_model(os.path.join(out, "holdout.ckpt"), cv.holdout.store, cv.holdout.dims, cfg)
     # Fold 0's dims. Folds differ only in n_windows_ref, when subjects differ in
     # length; folds of equal dims train in lockstep, the others in their own groups.
     _write_json(os.path.join(out, "config.resolved.json"),
                 tv.resolved_config(cfg, cv.folds[0].dims))
-    report = tv.cv_report_dict(cv)
-    if args.holdout:
-        by_id = {ts.subject_id: ts for ts in subjects}
-        held = tv.fit(cv.preps, cfg, checkpoint_path=os.path.join(out, "holdout.ckpt"))
-        test_preps = tv.prepare_dataset([by_id[i] for i in cv.plan.test_ids], cfg)
-        report["holdout"] = tv.evaluate(held.store, held.dims, test_preps).as_dict()
-    _write_json(os.path.join(out, "report.json"), report)
+    _write_json(os.path.join(out, "report.json"), tv.cv_report_dict(cv))
     s = cv.summary
     for metric in ("auc", "acc", "se", "sp"):
         print(f"{metric}: {tv.format_m_s(s[f'{metric}_mean'], s[f'{metric}_std'])}")

@@ -9,15 +9,16 @@ share their windows, and evaluation scores each such group in one forward
 (split when it would stack very many adjacency entries).
 
 Folds are a batch axis too. Cross-validation prepares its subjects once,
-and the folds whose training subjects give the same model dims train in
-lockstep (:func:`fit_folds`): their models are the rows of one stacked
-store, and each step's minibatches of consecutive folds run through one
-graph and one backward call, as long as that graph stacks few node rows
+and its models (the folds, and the holdout model when asked for) whose
+training subjects give the same model dims train in lockstep
+(:func:`fit_folds`): they are the rows of one stacked store, and each
+step's minibatches of consecutive rows run through one graph and one
+backward call, as long as that graph stacks few node rows
 (LOCKSTEP_STACK_ROWS): lockstep saves per-op overhead, which only
-dominates at small shapes. No fold is padded; a fold whose minibatch
-differs in shape runs that step alone, so each fold's results are
-bit-identical to training it alone. Training one model is the one-fold
-case.
+dominates at small shapes. No row is padded; a row whose minibatch
+differs in shape runs that step alone, so each model is bit-identical to
+the model trained alone. Every model trains through :func:`fit_folds`,
+which returns it; :func:`save_model` writes it to a file.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from . import dynamic_fc as dfc
 from . import model
 from .cdgin import ContrastiveConfig
 from .data_io import DatasetManifest, ManifestEntry, RoiTimeSeries, SplitPlan, stratified_split
-from .errors import ConfigError, ParseError, ShapeError, WindowBudgetError
+from .errors import ConfigError, ParseError, ShapeError, StratificationError, WindowBudgetError
 
 STREAM_CHOICES = ("rd", "r", "d")
 # Adjacency entries per stream that one scoring forward may stack. A
@@ -164,11 +165,9 @@ class TrainResult:
 
 
 @dataclass
-class FoldResult:
-    fold_index: int
+class FoldResult(TrainResult):
+    fold_index: int  # len(plan.folds) for the holdout model
     report: EvalReport
-    epoch_log: list[dict]
-    dims: model.ModelDims
 
 
 @dataclass
@@ -176,7 +175,7 @@ class CvResult:
     plan: SplitPlan
     folds: list[FoldResult]
     summary: dict[str, float | None]
-    preps: list[model.PreparedSubject]  # the CV subjects, in plan.train_ids order
+    holdout: FoldResult | None  # scored on plan.test_ids; None unless asked for
 
 
 def _na(value: float | None):
@@ -286,8 +285,7 @@ def _lockstep_step(store: dc.ParamStore, dims: model.ModelDims,
 
 
 def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
-              seeds: list[int],
-              checkpoint_paths: list[str | None] | None = None) -> list[TrainResult]:
+              seeds: list[int]) -> list[TrainResult]:
     """Shuffled-minibatch Adam training of one model per fold, in lockstep.
 
     Fold f trains on ``fold_preps[f]`` from ``seeds[f]``, which seeds both
@@ -299,9 +297,9 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
     graph would stack more than LOCKSTEP_STACK_ROWS node rows, and a fold
     whose minibatch differs (a ragged last batch, other window groups) runs
     that step on its own. One Adam call then steps the folds that had a minibatch, each
-    with its own step count. No fold is padded, so every fold's checkpoint
-    bytes and epoch log equal those it gets when trained alone; training a
-    single model is the one-fold case.
+    with its own step count. No fold is padded, so every fold's parameters
+    and epoch log equal those it gets when trained alone. Every model that
+    :func:`train` and :func:`cross_validate` return is trained here.
 
     A minibatch stacks into one graph per group of subjects that share
     their windows (one graph when all have the same N_w), adds up their
@@ -347,26 +345,14 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
                 "gin_eps": {s: [float(fold[f"cdgin.layer{layer}.{s}.eps"].data)
                                 for layer in range(dims.layers)]
                             for s in dims.streams}})
-    results = [TrainResult(store=store.fold(f), dims=dims, epoch_log=logs[f])
-               for f in range(folds)]
-    header = resolved_config(cfg, dims)
-    for result, path in zip(results, checkpoint_paths or []):
-        if path is not None:
-            dc.save_params(path, result.store, header)
-    return results
+    return [TrainResult(store=store.fold(f), dims=dims, epoch_log=logs[f])
+            for f in range(folds)]
 
 
-def fit(preps: list[model.PreparedSubject], cfg: TrainConfig,
-        checkpoint_path: str | None = None) -> TrainResult:
-    """Train one model on prepared subjects from ``cfg.seed``: :func:`fit_folds`
-    with one fold."""
-    return fit_folds([preps], cfg, [cfg.seed], [checkpoint_path])[0]
-
-
-def train(subjects: list[RoiTimeSeries], cfg: TrainConfig,
-          checkpoint_path: str | None = None) -> TrainResult:
-    """Prepare ``subjects`` under cfg's graph settings, then :func:`fit`."""
-    return fit(prepare_dataset(subjects, cfg), cfg, checkpoint_path)
+def train(subjects: list[RoiTimeSeries], cfg: TrainConfig) -> TrainResult:
+    """Prepare ``subjects`` under cfg's graph settings and train one model on
+    them from ``cfg.seed``: :func:`fit_folds` with one fold."""
+    return fit_folds([prepare_dataset(subjects, cfg)], cfg, [cfg.seed])[0]
 
 
 def predict(store: dc.ParamStore, dims: model.ModelDims,
@@ -387,6 +373,13 @@ def score(store: dc.ParamStore, dims: model.ModelDims,
             probs = model.forward_batch(store, dims, batch).y_hat.data
             score_of.update(zip(map(id, batch), probs.tolist()))
     return [score_of[id(p)] for p in preps]
+
+
+def save_model(path: str, store: dc.ParamStore, dims: model.ModelDims,
+               cfg: TrainConfig) -> None:
+    """Write one model to a checkpoint at ``path`` whose header is
+    :func:`resolved_config`: the file that :func:`load_model` reads back."""
+    dc.save_params(path, store, resolved_config(cfg, dims))
 
 
 def load_model(path: str) -> tuple[dc.ParamStore, model.ModelDims, TrainConfig]:
@@ -479,39 +472,40 @@ def split_subjects(subjects: list[RoiTimeSeries], test_fraction: float,
 
 
 def run_folds(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPlan,
-              fold_indices: list[int],
-              checkpoint_paths: list[str | None] | None = None) -> list[FoldResult]:
+              fold_indices: list[int]) -> list[FoldResult]:
     """Train the given folds on their training ids, evaluate each on its
     validation ids; results in ``fold_indices`` order.
 
-    Fold i's seed is ``cfg.seed + i``. Folds whose training subjects give
-    the same :class:`model.ModelDims` train in lockstep (:func:`fit_folds`),
-    so their results equal those of each fold run alone. ``preps`` holds
-    the prepared CV subjects; preparation depends only on the graph
-    settings, which folds share, so no fold's seed enters it.
+    Fold i's seed is ``cfg.seed + i``. Index ``len(plan.folds)`` names the
+    holdout model: it trains on ``plan.train_ids`` from ``cfg.seed`` and is
+    evaluated on ``plan.test_ids``. Models whose training subjects give the
+    same :class:`model.ModelDims` train in lockstep (:func:`fit_folds`), so
+    each result equals that of its model trained alone. ``preps`` holds the
+    prepared subjects that the given models train and are evaluated on;
+    preparation depends only on the graph settings, which all models share,
+    so no seed enters it.
     """
     by_id = {p.subject_id: p for p in preps}
-    paths = dict(zip(fold_indices, checkpoint_paths or [None] * len(fold_indices)))
-    train_preps = {i: [by_id[s] for s in plan.folds[i][0]] for i in fold_indices}
+    splits = [*plan.folds, (plan.train_ids, plan.test_ids)]
+    seeds = [cfg.seed + i for i in range(len(plan.folds))] + [cfg.seed]
+    train_preps = {i: [by_id[s] for s in splits[i][0]] for i in fold_indices}
     lockstep: dict[model.ModelDims, list[int]] = {}
     for i in fold_indices:
         lockstep.setdefault(make_dims(train_preps[i], cfg), []).append(i)
     done = {}
     for members in lockstep.values():
-        trained = fit_folds([train_preps[i] for i in members], cfg,
-                            [cfg.seed + i for i in members], [paths[i] for i in members])
+        trained = fit_folds([train_preps[i] for i in members], cfg, [seeds[i] for i in members])
         for i, result in zip(members, trained):
-            report = evaluate(result.store, result.dims, [by_id[s] for s in plan.folds[i][1]])
-            done[i] = FoldResult(fold_index=i, report=report,
-                                 epoch_log=result.epoch_log, dims=result.dims)
+            report = evaluate(result.store, result.dims, [by_id[s] for s in splits[i][1]])
+            done[i] = FoldResult(**vars(result), fold_index=i, report=report)
     return [done[i] for i in fold_indices]
 
 
 def run_fold(preps: list[model.PreparedSubject], cfg: TrainConfig, plan: SplitPlan,
-             fold_index: int, checkpoint_path: str | None = None) -> FoldResult:
+             fold_index: int) -> FoldResult:
     """Train on one fold's training ids, evaluate on its validation ids: the
     one-fold case of :func:`run_folds`."""
-    return run_folds(preps, cfg, plan, [fold_index], [checkpoint_path])[0]
+    return run_folds(preps, cfg, plan, [fold_index])[0]
 
 
 def summarize_folds(reports: list[EvalReport]) -> dict[str, float | None]:
@@ -530,37 +524,42 @@ def summarize_folds(reports: list[EvalReport]) -> dict[str, float | None]:
 
 
 def cross_validate(subjects: list[RoiTimeSeries], cfg: TrainConfig, k: int = 4,
-                   test_fraction: float = 0.2,
-                   checkpoint_paths: list[str] | None = None, jobs: int = 1) -> CvResult:
-    """k fold models under one plan; summary is mean and population std per metric.
+                   test_fraction: float = 0.2, jobs: int = 1,
+                   holdout: bool = False) -> CvResult:
+    """Every model of a cross-validation in one training pass: k fold models
+    under one plan and, with ``holdout``, the holdout model, trained on all
+    CV subjects and scored on the (then non-empty) test split. The summary
+    is the mean and population std of each fold metric.
 
-    The CV subjects (``plan.train_ids``) are prepared once, here, and
-    returned with the result for reuse. The folds split into ``jobs``
-    contiguous groups, and each group trains its folds in lockstep
+    The subjects are prepared once, here; the test subjects only with
+    ``holdout``. The models (folds 0 to k - 1, then the holdout model) split
+    into ``jobs`` contiguous groups, and each group trains in lockstep
     (:func:`run_folds`), in its own worker process when ``jobs`` > 1.
     Results keep fold order and do not depend on ``jobs``.
     """
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
     plan = split_subjects(subjects, test_fraction, k, cfg.seed)
-    if checkpoint_paths is None:
-        checkpoint_paths = [None] * len(plan.folds)
-    if len(checkpoint_paths) != len(plan.folds):
-        raise ConfigError("checkpoint_paths must match the fold count")
+    if holdout and not plan.test_ids:
+        raise StratificationError(
+            f"the test split is empty: test_fraction={test_fraction} of {len(subjects)} "
+            "subjects rounds to 0 test subjects per class, so no holdout model is scored")
     by_id = {ts.subject_id: ts for ts in subjects}
-    preps = prepare_dataset([by_id[i] for i in plan.train_ids], cfg)
+    ids = plan.train_ids + plan.test_ids if holdout else plan.train_ids
+    preps = prepare_dataset([by_id[i] for i in ids], cfg)
+    models = len(plan.folds) + 1 if holdout else len(plan.folds)
     chunks = [[int(i) for i in chunk]
-              for chunk in np.array_split(np.arange(len(plan.folds)), jobs) if len(chunk)]
-    packed = [(preps, cfg, plan, chunk, [checkpoint_paths[i] for i in chunk])
-              for chunk in chunks]
+              for chunk in np.array_split(np.arange(models), jobs) if len(chunk)]
+    packed = [(preps, cfg, plan, chunk) for chunk in chunks]
     if jobs == 1:
         done = [run_folds(*args) for args in packed]
     else:
         with ProcessPoolExecutor(max_workers=len(packed)) as pool:
             done = list(pool.map(run_folds, *zip(*packed)))
-    folds = [fold for group in done for fold in group]
-    summary = summarize_folds([f.report for f in folds])
-    return CvResult(plan=plan, folds=folds, summary=summary, preps=preps)
+    results = [result for group in done for result in group]
+    folds = results[:len(plan.folds)]
+    return CvResult(plan=plan, folds=folds, summary=summarize_folds([f.report for f in folds]),
+                    holdout=results[-1] if holdout else None)
 
 
 def format_m_s(mean: float | None, std: float | None) -> str:
@@ -570,10 +569,14 @@ def format_m_s(mean: float | None, std: float | None) -> str:
 
 
 def cv_report_dict(cv: CvResult) -> dict:
-    """JSON-ready report: per-fold metrics plus the m/s summary."""
-    return {
+    """JSON-ready report: per-fold metrics plus the m/s summary, and the
+    holdout model's metrics on the test split when it was trained."""
+    report = {
         "per_fold": [{"fold": f.fold_index, **f.report.as_dict()} for f in cv.folds],
         "summary": {key: _na(value) for key, value in cv.summary.items()},
         "split": {"train_ids": cv.plan.train_ids, "test_ids": cv.plan.test_ids,
                   "seed": cv.plan.seed},
     }
+    if cv.holdout is not None:
+        report["holdout"] = cv.holdout.report.as_dict()
+    return report

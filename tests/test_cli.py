@@ -441,20 +441,23 @@ class TestCvCommand:
             assert b1 == b2, name
 
     def test_four_folds_in_two_jobs_match_sequential(self, tmp_path_factory, tmp_path):
-        # two lockstep groups of two folds each, one per worker process
+        # two lockstep groups, one per worker process: folds 0-1 and folds
+        # 2-3, or with --holdout folds 0-2 and fold 3 with the holdout model
         data = str(tmp_path_factory.mktemp("data12") / "corr")
         assert run(["synth", "--kind", "correlation", "--subjects", "12", "--rois", "6",
                     "--timepoints", "40", "--seed", "4", "--out", data]) == 0
-        seq, par = str(tmp_path / "seq"), str(tmp_path / "par")
-        base = ["cv", "--data", data, "--folds", "4"] + TINY
-        assert run(base + ["--out", seq]) == 0
-        assert run(base + ["--out", par, "--jobs", "2"]) == 0
-        names = sorted(os.listdir(seq))
-        assert "fold3.ckpt" in names and names == sorted(os.listdir(par))
-        for name in names:
-            b1 = open(os.path.join(seq, name), "rb").read()
-            b2 = open(os.path.join(par, name), "rb").read()
-            assert b1 == b2, name
+        for tag, holdout in (("plain", []), ("holdout", ["--holdout"])):
+            seq, par = str(tmp_path / f"seq_{tag}"), str(tmp_path / f"par_{tag}")
+            base = ["cv", "--data", data, "--folds", "4"] + holdout + TINY
+            assert run(base + ["--out", seq]) == 0
+            assert run(base + ["--out", par, "--jobs", "2"]) == 0
+            names = sorted(os.listdir(seq))
+            assert "fold3.ckpt" in names and names == sorted(os.listdir(par))
+            assert ("holdout.ckpt" in names) == bool(holdout)
+            for name in names:
+                b1 = open(os.path.join(seq, name), "rb").read()
+                b2 = open(os.path.join(par, name), "rb").read()
+                assert b1 == b2, name
 
     def test_fold_headers_hold_their_own_dims(self, tmp_path):
         # one short CV subject: the fold that validates it trains on longer
@@ -494,6 +497,45 @@ class TestCvCommand:
         assert set(report["holdout"]) == {"auc", "acc", "se", "sp",
                                           "tp", "tn", "fp", "fn"}
         assert os.path.exists(os.path.join(out, "holdout.ckpt"))
+
+    def test_empty_test_split_under_holdout_exit_3_before_training(self, tmp_path, capsys):
+        # 2 subjects per class: round(2 x 0.2) = 0 test subjects in each
+        data = str(tmp_path / "four")
+        assert run(["synth", "--kind", "correlation", "--subjects", "4", "--rois", "6",
+                    "--timepoints", "40", "--seed", "3", "--out", data]) == 0
+        out = str(tmp_path / "cv")
+        assert run(["cv", "--data", data, "--folds", "2", "--holdout", "--out", out]
+                   + TINY) == 3
+        err = capsys.readouterr().err
+        assert "error: the test split is empty: test_fraction=0.2" in err
+        assert not [name for name in os.listdir(out) if name.endswith(".ckpt")]
+        assert run(["cv", "--data", data, "--folds", "2", "--out", out] + TINY) == 0
+
+    def test_blas_thread_count_changes_no_output_byte(self, tmp_path):
+        # 30 ROIs at the default widths, so that the larger products (the
+        # LSTM's input projection over 3 lockstep rows) are big enough for
+        # a BLAS to split across threads
+        data = str(tmp_path / "data")
+        assert run(["synth", "--kind", "correlation", "--subjects", "8", "--rois", "30",
+                    "--timepoints", "120", "--seed", "3", "--out", data]) == 0
+        cdgl_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        outs = []
+        for threads in ("1", "2"):
+            out = str(tmp_path / f"threads{threads}")
+            env = {**os.environ, "PYTHONPATH": cdgl_root,
+                   "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run(
+                [sys.executable, "-m", "cdgl", "cv", "--data", data, "--folds", "2",
+                 "--holdout", "--out", out, "--set", "epochs=2"],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.append(out)
+        names = sorted(os.listdir(outs[0]))
+        assert "holdout.ckpt" in names and names == sorted(os.listdir(outs[1]))
+        for name in names:
+            b1 = open(os.path.join(outs[0], name), "rb").read()
+            b2 = open(os.path.join(outs[1], name), "rb").read()
+            assert b1 == b2, name
 
 
 class TestGradcheckCommand:

@@ -1040,8 +1040,8 @@ class TestFoldStacks:
     @pytest.mark.parametrize("sa, sb", [((3, 3), (6, 3)), ((2, 4), (4, 4)), ((6, 4), (3, 4)),
                                         ((2, 3), (3, 3))])
     def test_plain_add_keeps_its_broadcast_rule(self, sa, sb):
-        """Only an add told F broadcasts per fold: equal-rank operands whose
-        first axes differ, neither being 1, raise as they always have."""
+        """``add`` has no per-fold rule, only numpy's broadcasting: equal-rank
+        operands whose first axes differ, neither being 1, raise."""
         with pytest.raises(ShapeError):
             dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
 

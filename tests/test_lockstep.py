@@ -66,11 +66,12 @@ def assert_lockstep_matches_alone(preps, cfg, plan, tmp_path, steps):
     """Run the plan's folds together, then each alone, and compare; returns
     the steps record of the run together."""
     idx = list(range(len(plan.folds)))
-    together = tv.run_folds(preps, cfg, plan, idx,
-                            [str(tmp_path / f"lockstep{i}.ckpt") for i in idx])
+    together = tv.run_folds(preps, cfg, plan, idx)
     record = {key: list(values) for key, values in steps.items()}
     for i in idx:
-        alone = tv.run_fold(preps, cfg, plan, i, str(tmp_path / f"alone{i}.ckpt"))
+        alone = tv.run_fold(preps, cfg, plan, i)
+        for name, result in (("lockstep", together[i]), ("alone", alone)):
+            tv.save_model(str(tmp_path / f"{name}{i}.ckpt"), result.store, result.dims, cfg)
         assert together[i].fold_index == i
         assert together[i].dims == alone.dims
         assert together[i].epoch_log == alone.epoch_log, i
@@ -137,6 +138,35 @@ def test_cross_validate_groups_match_one_group():
     split = tv.cross_validate(subjects, cfg, k=4, test_fraction=0.2, jobs=3)
     assert tv.cv_report_dict(one) == tv.cv_report_dict(split)
     assert [f.epoch_log for f in one.folds] == [f.epoch_log for f in split.folds]
+
+
+@pytest.mark.parametrize("mixed", [False, True], ids=["equal-lengths", "mixed-lengths"])
+def test_holdout_row_matches_a_lone_model(tmp_path, steps, mixed):
+    """cross_validate(holdout=True) trains the holdout model as one more
+    lockstep row; its store, epoch log and report equal those of the model
+    fit_folds trains alone on the CV subjects from cfg.seed. In the mixed
+    cohort one CV subject is short, so fold 0, which validates it, trains
+    under other dims than folds 1 and 2 and the holdout model."""
+    cfg = cfg_of(epochs=2)
+    rng = np.random.default_rng(7)
+    short = tv.split_subjects(cohort(rng, [30] * 20), 0.2, 3, cfg.seed).train_ids[0]
+    # 25 timepoints give 4 windows, 30 give 5
+    subjects = cohort(rng, [25 if mixed and f"s{i:02d}" == short else 30 for i in range(20)])
+    cv = tv.cross_validate(subjects, cfg, k=3, test_fraction=0.2, holdout=True)
+    by_id = {p.subject_id: p for p in tv.prepare_dataset(subjects, cfg)}
+    alone = tv.fit_folds([[by_id[i] for i in cv.plan.train_ids]], cfg, [cfg.seed])[0]
+    report = tv.evaluate(alone.store, alone.dims, [by_id[i] for i in cv.plan.test_ids])
+    held = cv.holdout
+    assert held.fold_index == 3
+    assert held.dims == alone.dims
+    assert held.epoch_log == alone.epoch_log
+    assert held.report == report
+    for name, result in (("row", held), ("alone", alone)):
+        tv.save_model(str(tmp_path / f"{name}.ckpt"), result.store, result.dims, cfg)
+    assert (tmp_path / "row.ckpt").read_bytes() == (tmp_path / "alone.ckpt").read_bytes()
+    assert [f.dims != held.dims for f in cv.folds] == [mixed, False, False]
+    # the holdout model stacks with every fold of its dims
+    assert max(n for n, _ in steps["graphs"]) == (3 if mixed else 4)
 
 
 def test_stacked_forward_and_gradients_equal_each_fold_alone():

@@ -209,8 +209,9 @@ class TestTrain:
         subs = toy_pair(rng)
         cfg = tiny_cfg(epochs=2)
         p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
-        tv.train(subs, cfg, checkpoint_path=p1)
-        tv.train(subs, cfg, checkpoint_path=p2)
+        for path in (p1, p2):
+            result = tv.train(subs, cfg)
+            tv.save_model(path, result.store, result.dims, cfg)
         assert open(p1, "rb").read() == open(p2, "rb").read()
 
     def test_separable_toy_loss_drops(self):
@@ -281,7 +282,9 @@ class TestLoadModel:
         subs = toy_cohort(rng, n=5) + toy_cohort(rng, n=3, t=40)  # two window counts
         cfg = tiny_cfg(epochs=2, streams="d", distance_kind="mahalanobis")
         path = str(tmp_path / "model.ckpt")
-        return subs, cfg, tv.train(subs, cfg, checkpoint_path=path), path
+        result = tv.train(subs, cfg)
+        tv.save_model(path, result.store, result.dims, cfg)
+        return subs, cfg, result, path
 
     def rewrite(self, path, edit):
         """Save the checkpoint at ``path`` again with ``edit`` applied to its header."""
