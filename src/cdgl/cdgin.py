@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
-from .errors import ContrastiveConfigError, ShapeError
+from .errors import ConfigError, ShapeError, WindowBudgetError
 
 COSINE_NORM_FLOOR = 1e-12
 
@@ -35,9 +35,9 @@ class ContrastiveConfig:
 
     def __post_init__(self):
         if self.delta < 1:
-            raise ContrastiveConfigError(f"delta must be >= 1, got {self.delta}")
+            raise ConfigError(f"delta must be >= 1, got {self.delta}")
         if self.alpha < 0:
-            raise ContrastiveConfigError(f"alpha must be >= 0, got {self.alpha}")
+            raise ConfigError(f"alpha must be >= 0, got {self.alpha}")
 
 
 @dataclass
@@ -219,7 +219,7 @@ def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
                          f"{z_r.data.shape} vs {z_d.data.shape}")
     b, n, width = z_r.data.shape
     if n < cfg.delta + 1:
-        raise ContrastiveConfigError(
+        raise WindowBudgetError(
             f"need at least delta+1={cfg.delta + 1} windows, got {n}")
 
     z = z_r if z_d is None else dc.concat([z_r, z_d], axis=-2)  # (B, K, P)

@@ -1,5 +1,9 @@
 """Command-line front end: synth, train, cv, gradcheck, fc-dump, attn-export.
 
+train, cv, gradcheck and fc-dump get their settings from resolve_config
+(TrainConfig defaults, --config file, --set overrides; TrainConfig checks
+the values), attn-export from its checkpoint.
+
 Exit codes: 0 success, 2 usage or config problem, 3 data problem,
 4 gradient check over tolerance. Every output file is written atomically
 (temp file + rename) and is byte-identical across reruns with the same
@@ -32,7 +36,6 @@ from .data_io import (
 )
 from .errors import (
     ConfigError,
-    ContrastiveConfigError,
     NumericsError,
     ParseError,
     ShapeError,
@@ -51,12 +54,11 @@ HEAP_MMAP_THRESHOLD = 32 << 20  # glibc's largest allowed value on 64-bit hosts
 # not); 64 MiB leaves room for graphs eight times as large
 HEAP_TRIM_THRESHOLD = 64 << 20
 
-_USAGE_ERRORS = (ConfigError, SpecError, ContrastiveConfigError)
+_USAGE_ERRORS = (ConfigError, SpecError)
 _DATA_ERRORS = (ParseError, ShapeError, StratificationError, WindowBudgetError,
-                NumericsError)
+                NumericsError, FileNotFoundError)
 
-_FIELD_TYPES = {f.name: type(getattr(tv.TrainConfig(), f.name))
-                for f in dataclasses.fields(tv.TrainConfig)}
+_CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(tv.TrainConfig)) | set(PATH_KEYS)
 _BARE_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.\-/]*\Z")
 
 
@@ -107,29 +109,13 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         where = f"{source}:{lineno}"
         if not eq or not key:
             raise ConfigError(f"{where}: expected key = value, got {raw.strip()!r}")
-        if key not in _FIELD_TYPES and key not in PATH_KEYS:
-            known = sorted(list(_FIELD_TYPES) + list(PATH_KEYS))
-            raise ConfigError(f"{where}: unknown config key {key!r} (known: {', '.join(known)})")
+        if key not in _CONFIG_KEYS:
+            raise ConfigError(f"{where}: unknown config key {key!r} "
+                              f"(known: {', '.join(sorted(_CONFIG_KEYS))})")
         if key in values:
             raise ConfigError(f"{where}: duplicate key {key!r}")
         values[key] = _parse_value(rest, where)
     return values
-
-
-def _coerce(key: str, value):
-    want = _FIELD_TYPES[key]
-    if want is bool:
-        if isinstance(value, bool):
-            return value
-    elif want is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    elif want is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    elif isinstance(value, str):
-        return value
-    raise ConfigError(f"config key {key!r} expects {want.__name__}, got {value!r}")
 
 
 def resolve_config(config_path: str | None, overrides: list[str] | None,
@@ -146,7 +132,7 @@ def resolve_config(config_path: str | None, overrides: list[str] | None,
         key = key.strip()
         if not eq or not key:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        if key not in _FIELD_TYPES and key not in PATH_KEYS:
+        if key not in _CONFIG_KEYS:
             raise ConfigError(f"--set: unknown config key {key!r}")
         values[key] = _parse_value(rest, f"--set {key}")
     paths = {}
@@ -156,8 +142,7 @@ def resolve_config(config_path: str | None, overrides: list[str] | None,
             if not isinstance(path, str):
                 raise ConfigError(f"config key {key!r} expects a path string, got {path!r}")
             paths[key] = path
-    kwargs = {key: _coerce(key, value) for key, value in values.items()}
-    return dataclasses.replace(base, **kwargs), paths
+    return dataclasses.replace(base, **values), paths
 
 
 # ------------------------------------------------------------- file plumbing
@@ -299,19 +284,20 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_fc_dump(args) -> int:
-    ts = _load_subjects(args.data, args.subject, first_only=True)[0]
-    signals = ts.signals if args.raw else zscore_columns(ts.signals)
-    wspec = dfc.WindowSpec(args.window_size, args.stride)
-    kind = dfc.DistanceKind(args.distance)
-    fc = dfc.build_fc_pairs(signals, wspec, kind)
+    cfg, paths = resolve_config(args.config, args.set)
+    data = _require(args.data, paths, "data")
+    out = _require(args.out, paths, "out")
+    ts = _load_subjects(data, args.subject, first_only=True)[0]
+    signals = zscore_columns(ts.signals) if cfg.normalize_fc else ts.signals
+    fc = dfc.build_fc_pairs(signals, cfg.window_spec(), cfg.distance())
     n_w = len(fc.starts)
-    os.makedirs(args.out, exist_ok=True)
+    os.makedirs(out, exist_ok=True)
     for t in range(n_w):
         for tag, stack in (("r", fc.r), ("d", fc.d), ("a_r", fc.a_r), ("a_d", fc.a_d)):
             name = f"{ts.subject_id}_w{t:03d}_{tag}.csv"
-            write_roi_csv(os.path.join(args.out, name), stack[t], header=False)
+            write_roi_csv(os.path.join(out, name), stack[t], header=False)
     print(f"wrote {4 * n_w} matrices for {ts.subject_id} "
-          f"({n_w} windows) to {args.out}")
+          f"({n_w} windows) to {out}")
     return 0
 
 
@@ -419,16 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("fc-dump",
-                       help="write one subject's windowed matrices as CSVs",
+                       help="write one subject's windowed matrices as CSVs, under the "
+                            "config's window_size, stride, distance_kind, ridge_scale "
+                            "and normalize_fc",
                        formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    p.add_argument("--data", required=True, help="dataset dir (or manifest.json path)")
+    add_config_flags(p)
+    p.add_argument("--data", default=None, help="dataset dir (or manifest.json path)")
     p.add_argument("--subject", default=None, help="subject id (default: first)")
-    p.add_argument("--window-size", type=int, default=35)
-    p.add_argument("--stride", type=int, default=25)
-    p.add_argument("--distance", default="euclidean", choices=dfc.DISTANCE_KINDS)
-    p.add_argument("--raw", action="store_true",
-                   help="skip per-ROI standardization before windowing")
-    p.add_argument("--out", required=True, help="output directory")
+    p.add_argument("--out", default=None, help="output directory for the matrix CSVs")
     p.set_defaults(func=cmd_fc_dump)
 
     p = sub.add_parser("attn-export",
@@ -480,9 +464,6 @@ def main(argv=None) -> int:
     except _USAGE_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except FileNotFoundError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 3
     except _DATA_ERRORS as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

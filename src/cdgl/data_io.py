@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, ParseError, ShapeError, StratificationError
+from .errors import ConfigError, NumericsError, ParseError, ShapeError, StratificationError
 
 MANIFEST_SCHEMA_VERSION = 1
 
@@ -61,18 +61,22 @@ _CSV_FORMAT = dict(delimiter=",", comments=None, quotechar='"', dtype=np.float64
 def load_roi_csv(path: str, subject_id: str = "", label: int = 0) -> RoiTimeSeries:
     """Read a rectangular numeric CSV into a RoiTimeSeries.
 
-    A first line with a cell that Python's ``float()`` rejects is treated as
-    a header and skipped. The rest is parsed in C by ``np.loadtxt``: every
-    cell is a decimal or exponent float literal, ``nan`` or ``inf`` (the
-    last two are rejected as non-finite), optionally padded with spaces or
-    wrapped in double quotes; empty lines are skipped. Digit-group
-    underscores (``1_0``) and non-ASCII digits are non-numeric. A ragged
-    or non-numeric line is a :class:`ParseError` naming ``path:line``.
+    The text is UTF-8, with an optional byte-order mark. A first line with
+    a cell that Python's ``float()`` rejects is a header and skipped. The
+    rest is parsed in C by ``np.loadtxt``: every cell is a decimal or
+    exponent float literal, ``nan`` or ``inf`` (the last two are rejected
+    as non-finite), optionally padded with spaces or wrapped in double
+    quotes; empty lines are skipped. Digit-group underscores (``1_0``) and
+    non-ASCII digits are non-numeric. A ragged or non-numeric line, or a
+    byte that is not UTF-8, is a :class:`ParseError` naming the file.
     Labels come from the manifest, not the file; the default here is a
     placeholder.
     """
-    with open(path) as f:
-        lines = f.readlines()
+    try:
+        with open(path, encoding="utf-8-sig") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path}: not UTF-8 text ({err})") from None
     start = 1 if lines and _is_header(lines[0]) else 0
     if all(line == "\n" for line in lines[start:]):
         raise ParseError(f"{path}: no data rows")
@@ -154,9 +158,9 @@ def stratified_split(manifest: DatasetManifest, test_fraction: float,
                      k: int, seed: int) -> SplitPlan:
     """Seeded stratified train/test split plus k-fold partition of the training ids."""
     if not 0.0 < test_fraction < 1.0:
-        raise StratificationError(f"test_fraction must be in (0, 1), got {test_fraction}")
+        raise ConfigError(f"test_fraction must be in (0, 1), got {test_fraction}")
     if k < 2:
-        raise StratificationError(f"k must be >= 2, got {k}")
+        raise ConfigError(f"k must be >= 2, got {k}")
     by_class: dict[int, list[str]] = {0: [], 1: []}
     for e in manifest.entries:
         by_class[e.label].append(e.subject_id)
@@ -209,11 +213,15 @@ def load_manifest(path: str) -> DatasetManifest:
             doc = json.load(f)
     except json.JSONDecodeError as err:
         raise ParseError(f"{path}: invalid JSON ({err})") from None
+    if not isinstance(doc, dict):
+        raise ParseError(f"{path}: manifest must be a JSON object, got {type(doc).__name__}")
     for key in ("schema_version", "roi_count", "entries"):
         if key not in doc:
             raise ParseError(f"{path}: manifest missing key {key!r}")
     if not isinstance(doc["roi_count"], int) or doc["roi_count"] < 2:
         raise ParseError(f"{path}: roi_count must be an integer >= 2")
+    if not isinstance(doc["entries"], list):
+        raise ParseError(f"{path}: entries must be a list, got {type(doc['entries']).__name__}")
     entries = []
     seen = set()
     for rec in doc["entries"]:

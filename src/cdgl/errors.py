@@ -34,10 +34,6 @@ class StateError(CdglError):
     """Optimizer or model state used out of order (e.g. step before backward)."""
 
 
-class ContrastiveConfigError(CdglError):
-    """Too few windows for the configured contrastive offset."""
-
-
 class WindowBudgetError(CdglError):
     """A subject yields too few sliding windows for the configured training run."""
 

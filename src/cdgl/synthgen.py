@@ -20,6 +20,7 @@ correlations differ strongly because class 1 windows sit inside one regime.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -51,8 +52,8 @@ class SynthSpec:
             raise SpecError(f"m must be >= 4, got {self.m}")
         if self.t < 8:
             raise SpecError(f"t must be >= 8, got {self.t}")
-        if self.noise_std < 0:
-            raise SpecError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
+            raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.amp_factor <= 0 or self.amp_tilt <= 0:
             raise SpecError("amp_factor and amp_tilt must be positive")
 

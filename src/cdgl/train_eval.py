@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -64,6 +64,8 @@ class TrainConfig:
 
     Defaults follow the duloxetine setup: two GIN layers, batch size 4,
     lr 4e-4, weight decay 2e-4, windows of 35 with stride 25.
+    Every value is checked here, from the command line, a config file or
+    a checkpoint header alike; the float fields store an int as a float.
     """
 
     layers: int = 2
@@ -93,11 +95,15 @@ class TrainConfig:
         for name, value in positive_ints.items():
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise ConfigError(f"{name} must be a positive integer, got {value!r}")
-        floats = {"lr": self.lr, "weight_decay": self.weight_decay, "alpha": self.alpha,
-                  "ridge_scale": self.ridge_scale}
-        for name, value in floats.items():
-            if not math.isfinite(value):
+        if self.window_size < 2:
+            raise ConfigError(f"window_size must be >= 2, got {self.window_size}")
+        for name in ("lr", "weight_decay", "alpha", "ridge_scale"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # nan, inf or an int beyond float range
                 raise ConfigError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if self.lr <= 0:
             raise ConfigError(f"lr must be positive, got {self.lr}")
         if self.weight_decay < 0:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cdgl import cdgin
 from cdgl import diffcore as dc
-from cdgl.errors import ContrastiveConfigError, ShapeError
+from cdgl.errors import ConfigError, ShapeError, WindowBudgetError
 
 
 def make_layer_params(rng, d, scale=0.5):
@@ -266,10 +266,10 @@ class TestContrastiveLoss:
 
     def test_too_few_windows(self):
         z = dc.param(np.ones((1, 1, 3)))
-        with pytest.raises(ContrastiveConfigError):
+        with pytest.raises(WindowBudgetError):
             cdgin.contrastive_loss(z, z, cdgin.ContrastiveConfig(delta=1))
         z2 = dc.param(np.ones((1, 2, 3)))
-        with pytest.raises(ContrastiveConfigError):
+        with pytest.raises(WindowBudgetError):
             cdgin.contrastive_loss(z2, z2, cdgin.ContrastiveConfig(delta=2))
 
     def test_zero_vectors_no_blowup(self):
@@ -397,7 +397,7 @@ class TestContrastiveLoss:
                                    cfg)
 
     def test_config_validation(self):
-        with pytest.raises(ContrastiveConfigError):
+        with pytest.raises(ConfigError):
             cdgin.ContrastiveConfig(delta=0)
-        with pytest.raises(ContrastiveConfigError):
+        with pytest.raises(ConfigError):
             cdgin.ContrastiveConfig(alpha=-0.1)

@@ -1,6 +1,8 @@
 """CLI contract: exit codes, config parsing, determinism, file outputs."""
 
+import argparse
 import ctypes
+import dataclasses
 import json
 import os
 import shutil
@@ -138,7 +140,7 @@ class TestConfigParsing:
             cli.parse_config_text("epochs 5")
 
     def test_type_coercion_errors(self):
-        with pytest.raises(ConfigError, match="expects int"):
+        with pytest.raises(ConfigError, match="epochs must be a positive integer"):
             cli.resolve_config(None, ["epochs=2.5"])
 
     def test_set_overrides_file(self, tmp_path):
@@ -221,6 +223,43 @@ class TestExitCodes:
         assert "must be finite" in capsys.readouterr().err
         assert not (tmp_path / "r").exists()
 
+    @pytest.mark.parametrize("command", ["train", "cv", "gradcheck", "fc-dump"])
+    def test_window_size_below_two_exit_2(self, dataset, tmp_path, capsys, command):
+        paths = [] if command == "gradcheck" else ["--data", dataset,
+                                                   "--out", str(tmp_path / "r")]
+        assert run([command, "--set", "window_size=1"] + paths) == 2
+        assert "window_size must be >= 2, got 1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("value", ["fast", "true"])
+    def test_non_number_config_float_exit_2(self, dataset, tmp_path, capsys, value):
+        code = run(["train", "--data", dataset, "--out", str(tmp_path / "r"),
+                    "--set", f"lr={value}"] + TINY)
+        assert code == 2
+        assert "lr must be a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("noise", ["nan", "inf"])
+    def test_non_finite_synth_noise_exit_2(self, tmp_path, noise):
+        out = tmp_path / "x"
+        assert run(["synth", "--kind", "correlation", "--subjects", "4",
+                    "--noise", noise, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_manifest_not_an_object_exit_3(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_text("5")
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "r")] + TINY) == 3
+        assert "manifest.json: manifest must be a JSON object" in capsys.readouterr().err
+
+    def test_csv_not_utf8_exit_3(self, dataset, tmp_path, capsys):
+        data = tmp_path / "latin1"
+        shutil.copytree(dataset, data)
+        csv_path = data / "sub000.csv"
+        csv_path.write_bytes(b"r\xe9gion" + csv_path.read_bytes())  # Latin-1 e-acute
+        assert run(["train", "--data", str(data), "--out", str(tmp_path / "r")] + TINY) == 3
+        assert "sub000.csv: not UTF-8 text" in capsys.readouterr().err
+
     def test_preparation_overflow_names_subject_stream_window(self, dataset, tmp_path,
                                                               capsys):
         data = copy_with_overflowing_roi(dataset, tmp_path)
@@ -242,7 +281,7 @@ class TestExitCodes:
             assert ("error: subject 'sub003': ROI 2: non-finite standard deviation"
                     in capsys.readouterr().err)
             code = run(["fc-dump", "--data", str(data), "--subject", "sub003",
-                        "--window-size", "10", "--stride", "10",
+                        "--set", "window_size=10", "--set", "stride=10",
                         "--out", str(tmp_path / "fc")])
             assert code == 3
             assert "ROI 2: non-finite standard deviation" in capsys.readouterr().err
@@ -350,7 +389,7 @@ class TestExitCodes:
 
     def test_unknown_subject_exit_2(self, dataset, tmp_path):
         code = run(["fc-dump", "--data", dataset, "--subject", "ghost",
-                    "--window-size", "10", "--stride", "10",
+                    "--set", "window_size=10", "--set", "stride=10",
                     "--out", str(tmp_path / "fc")])
         assert code == 2
 
@@ -367,6 +406,28 @@ class TestExitCodes:
         assert run(argv + ["--data", empty, "--out", str(tmp_path / "out")]) == 2
         manifest = os.path.join(empty, "manifest.json")
         assert capsys.readouterr().err == f"error: dataset is empty: {manifest}\n"
+
+
+def subcommands():
+    parser = cli.build_parser()
+    [action] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+class TestOneResolver:
+    """Graph and model settings reach every command through resolve_config alone."""
+
+    @pytest.mark.parametrize("command", ["train", "cv", "gradcheck", "fc-dump"])
+    def test_config_commands_take_config_and_set(self, command):
+        dests = {a.dest for a in subcommands()[command]._actions}
+        assert {"config", "set"} <= dests
+
+    def test_no_option_shadows_a_config_key(self):
+        # synth's --seed seeds the generated data set, not a model
+        fields = {f.name for f in dataclasses.fields(tv.TrainConfig)}
+        shadowing = {name: sorted(fields & {a.dest for a in p._actions})
+                     for name, p in subcommands().items() if name != "synth"}
+        assert shadowing == {name: [] for name in shadowing}
 
 
 class TestSynthCommand:
@@ -488,6 +549,11 @@ class TestCvCommand:
                     "--out", str(tmp_path / "j")] + TINY) == 2
         assert "error: jobs must be >= 1, got 0" in capsys.readouterr().err
 
+    def test_folds_below_two_exit_2(self, dataset, tmp_path, capsys):
+        assert run(["cv", "--data", dataset, "--folds", "1",
+                    "--out", str(tmp_path / "f")] + TINY) == 2
+        assert "error: k must be >= 2, got 1" in capsys.readouterr().err
+
     def test_holdout_section(self, dataset, tmp_path):
         out = str(tmp_path / "h")
         assert run(["cv", "--data", dataset, "--folds", "2", "--holdout",
@@ -585,8 +651,8 @@ class TestFcDump:
                                    roi_count=2)
         save_manifest(os.path.join(data_dir, "manifest.json"), manifest)
         out = str(tmp_path / "fc")
-        assert run(["fc-dump", "--data", data_dir, "--window-size", "10",
-                    "--stride", "10", "--out", out]) == 0
+        assert run(["fc-dump", "--data", data_dir, "--set", "window_size=10",
+                    "--set", "stride=10", "--out", out]) == 0
         for name in sorted(os.listdir(out)):
             if "_a_" in name:
                 rows = [line.split(",") for line in
@@ -604,8 +670,8 @@ class TestFcDump:
         save_manifest(os.path.join(data_dir, "manifest.json"),
                       DatasetManifest(entries=[ManifestEntry("s0", "s0.csv", 0)], roi_count=2))
         out = str(tmp_path / "fc")
-        assert run(["fc-dump", "--data", data_dir, "--window-size", "10", "--stride", "10",
-                    "--raw", "--out", out]) == 0
+        assert run(["fc-dump", "--data", data_dir, "--set", "window_size=10",
+                    "--set", "stride=10", "--set", "normalize_fc=false", "--out", out]) == 0
         assert sorted(os.listdir(out)) == [f"s0_w000_{tag}.csv" for tag in ("a_d", "a_r", "d", "r")]
 
         def text(tag):
@@ -617,8 +683,8 @@ class TestFcDump:
 
     def test_matrix_round_trip(self, dataset, tmp_path):
         out = str(tmp_path / "fc")
-        assert run(["fc-dump", "--data", dataset, "--window-size", "10",
-                    "--stride", "10", "--out", out]) == 0
+        assert run(["fc-dump", "--data", dataset, "--set", "window_size=10",
+                    "--set", "stride=10", "--out", out]) == 0
         names = sorted(os.listdir(out))
         plain_r = [n for n in names if n.endswith("_r.csv") and "_a_r" not in n]
         assert plain_r
@@ -630,8 +696,27 @@ class TestFcDump:
         np.testing.assert_allclose(np.diag(r), 1.0, atol=1e-12)
         np.testing.assert_allclose(r, r.T, atol=1e-15)
 
+    def test_graph_settings_and_paths_come_from_the_config(self, dataset, tmp_path):
+        # every graph setting, ridge_scale included, and the data and out
+        # paths, as train and cv read them
+        out = tmp_path / "fc"
+        cfg_path = tmp_path / "c.toml"
+        cfg_path.write_text(f'data = "{dataset}"\nout = "{out}"\nwindow_size = 12\n'
+                            "stride = 9\ndistance_kind = mahalanobis\nridge_scale = 0.5\n"
+                            "normalize_fc = false\n")
+        assert run(["fc-dump", "--config", str(cfg_path), "--subject", "sub002"]) == 0
+        ts = cli._load_subjects(dataset, "sub002")[0]
+        fc = dfc.build_fc_pairs(ts.signals, dfc.WindowSpec(12, 9),
+                                dfc.DistanceKind("mahalanobis", 0.5))
+        assert len(os.listdir(out)) == 4 * len(fc.starts) == 4 * 4
+        for t in range(len(fc.starts)):
+            for tag in ("r", "d", "a_r", "a_d"):
+                got = np.loadtxt(out / f"sub002_w{t:03d}_{tag}.csv", delimiter=",")
+                np.testing.assert_array_equal(got, getattr(fc, tag)[t])
+
     def test_only_the_dumped_subject_is_parsed(self, bad_second, tmp_path):
-        base = ["fc-dump", "--data", bad_second, "--window-size", "10", "--stride", "10"]
+        base = ["fc-dump", "--data", bad_second, "--set", "window_size=10",
+                "--set", "stride=10"]
         assert run(base + ["--out", str(tmp_path / "first")]) == 0  # sub000, the first
         assert run(base + ["--subject", "sub002", "--out", str(tmp_path / "named")]) == 0
         assert run(base + ["--subject", "sub001", "--out", str(tmp_path / "bad")]) == 3

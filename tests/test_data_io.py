@@ -78,6 +78,25 @@ class TestLoadRoiCsv:
         with pytest.raises(ParseError):
             dio.load_roi_csv(p)
 
+    def test_byte_order_mark_without_header_keeps_every_row(self, tmp_path):
+        # Excel's "CSV UTF-8" export starts the file with U+FEFF
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbf1.0,2.0\n3.0,4.0\n5.0,6.0\n")
+        np.testing.assert_array_equal(dio.load_roi_csv(str(p)).signals,
+                                      [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+
+    def test_byte_order_mark_before_header_skips_the_header(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_bytes(b"\xef\xbb\xbfroi_0,roi_1\n1.0,2.0\n3.0,4.0\n")
+        np.testing.assert_array_equal(dio.load_roi_csv(str(p)).signals,
+                                      [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_bytes_that_are_not_utf8_rejected(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes("r\xe9gion_0,r\xe9gion_1\n1.0,2.0\n3.0,4.0\n".encode("latin-1"))
+        with pytest.raises(ParseError, match=r"latin1\.csv: not UTF-8"):
+            dio.load_roi_csv(str(p))
+
 
 def oracle_load_roi_csv(path):
     """The reader before parsing moved to np.loadtxt: csv.reader plus a Python
@@ -296,6 +315,21 @@ class TestManifest:
         p = tmp_path / "bad.json"
         p.write_text("{nope")
         with pytest.raises(ParseError, match="JSON"):
+            dio.load_manifest(str(p))
+
+    @pytest.mark.parametrize("text, message", [
+        ("5", "must be a JSON object, got int"),
+        ("null", "must be a JSON object, got NoneType"),
+        ("[]", "must be a JSON object, got list"),
+        ('{"schema_version": 1, "roi_count": 10, "entries": null}',
+         "entries must be a list, got NoneType"),
+        ('{"schema_version": 1, "roi_count": 10, "entries": {}}',
+         "entries must be a list, got dict"),
+    ])
+    def test_wrong_json_shape(self, tmp_path, text, message):
+        p = tmp_path / "bad.json"
+        p.write_text(text)
+        with pytest.raises(ParseError, match=rf"bad\.json: .*{message}"):
             dio.load_manifest(str(p))
 
     def test_missing_key(self, tmp_path):

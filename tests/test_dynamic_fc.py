@@ -458,8 +458,9 @@ class TestBatchedMatchesOracle:
         data = str(tmp_path / "data")
         sg.generate(sg.SynthSpec(kind="amplitude", n_subjects=2, m=8, t=50, seed=4), data)
         out = str(tmp_path / "fc")
-        assert cli.main(["fc-dump", "--data", data, "--window-size", "15", "--stride", "7",
-                         "--distance", "mahalanobis", "--out", out]) == 0
+        assert cli.main(["fc-dump", "--data", data, "--set", "window_size=15",
+                         "--set", "stride=7", "--set", "distance_kind=mahalanobis",
+                         "--out", out]) == 0
         ts = data_io.load_dataset(data_io.load_manifest(os.path.join(data, "manifest.json")),
                                   data)[0]
         x = data_io.zscore_columns(ts.signals)

@@ -24,9 +24,10 @@ class TestSpecValidation:
         with pytest.raises(SpecError):
             sg.SynthSpec("correlation", 10, 3, 100)
 
-    def test_negative_noise(self):
+    @pytest.mark.parametrize("noise", [-0.1, float("nan"), float("inf")])
+    def test_negative_noise(self, noise):
         with pytest.raises(SpecError):
-            sg.SynthSpec("correlation", 10, 10, 100, noise_std=-0.1)
+            sg.SynthSpec("correlation", 10, 10, 100, noise_std=noise)
 
 
 def pearson(x):

@@ -1,5 +1,6 @@
 """Metric oracles, training determinism, and cross-validation plumbing."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -28,11 +29,19 @@ class TestTrainConfig:
         {"layers": 0}, {"batch_size": -1}, {"lr": 0.0}, {"weight_decay": -0.1},
         {"alpha": -0.5}, {"epochs": 0}, {"distance_kind": "cosine"},
         {"streams": "dr"}, {"window_size": 0}, {"delta": 0}, {"normalize_fc": 1},
-        {"epochs": True}, {"seed": False},
+        {"epochs": True}, {"seed": False}, {"window_size": 1}, {"lr": "fast"},
+        {"lr": True}, {"alpha": None}, {"ridge_scale": "1e-3"}, {"weight_decay": 10 ** 400},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             tv.TrainConfig(**kwargs)
+
+    def test_float_fields_store_ints_as_floats(self):
+        cfg = tv.TrainConfig(lr=1, weight_decay=0, alpha=0, ridge_scale=2)
+        values = (cfg.lr, cfg.weight_decay, cfg.alpha, cfg.ridge_scale)
+        assert values == (1.0, 0.0, 0.0, 2.0)
+        assert all(type(v) is float for v in values)
+        assert '"lr": 1.0, ' in json.dumps(dataclasses.asdict(cfg))
 
     def test_helper_objects(self):
         cfg = tv.TrainConfig(window_size=10, stride=5, distance_kind="manhattan",
@@ -312,7 +321,7 @@ class TestLoadModel:
         (lambda h: h.pop("train_config"), "KeyError: 'train_config'"),
         (lambda h: h.pop("dims"), "KeyError: 'dims'"),
         (lambda h: h["train_config"].update(epochs=0), "ConfigError: epochs"),
-        (lambda h: h["train_config"].update(lr="fast"), "TypeError"),
+        (lambda h: h["train_config"].update(lr="fast"), "ConfigError: lr"),
         (lambda h: h["train_config"].update(normalize_fc="yes"), "ConfigError: normalize_fc"),
         (lambda h: h["train_config"].update(learning_rate=0.1), "TypeError"),
         (lambda h: h["dims"].update(m=1), "ShapeError: invalid model dims"),
