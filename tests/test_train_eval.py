@@ -328,6 +328,7 @@ class TestLoadModel:
         (lambda h: h["dims"].update(m=6.0), "ShapeError: invalid model dims"),
         (lambda h: h["dims"].pop("n_windows_ref"), "KeyError"),
         (lambda h: h.update(dims=[6]), "TypeError"),
+        (lambda h: h.update(train_config=[1]), "TypeError"),
         (lambda h: h["train_config"].pop("ridge_scale"), "disagrees"),
         (lambda h: h["dims"].update(d=5), "disagrees"),
         (lambda h: h["dims"].update(streams=["r", "d"]), "disagrees"),
