@@ -320,7 +320,7 @@ def cmd_attn_export(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     written = 0
     for prep in preps:
-        fwd = model.forward_subject(store, dims, prep)
+        fwd = model.forward_subject(store.no_grad(), dims, prep)
         series = {"subject": prep.subject_id, "label": prep.label, "layers": []}
         for layer in range(dims.layers):
             channel = fwd.channel_factors[layer].data

@@ -655,7 +655,9 @@ class ParamStore:
     :meth:`folds` gives a contiguous range of the folds as a store that
     shares the buffers. A range of one fold has tensors of the plain
     shapes, so it runs wherever a one-model store does, and its checkpoint
-    is that fold's row.
+    is that fold's row. :meth:`no_grad` gives the store's parameters over
+    the same buffers as tensors that carry no gradient, for forwards that
+    build no graph.
     """
 
     def __init__(self):
@@ -669,6 +671,7 @@ class ParamStore:
         self.n_folds = 1
         self._shared = False  # the buffers belong to the store this one ranges over
         self._ranges: dict[tuple[int, int], ParamStore] = {}
+        self._no_grad: ParamStore | None = None
 
     def add(self, name: str, data) -> Tensor:
         if self.n_folds != 1 or self._shared:
@@ -696,6 +699,7 @@ class ParamStore:
             lo += t.data.size
         self._point(data, grad, [t.data.shape for t in tensors])
         self._laid_out = True
+        self._no_grad = None  # its tensors point into the old buffers
 
     def _point(self, data: np.ndarray, grad: np.ndarray, shapes: list[tuple]) -> None:
         """Take ``data`` and ``grad`` as the buffers, F rows of one model each,
@@ -758,6 +762,26 @@ class ParamStore:
     def fold(self, f: int) -> ParamStore:
         """Fold f's model as a one-model store over the same buffers."""
         return self.folds(f, f + 1)
+
+    def no_grad(self) -> ParamStore:
+        """The same parameters over the same buffers, as tensors with
+        ``requires_grad=False``.
+
+        An op on them alone keeps no parents and no adjoint (:func:`_make`),
+        so a forward on this view builds no graph, and each intermediate is
+        freed once its consumer has returned; its values are those of a
+        forward on the store. The view is cached until the store is laid
+        out afresh. It holds no gradient buffer, so :func:`adam_step`
+        rejects it.
+        """
+        self._layout()
+        if self._no_grad is None:
+            view = ParamStore()
+            view.n_folds, view._shared, view._names = self.n_folds, True, self._names
+            view._params = {n: Tensor(self._params[n].data) for n in self._names}
+            view._data = self._data
+            self._no_grad = view
+        return self._no_grad
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(F, P) views of the value and gradient buffers: row f is fold f's model."""

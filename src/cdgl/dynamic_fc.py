@@ -62,6 +62,10 @@ class WindowSpec:
             raise ShapeError(f"window_size {self.window_size} exceeds series length {t}")
         return (t - self.window_size) // self.stride + 1
 
+    def starts(self, t: int) -> list[int]:
+        """First timepoint of each window of a series of length ``t``."""
+        return [w * self.stride for w in range(self.count(t))]
+
 
 @dataclass(frozen=True)
 class DistanceKind:
@@ -276,20 +280,26 @@ def _stream_error(err: NumericsError, stream: str) -> NumericsError:
     return NumericsError(f"stream {stream!r}{window}: {err}", err.index, err.shape)
 
 
-def build_fc_pairs(signals: np.ndarray, spec: WindowSpec, kind: DistanceKind) -> FcStacks:
-    """Windowed correlation and distance streams for one subject, in window order.
+def stream_graphs(windows: np.ndarray, stream: str,
+                  kind: DistanceKind) -> tuple[np.ndarray, np.ndarray]:
+    """(similarity, adjacency) stacks of one stream over an (N_w, WS, M)
+    window stack: Pearson correlation for ``"r"``, negative ``kind``
+    distance for ``"d"``, and its top-k binarization.
 
     A non-finite matrix raises :class:`NumericsError` naming the stream and
     the first window holding it.
     """
+    try:
+        s = pearson_matrix(windows) if stream == "r" else distance_matrix(windows, kind)
+    except NumericsError as err:
+        raise _stream_error(err, stream) from err
+    return s, binarize_topk(s)
+
+
+def build_fc_pairs(signals: np.ndarray, spec: WindowSpec, kind: DistanceKind) -> FcStacks:
+    """Windowed correlation and distance streams for one subject, in window
+    order: :func:`stream_graphs` of ``"r"``, then of ``"d"``."""
     windows = extract_windows(signals, spec)
-    try:
-        r = pearson_matrix(windows)
-    except NumericsError as err:
-        raise _stream_error(err, "r") from err
-    try:
-        d = distance_matrix(windows, kind)
-    except NumericsError as err:
-        raise _stream_error(err, "d") from err
-    return FcStacks(starts=[t * spec.stride for t in range(len(windows))], r=r, d=d,
-                    a_r=binarize_topk(r), a_d=binarize_topk(d))
+    r, a_r = stream_graphs(windows, "r", kind)
+    d, a_d = stream_graphs(windows, "d", kind)
+    return FcStacks(starts=spec.starts(len(signals)), r=r, d=d, a_r=a_r, a_d=a_d)

@@ -153,6 +153,11 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
     The encoder always sees z-scored signals. normalize_fc controls only the
     matrix construction input; both Pearson and the rank-based threshold are
     scale-invariant, so it matters to the distance stream alone.
+
+    The streams are built one at a time, correlation first: each stream's
+    similarity stack is binarized (:func:`dynamic_fc.stream_graphs`) and
+    dropped before the next is built, so only one similarity stack is held
+    at a time. A stream not in ``streams`` is not built.
     """
     if wspec.window_size > ts.signals.shape[0]:
         raise WindowBudgetError(
@@ -161,22 +166,16 @@ def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
     # With raw connectivity input its checks run first, so an overflowing
     # ROI is reported by the distance stream that reads the raw amplitudes.
     try:
-        if normalize_fc:
-            z = zscore_columns(ts.signals)
-            fc = dfc.build_fc_pairs(z, wspec, kind)
-        else:
-            fc = dfc.build_fc_pairs(ts.signals, wspec, kind)
-            z = zscore_columns(ts.signals)
+        fc_input = zscore_columns(ts.signals) if normalize_fc else ts.signals
+        windows = dfc.extract_windows(fc_input, wspec)
+        adjacency = {s: dfc.stream_graphs(windows, s, kind)[1]
+                     for s in STREAMS if s in streams}
+        z = fc_input if normalize_fc else zscore_columns(ts.signals)
     except NumericsError as err:
         raise NumericsError(f"subject {ts.subject_id!r}: {err}",
                             err.index, err.shape) from err
-    adjacency = {}
-    if "r" in streams:
-        adjacency["r"] = fc.a_r
-    if "d" in streams:
-        adjacency["d"] = fc.a_d
     return PreparedSubject(subject_id=ts.subject_id, label=ts.label,
-                           encoder_input=z, starts=fc.starts,
+                           encoder_input=z, starts=wspec.starts(len(ts.signals)),
                            window_size=wspec.window_size, adjacency=adjacency)
 
 

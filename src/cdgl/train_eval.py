@@ -6,7 +6,10 @@ seed + fold_index, and every numeric path runs in float64, so repeated runs
 produce identical loss logs, checkpoints, and reports. Subjects are a batch
 axis: a train step builds one graph per group of minibatch subjects that
 share their windows, and evaluation scores each such group in one forward
-(split when it would stack very many adjacency entries).
+(split when it would stack very many adjacency entries). Scoring builds no
+graph: its forwards run on the store's no-gradient view
+(``ParamStore.no_grad``), so each intermediate is freed once its consumer
+has returned.
 
 Folds are a batch axis too. Cross-validation prepares its subjects once,
 and its models (the folds, and the holdout model when asked for) whose
@@ -39,11 +42,17 @@ from .data_io import DatasetManifest, ManifestEntry, RoiTimeSeries, SplitPlan, s
 from .errors import ConfigError, ParseError, ShapeError, StratificationError, WindowBudgetError
 
 STREAM_CHOICES = ("rd", "r", "d")
-# Adjacency entries per stream that one scoring forward may stack. A
-# forward's graph holds all its intermediates until it returns, so at
-# M = 90 and 40 windows 40 subjects in one forward peak near 1 GB; bigger
-# shapes are scored a few subjects at a time, while the README demo's
-# validation folds still take one forward each.
+# Adjacency entries per stream that one scoring forward may stack. Scoring
+# builds no graph, and its forward then peaks at about 28 bytes per stacked
+# entry per stream: tracemalloc measured 350 MiB for 40 subjects at M = 90
+# and 40 windows (12.96 M entries), against 560 MiB with the graph; the
+# float64 copies of the two stacked adjacencies are 16 of those bytes. So
+# this budget caps a forward near 28 MiB (45 MiB with the graph). Stacking
+# more would not pay: on a 2-CPU host with one BLAS thread, time per subject
+# stopped falling at 0.1-0.6 M entries per forward (M = 30 and 60) and rose
+# beyond about 1.3 M (M = 90 and 40 windows: 11.4-11.5 ms at 4 subjects per
+# forward, 17.3-18.0 ms at 40). The README demo's validation folds still
+# take one forward each.
 SCORE_STACK_ENTRIES = 1 << 20
 # Node rows (subjects x windows x ROIs, summed over its folds) that one
 # lockstep train step may stack. Lockstep saves time only while each op's
@@ -363,20 +372,30 @@ def train(subjects: list[RoiTimeSeries], cfg: TrainConfig) -> TrainResult:
 
 def predict(store: dc.ParamStore, dims: model.ModelDims,
             prep: model.PreparedSubject) -> float:
-    return float(model.forward_subject(store, dims, prep).y_hat.data)
+    """One subject's probability: :func:`score` of a batch of one."""
+    return score(store, dims, [prep])[0]
 
 
 def score(store: dc.ParamStore, dims: model.ModelDims,
           preps: list[model.PreparedSubject]) -> list[float]:
     """Probabilities in input order: one forward per group of subjects that
-    share their windows, split so that no forward stacks more than
-    SCORE_STACK_ENTRIES adjacency entries per stream."""
+    share their windows, split into as few batches of near-equal size as
+    keep every forward within SCORE_STACK_ENTRIES adjacency entries per
+    stream. Equal sizes leave no subject alone where the budget holds three
+    or more.
+
+    The forwards run on ``store.no_grad()``, so they build no graph and
+    leave every gradient as it was; the probabilities are those of a
+    graph-building forward, bit for bit.
+    """
+    view = store.no_grad()
     score_of = {}
     for group in model.group_by_windows(preps):
         size = max(1, SCORE_STACK_ENTRIES // (len(group[0].starts) * dims.m * dims.m))
-        for lo in range(0, len(group), size):
-            batch = group[lo:lo + size]
-            probs = model.forward_batch(store, dims, batch).y_hat.data
+        parts = -(-len(group) // size)
+        for k in range(parts):
+            batch = group[k * len(group) // parts:(k + 1) * len(group) // parts]
+            probs = model.forward_batch(view, dims, batch).y_hat.data
             score_of.update(zip(map(id, batch), probs.tolist()))
     return [score_of[id(p)] for p in preps]
 

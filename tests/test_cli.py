@@ -755,6 +755,17 @@ class TestAttnExport:
         json_files = [n for n in os.listdir(out) if n.endswith(".json")]
         assert len(json_files) == 8
 
+    def test_builds_no_graph(self, dataset, tmp_path, monkeypatch):
+        run_dir = str(tmp_path / "run")
+        assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
+        built = []
+        make = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *args: built.append(make(*args)) or built[-1])
+        assert run(["attn-export", "--checkpoint", os.path.join(run_dir, "checkpoint.ckpt"),
+                    "--data", dataset, "--out", str(tmp_path / "attn")]) == 0
+        assert len(built) > 100
+        assert not any(t.requires_grad or t._parents or t._backward for t in built)
+
     # Each model reads its own config from the checkpoint. The expected
     # factors come from the model as the flags would rebuild it: the graphs
     # of the training config and the dims of the training data.

@@ -817,6 +817,60 @@ def test_adam_rejects_a_detached_parameter():
         dc.adam_step(store, dc.AdamState(lr=0.1))
 
 
+class TestNoGradView:
+    def test_shares_the_buffers_without_gradients(self):
+        store = stores(1)[0]
+        view = store.no_grad()
+        assert view is store.no_grad() and view.names() == store.names()
+        assert (view.n_folds, len(view)) == (1, 3)
+        for name, t in view.items():
+            assert not t.requires_grad and t.grad is None
+            assert t.data is store[name].data
+        store["b"].data[...] = 4.0
+        np.testing.assert_array_equal(view["b"].data, 4.0)
+
+    def test_ops_on_it_build_no_graph(self):
+        store = stores(1)[0]
+        view = store.no_grad()
+        x = dc.const(np.ones((4, 3)))
+        out = dc.sum_all(dc.tanh(dc.linear(x, view["w"])))
+        assert not out.requires_grad and out._parents == () and out._backward is None
+        with_graph = dc.sum_all(dc.tanh(dc.linear(x, store["w"])))
+        assert out.data == with_graph.data and with_graph._parents
+
+    def test_dropped_when_the_store_is_laid_out_again(self, tmp_path):
+        store, other = stores(2)
+        view = store.no_grad()
+        path = str(tmp_path / "other.ckpt")
+        dc.save_params(path, other)
+        dc.load_into(store, path)
+        fresh = store.no_grad()
+        assert fresh is not view
+        for name, t in fresh.items():
+            assert t.data is store[name].data
+            np.testing.assert_array_equal(t.data, other[name].data)
+        store.add("c", np.zeros(2))
+        assert store.no_grad() is not fresh and "c" in store.no_grad()
+
+    def test_of_a_stacked_store_and_of_its_folds(self):
+        stacked = dc.ParamStore.stack(stores(3))
+        view = stacked.no_grad()
+        assert view.n_folds == 3 and view["w"].data is stacked["w"].data
+        one = stacked.fold(1).no_grad()
+        assert one.n_folds == 1 and np.shares_memory(one["w"].data, stacked["w"].data[1])
+
+    def test_takes_no_adam_step_and_no_parameters(self, tmp_path):
+        store = stores(1)[0]
+        view = store.no_grad()
+        with pytest.raises(StateError):
+            dc.adam_step(view, dc.AdamState(lr=0.1))
+        with pytest.raises(StateError):
+            view.add("c", np.zeros(1))
+        dc.save_params(str(tmp_path / "m.ckpt"), store)
+        with pytest.raises(StateError):
+            dc.load_into(view, str(tmp_path / "m.ckpt"))
+
+
 class TestCheckpoint:
     def make_store(self, seed=0):
         store = dc.ParamStore()

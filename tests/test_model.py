@@ -1,12 +1,14 @@
 """Assembled-model tests: parameter layout, forward, loss, gradient check."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from cdgl import cdgin, diffcore as dc, dynamic_fc as dfc, fusion_head as fh, model
 from cdgl import temporal_encoder as te
 from cdgl import train_eval as tv
-from cdgl.data_io import RoiTimeSeries
+from cdgl.data_io import RoiTimeSeries, zscore_columns
 from cdgl.errors import NumericsError, ShapeError, WindowBudgetError
 
 from composite_layers import conv1d_same, matmul, max_pool, scale, softmax
@@ -75,6 +77,19 @@ class TestInitParams:
             assert (fans is None) == (not store[name].data.any())
 
 
+def inf_in_window_1():
+    x = np.ones((12, 3))
+    x[:, 0] = np.arange(12.0)
+    x[7, 1] = np.inf
+    return x, dfc.WindowSpec(4, 4)
+
+
+def overflow_from_window_3():
+    x = np.random.default_rng(12).standard_normal((40, 6))
+    x[20:, 4] *= 1e160  # squares overflow from window 3 (rows 15-24) on
+    return x, dfc.WindowSpec(10, 5)
+
+
 class TestPrepare:
     def test_window_budget(self):
         rng = np.random.default_rng(0)
@@ -97,6 +112,50 @@ class TestPrepare:
         np.testing.assert_allclose(p.encoder_input.mean(axis=0), 0.0, atol=1e-9)
         np.testing.assert_allclose(p.encoder_input.std(axis=0, ddof=1), 1.0,
                                    atol=1e-9)
+
+    @pytest.mark.parametrize("kind", dfc.DISTANCE_KINDS)
+    @pytest.mark.parametrize("normalize_fc", [True, False])
+    def test_adjacency_is_that_of_build_fc_pairs(self, kind, normalize_fc):
+        """Preparation builds one stream at a time; its graphs are fc-dump's, bit for bit."""
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 6)) * rng.uniform(0.5, 20.0, 6) + rng.uniform(-5, 5, 6)
+        spec, distance = dfc.WindowSpec(10, 5), dfc.DistanceKind(kind, 0.5)
+        p = model.prepare_subject(RoiTimeSeries("s0", x, 1), spec, distance,
+                                  normalize_fc=normalize_fc)
+        fc = dfc.build_fc_pairs(zscore_columns(x) if normalize_fc else x, spec, distance)
+        assert p.starts == fc.starts == [0, 5, 10, 15, 20, 25, 30]
+        np.testing.assert_array_equal(p.adjacency["r"], fc.a_r)
+        np.testing.assert_array_equal(p.adjacency["d"], fc.a_d)
+        np.testing.assert_array_equal(p.encoder_input, zscore_columns(x))
+
+    @pytest.mark.parametrize("data, kind, message, window, shape", [
+        (inf_in_window_1, "euclidean", "stream 'r', window 1: non-finite pearson correlation",
+         1, (3, 3, 3)),
+        (overflow_from_window_3, "euclidean", "stream 'd', window 3: non-finite euclidean "
+         "distance", 3, (7, 6, 6)),
+        (overflow_from_window_3, "mahalanobis", "stream 'd', window 3: non-finite mahalanobis "
+         "covariance", 3, (7, 10, 10))], ids=["r", "d", "d-covariance"])
+    def test_numerics_error_names_subject_stream_window(self, data, kind, message, window,
+                                                        shape):
+        x, spec = data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # overflow must surface as NumericsError only
+            with pytest.raises(NumericsError) as info:
+                model.prepare_subject(RoiTimeSeries("sub7", x, 0), spec,
+                                      dfc.DistanceKind(kind), normalize_fc=False)
+        assert str(info.value).startswith(f"subject 'sub7': {message}")
+        assert info.value.shape == shape and info.value.index[0] == window
+
+    def test_a_stream_left_out_is_not_built(self):
+        x = np.random.default_rng(4).standard_normal((40, 6))
+        x[:, 4] = 1e160  # a flat ROI far from the others: only its distances overflow
+        ts, spec, kind = RoiTimeSeries("s0", x, 0), dfc.WindowSpec(10, 5), dfc.DistanceKind()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = model.prepare_subject(ts, spec, kind, streams=("r",), normalize_fc=False)
+            assert set(p.adjacency) == {"r"}
+            with pytest.raises(NumericsError, match="subject 's0': stream 'd', window 0"):
+                model.prepare_subject(ts, spec, kind, normalize_fc=False)
 
 
 class TestForward:

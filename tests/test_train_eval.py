@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 import cdgl.train_eval as tv
 from cdgl import diffcore as dc
+from cdgl import dynamic_fc as dfc
+from cdgl import model
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import ConfigError, ParseError, WindowBudgetError
 
@@ -282,6 +285,77 @@ class TestEvaluate:
         result = tv.train(subs, cfg)
         with pytest.raises(ConfigError):
             tv.evaluate(result.store, result.dims, [])
+
+
+class TestGraphFreeScoring:
+    @staticmethod
+    def scored_set(n=5, streams="rd", kind="manhattan", seed=30):
+        cfg = tiny_cfg(streams=streams, distance_kind=kind)
+        preps = tv.prepare_dataset(toy_cohort(np.random.default_rng(seed), n=n), cfg)
+        dims = tv.make_dims(preps, cfg)
+        return preps, dims, model.init_params(dims, seed)
+
+    @pytest.mark.parametrize("streams", tv.STREAM_CHOICES)
+    @pytest.mark.parametrize("kind", dfc.DISTANCE_KINDS)
+    def test_probabilities_are_those_of_the_graph(self, streams, kind):
+        preps, dims, store = self.scored_set(streams=streams, kind=kind)
+        graph = model.forward_batch(store, dims, preps).y_hat
+        assert graph._parents  # the reference forward did build a graph
+        assert tv.score(store, dims, preps) == graph.data.tolist()
+
+    def test_builds_no_graph_and_leaves_the_gradients(self, monkeypatch):
+        preps, dims, store = self.scored_set()
+        preps += tv.prepare_dataset(toy_cohort(np.random.default_rng(31), n=2, t=40),
+                                    tiny_cfg())  # a second window count
+        grads = store.rows()[1]
+        grads[...] = np.random.default_rng(32).standard_normal(grads.shape)
+        before = grads.copy()
+        built = []
+        make = dc._make
+        monkeypatch.setattr(dc, "_make", lambda *args: built.append(make(*args)) or built[-1])
+        tv.score(store, dims, preps)
+        tv.evaluate(store, dims, preps)
+        tv.predict(store, dims, preps[-1])
+        assert len(built) > 100
+        assert not any(t.requires_grad or t._parents or t._backward for t in built)
+        np.testing.assert_array_equal(store.rows()[1], before)
+
+    def test_forward_peaks_at_half_the_graph_or_less(self):
+        """One subject at 90 ROIs and 40 windows, traced by tracemalloc."""
+        x = np.random.default_rng(33).standard_normal((230, 90))
+        cfg = tv.TrainConfig(window_size=35, stride=5)
+        preps = tv.prepare_dataset([RoiTimeSeries("s0", x, 1)], cfg)
+        assert len(preps[0].starts) == 40
+        dims = tv.make_dims(preps, cfg)
+        store = model.init_params(dims, 0)
+
+        def peak(params):
+            tracemalloc.start()
+            try:
+                model.forward_batch(params, dims, preps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        with_graph, graph_free = peak(store), peak(store.no_grad())
+        assert graph_free <= with_graph / 2
+
+    def test_split_scoring_is_bit_identical_to_one_forward(self, monkeypatch):
+        """A budget of three subjects splits seven into forwards of 2, 2 and 3.
+
+        Only forwards of two or more subjects are compared: a forward of one
+        runs the LSTM step's (1, D) product through another BLAS routine and
+        can differ in the last bit.
+        """
+        preps, dims, store = self.scored_set(n=7)
+        whole = tv.score(store, dims, preps)
+        sizes = []
+        forward = model.forward_batch
+        monkeypatch.setattr(model, "forward_batch",
+                            lambda *args: sizes.append(len(args[2])) or forward(*args))
+        monkeypatch.setattr(tv, "SCORE_STACK_ENTRIES", 3 * len(preps[0].starts) * dims.m ** 2)
+        assert tv.score(store, dims, preps) == whole
+        assert sizes == [2, 2, 3]
 
 
 class TestLoadModel:
