@@ -18,6 +18,7 @@ takes only that batch; one subject is the B = 1 batch.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -183,17 +184,21 @@ def project(h: dc.Tensor, w1: dc.Tensor, b1: dc.Tensor, w2: dc.Tensor,
     return dc.linear(dc.tanh(dc.linear(h, w1, b1)), w2, b2)
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndarray]:
     """Constant (K, K) masks over rows ``stream * n + window``: 0/1 negatives
-    and the positive-pair weights 1 / (#positives of the anchor * #anchors)."""
+    and the positive-pair weights 1 / (#positives of the anchor * #anchors).
+    Cached per shape and read-only: every train step asks for the same ones."""
     stream, window = np.divmod(np.arange(n * streams), n)
     same = stream[:, None] == stream[None, :]
     offset = np.abs(window[:, None] - window[None, :])
     positive = same & (offset == delta)
-    negative = ~same | ((offset != 0) & (offset != delta))
+    negative = (~same | ((offset != 0) & (offset != delta))).astype(np.float64)
     per_anchor = positive.sum(axis=1, keepdims=True)
     weights = positive / np.maximum(per_anchor, 1) / np.count_nonzero(per_anchor)
-    return negative.astype(np.float64), weights
+    negative.setflags(write=False)
+    weights.setflags(write=False)
+    return negative, weights
 
 
 def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,

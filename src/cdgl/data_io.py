@@ -134,24 +134,27 @@ def write_roi_csv(path: str, signals: np.ndarray, header: bool = True) -> None:
 def zscore_columns(signals: np.ndarray) -> np.ndarray:
     """Standardize each ROI column (sample std, ``ddof = 1``); flat columns become 0.
 
-    A column whose standard deviation is not finite (its squares overflow)
-    raises :class:`NumericsError` naming the first such ROI.
+    Takes one (T, M) series or a (..., T, M) stack of them, each column
+    standardized over its own T timepoints. A column whose standard
+    deviation is not finite (its squares overflow) raises
+    :class:`NumericsError` naming the first such ROI; its index is into
+    the (..., M) standard deviations.
     """
     signals = np.asarray(signals, dtype=np.float64)
-    if signals.shape[0] < 2:
+    if signals.ndim < 2 or signals.shape[-2] < 2:
         raise ShapeError("zscore: need at least two timepoints")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below
-        mean = signals.mean(axis=0)
-        std = signals.std(axis=0, ddof=1)
-    bad = np.flatnonzero(~np.isfinite(std))
-    if bad.size:
-        raise NumericsError(f"ROI {bad[0]}: non-finite standard deviation",
-                            index=(int(bad[0]),), shape=std.shape)
-    centered = signals - mean
-    out = np.zeros_like(centered)
-    live = std > 0.0
-    out[:, live] = centered[:, live] / std[live]
-    return out
+        centered = signals - signals.mean(axis=-2, keepdims=True)
+        # signals.std(axis=-2, ddof=1), from the centered signals
+        std = np.square(centered).sum(axis=-2, keepdims=True)
+        std /= signals.shape[-2] - 1
+        np.sqrt(std, out=std)
+    bad = ~np.isfinite(std[..., 0, :])
+    if bad.any():
+        first = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise NumericsError(f"ROI {first[-1]}: non-finite standard deviation",
+                            index=first, shape=bad.shape)
+    return np.divide(centered, std, out=np.zeros_like(centered), where=std > 0.0)
 
 
 def stratified_split(manifest: DatasetManifest, test_fraction: float,

@@ -1,9 +1,12 @@
 """Sliding windows and windowed connectivity: correlation and negative-distance
 similarity matrices plus their rank-thresholded binary adjacencies.
 
-Windows are a batch axis. A subject's windows are one strided (N_w, WS, M)
-view of its signals, and each step takes the whole stack at once (a single
-(WS, M) window works too):
+Windows are a batch axis, and so are subjects. A subject's windows are one
+strided (N_w, WS, M) view of its signals, and subjects of one series
+length give one (S, N_w, WS, M) view of their stacked signals. Every step
+takes any leading batch axes, (..., WS, M) windows and (..., M, M)
+matrices, and works on each matrix alone, so a matrix comes out bit for
+bit the same whatever stack it is computed in:
 
 - Pearson is one batched product of the column-standardized windows; the
   standard deviation comes from the windows already centered for it.
@@ -93,18 +96,19 @@ class FcStacks:
 
 def extract_windows(signals: np.ndarray, spec: WindowSpec) -> np.ndarray:
     """Fully contained windows starting at 0, SS, 2 SS, ... as one read-only
-    (N_w, WS, M) view of ``signals``, not a copy."""
+    view of ``signals``, not a copy: (T, M) -> (N_w, WS, M), and a
+    (..., T, M) stack of series of one length -> (..., N_w, WS, M)."""
     signals = np.asarray(signals)
-    spec.count(signals.shape[0])
-    view = np.lib.stride_tricks.sliding_window_view(signals, spec.window_size, axis=0)
-    return np.moveaxis(view[:: spec.stride], -1, 1)
+    spec.count(signals.shape[-2])
+    view = np.lib.stride_tricks.sliding_window_view(signals, spec.window_size, axis=-2)
+    return np.moveaxis(view[..., :: spec.stride, :, :], -1, -2)
 
 
 def _as_windows(x, name: str) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim not in (2, 3) or x.shape[-2] < 2:
-        raise ShapeError(f"{name}: need a (WS, M) window or an (N_w, WS, M) stack "
-                         f"with WS >= 2, got {x.shape}")
+    if x.ndim < 2 or x.shape[-2] < 2:
+        raise ShapeError(f"{name}: need a (..., WS, M) window stack with WS >= 2, "
+                         f"got {x.shape}")
     return x
 
 
@@ -131,7 +135,7 @@ def _set_diagonal(x: np.ndarray, value: float) -> None:
 
 def pearson_matrix(windows: np.ndarray) -> np.ndarray:
     """Pairwise Pearson correlation of each window's ROI columns; flat columns
-    get zero rows. (WS, M) -> (M, M), (N_w, WS, M) -> (N_w, M, M)."""
+    get zero rows. (..., WS, M) -> (..., M, M)."""
     x = _as_windows(windows, "pearson_matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
         z = x - x.mean(axis=-2, keepdims=True)
@@ -188,7 +192,7 @@ def _manhattan(x: np.ndarray) -> np.ndarray:
 
 def distance_matrix(windows: np.ndarray, kind: DistanceKind) -> np.ndarray:
     """Negative pairwise distance between each window's ROI column vectors (diag 0).
-    (WS, M) -> (M, M), (N_w, WS, M) -> (N_w, M, M)."""
+    (..., WS, M) -> (..., M, M)."""
     x = _as_windows(windows, "distance_matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
         if kind.kind == "manhattan":
@@ -242,7 +246,7 @@ def _upper_flat(m: int) -> tuple[np.ndarray, np.ndarray]:
 def binarize_topk(s: np.ndarray) -> np.ndarray:
     """Keep the k largest off-diagonal values as symmetric {0,1} edges.
 
-    (M, M) -> (M, M), (N_w, M, M) -> (N_w, M, M). Every entry must be finite;
+    (..., M, M) -> (..., M, M). Every entry must be finite;
     only the upper triangle is ranked. Ties at the cut go to the
     lexicographically smallest (i, j) pairs, so the result is a pure function
     of the input values.
@@ -255,8 +259,8 @@ def binarize_topk(s: np.ndarray) -> np.ndarray:
     first ones in (i, j) order.
     """
     s = np.asarray(s, dtype=np.float64)
-    if s.ndim not in (2, 3) or s.shape[-2] != s.shape[-1] or s.shape[-1] < 2:
-        raise ShapeError(f"binarize_topk: square (M, M) or (N_w, M, M) input with M >= 2 "
+    if s.ndim < 2 or s.shape[-2] != s.shape[-1] or s.shape[-1] < 2:
+        raise ShapeError(f"binarize_topk: square (..., M, M) input with M >= 2 "
                          f"required, got {s.shape}")
     _require_finite(s, "similarity")
     m = s.shape[-1]
@@ -276,18 +280,19 @@ def binarize_topk(s: np.ndarray) -> np.ndarray:
 
 
 def _stream_error(err: NumericsError, stream: str) -> NumericsError:
-    window = f", window {err.index[0]}" if err.shape is not None and len(err.shape) == 3 else ""
+    window = f", window {err.index[-3]}" if err.shape is not None and len(err.shape) >= 3 else ""
     return NumericsError(f"stream {stream!r}{window}: {err}", err.index, err.shape)
 
 
 def stream_graphs(windows: np.ndarray, stream: str,
                   kind: DistanceKind) -> tuple[np.ndarray, np.ndarray]:
-    """(similarity, adjacency) stacks of one stream over an (N_w, WS, M)
+    """(similarity, adjacency) stacks of one stream over an (..., N_w, WS, M)
     window stack: Pearson correlation for ``"r"``, negative ``kind``
     distance for ``"d"``, and its top-k binarization.
 
     A non-finite matrix raises :class:`NumericsError` naming the stream and
-    the first window holding it.
+    the first window holding it; with more leading axes than the windows',
+    the error's index locates it in them.
     """
     try:
         s = pearson_matrix(windows) if stream == "r" else distance_matrix(windows, kind)

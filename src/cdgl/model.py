@@ -4,7 +4,8 @@ Parameters live in a flat ParamStore under dotted names (encoder.*, cdgin.*,
 project.*, fusion.*, classifier.*) so checkpoints and the optimizer see one
 deterministic namespace. Adjacencies depend only on the data, so they are
 precomputed once per subject as one (N_w, M, M) array per stream and
-reused across epochs.
+reused across epochs; subjects of one series length are prepared as one
+stack (:func:`prepare_batch`).
 
 Subjects are a batch axis: subjects that share their windows (equal N_w
 under one window spec) are stacked on a leading axis and run through one
@@ -145,38 +146,71 @@ class PreparedSubject:
     adjacency: dict[str, np.ndarray]  # stream -> (N_w, M, M) binary A, window-major
 
 
-def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
-                    kind: dfc.DistanceKind, streams: tuple[str, ...] = STREAMS,
-                    normalize_fc: bool = True) -> PreparedSubject:
-    """Normalize, window, and binarize one subject.
+def window_count(ts: RoiTimeSeries, wspec: dfc.WindowSpec) -> int:
+    """Windows of ``ts`` under ``wspec``; :class:`WindowBudgetError` naming
+    the subject when its series is shorter than one window."""
+    if wspec.window_size > ts.signals.shape[0]:
+        raise WindowBudgetError(
+            f"subject {ts.subject_id!r}: window size {wspec.window_size} exceeds "
+            f"T={ts.signals.shape[0]}")
+    return wspec.count(ts.signals.shape[0])
+
+
+def prepare_batch(subjects: list[RoiTimeSeries], wspec: dfc.WindowSpec,
+                  kind: dfc.DistanceKind, streams: tuple[str, ...] = STREAMS,
+                  normalize_fc: bool = True) -> list[PreparedSubject]:
+    """Normalize, window, and binarize subjects of one series length as one stack.
 
     The encoder always sees z-scored signals. normalize_fc controls only the
     matrix construction input; both Pearson and the rank-based threshold are
     scale-invariant, so it matters to the distance stream alone.
 
-    The streams are built one at a time, correlation first: each stream's
-    similarity stack is binarized (:func:`dynamic_fc.stream_graphs`) and
-    dropped before the next is built, so only one similarity stack is held
-    at a time. A stream not in ``streams`` is not built.
+    Subjects are a batch axis: their (S, T, M) signals give one
+    (S, N_w, WS, M) window stack, so each step below is one call for all of
+    them, and each subject's arrays are bit-identical to preparing it
+    alone. One subject is the S = 1 case and runs on its (T, M) signals
+    without a subject axis. The streams are built one at a time,
+    correlation first: each stream's similarity stack is binarized
+    (:func:`dynamic_fc.stream_graphs`) and dropped before the next is
+    built, so only one similarity stack is held at a time. A stream not in
+    ``streams`` is not built. The subjects' arrays are views of the
+    stacked results.
+
+    Every subject's window budget is checked before any stack is built. A
+    non-finite value raises :class:`NumericsError` naming the subject; in
+    a batch, the first subject at the first step that fails, with an index
+    into the batch's arrays.
     """
-    if wspec.window_size > ts.signals.shape[0]:
-        raise WindowBudgetError(
-            f"subject {ts.subject_id!r}: window size {wspec.window_size} exceeds "
-            f"T={ts.signals.shape[0]}")
+    for ts in subjects:
+        window_count(ts, wspec)
+    one = len(subjects) == 1
+    x = subjects[0].signals if one else np.stack([ts.signals for ts in subjects])
     # With raw connectivity input its checks run first, so an overflowing
     # ROI is reported by the distance stream that reads the raw amplitudes.
     try:
-        fc_input = zscore_columns(ts.signals) if normalize_fc else ts.signals
+        fc_input = zscore_columns(x) if normalize_fc else x
         windows = dfc.extract_windows(fc_input, wspec)
         adjacency = {s: dfc.stream_graphs(windows, s, kind)[1]
                      for s in STREAMS if s in streams}
-        z = fc_input if normalize_fc else zscore_columns(ts.signals)
+        z = fc_input if normalize_fc else zscore_columns(x)
     except NumericsError as err:
-        raise NumericsError(f"subject {ts.subject_id!r}: {err}",
-                            err.index, err.shape) from err
-    return PreparedSubject(subject_id=ts.subject_id, label=ts.label,
-                           encoder_input=z, starts=wspec.starts(len(ts.signals)),
-                           window_size=wspec.window_size, adjacency=adjacency)
+        who = subjects[0 if one else err.index[0]].subject_id
+        raise NumericsError(f"subject {who!r}: {err}", err.index, err.shape) from err
+    if one:
+        z, adjacency = z[None], {s: a[None] for s, a in adjacency.items()}
+    starts = wspec.starts(x.shape[-2])
+    return [PreparedSubject(subject_id=ts.subject_id, label=ts.label, encoder_input=z[i],
+                            starts=starts, window_size=wspec.window_size,
+                            adjacency={s: a[i] for s, a in adjacency.items()})
+            for i, ts in enumerate(subjects)]
+
+
+def prepare_subject(ts: RoiTimeSeries, wspec: dfc.WindowSpec,
+                    kind: dfc.DistanceKind, streams: tuple[str, ...] = STREAMS,
+                    normalize_fc: bool = True) -> PreparedSubject:
+    """Normalize, window, and binarize one subject: the S = 1 case of
+    :func:`prepare_batch`, on the subject's own (T, M) signals."""
+    return prepare_batch([ts], wspec, kind, streams, normalize_fc)[0]
 
 
 def group_by_windows(preps: list[PreparedSubject]) -> list[list[PreparedSubject]]:

@@ -39,7 +39,8 @@ from . import dynamic_fc as dfc
 from . import model
 from .cdgin import ContrastiveConfig
 from .data_io import DatasetManifest, ManifestEntry, RoiTimeSeries, SplitPlan, stratified_split
-from .errors import ConfigError, ParseError, ShapeError, StratificationError, WindowBudgetError
+from .errors import (ConfigError, NumericsError, ParseError, ShapeError, StratificationError,
+                     WindowBudgetError)
 
 STREAM_CHOICES = ("rd", "r", "d")
 # Adjacency entries per stream that one scoring forward may stack. Scoring
@@ -63,7 +64,8 @@ SCORE_STACK_ENTRIES = 1 << 20
 # of 4 windows, or one subject of 58 windows, where it also took twice the
 # memory). The README demo's 4-fold step stacks 640 rows; one subject of
 # the 58-window, M = 90 shape stacks 5,220, so at that shape folds train
-# one at a time.
+# one at a time. Preparation stacks subjects up to the same budget
+# (prepare_dataset), for the same reason.
 LOCKSTEP_STACK_ROWS = 4096
 
 
@@ -199,7 +201,19 @@ def _na(value: float | None):
 
 def prepare_dataset(subjects: list[RoiTimeSeries],
                     cfg: TrainConfig) -> list[model.PreparedSubject]:
-    """Window and binarize every subject under cfg's graph settings."""
+    """Window and binarize every subject under cfg's graph settings, in input order.
+
+    Subjects of one series length are prepared together
+    (:func:`model.prepare_batch`), in chunks that stack at most
+    LOCKSTEP_STACK_ROWS node rows (subjects x windows x ROIs); a subject
+    above that budget is prepared alone. Below it each numpy call's fixed
+    cost dominates, so the README demo's 60 subjects take one chunk, while
+    at large shapes a chunk holds one subject's similarity stack, as when
+    subjects were prepared one at a time. Every subject's window budget is
+    checked before any stack is built. When a chunk fails, the subjects are
+    prepared again one at a time, so the error is the first failing
+    subject's own.
+    """
     if not subjects:
         raise ConfigError("dataset is empty")
     m = subjects[0].signals.shape[1]
@@ -210,8 +224,27 @@ def prepare_dataset(subjects: list[RoiTimeSeries],
     wspec = cfg.window_spec()
     kind = cfg.distance()
     streams = cfg.stream_tuple()
-    return [model.prepare_subject(ts, wspec, kind, streams, cfg.normalize_fc)
-            for ts in subjects]
+    by_length: dict[int, list[int]] = {}
+    for i, ts in enumerate(subjects):
+        by_length.setdefault(ts.signals.shape[0], []).append(i)
+    chunks = []
+    for ids in by_length.values():
+        # window_count checks each length's first subject, so the first
+        # subject shorter than a window raises before any stack is built
+        size = max(1, LOCKSTEP_STACK_ROWS // (model.window_count(subjects[ids[0]], wspec) * m))
+        chunks += [ids[lo:lo + size] for lo in range(0, len(ids), size)]
+    preps: list[model.PreparedSubject | None] = [None] * len(subjects)
+    try:
+        for ids in chunks:
+            batch = model.prepare_batch([subjects[i] for i in ids], wspec, kind, streams,
+                                        cfg.normalize_fc)
+            for i, prep in zip(ids, batch):
+                preps[i] = prep
+    except NumericsError:
+        for ts in subjects:  # the first failing subject raises its own error
+            model.prepare_subject(ts, wspec, kind, streams, cfg.normalize_fc)
+        raise
+    return preps
 
 
 def _check_window_budget(preps: list[model.PreparedSubject], cfg: TrainConfig) -> None:

@@ -222,6 +222,13 @@ def rows(*vectors):
 
 
 class TestContrastiveLoss:
+    def test_pair_masks_are_cached_read_only(self):
+        first = cdgin._pair_weights(5, 2, 1)
+        again = cdgin._pair_weights(5, 2, 1)
+        assert all(a is b for a, b in zip(first, again))
+        for mask in first:
+            assert mask.shape == (10, 10) and not mask.flags.writeable
+
     def test_hand_case_ln3(self):
         e1 = unit([1.0, 0.0, 0.0])
         loss = loss_of_one(rows(e1, e1), rows(e1, e1), cdgin.ContrastiveConfig(delta=1))

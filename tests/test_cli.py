@@ -199,14 +199,15 @@ class TestExitCodes:
         assert code == 3
 
     def test_non_finite_adjacency_exit_3(self, dataset, tmp_path, monkeypatch, capsys):
-        prepare = model.prepare_subject
+        prepare = tv.prepare_dataset
 
         def planted(*args, **kwargs):
-            prep = prepare(*args, **kwargs)
-            prep.adjacency["d"][3, 0, 1] = np.nan  # TINY windows: 4 per subject
-            return prep
+            preps = prepare(*args, **kwargs)
+            for prep in preps:
+                prep.adjacency["d"][3, 0, 1] = np.nan  # TINY windows: 4 per subject
+            return preps
 
-        monkeypatch.setattr(model, "prepare_subject", planted)
+        monkeypatch.setattr(tv, "prepare_dataset", planted)
         code = run(["train", "--data", dataset, "--out", str(tmp_path / "r")] + TINY)
         assert code == 3
         err = capsys.readouterr().err

@@ -233,6 +233,24 @@ class TestZscore:
             with pytest.raises(NumericsError, match="ROI 2: non-finite standard deviation"):
                 dio.zscore_columns(sig)
 
+    def test_stack_is_each_series_alone(self):
+        rng = np.random.default_rng(5)
+        sig = rng.standard_normal((3, 2, 30, 5)) * rng.uniform(0.5, 9.0, 5) + 4.0
+        sig[1, 0, :, 3] = 2.5  # a flat column in one series only
+        out = dio.zscore_columns(sig)
+        for idx in np.ndindex(sig.shape[:2]):
+            assert np.array_equal(out[idx], dio.zscore_columns(sig[idx]))
+        assert np.all(out[1, 0, :, 3] == 0.0)
+
+    def test_overflowing_column_in_a_stack_names_its_series_and_roi(self):
+        sig = np.random.default_rng(4).standard_normal((3, 40, 6))
+        sig[1, :, 2] *= 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="ROI 2: non-finite") as info:
+                dio.zscore_columns(sig)
+        assert info.value.index == (1, 2) and info.value.shape == (3, 6)
+
     def test_idempotent(self):
         rng = np.random.default_rng(2)
         once = dio.zscore_columns(rng.standard_normal((50, 4)))

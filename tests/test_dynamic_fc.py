@@ -368,6 +368,34 @@ KINDS = [dfc.DistanceKind("manhattan"), dfc.DistanceKind("euclidean"),
          dfc.DistanceKind("mahalanobis", 1e-3)]
 
 
+class TestSubjectAxis:
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+    def test_a_stack_of_subjects_is_each_subject_alone(self, kind):
+        """(S, T, M) signals give (S, N_w, ...) stacks whose every subject is,
+        bit for bit, that subject's own (N_w, ...) stack."""
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((3, 47, 7)) * rng.uniform(0.5, 20.0, 7)
+        x[2, :, 4] = 1.5  # a flat ROI in one subject
+        spec = dfc.WindowSpec(10, 6)
+        windows = dfc.extract_windows(x, spec)
+        assert windows.shape == (3, 7, 10, 7) and windows.base is not None
+        for stream in ("r", "d"):
+            s, a = dfc.stream_graphs(windows, stream, kind)
+            for i in range(len(x)):
+                alone = dfc.stream_graphs(dfc.extract_windows(x[i], spec), stream, kind)
+                assert np.array_equal(s[i], alone[0]) and np.array_equal(a[i], alone[1])
+
+    def test_error_in_a_stack_names_the_window_and_indexes_the_subject(self):
+        x = np.random.default_rng(12).standard_normal((3, 40, 6))
+        x[1, 20:, 4] *= 1e160  # squares overflow from window 3 on
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError, match="^stream 'd', window 3: ") as info:
+                dfc.stream_graphs(dfc.extract_windows(x, dfc.WindowSpec(10, 5)), "d",
+                                  dfc.DistanceKind())
+        assert info.value.index[:2] == (1, 3) and info.value.shape == (3, 7, 6, 6)
+
+
 class TestBatchedMatchesOracle:
     @pytest.mark.parametrize("family", sg.KINDS)
     def test_synth_families(self, family):

@@ -146,6 +146,54 @@ class TestPrepare:
         assert str(info.value).startswith(f"subject 'sub7': {message}")
         assert info.value.shape == shape and info.value.index[0] == window
 
+    @pytest.mark.parametrize("data, kind, normalize_fc", [
+        (overflow_from_window_3, "euclidean", True),
+        (inf_in_window_1, "euclidean", False),
+        (overflow_from_window_3, "euclidean", False),
+        (overflow_from_window_3, "mahalanobis", False)],
+        ids=["deviation", "r", "d", "d-covariance"])
+    def test_error_inside_a_chunk_is_the_subjects_own(self, data, kind, normalize_fc):
+        """A bad subject between clean ones of one chunk raises the error it
+        raises alone, from the batch and from prepare_dataset."""
+        x, spec = data()
+        rng = np.random.default_rng(13)
+        cohort = [RoiTimeSeries(f"ok{i}", rng.standard_normal(x.shape), 0) for i in range(4)]
+        cohort.insert(2, RoiTimeSeries("sub7", x, 1))
+        distance = dfc.DistanceKind(kind)
+        cfg = tv.TrainConfig(window_size=spec.window_size, stride=spec.stride,
+                             distance_kind=kind, normalize_fc=normalize_fc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericsError) as alone:
+                model.prepare_subject(cohort[2], spec, distance, normalize_fc=normalize_fc)
+            with pytest.raises(NumericsError) as batch:
+                model.prepare_batch(cohort, spec, distance, normalize_fc=normalize_fc)
+            with pytest.raises(NumericsError) as dataset:
+                tv.prepare_dataset(cohort, cfg)
+        assert str(batch.value) == str(alone.value)
+        assert batch.value.index[0] == 2 and batch.value.index[1:] == alone.value.index
+        assert str(dataset.value) == str(alone.value)
+        assert (dataset.value.index, dataset.value.shape) == (alone.value.index,
+                                                             alone.value.shape)
+
+    def test_first_failing_subject_in_input_order_is_reported(self):
+        """Across steps and chunks: the subject that fails first when each is
+        prepared alone, in input order, not the first step that fails in a stack."""
+        x, spec = overflow_from_window_3()  # fails in stream 'd' on its own
+        rng = np.random.default_rng(14)
+        late_r = rng.standard_normal((40, 6))
+        late_r[7, 1] = np.inf  # fails in stream 'r', which a stack builds first
+        longer = np.concatenate([x, rng.standard_normal((5, 6))])
+        cfg = tv.TrainConfig(window_size=spec.window_size, stride=spec.stride,
+                             normalize_fc=False)
+        for bad_d in (x, longer):  # in the chunk of the 'r' failure, and in a later one
+            cohort = [RoiTimeSeries("ok0", rng.standard_normal((40, 6)), 0),
+                      RoiTimeSeries("bad_d", bad_d, 1), RoiTimeSeries("bad_r", late_r, 0)]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NumericsError, match="^subject 'bad_d': stream 'd'"):
+                    tv.prepare_dataset(cohort, cfg)
+
     def test_a_stream_left_out_is_not_built(self):
         x = np.random.default_rng(4).standard_normal((40, 6))
         x[:, 4] = 1e160  # a flat ROI far from the others: only its distances overflow

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cdgl.train_eval as tv
 from cdgl import diffcore as dc
 from cdgl import dynamic_fc as dfc
-from cdgl import model
+from cdgl import model, synthgen
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import ConfigError, ParseError, WindowBudgetError
 
@@ -240,6 +240,69 @@ class TestTrain:
         losses = [rec["mean_loss"] for rec in tv.train(subs, cfg).epoch_log]
         violations = sum(1 for a, b in zip(losses, losses[1:]) if b > a + 1e-12)
         assert violations <= 5
+
+
+def counted(monkeypatch, module, name):
+    """Replace ``module.name`` with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestPrepareDataset:
+    @pytest.mark.parametrize("streams", ["r", "d", "rd"])
+    @pytest.mark.parametrize("normalize_fc", [True, False])
+    @pytest.mark.parametrize("kind", dfc.DISTANCE_KINDS)
+    def test_bit_identical_to_one_subject_at_a_time(self, monkeypatch, kind, normalize_fc,
+                                                    streams):
+        """Two series lengths, interleaved; each length spans two chunks."""
+        monkeypatch.setattr(tv, "LOCKSTEP_STACK_ROWS", 100)  # 2 subjects of 42 or 48 rows
+        rng = np.random.default_rng(21)
+        cohort = []
+        for i in range(7):
+            t = 40 if i % 2 else 47  # 7 or 8 windows of 6 ROIs
+            x = rng.standard_normal((t, 6)) * rng.uniform(0.5, 20.0, 6) + rng.uniform(-5, 5, 6)
+            if i == 3:
+                x[:, 2] = 3.0  # a flat ROI
+            cohort.append(RoiTimeSeries(f"s{i}", x, i % 2))
+        cfg = tv.TrainConfig(window_size=10, stride=5, distance_kind=kind,
+                             normalize_fc=normalize_fc, streams=streams)
+        pearson = counted(monkeypatch, dfc, "pearson_matrix")
+        preps = tv.prepare_dataset(cohort, cfg)
+        assert len(pearson) == (4 if "r" in streams else 0)  # 4 chunks, not 7 subjects
+        for ts, prep in zip(cohort, preps):
+            alone = model.prepare_subject(ts, cfg.window_spec(), cfg.distance(),
+                                          cfg.stream_tuple(), normalize_fc)
+            assert (prep.subject_id, prep.label, prep.window_size, prep.starts) == (
+                alone.subject_id, alone.label, alone.window_size, alone.starts)
+            assert np.array_equal(prep.encoder_input, alone.encoder_input)
+            assert prep.adjacency.keys() == alone.adjacency.keys() == set(streams)
+            for s in streams:
+                assert np.array_equal(prep.adjacency[s], alone.adjacency[s])
+
+    def test_readme_demo_is_one_stack(self, monkeypatch):
+        """The README demo's 60 subjects (2,400 node rows) take one call per step."""
+        subjects = synthgen.make_subjects(synthgen.SynthSpec(
+            kind="correlation", n_subjects=60, m=10, t=120, seed=7))
+        pearson = counted(monkeypatch, dfc, "pearson_matrix")
+        distance = counted(monkeypatch, dfc, "distance_matrix")
+        preps = tv.prepare_dataset(subjects, tv.TrainConfig())
+        assert len(preps) == 60 and len(pearson) == 1 and len(distance) == 1
+
+    def test_window_budget_is_checked_before_any_stack(self, monkeypatch):
+        rng = np.random.default_rng(22)
+        cohort = [RoiTimeSeries(f"s{i}", rng.standard_normal((t, 4)), 0)
+                  for i, t in enumerate([30, 30, 40, 9, 30, 8])]
+        pearson = counted(monkeypatch, dfc, "pearson_matrix")
+        with pytest.raises(WindowBudgetError, match="subject 's3': window size 10 exceeds T=9"):
+            tv.prepare_dataset(cohort, tiny_cfg())
+        assert pearson == []
 
 
 class TestEvaluate:
