@@ -8,7 +8,10 @@ every window of a stream, so the op count does not grow with the window
 count. The node update and the readout are one fused autodiff op each,
 with hand-written adjoints, so a layer call is three ops (a reshape joins
 them); ``tests/composite_layers.py`` keeps the op-by-op forms they
-replaced as their oracle. The contrastive loss treats every (stream,
+replaced as their oracle. The node update keeps three node matrices for
+its adjoint, (eps I + A) H, the MLP's tanh output and its own output, and
+neither adjoint writes into an array its forward saved, so a graph can be
+walked twice. The contrastive loss treats every (stream,
 window) projection as an anchor whose positives are the same-stream
 windows at offset +-delta; for a batch of subjects it is one stack of
 per-subject cosine matrices and a masked log-sum-exp, a fixed 19 autodiff
@@ -66,6 +69,16 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
     is one batched matmul over the blocks. A non-finite MLP pre-activation
     raises NumericsError with its index in the rows, since tanh would hide
     an infinity.
+
+    The op keeps ``mixed`` = (eps I + A) H and the MLP's tanh output for
+    its adjoint, besides its output; x = mixed W is formed and dropped.
+    With G the pre-activation's gradient, one (D, D) product per fold,
+    mixed^T G, gives both W_1's gradient, W^T (mixed^T G), and W's,
+    (mixed^T G) W_1^T, and the gradient of ``mixed`` is G (W W_1)^T: four
+    node-matrix products besides the adjacency's, where going through x
+    takes six. The eps gradient is one dot product per fold, and the bias
+    gradients, sums over the rows, are products with a row of ones, which
+    is faster than numpy's strided sum.
     """
     rows, d = h_in.data.shape
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] * a.shape[1] != rows:
@@ -80,27 +93,33 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
     eps = p.eps.data.reshape(folds, 1, 1)
     w, w1, w2 = (t.data.reshape(folds, d, d) for t in (p.w, p.mlp_w1, p.mlp_w2))
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
-        mixed = h * eps + np.matmul(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
-        x = np.matmul(mixed, w)
-        pre = np.matmul(x, w1) + p.mlp_b1.data.reshape(folds, 1, d)
+        mixed = np.matmul(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
+        mixed += h * eps  # (eps I + A) H; the sum commutes, so its bits are h * eps + A H
+        pre = np.matmul(np.matmul(mixed, w), w1)  # x = mixed W is not kept
+        pre += p.mlp_b1.data.reshape(folds, 1, d)
         dc.check_finite(pre.reshape(rows, d), "gin_node_update", "MLP pre-activation in")
-        h1 = np.tanh(pre)
-        out = np.matmul(h1, w2) + p.mlp_b2.data.reshape(folds, 1, d)
+        h1 = np.tanh(pre, out=pre)
+        out = np.matmul(h1, w2)
+        out += p.mlp_b2.data.reshape(folds, 1, d)
 
     def bk(g):
-        # one row-sized gradient at a time: each rebinding of g_rows frees the last
+        # reads h1 and mixed but never writes into them: a graph may be walked twice
         g = g.reshape(h.shape)
-        grads = [(p.mlp_w2, np.matmul(h1.swapaxes(1, 2), g)), (p.mlp_b2, g.sum(axis=1))]
-        g_rows = np.matmul(g, w2.swapaxes(1, 2))
-        tanh_slope = h1 * h1
+        ones = np.ones((1, 1, h.shape[1]))  # row sums as products
+        grads = [(p.mlp_w2, np.matmul(h1.swapaxes(1, 2), g)), (p.mlp_b2, np.matmul(ones, g))]
+        g_pre = np.matmul(g, w2.swapaxes(1, 2))
+        tanh_slope = np.square(h1)
         np.subtract(1.0, tanh_slope, out=tanh_slope)
-        g_rows *= tanh_slope  # the gradient of the MLP pre-activation
+        g_pre *= tanh_slope  # the gradient of the MLP pre-activation
         del tanh_slope
-        grads += [(p.mlp_w1, np.matmul(x.swapaxes(1, 2), g_rows)), (p.mlp_b1, g_rows.sum(axis=1))]
-        g_rows = np.matmul(g_rows, w1.swapaxes(1, 2))  # of x
-        grads.append((p.w, np.matmul(mixed.swapaxes(1, 2), g_rows)))
-        g_rows = np.matmul(g_rows, w.swapaxes(1, 2))  # of (eps I + A) H
-        grads.append((p.eps, (g_rows * h).reshape(folds, -1).sum(axis=1)))
+        # x = mixed W: one (D, D) product mixed^T G per fold gives both weights' gradients
+        mixed_t_g = np.matmul(mixed.swapaxes(1, 2), g_pre)
+        grads += [(p.mlp_w1, np.matmul(w.swapaxes(1, 2), mixed_t_g)),
+                  (p.mlp_b1, np.matmul(ones, g_pre)),
+                  (p.w, np.matmul(mixed_t_g, w1.swapaxes(1, 2)))]
+        g_rows = np.matmul(g_pre, np.matmul(w, w1).swapaxes(1, 2))  # of (eps I + A) H
+        del g_pre
+        grads.append((p.eps, np.einsum("fij,fij->f", g_rows, h)))
         grads = [(t, grad.reshape(t.data.shape)) for t, grad in grads]
         if h_in.requires_grad:
             g_h = np.matmul(a.transpose(0, 2, 1), g_rows.reshape(n, m, d)).reshape(h.shape)
@@ -125,6 +144,12 @@ def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
     as a constant record: the readout's adjoint already carries their
     gradient. Non-finite logits raise NumericsError with their (window,
     node) index, since the softmax would hide an infinity.
+
+    The node gradient has three terms per window: the weights times the
+    output gradient g, the logits' gradient times the keyed query, and the
+    query's gradient through W_q, spread evenly over the M nodes. The
+    adjoint forms their sum as one (N_w, M, 3) @ (N_w, 3, D) product of
+    [weights, logit gradients, 1/M] and [g, keyed, g_q W_q].
     """
     if h_nodes.data.ndim != 3:
         raise ShapeError(f"node features must be (N_w, M, D), got {h_nodes.data.shape}")
@@ -156,10 +181,10 @@ def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
         grads = [(w_q, np.matmul(g_q.swapaxes(1, 2), mean).reshape(w_q.data.shape)),
                  (w_k, np.matmul(q.swapaxes(1, 2), g_keyed).reshape(w_k.data.shape))]
         if h_nodes.requires_grad:
-            g_h = weights[:, :, None] * g[:, None, :]
-            g_h += g_logits[:, :, None] * keyed.reshape(n, 1, d)
-            g_h += (np.matmul(g_q, wq) / m).reshape(n, 1, d)
-            grads.append((h_nodes, g_h))
+            left = np.empty((n, m, 3))
+            left[..., 0], left[..., 1], left[..., 2] = weights, g_logits, 1.0 / m
+            right = np.stack([g, keyed.reshape(n, d), np.matmul(g_q, wq).reshape(n, d)], axis=1)
+            grads.append((h_nodes, np.matmul(left, right)))
         return grads
 
     return (dc._make(readout, "attention_readout", (h_nodes, w_q, w_k), bk),

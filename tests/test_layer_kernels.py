@@ -5,8 +5,11 @@ Each of ``cdgin.gin_node_update``, ``cdgin.attention_readout``,
 ``apply_attention`` is one autodiff op. On random shapes its values must
 equal the composite's bit for bit and its gradients, for every input and
 parameter, agree within 1e-9 of max(|g|, 1); each also passes central
-finite differences. The oracle's own primitives are finite-difference
-tested here too.
+finite differences. With parameters on a fold axis, the GIN node update
+and readout must equal the composite run on each fold's block. Every
+fused op, ``diffcore.lstm`` too, must leave its forward's arrays intact
+in its adjoint. The oracle's own primitives are finite-difference tested
+here too.
 """
 
 import numpy as np
@@ -23,10 +26,11 @@ import composite_layers as oracle
 from test_diffcore import check_op, rmat
 
 
-def gin_case(rng, integer=False):
-    """Random (h_in, adjacency stack, params): B*N_w 1-8, M 1-12, D 1-16,
-    nonzero eps and biases."""
-    n, m, d = int(rng.integers(1, 9)), int(rng.integers(1, 13)), int(rng.integers(1, 17))
+def gin_case(rng, integer=False, shape=None):
+    """Random (h_in, adjacency stack, params): B*N_w 1-8, M 1-12, D 1-16
+    unless ``shape`` gives (B*N_w, M, D); nonzero eps and biases."""
+    n, m, d = shape or (int(rng.integers(1, 9)), int(rng.integers(1, 13)),
+                        int(rng.integers(1, 17)))
     a = (rng.random((n, m, m)) < 0.4).astype(float)
     h = rng.integers(-2, 3, (n * m, d)).astype(float) if integer \
         else rng.standard_normal((n * m, d))
@@ -46,6 +50,21 @@ def gin_case(rng, integer=False):
 def gin_leaves(h, p):
     return [("h", h), ("eps", p.eps), ("w", p.w), ("mlp_w1", p.mlp_w1),
             ("mlp_b1", p.mlp_b1), ("mlp_w2", p.mlp_w2), ("mlp_b2", p.mlp_b2)]
+
+
+def stacked_gin_case(rng, folds, shape=None):
+    """F random gin cases of one shape, as ((h_in, adjacency stack, params)
+    per fold, the fold-stacked case): rows and adjacencies fold-major, and
+    every parameter on a leading fold axis."""
+    shape = shape or (int(rng.integers(1, 6)), int(rng.integers(1, 11)),
+                      int(rng.integers(1, 13)))
+    blocks = [gin_case(rng, shape=shape) for _ in range(folds)]
+    h = dc.param(np.concatenate([hb.data for hb, _, _ in blocks]))
+    a = np.concatenate([ab for _, ab, _ in blocks])
+    p = cdgin.GinLayerParams(**{
+        name: dc.param(np.stack([getattr(pb, name).data for _, _, pb in blocks]))
+        for name in cdgin.GinLayerParams.__dataclass_fields__})
+    return blocks, (h, a, p)
 
 
 def cbam_case(rng, integer=False):
@@ -72,13 +91,15 @@ def cbam_leaves(h, p):
             ("kernel", p.temporal_kernel)]
 
 
-def values_and_grads(build, leaves, rng_seed):
-    """The outputs of ``build()`` and every leaf's gradient of a random
-    weighted sum of the first output (the later ones are records)."""
+def values_and_grads(build, leaves, weights):
+    """The outputs of ``build()`` and every leaf's gradient of the sum of the
+    first output (the later ones are records) weighted by ``weights``: an
+    array, or the seed of a standard normal draw."""
     for _, t in leaves:
         t.grad = None
     outs = build()
-    weights = np.random.default_rng(rng_seed).standard_normal(outs[0].data.shape)
+    if np.ndim(weights) == 0:
+        weights = np.random.default_rng(weights).standard_normal(outs[0].data.shape)
     dc.backward(dc.sum_all(dc.mul(outs[0], dc.const(weights))))
     grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
              for name, t in leaves}
@@ -94,6 +115,28 @@ def assert_matches_oracle(fused, composite, leaves, case):
     for name, g in grads.items():
         ge = expect_grads[name]
         assert np.all(np.abs(g - ge) <= 1e-9 * np.maximum(np.abs(ge), 1.0)), (case, name)
+
+
+def assert_matches_oracle_per_fold(fused, composite, stacked, blocks, case):
+    """``fused(*stacked)`` against ``composite`` run on each fold's block:
+    ``stacked`` and every entry of ``blocks`` are (leaves, args), with each
+    leaf's rows or parameter entries fold-major in ``stacked``."""
+    leaves, args = stacked
+    values, grads = values_and_grads(lambda: fused(*args), leaves, case)
+    weights = np.random.default_rng(case).standard_normal(values[0].shape)
+    folds = len(blocks)
+    for f, (block_leaves, block_args) in enumerate(blocks):
+        def fold(x):  # fold f's share of a fold-major array
+            return np.split(x, folds)[f]
+
+        expect, expect_grads = values_and_grads(lambda: composite(*block_args),
+                                                block_leaves, fold(weights))
+        for v, e in zip(values, expect, strict=True):
+            assert np.array_equal(fold(v), e), (case, f, np.abs(fold(v) - e).max())
+        for name, ge in expect_grads.items():
+            g = fold(grads[name]).reshape(ge.shape)
+            assert np.all(np.abs(g - ge) <= 1e-9 * np.maximum(np.abs(ge), 1.0)), \
+                (case, f, name)
 
 
 def assert_finite_differences(build, leaves):
@@ -123,6 +166,20 @@ class TestGinNodeUpdate:
             h, a, p = gin_case(rng)
             assert_finite_differences(lambda: cdgin.gin_node_update(h, a, p), gin_leaves(h, p))
 
+    def test_fold_stacked_matches_oracle_per_fold(self):
+        rng = np.random.default_rng(24)
+        for case in range(30):
+            blocks, (h, a, p) = stacked_gin_case(rng, folds=int(rng.integers(2, 4)))
+            assert_matches_oracle_per_fold(
+                lambda *args: [cdgin.gin_node_update(*args)],
+                lambda *args: [oracle.gin_node_update(*args)],
+                (gin_leaves(h, p), (h, a, p)),
+                [(gin_leaves(hb, pb), (hb, ab, pb)) for hb, ab, pb in blocks], case)
+
+    def test_fold_stacked_finite_differences(self):
+        _, (h, a, p) = stacked_gin_case(np.random.default_rng(25), folds=3, shape=(2, 5, 4))
+        assert_finite_differences(lambda: cdgin.gin_node_update(h, a, p), gin_leaves(h, p))
+
     def test_constant_input_gets_no_gradient(self):
         h, a, p = gin_case(np.random.default_rng(4))
         h = dc.const(h.data)
@@ -141,6 +198,28 @@ class TestAttentionReadout:
             assert_matches_oracle(lambda: cdgin.attention_readout(nodes, p.w_q, p.w_k),
                                   lambda: oracle.attention_readout(nodes, p.w_q, p.w_k),
                                   leaves, case)
+
+    def test_fold_stacked_matches_oracle_per_fold(self):
+        rng = np.random.default_rng(26)
+        for case in range(30):
+            blocks, (h, a, p) = stacked_gin_case(rng, folds=int(rng.integers(2, 4)))
+
+            def nodes(h, a):
+                return dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
+
+            def case_of(h, a, p):
+                x = nodes(h, a)
+                return [("h", x), ("w_q", p.w_q), ("w_k", p.w_k)], (x, p.w_q, p.w_k)
+
+            assert_matches_oracle_per_fold(
+                cdgin.attention_readout, oracle.attention_readout, case_of(h, a, p),
+                [case_of(*block) for block in blocks], case)
+
+    def test_fold_stacked_finite_differences(self):
+        _, (h, a, p) = stacked_gin_case(np.random.default_rng(27), folds=3, shape=(2, 5, 4))
+        nodes = dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
+        assert_finite_differences(lambda: cdgin.attention_readout(nodes, p.w_q, p.w_k)[0],
+                                  [("h", nodes), ("w_q", p.w_q), ("w_k", p.w_k)])
 
     def test_weights_are_a_constant_record(self):
         h, a, p = gin_case(np.random.default_rng(6))
@@ -244,6 +323,58 @@ class TestCbam:
         h, p = cbam_case(np.random.default_rng(17))
         fh.apply_attention(h, fh.channel_attention(h, p), fh.temporal_attention(h, p))
         assert op_names == ["channel_attention", "temporal_attention", "apply_attention"]
+
+
+def readout_of_case(rng):
+    _, (h, a, p) = stacked_gin_case(rng, folds=3)
+    return cdgin.attention_readout(dc.param(h.data.reshape(a.shape[0], a.shape[1], -1)),
+                                   p.w_q, p.w_k)[0]
+
+
+def gated_case(rng):
+    h, _ = cbam_case(rng)
+    b, n_w, c = h.data.shape
+    return fh.apply_attention(h, dc.param(rng.uniform(0.05, 0.95, (b, c))),
+                              dc.param(rng.uniform(0.05, 0.95, (b, n_w))))
+
+
+def lstm_case(rng):
+    folds, d, m = 2, 3, 4
+    return dc.lstm(rng.standard_normal((2 * folds, 5, m)),
+                   dc.param(0.5 * rng.standard_normal((folds, m, 4 * d))),
+                   dc.param(0.5 * rng.standard_normal((folds, d, 4 * d))),
+                   dc.param(0.3 * rng.standard_normal((folds, 4 * d))))
+
+
+FUSED_OPS = {
+    "gin_node_update": lambda rng: cdgin.gin_node_update(*stacked_gin_case(rng, folds=3)[1]),
+    "attention_readout": readout_of_case,
+    "channel_attention": lambda rng: fh.channel_attention(*cbam_case(rng)),
+    "temporal_attention": lambda rng: fh.temporal_attention(*cbam_case(rng)),
+    "apply_attention": gated_case,
+    "lstm": lstm_case,
+}
+
+
+@pytest.mark.parametrize("op", list(FUSED_OPS))
+def test_adjoint_leaves_its_forward_intact(op):
+    """An adjoint reads what its forward saved and writes into none of it:
+    called twice on one forward, it gives the same gradients bit for bit,
+    and the op's output and inputs keep their values. A backward may walk
+    one graph twice (the dict-walk oracle in test_diffcore does)."""
+    rng = np.random.default_rng(28)
+    for _ in range(5):
+        out = FUSED_OPS[op](rng)
+        assert out.op == op
+        kept = [t.data.copy() for t in (out, *out._parents)]
+        g = rng.standard_normal(out.data.shape)
+        first = [(t, grad.copy()) for t, grad in out._backward(g.copy())]
+        second = list(out._backward(g.copy()))
+        assert [t for t, _ in first] == [t for t, _ in second]
+        for (t, grad), (_, again) in zip(first, second):
+            assert np.array_equal(grad, again), t.data.shape
+        for t, data in zip((out, *out._parents), kept):
+            assert np.array_equal(t.data, data), t.data.shape
 
 
 class TestNonFiniteIntermediates:

@@ -1,5 +1,6 @@
 """Assembled-model tests: parameter layout, forward, loss, gradient check."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -240,6 +241,52 @@ class TestForward:
         y1 = float(model.forward_subject(store, dims, prep(ts)).y_hat.data)
         y2 = float(model.forward_subject(store, dims, prep(ts)).y_hat.data)
         assert y1 == y2
+
+    def test_graph_holds_three_node_matrices_per_gin_layer_call(self):
+        """What a training forward holds for backward, at the long-scan shape.
+
+        One subject of 600 timepoints at 90 ROIs, windows of 30 with stride
+        10: N_w = 58, M = 90, D = 16, two streams of two layers, so four GIN
+        layer calls. The bytes its graph holds are the traced memory still
+        allocated after a graph-building forward, less that after a forward
+        on the ``no_grad`` view, which keeps only the outputs both return.
+        The bound, in float64 entries, with U = N_w M D one node matrix:
+
+        - the node features, the first layers' input: U;
+        - each GIN node update keeps (eps I + A) H, the MLP's tanh output and
+          its own output: 3 U per layer call;
+        - the LSTM keeps its (T, 4D) gate buffer, its (T + 1, D) cell and
+          hidden buffers and the (T, D) tanh of the cell;
+        - the rest is window-sized (readout vectors and fusion features, of
+          N_w D or N_w M entries) or op records: under U together, measured
+          at about U / 2.
+
+        Keeping one more node matrix per layer call, such as
+        x = (eps I + A) H W, adds 4 U and fails.
+        """
+        x = np.random.default_rng(34).standard_normal((600, 90))
+        cfg = tv.TrainConfig(window_size=30, stride=10)
+        preps = tv.prepare_dataset([RoiTimeSeries("s0", x, 1)], cfg)
+        dims = tv.make_dims(preps, cfg)
+        store = model.init_params(dims, 0)
+        graph_free = store.no_grad()  # lays the store out before anything is traced
+
+        def held(params):
+            tracemalloc.start()
+            try:
+                out = model.forward_batch(params, dims, preps)  # held while measured
+                return tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+
+        retained = held(store) - held(graph_free)
+        n_w, t, d = len(preps[0].starts), x.shape[0], dims.d
+        calls = len(dims.streams) * dims.layers
+        assert (n_w, dims.m, d, calls) == (58, 90, 16, 4)
+        node_matrix = n_w * dims.m * d
+        lstm = t * 4 * d + 2 * (t + 1) * d + t * d
+        assert 8 * 3 * calls * node_matrix < retained
+        assert retained <= 8 * ((1 + 3 * calls + 1) * node_matrix + lstm)
 
 
 class TestSubjectLoss:
