@@ -67,6 +67,12 @@ def stacked_gin_case(rng, folds, shape=None):
     return blocks, (h, a, p)
 
 
+def readout_case(h, a, p):
+    """(leaves, arguments) of the readout over a gin case's node rows."""
+    nodes = dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
+    return [("h", nodes), ("w_q", p.w_q), ("w_k", p.w_k)], (nodes, p.w_q, p.w_k)
+
+
 def cbam_case(rng, integer=False):
     """Random (h_f, params): B 1-4 subjects of N_w 1-8 windows, C = streams * D
     channels for one or two streams and D 1-16, nonzero biases."""
@@ -202,24 +208,15 @@ class TestAttentionReadout:
     def test_fold_stacked_matches_oracle_per_fold(self):
         rng = np.random.default_rng(26)
         for case in range(30):
-            blocks, (h, a, p) = stacked_gin_case(rng, folds=int(rng.integers(2, 4)))
-
-            def nodes(h, a):
-                return dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
-
-            def case_of(h, a, p):
-                x = nodes(h, a)
-                return [("h", x), ("w_q", p.w_q), ("w_k", p.w_k)], (x, p.w_q, p.w_k)
-
+            blocks, stacked = stacked_gin_case(rng, folds=int(rng.integers(2, 4)))
             assert_matches_oracle_per_fold(
-                cdgin.attention_readout, oracle.attention_readout, case_of(h, a, p),
-                [case_of(*block) for block in blocks], case)
+                cdgin.attention_readout, oracle.attention_readout, readout_case(*stacked),
+                [readout_case(*block) for block in blocks], case)
 
     def test_fold_stacked_finite_differences(self):
-        _, (h, a, p) = stacked_gin_case(np.random.default_rng(27), folds=3, shape=(2, 5, 4))
-        nodes = dc.param(h.data.reshape(a.shape[0], a.shape[1], -1))
-        assert_finite_differences(lambda: cdgin.attention_readout(nodes, p.w_q, p.w_k)[0],
-                                  [("h", nodes), ("w_q", p.w_q), ("w_k", p.w_k)])
+        _, stacked = stacked_gin_case(np.random.default_rng(27), folds=3, shape=(2, 5, 4))
+        leaves, args = readout_case(*stacked)
+        assert_finite_differences(lambda: cdgin.attention_readout(*args)[0], leaves)
 
     def test_weights_are_a_constant_record(self):
         h, a, p = gin_case(np.random.default_rng(6))
@@ -325,12 +322,6 @@ class TestCbam:
         assert op_names == ["channel_attention", "temporal_attention", "apply_attention"]
 
 
-def readout_of_case(rng):
-    _, (h, a, p) = stacked_gin_case(rng, folds=3)
-    return cdgin.attention_readout(dc.param(h.data.reshape(a.shape[0], a.shape[1], -1)),
-                                   p.w_q, p.w_k)[0]
-
-
 def gated_case(rng):
     h, _ = cbam_case(rng)
     b, n_w, c = h.data.shape
@@ -348,7 +339,8 @@ def lstm_case(rng):
 
 FUSED_OPS = {
     "gin_node_update": lambda rng: cdgin.gin_node_update(*stacked_gin_case(rng, folds=3)[1]),
-    "attention_readout": readout_of_case,
+    "attention_readout": lambda rng: cdgin.attention_readout(
+        *readout_case(*stacked_gin_case(rng, folds=3)[1])[1])[0],
     "channel_attention": lambda rng: fh.channel_attention(*cbam_case(rng)),
     "temporal_attention": lambda rng: fh.temporal_attention(*cbam_case(rng)),
     "apply_attention": gated_case,
