@@ -422,31 +422,47 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     every product with a weight is one batched ``np.matmul`` over the folds,
     each fold's operands laid out as a lone model's are. Fused into one op
     with a hand-written BPTT adjoint: the per-timestep graph would
-    otherwise dominate runtime. Gate layout along the 4D axis is input,
-    forget, cell, output.
+    otherwise dominate runtime. The parameters' gate order along 4D is
+    input, forget, cell, output.
 
-    Each time loop keeps only the recurrence; everything else is done for
-    all timesteps at once outside it. The gate, cell, hidden and tanh-cell
-    buffers are time-major, (T, F, B / F, ·), so step t of every fold is one
-    contiguous block that each call of the loop covers at once; at F = 1
-    this is a lone model's (T, B, ·) layout. Each fold's input projection
-    is one (T B / F, M) @ (M, 4D) product, copied into its slice of the
-    gate buffer. The forward then writes each step's gates over it in
-    place, as ``xw[t] + h @ w_h + b`` followed by one sigmoid over the
-    step's block. The cell slot's tanh, G, is taken first and then written
-    over that slot's sigmoid, which is unused. The cell and hidden states
-    live in buffers with T + 1 steps whose step 0 is the zero initial
-    state, so the previous state is a view. The adjoint first forms the
-    local derivative factors of every step, K = [G I(1-I), C_{t-1} F(1-F),
-    I(1-G^2), tanh C O(1-O)] and P = O(1 - tanh^2 C); its loop then only
-    carries ``dc = dc F_{t+1} + dh P_t`` and ``dh = ([dc, dc, dc, dh] *
-    K_t) @ w_h^T``, writing each step's gate gradient over K_t. K alone is
-    fold-major, (F, T, B / F, 4D), and is written through a time-major
-    view, so that each fold's gate gradients are one matrix for the weight
-    gradients; those read the hidden states through a fold-major copy when
-    F > 1. The loop runs back from the last timestep: ``model._stack`` cuts
-    the input at the last timestep the model reads, so that step carries an
-    output gradient and no step of the adjoint is wasted.
+    Each time loop keeps only the recurrence, and most of its calls cover
+    one contiguous block. Once per call the weights are stacked as [W_h;
+    W_x; b], with the gate columns reordered to [i, f, o | g] and the
+    sigmoid gates' columns negated, which is exact. Step t's
+    pre-activations are then one product of the rows [h_{t-1} | x_t | 1]
+    with that matrix: each entry is one dot product of length D + M + 1,
+    summed in that order, and for the sigmoid gates it is the negated
+    pre-activation that ``exp`` takes. The rows live in a (T + 1, F, B / F,
+    D + M + 1) buffer, and each h_t is written into the hidden columns of
+    row t + 1. The product is copied once into step t's feature-major
+    (4D, B) block of the gate buffer, where one sigmoid covers the first 3D
+    rows and a tanh the cell gate's last D rows in place; the cell and
+    hidden updates run on (D, B) blocks of the cell buffer, whose step 0 is
+    the zero initial state, and of the buffer of tanh c.
+
+    Products stay row-form, rows times weights, so that a sequence's sums
+    do not depend on the other rows of a batch of two or more. Weights
+    times columns made them depend on the batch width: 1 to 4 sequences
+    differed from 5 and more. A lone sequence's one-row product takes
+    another BLAS routine and may still differ from a batch in the last bit.
+
+    The adjoint first forms the local derivative factors of every step,
+    K = [G I(1-I), C_{t-1} F(1-F), I(1-G^2), tanh C O(1-O)] in the
+    parameters' gate order and P = O(1 - tanh^2 C), laid out as the gate
+    buffer. Its loop then only carries ``dc = dc F_{t+1} + dh P_t`` and
+    ``dh = ([dc, dc, dc, dh] * K_t) @ w_h^T``, writing each step's gate
+    gradient over K_t in one contiguous call, and adds an output gradient
+    only at the steps that have one. The product reads the gate gradients
+    through a row-major copy and its result is copied back, except for a
+    lone sequence (F = B = 1), whose feature-major blocks already are rows;
+    at one sequence per fold in several folds the copies still cost less
+    than strided calls would. The weight gradients are three products per
+    fold, x^T dA, h^T dA and the sum of dA, over contiguous copies of the
+    fold's rows: one merged [h | x | 1]^T dA product made them depend on
+    the BLAS thread count. The loop runs back from the last timestep:
+    ``model._stack`` cuts the input at the last timestep the model reads,
+    so that step carries an output gradient and no step of the adjoint is
+    wasted.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 3:
@@ -463,52 +479,51 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"lstm: input width {x.shape[-1]} vs w_x {w_x.data.shape}")
     B = rows // folds  # sequences per fold
     T, M = x.shape[-2], x.shape[-1]
-    xf = np.ascontiguousarray(x.reshape(folds, B, T, M).transpose(0, 2, 1, 3))  # (F, T, B, M)
-    w_x3 = w_x.data.reshape(folds, M, four_d)
+    seq = x.reshape(folds, B, T, M)
     w_h3 = w_h.data.reshape(folds, D, four_d)
-    b3 = b.data.reshape(folds, 1, four_d)
-
-    # input projection, overwritten by the gate values
-    gates = np.empty((T, folds, B, four_d))
-    for f in range(folds):  # one fold's product at a time, copied into its time-major slice
-        gates[:, f] = np.matmul(xf[f].reshape(T * B, M), w_x3[f]).reshape(T, B, four_d)
-    C = np.zeros((T + 1, folds, B, D))  # C[t + 1] is c_t; step 0 is the initial state
-    H = np.zeros((T + 1, folds, B, D))
-    TC = np.empty((T, folds, B, D))
-    hw = np.empty((folds, B, four_d))
-    ig = np.empty((folds, B, D))
-    g_t = np.empty((folds, B, D))
-    # G, the cell gate's tanh, ends up in the cell slot
-    in_g, forget_g, G, out_g = (gates[..., k * D:(k + 1) * D] for k in range(4))
+    gates = np.empty((T, four_d, folds, B))  # step t is one feature-major (4D, F, B / F) block
+    sig = gates[:, :3 * D]
+    in_g, forget_g, out_g, G = (gates[:, k * D:(k + 1) * D] for k in range(4))
+    C = np.empty((T + 1, D, folds, B))  # C[t + 1] is c_t; step 0 is the initial state
+    C[0] = 0.0
+    TC = np.empty((T, D, folds, B))
+    out = np.empty((folds, B, T, D))
+    reorder = np.r_[0:2 * D, 3 * D:four_d, 2 * D:3 * D]  # [i, f, o | g]
+    w = np.concatenate((w_h3, w_x.data.reshape(folds, M, four_d),
+                        b.data.reshape(folds, 1, four_d)), axis=1)[..., reorder]
+    np.negative(w[..., :3 * D], out=w[..., :3 * D])
+    z = np.empty((T + 1, folds, B, D + M + 1))  # row t is [h_{t-1} | x_t | 1]; h_{T-1} in row T
+    z[0, ..., :D] = 0.0
+    z[:T, ..., D:-1] = seq.transpose(2, 0, 1, 3)
+    z[:T, ..., -1] = 1.0
+    h_next = z[1:, ..., :D].transpose(0, 3, 1, 2)  # (T, D, F, B / F): h_t's slot
+    a_rows = np.empty((folds, B, four_d))
+    ig = np.empty((D, folds, B))
+    steps = zip(z, gates, sig, G, C, C[1:], in_g, forget_g, out_g, TC, h_next)
     # a pre-activation below about -709 overflows the gate exp to inf, and
     # 1 / (1 + inf) is the saturated gate's exact 0
     with np.errstate(over="ignore"):
-        for t in range(T):
-            a = gates[t]
-            np.matmul(H[t], w_h3, out=hw)
-            a += hw  # a = xw[t] + h @ w_h + b, summed in that order
-            a += b3
-            np.tanh(G[t], out=g_t)
-            np.negative(a, out=a)
-            np.exp(a, out=a)
-            a += 1.0
-            np.divide(1.0, a, out=a)
-            G[t] = g_t  # over the cell slot's unused sigmoid
-            c = C[t + 1]
-            np.multiply(forget_g[t], C[t], out=c)
-            np.multiply(in_g[t], g_t, out=ig)
+        for z_t, a, s, g_t, c_prev, c, i_t, f_t, o_t, tc, h_t in steps:
+            np.matmul(z_t, w, out=a_rows)
+            a[...] = a_rows.transpose(2, 0, 1)
+            np.exp(s, out=s)  # s holds -a: the sigmoid gates' weight columns are negated
+            s += 1.0
+            np.divide(1.0, s, out=s)
+            np.tanh(g_t, out=g_t)
+            np.multiply(f_t, c_prev, out=c)
+            np.multiply(i_t, g_t, out=ig)
             c += ig
-            tc = TC[t]
             np.tanh(c, out=tc)
-            np.multiply(out_g[t], tc, out=H[t + 1])
+            np.multiply(o_t, tc, out=h_t)
+    out[...] = z[1:, ..., :D].transpose(1, 2, 0, 3)
+    out = out.reshape(rows, T, D)
 
     def bk(g):
-        g_s = g.reshape(folds, B, T, D).transpose(2, 0, 1, 3)  # time-major, as the buffers
         I, F, O = in_g, forget_g, out_g
-        K = np.empty((folds, T, B, four_d))
-        K_s = K.swapaxes(0, 1)  # time-major, as the buffers
-        k_i, k_f, k_g, k_o = (K_s[..., k * D:(k + 1) * D] for k in range(4))
-        P = np.empty(I.shape)  # the factors' scratch, then P
+        dw_x, dw_h, db = (np.empty((folds, n, four_d)) for n in (M, D, 1))
+        K = np.empty((T, four_d, folds, B))  # laid out as the gate buffer
+        k_i, k_f, k_g, k_o = (K[:, j * D:(j + 1) * D] for j in range(4))
+        P = np.empty((T, D, folds, B))  # the factors' scratch, then P
         np.subtract(1.0, I, out=P)
         np.multiply(G, I, out=k_i)
         k_i *= P
@@ -525,29 +540,44 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         np.subtract(1.0, P, out=P)
         P *= O
         w_h_t = w_h3.transpose(0, 2, 1)
-        # per sequence [dc, dc, dc, dh]: the gate gradient's multiplier
-        d = np.zeros((folds, B, 4, D))
-        d_rows = d.reshape(folds, B, four_d)
-        dc, dc_copies, dh = d[:, :, 0], d[:, :, 1:3], d[:, :, 3]
-        dc_b = dc[:, :, None]
-        dh_p = np.empty((folds, B, D))
-        for t in range(T - 1, -1, -1):
-            dh += g_s[t]
-            np.multiply(dh, P[t], out=dh_p)
+        d = np.zeros((4, D, folds, B))  # the gate gradient's multiplier [dc, dc, dc, dh]
+        d_k = d.reshape(four_d, folds, B)
+        dc, dc_copies, dh = d[0], d[1:3], d[3]
+        dh_p = np.empty((D, folds, B))
+        lone = rows == 1  # its feature-major blocks are rows already
+        K_rows = K.reshape(T, folds, B, four_d)  # a lone sequence's row view of K
+        da_rows = None if lone else np.empty((folds, B, four_d))
+        dh_rows = dh.reshape(folds, B, D) if lone else np.empty((folds, B, D))
+        g_s = g.reshape(folds, B, T, D).transpose(2, 3, 0, 1)  # as the buffers
+        live = g_s.any(axis=(1, 2, 3)).tolist()  # the steps with an output gradient
+        for da_t, row_t, p_t, f_t, g_t, live_t in zip(K[::-1], K_rows[::-1], P[::-1], F[::-1],
+                                                      g_s[::-1], live[::-1]):
+            if live_t:
+                dh += g_t
+            np.multiply(dh, p_t, out=dh_p)
             dc += dh_p
-            dc_copies[...] = dc_b
-            da_t = K_s[t]
-            np.multiply(d_rows, da_t, out=da_t)  # K_t becomes the gate gradient
-            np.matmul(da_t, w_h_t, out=dh)
-            dc *= F[t]
-        da = K.reshape(folds, T * B, four_d)
-        x_rows = xf.reshape(folds, T * B, M)
-        h_rows = H[:-1].swapaxes(0, 1).reshape(folds, T * B, D)  # a copy when F > 1
-        return ((w_x, np.matmul(x_rows.transpose(0, 2, 1), da).reshape(w_x.data.shape)),
-                (w_h, np.matmul(h_rows.transpose(0, 2, 1), da).reshape(w_h.data.shape)),
-                (b, da.sum(axis=1).reshape(b.data.shape)))
+            dc_copies[...] = dc
+            np.multiply(d_k, da_t, out=da_t)  # K_t becomes the gate gradient
+            if lone:
+                np.matmul(row_t, w_h_t, out=dh_rows)
+            else:  # the product reads row-major gate gradients, as a lone sequence's
+                da_rows[...] = da_t.transpose(1, 2, 0)
+                np.matmul(da_rows, w_h_t, out=dh_rows)
+                dh[...] = dh_rows.transpose(2, 0, 1)
+            dc *= f_t
+        h_seq = out.reshape(folds, B, T, D)
+        h_f = np.empty((T, B, D))  # h_{t-1} of one fold
+        h_f[0] = 0.0
+        for f in range(folds):  # each fold's rows in (t, sequence) order, contiguous
+            x_f = np.ascontiguousarray(seq[f].swapaxes(0, 1)).reshape(T * B, M)
+            h_f[1:] = h_seq[f, :, :-1].swapaxes(0, 1)
+            da = np.ascontiguousarray(K[:, :, f].transpose(0, 2, 1)).reshape(T * B, four_d)
+            np.matmul(x_f.T, da, out=dw_x[f])
+            np.matmul(h_f.reshape(T * B, D).T, da, out=dw_h[f])
+            da.sum(axis=0, out=db[f, 0])
+        return ((w_x, dw_x.reshape(w_x.data.shape)), (w_h, dw_h.reshape(w_h.data.shape)),
+                (b, db.reshape(b.data.shape)))
 
-    out = H[1:].transpose(1, 2, 0, 3).reshape(rows, T, D)
     return _make(out, "lstm", (w_x, w_h, b), bk)
 
 

@@ -1,4 +1,4 @@
-"""Temporal context encoding: one LSTM pass per subject, node features per window.
+"""Temporal context encoding: one LSTM pass per batch, node features per window.
 
 The LSTM runs once over the whole normalized sequence; each window then takes
 the hidden state at its endpoint timepoint. Node v's input feature for a

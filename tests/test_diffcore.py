@@ -292,49 +292,58 @@ def test_lstm_matches_stepwise_oracle():
 def oracle_lstm(x, w_x, w_h, b):
     """The fused LSTM as one Python step per timestep both ways, as it was
     before the local derivative factors were hoisted out of the time loops.
-    Returns the hidden sequence and its adjoint, g -> (dw_x, dw_h, db)."""
-    T = x.shape[0]
+    Returns the hidden sequence and its adjoint, g -> (dw_x, dw_h, db).
+
+    A step's pre-activation is the op's own product: the rows [h | x_t | 1]
+    times [W_h; W_x; b], gate columns reordered to [i, f, o, g] and the
+    sigmoid gates' columns negated, so its sums run in the op's order. A
+    (B, T, M) batch multiplies its B rows at once, as the op does, and a
+    (T, M) sequence is the batch of one."""
+    xs = (x if x.ndim == 3 else x[None]).swapaxes(0, 1)  # (T, B, M)
+    T, B = xs.shape[:2]
     D = w_x.shape[1] // 4
-    xw = x @ w_x
-    I = np.empty((T, D)); F = np.empty((T, D)); G = np.empty((T, D)); O = np.empty((T, D))
-    C = np.empty((T, D)); TC = np.empty((T, D)); Hprev = np.empty((T, D))
-    h = np.zeros(D)
-    c = np.zeros(D)
+    w = np.concatenate([w_h, w_x, b[None]])[:, np.r_[0:2 * D, 3 * D:4 * D, 2 * D:3 * D]]
+    w[:, :3 * D] *= -1.0
+    I, F, G, O, C, TC, Hprev = (np.empty((T, B, D)) for _ in range(7))
+    h = np.zeros((B, D))
+    c = np.zeros((B, D))
     for t in range(T):
         Hprev[t] = h
-        a = xw[t] + h @ w_h + b
-        ia = a[:D]; fa = a[D:2 * D]; ga = a[2 * D:3 * D]; oa = a[3 * D:]
-        i_t = 1.0 / (1.0 + np.exp(-ia))
-        f_t = 1.0 / (1.0 + np.exp(-fa))
-        g_t = np.tanh(ga)
-        o_t = 1.0 / (1.0 + np.exp(-oa))
+        z = np.concatenate([h, xs[t], np.ones((B, 1))], axis=1) @ w  # -a for i, f, o; a for g
+        i_t = 1.0 / (1.0 + np.exp(z[:, :D]))
+        f_t = 1.0 / (1.0 + np.exp(z[:, D:2 * D]))
+        o_t = 1.0 / (1.0 + np.exp(z[:, 2 * D:3 * D]))
+        g_t = np.tanh(z[:, 3 * D:])
         c = f_t * c + i_t * g_t
         tc = np.tanh(c)
         h = o_t * tc
         I[t], F[t], G[t], O[t], C[t], TC[t] = i_t, f_t, g_t, o_t, c, tc
-    H = O * TC
+    H = (O * TC).swapaxes(0, 1)
 
     def bk(g):
-        DA = np.empty((T, 4 * D))
-        dh = np.zeros(D)
-        dc_ = np.zeros(D)
+        gs = (g if g.ndim == 3 else g[None]).swapaxes(0, 1)
+        DA = np.empty((T, B, 4 * D))
+        dh = np.zeros((B, D))
+        dc_ = np.zeros((B, D))
         for t in range(T - 1, -1, -1):
-            dh = dh + g[t]
+            dh = dh + gs[t]
             do = dh * TC[t]
             dc_ = dc_ + dh * O[t] * (1.0 - TC[t] * TC[t])
             di = dc_ * G[t]
             dg = dc_ * I[t]
-            c_prev = C[t - 1] if t > 0 else np.zeros(D)
+            c_prev = C[t - 1] if t > 0 else np.zeros((B, D))
             df = dc_ * c_prev
             dc_ = dc_ * F[t]
-            DA[t, :D] = di * I[t] * (1.0 - I[t])
-            DA[t, D:2 * D] = df * F[t] * (1.0 - F[t])
-            DA[t, 2 * D:3 * D] = dg * (1.0 - G[t] * G[t])
-            DA[t, 3 * D:] = do * O[t] * (1.0 - O[t])
+            DA[t, :, :D] = di * I[t] * (1.0 - I[t])
+            DA[t, :, D:2 * D] = df * F[t] * (1.0 - F[t])
+            DA[t, :, 2 * D:3 * D] = dg * (1.0 - G[t] * G[t])
+            DA[t, :, 3 * D:] = do * O[t] * (1.0 - O[t])
             dh = DA[t] @ w_h.T
-        return x.T @ DA, Hprev.T @ DA, DA.sum(axis=0)
+        da = DA.reshape(T * B, 4 * D)
+        return (xs.reshape(T * B, -1).T @ da, Hprev.reshape(T * B, D).T @ da,
+                da.sum(axis=0))
 
-    return H, bk
+    return (H if x.ndim == 3 else H[0]), bk
 
 
 @pytest.mark.parametrize("pattern", ["dense", "sparse", "zero", "first_row"])
@@ -403,6 +412,7 @@ def test_lstm_saturated_gate_raises_no_overflow_warning():
     b = np.zeros(12)
     with np.errstate(over="ignore"):  # the oracle's own exp overflows
         expect_h, _ = oracle_lstm(x, w_x, w_h, b)
+        expect_batch, _ = oracle_lstm(np.stack([x, x]), w_x, w_h, b)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
@@ -410,7 +420,25 @@ def test_lstm_saturated_gate_raises_no_overflow_warning():
         batch = dc.lstm(np.stack([x, x]), *params)
         dc.backward(dc.sum_all(out))
     assert np.array_equal(out.data[0], expect_h)
-    assert np.array_equal(batch.data, np.stack([expect_h, expect_h]))
+    assert np.array_equal(batch.data, expect_batch)
+
+
+@pytest.mark.parametrize("M, T", [(10, 110), (90, 230)])  # the README's and score's shapes
+def test_lstm_sequence_bits_do_not_depend_on_a_batch_width_of_two_or_more(M, T):
+    """Twelve sequences split into batches of 2, 3, 4 and 6 give hidden states
+    bit-identical to the 12-wide batch: each step's products are row-form,
+    so a sequence's sums do not depend on its batch's other rows. A batch
+    of one is left out: its one-row products take another BLAS routine and
+    may differ in the last bit (ROADMAP item 10)."""
+    rng = np.random.default_rng(M)
+    D = 16
+    x = rng.standard_normal((12, T, M))
+    params = [dc.param(0.3 * rng.standard_normal(s)) for s in ((M, 4 * D), (D, 4 * D), 4 * D)]
+    whole = dc.lstm(x, *params).data
+    for width in (2, 3, 4, 6):
+        for lo in range(0, 12, width):
+            part = dc.lstm(x[lo:lo + width], *params).data
+            assert np.array_equal(part, whole[lo:lo + width]), (width, lo)
 
 
 @pytest.mark.parametrize("w_x, w_h, b, x", [
@@ -1106,20 +1134,36 @@ class TestFoldStacks:
         with pytest.raises(ShapeError):
             dc.take_rows(m, [5])
 
-    def test_stacked_lstm_equals_each_fold_alone(self):
-        x = self.rng.standard_normal((6, 7, 3))
-        w_x, w_h, b = (rmat(self.rng, 3, *s) for s in ((3, 8), (2, 8), (8,)))
-        g = self.rng.standard_normal((6, 7, 2))
+    @staticmethod
+    def assert_stacked_lstm_equals_each_fold_alone(x, w_x, w_h, b, g):
+        """Forward and gradients of each fold's block of a stacked LSTM are
+        bit-identical to that fold's model run alone on its sequences."""
+        F = w_x.data.shape[0]
+        B = len(x) // F
         out = dc.lstm(x, w_x, w_h, b)
         grads = [grad for _, grad in out._backward(g)]
-        for f in range(3):
-            alone = [dc.param(t.data[f]) for t in (w_x, w_h, b)]
-            one = dc.lstm(x[2 * f:2 * f + 2], *alone)
-            np.testing.assert_array_equal(out.data[2 * f:2 * f + 2], one.data)
-            for got, (_, want) in zip(grads, one._backward(g[2 * f:2 * f + 2])):
+        for f in range(F):
+            rows = slice(B * f, B * (f + 1))
+            one = dc.lstm(x[rows], *(dc.param(t.data[f]) for t in (w_x, w_h, b)))
+            np.testing.assert_array_equal(out.data[rows], one.data)
+            for got, (_, want) in zip(grads, one._backward(g[rows])):
                 np.testing.assert_array_equal(got[f], want)
+
+    def test_stacked_lstm_equals_each_fold_alone(self):
+        """3 folds of 2 sequences, and 4 folds of one sequence each at the
+        README lockstep shape, as a ragged last batch meets it."""
+        x = self.rng.standard_normal((6, 7, 3))
+        w_x, w_h, b = (rmat(self.rng, 3, *s) for s in ((3, 8), (2, 8), (8,)))
+        self.assert_stacked_lstm_equals_each_fold_alone(
+            x, w_x, w_h, b, self.rng.standard_normal((6, 7, 2)))
         with pytest.raises(ShapeError):
             dc.lstm(x[:5], w_x, w_h, b)  # 5 sequences do not split into 3 folds
+        F, T, M, D = 4, 110, 10, 16
+        g = np.zeros((F, T, D))
+        g[:, [34, 59, 84, 109]] = self.rng.standard_normal((F, 4, D))
+        self.assert_stacked_lstm_equals_each_fold_alone(
+            self.rng.standard_normal((F, T, M)),
+            *(rmat(self.rng, F, *s) for s in ((M, 4 * D), (D, 4 * D), (4 * D,))), g)
 
     @pytest.mark.parametrize("T", [110, 120])
     def test_stacked_lstm_at_the_readme_lockstep_shape(self, T):
@@ -1130,14 +1174,7 @@ class TestFoldStacks:
         w_x, w_h, b = (rmat(self.rng, F, *s) for s in ((M, 4 * D), (D, 4 * D), (4 * D,)))
         g = np.zeros((F * B, T, D))
         g[:, [34, 59, 84, 109]] = self.rng.standard_normal((F * B, 4, D))
-        out = dc.lstm(x, w_x, w_h, b)
-        grads = [grad for _, grad in out._backward(g)]
-        for f in range(F):
-            rows = slice(B * f, B * (f + 1))
-            one = dc.lstm(x[rows], *(dc.param(t.data[f]) for t in (w_x, w_h, b)))
-            np.testing.assert_array_equal(out.data[rows], one.data)
-            for got, (_, want) in zip(grads, one._backward(g[rows])):
-                np.testing.assert_array_equal(got[f], want)
+        self.assert_stacked_lstm_equals_each_fold_alone(x, w_x, w_h, b, g)
 
 
 def stores(n, seed=0):
