@@ -2,7 +2,8 @@
 cross-window/cross-stream contrastive loss.
 
 Each stream updates node features as MLP((eps I + A) H W) with its own
-parameters; graph-level vectors come from a single-head query-key attention
+parameters, where A is a symmetric 0/1 adjacency stack, bool or float64;
+graph-level vectors come from a single-head query-key attention
 over nodes. Windows are a batch axis: one layer call updates and reads out
 every window of a stream, so the op count does not grow with the window
 count. The node update and the readout are one fused autodiff op each,
@@ -30,6 +31,7 @@ from . import diffcore as dc
 from .errors import ConfigError, ShapeError, WindowBudgetError
 
 COSINE_NORM_FLOOR = 1e-12
+ADJACENCY_BLOCK_ENTRIES = 1 << 16  # adjacency entries per block of a neighbour product
 
 
 @dataclass(frozen=True)
@@ -58,13 +60,38 @@ class GinLayerParams:
     w_k: dc.Tensor
 
 
+def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A_t X_t for every window t: (N_w, M, M) @ (N_w, M, D) -> float64 (N_w, M, D).
+
+    The windows go in blocks of at most ADJACENCY_BLOCK_ENTRIES adjacency
+    entries, 512 KiB as float64, which fits a core's L2 cache. So a bool
+    stack is cast to float64 one block at a time, never whole, and a
+    float64 stack takes the same path with a no-op cast. Every window's
+    product is the one an unblocked batched product makes.
+    """
+    m = a.shape[1]
+    out = np.empty(x.shape)
+    step = max(1, ADJACENCY_BLOCK_ENTRIES // (m * m))
+    for lo in range(0, a.shape[0], step):
+        blk = slice(lo, lo + step)
+        np.matmul(a[blk], x[blk], out=out[blk], dtype=np.float64)
+    return out
+
+
 def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Tensor:
     """MLP((eps I + A_t) H_t W) for every window t at once, as one op.
 
     ``h_in`` is the (N_w * M, D) window-major node matrix and ``a`` the
-    constant (N_w, M, M) adjacency stack; the neighbour sum is one batched
-    product and W and the two-layer tanh MLP are shared matmuls over all
-    N_w * M rows. Parameters stacked along a leading fold axis F apply per
+    constant (N_w, M, M) adjacency stack, bool or float64; the neighbour sum
+    is one blocked product (:func:`_neighbour_sum`) and W and the two-layer
+    tanh MLP are shared matmuls over all N_w * M rows.
+
+    Precondition: every A_t is symmetric, as :func:`dynamic_fc.binarize_topk`
+    builds it. The adjoint multiplies the gradient by A_t where A_t^T is
+    meant, which reads the stack in its own layout; the op does not check
+    this, and for a non-symmetric stack the input's gradient is wrong.
+
+    Parameters stacked along a leading fold axis F apply per
     fold: the rows split into F fold-major blocks, and each weight product
     is one batched matmul over the blocks. A non-finite MLP pre-activation
     raises NumericsError with its index in the rows, since tanh would hide
@@ -93,7 +120,7 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
     eps = p.eps.data.reshape(folds, 1, 1)
     w, w1, w2 = (t.data.reshape(folds, d, d) for t in (p.w, p.mlp_w1, p.mlp_w2))
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
-        mixed = np.matmul(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
+        mixed = _neighbour_sum(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
         mixed += h * eps  # (eps I + A) H; the sum commutes, so its bits are h * eps + A H
         pre = np.matmul(np.matmul(mixed, w), w1)  # x = mixed W is not kept
         pre += p.mlp_b1.data.reshape(folds, 1, d)
@@ -122,7 +149,7 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
         grads.append((p.eps, np.einsum("fij,fij->f", g_rows, h)))
         grads = [(t, grad.reshape(t.data.shape)) for t, grad in grads]
         if h_in.requires_grad:
-            g_h = np.matmul(a.transpose(0, 2, 1), g_rows.reshape(n, m, d)).reshape(h.shape)
+            g_h = _neighbour_sum(a, g_rows.reshape(n, m, d)).reshape(h.shape)  # A^T = A
             g_rows *= eps
             g_h += g_rows
             grads.append((h_in, g_h.reshape(rows, d)))

@@ -26,7 +26,10 @@ A distance is negated and symmetrized in one scale, -(d + d^T) / 2.
 Both streams are thresholded independently. Binarization is rank-based top-k
 over the off-diagonal values with k = ceil(0.3 E), E = M(M-1)/2, which gives
 every graph the exact same edge density regardless of the value distribution.
-It reads the upper triangles through flat indices cached per M.
+It reads the upper triangles through flat indices cached per M. An
+adjacency stack is bool, an eighth of float64's bytes, and every matrix in
+it is symmetric with a zero diagonal and exactly 2k true entries: the GIN
+layers (:func:`cdgl.cdgin.gin_node_update`) rely on the symmetry.
 
 Every finiteness check takes one sum; a non-finite sum starts the search
 for the first non-finite entry.
@@ -85,7 +88,9 @@ class DistanceKind:
 
 @dataclass
 class FcStacks:
-    """One subject's windowed matrices for both streams, each (N_w, M, M), window-major."""
+    """One subject's windowed matrices for both streams, each (N_w, M, M),
+    window-major: float64 similarities ``r`` and ``d``, bool adjacencies
+    ``a_r`` and ``a_d``."""
 
     starts: list[int]
     r: np.ndarray
@@ -244,9 +249,10 @@ def _upper_flat(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def binarize_topk(s: np.ndarray) -> np.ndarray:
-    """Keep the k largest off-diagonal values as symmetric {0,1} edges.
+    """Keep the k largest off-diagonal values as symmetric edges.
 
-    (..., M, M) -> (..., M, M). Every entry must be finite;
+    (..., M, M) float -> (..., M, M) bool: each matrix is symmetric, with a
+    zero diagonal and exactly 2k true entries. Every entry must be finite;
     only the upper triangle is ranked. Ties at the cut go to the
     lexicographically smallest (i, j) pairs, so the result is a pure function
     of the input values.
@@ -274,7 +280,7 @@ def binarize_topk(s: np.ndarray) -> np.ndarray:
         tie = keep ^ above
         tie &= np.cumsum(tie, axis=-1) <= k - np.count_nonzero(above, axis=-1, keepdims=True)
         keep = above | tie
-    flags = np.zeros(s.shape[:-2] + (e + 1,))
+    flags = np.zeros(s.shape[:-2] + (e + 1,), dtype=bool)
     flags[..., 1:] = keep
     return np.take(flags, source, axis=-1).reshape(s.shape)
 

@@ -3,7 +3,7 @@
 Parameters live in a flat ParamStore under dotted names (encoder.*, cdgin.*,
 project.*, fusion.*, classifier.*) so checkpoints and the optimizer see one
 deterministic namespace. Adjacencies depend only on the data, so they are
-precomputed once per subject as one (N_w, M, M) array per stream and
+precomputed once per subject as one bool (N_w, M, M) stack per stream and
 reused across epochs; subjects of one series length are prepared as one
 stack (:func:`prepare_batch`).
 
@@ -143,7 +143,9 @@ class PreparedSubject:
     encoder_input: np.ndarray  # (T, M), z-scored
     starts: list[int]
     window_size: int
-    adjacency: dict[str, np.ndarray]  # stream -> (N_w, M, M) binary A, window-major
+    # stream -> (N_w, M, M) bool A, window-major; every matrix symmetric with a
+    # zero diagonal, as dynamic_fc.binarize_topk builds it and the GIN layers need
+    adjacency: dict[str, np.ndarray]
 
 
 def window_count(ts: RoiTimeSeries, wspec: dfc.WindowSpec) -> int:
@@ -228,6 +230,11 @@ def _stack(preps: list[PreparedSubject]) -> tuple[np.ndarray, dict[str, np.ndarr
     T' = starts[-1] + window_size. Later rows are never read, because the
     LSTM is causal and node features read only window endpoints, so
     subjects of different lengths need no padding.
+
+    One subject's stacks are its own bool views. A batch's are concatenated
+    as float64, since the concatenation copies anyway and the GIN products
+    then read them without a cast; 0 and 1 are exact in either dtype, so
+    the products give the same bits.
     """
     if not preps:
         raise ShapeError("empty batch")
@@ -241,7 +248,8 @@ def _stack(preps: list[PreparedSubject]) -> tuple[np.ndarray, dict[str, np.ndarr
     if len(preps) == 1:  # views, no copies
         return first.encoder_input[None, :t], first.adjacency
     return (np.stack([p.encoder_input[:t] for p in preps]),
-            {s: np.concatenate([p.adjacency[s] for p in preps]) for s in first.adjacency})
+            {s: np.concatenate([p.adjacency[s] for p in preps], dtype=np.float64)
+             for s in first.adjacency})
 
 
 @dataclass

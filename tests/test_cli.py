@@ -204,6 +204,7 @@ class TestExitCodes:
         def planted(*args, **kwargs):
             preps = prepare(*args, **kwargs)
             for prep in preps:
+                prep.adjacency["d"] = prep.adjacency["d"].astype(np.float64)  # bool holds no NaN
                 prep.adjacency["d"][3, 0, 1] = np.nan  # TINY windows: 4 per subject
             return preps
 

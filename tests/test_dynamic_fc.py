@@ -204,6 +204,15 @@ class TestDistance:
             dfc.DistanceKind("mahalanobis", ridge)
 
 
+def assert_adjacency_invariant(a):
+    """What ``cdgin.gin_node_update`` relies on: every (M, M) matrix of the
+    stack is bool and symmetric, with a zero diagonal and 2k true entries."""
+    assert a.dtype == np.bool_
+    assert np.array_equal(a, np.swapaxes(a, -1, -2))
+    assert not np.diagonal(a, axis1=-2, axis2=-1).any()
+    assert np.all(np.count_nonzero(a, axis=(-2, -1)) == 2 * dfc.topk_edge_count(a.shape[-1]))
+
+
 class TestBinarize:
     def test_six_values(self):
         vals = {(0, 1): 1.0, (0, 2): 2.0, (0, 3): 3.0, (1, 2): 4.0,
@@ -232,10 +241,13 @@ class TestBinarize:
         assert a[0, 1] == 1.0 and a[1, 0] == 1.0
 
     @settings(max_examples=200, deadline=None)
-    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 20))
-    def test_density_exact(self, seed, m):
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 20), st.sampled_from([0, 1, 2, 5]))
+    def test_density_exact(self, seed, m, levels):
+        """With ``levels`` > 0 the values are that few integers, so ties
+        straddle the cut; with one level every value ties."""
         rng = np.random.default_rng(seed)
-        s = rng.standard_normal((m, m))
+        s = rng.integers(0, levels, (m, m)).astype(float) if levels \
+            else rng.standard_normal((m, m))
         s = s + s.T
         a = dfc.binarize_topk(s)
         e = m * (m - 1) // 2
@@ -243,6 +255,7 @@ class TestBinarize:
         np.testing.assert_array_equal(a, a.T)
         np.testing.assert_array_equal(np.diag(a), 0.0)
         assert set(np.unique(a)) <= {0.0, 1.0}
+        assert_adjacency_invariant(a)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(8)

@@ -28,10 +28,15 @@ from test_diffcore import check_op, rmat
 
 def gin_case(rng, integer=False, shape=None):
     """Random (h_in, adjacency stack, params): B*N_w 1-8, M 1-12, D 1-16
-    unless ``shape`` gives (B*N_w, M, D); nonzero eps and biases."""
+    unless ``shape`` gives (B*N_w, M, D); symmetric 0/1 adjacencies, as
+    ``gin_node_update`` requires, bool or float64 at random; nonzero eps and
+    biases."""
     n, m, d = shape or (int(rng.integers(1, 9)), int(rng.integers(1, 13)),
                         int(rng.integers(1, 17)))
-    a = (rng.random((n, m, m)) < 0.4).astype(float)
+    upper = np.triu(rng.random((n, m, m)) < 0.4)
+    a = upper | upper.transpose(0, 2, 1)
+    if rng.random() < 0.5:
+        a = a.astype(float)
     h = rng.integers(-2, 3, (n * m, d)).astype(float) if integer \
         else rng.standard_normal((n * m, d))
     w = 0.5 / np.sqrt(d)

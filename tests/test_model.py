@@ -207,6 +207,17 @@ class TestPrepare:
                 model.prepare_subject(ts, spec, kind, normalize_fc=False)
 
 
+def long_scan_case():
+    """(signals, config, prepared, dims, store) of one subject at the
+    long-scan shape: 600 timepoints at 90 ROIs, windows of 30 at stride 10,
+    so N_w = 58."""
+    x = np.random.default_rng(34).standard_normal((600, 90))
+    cfg = tv.TrainConfig(window_size=30, stride=10)
+    preps = tv.prepare_dataset([RoiTimeSeries("s0", x, 1)], cfg)
+    dims = tv.make_dims(preps, cfg)
+    return x, cfg, preps, dims, model.init_params(dims, 0)
+
+
 class TestForward:
     def test_probability_and_records(self):
         rng = np.random.default_rng(3)
@@ -264,11 +275,7 @@ class TestForward:
         Keeping one more node matrix per layer call, such as
         x = (eps I + A) H W, adds 4 U and fails.
         """
-        x = np.random.default_rng(34).standard_normal((600, 90))
-        cfg = tv.TrainConfig(window_size=30, stride=10)
-        preps = tv.prepare_dataset([RoiTimeSeries("s0", x, 1)], cfg)
-        dims = tv.make_dims(preps, cfg)
-        store = model.init_params(dims, 0)
+        x, cfg, preps, dims, store = long_scan_case()
         graph_free = store.no_grad()  # lays the store out before anything is traced
 
         def held(params):
@@ -287,6 +294,33 @@ class TestForward:
         lstm = t * 4 * d + 2 * (t + 1) * d + t * d
         assert 8 * 3 * calls * node_matrix < retained
         assert retained <= 8 * ((1 + 3 * calls + 1) * node_matrix + lstm)
+
+    def test_train_step_never_holds_a_float64_adjacency_stack(self):
+        """The long-scan subject at B = 1: its prepared stacks are bool, and
+        a train step reads them in cache-sized float64 blocks.
+
+        The step's transient bytes are its traced peak over the forward and
+        the backward, less what the forward's graph retains for the
+        backward. They stay below one float64 (N_w, M, M) stack, 3.76 MB
+        here: the backward's gradient node matrices and one adjacency block
+        come to about 3.6 MB. Converting a whole stack to float64 per call
+        adds 3.76 MB and fails. A float64 copy that the graph keeps for the
+        backward is retained instead, and fails the bound on retained bytes
+        in ``test_graph_holds_three_node_matrices_per_gin_layer_call``.
+        """
+        _, cfg, preps, dims, store = long_scan_case()
+        assert all(a.dtype == np.bool_ for a in preps[0].adjacency.values())
+        tracemalloc.start()
+        try:
+            total = model.batch_loss_parts(store, dims, preps, cfg.contrastive())[0]
+            retained = tracemalloc.get_traced_memory()[0]
+            dc.backward(dc.sum_all(total))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_w, m = len(preps[0].starts), dims.m
+        assert (n_w, m) == (58, 90)
+        assert peak - retained < 8 * n_w * m * m
 
 
 class TestSubjectLoss:
@@ -575,6 +609,7 @@ def test_numerics_error_names_subject_stream_layer_window():
     dims = small_dims()
     store = model.init_params(dims, seed=1)
     p = prep(toy_subject(rng, sid="s7"))
+    p.adjacency["d"] = p.adjacency["d"].astype(np.float64)  # bool holds no NaN
     p.adjacency["d"][3, 0, 1] = np.nan
     with pytest.raises(NumericsError) as info:
         model.forward_subject(store, dims, p)
@@ -598,6 +633,7 @@ def test_numerics_error_in_a_batch_names_that_subject():
     assert "'s0'" not in message and "'s2'" not in message
 
     preps = [prep(ts) for ts in subjects]
+    preps[2].adjacency["r"] = preps[2].adjacency["r"].astype(np.float64)  # bool holds no NaN
     preps[2].adjacency["r"][3, 1, 0] = np.nan
     with pytest.raises(NumericsError) as info:
         model.batch_loss_parts(store, dims, preps, cdgin.ContrastiveConfig())
@@ -615,6 +651,7 @@ def test_numerics_error_names_the_window_of_an_overflowing_mlp_pre_activation():
     dims = small_dims()
     store = model.init_params(dims, seed=1)
     p = prep(toy_subject(rng, sid="s4"))
+    p.adjacency["d"] = p.adjacency["d"].astype(np.float64)  # bool holds no 1e300
     p.adjacency["d"][2, 1, 0] = 1e300
     store["cdgin.layer0.d.mlp.w1"].data[...] *= 1e12
     with pytest.raises(NumericsError) as info:

@@ -16,6 +16,8 @@ from cdgl import model, synthgen
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import ConfigError, ParseError, WindowBudgetError
 
+from test_dynamic_fc import assert_adjacency_invariant
+
 
 def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
@@ -285,6 +287,30 @@ class TestPrepareDataset:
             assert prep.adjacency.keys() == alone.adjacency.keys() == set(streams)
             for s in streams:
                 assert np.array_equal(prep.adjacency[s], alone.adjacency[s])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(2, 9),
+           kind=st.sampled_from(dfc.DISTANCE_KINDS), streams=st.sampled_from(["r", "d", "rd"]),
+           levels=st.sampled_from([0, 1, 3]), normalize_fc=st.booleans())
+    def test_adjacency_invariant(self, seed, m, kind, streams, levels, normalize_fc):
+        """Every prepared stack keeps the adjacency invariant, for subjects of
+        two series lengths. With ``levels`` > 0 the signals are that few
+        integers, so similarities tie across the cut; one level makes every
+        ROI flat."""
+        rng = np.random.default_rng(seed)
+
+        def signals(t):
+            return rng.integers(0, levels, (t, m)).astype(float) if levels \
+                else rng.standard_normal((t, m))
+
+        cohort = [RoiTimeSeries(f"s{i}", signals(30 + 5 * (i % 2)), i % 2) for i in range(4)]
+        cfg = tv.TrainConfig(window_size=10, stride=5, distance_kind=kind, streams=streams,
+                             normalize_fc=normalize_fc)
+        for prep in tv.prepare_dataset(cohort, cfg):
+            assert prep.adjacency.keys() == set(streams)
+            for a in prep.adjacency.values():
+                assert a.shape == (len(prep.starts), m, m)
+                assert_adjacency_invariant(a)
 
     def test_readme_demo_is_one_stack(self, monkeypatch):
         """The README demo's 60 subjects (2,400 node rows) take one call per step."""
