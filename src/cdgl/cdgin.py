@@ -12,7 +12,10 @@ them); ``tests/composite_layers.py`` keeps the op-by-op forms they
 replaced as their oracle. The node update keeps three node matrices for
 its adjoint, (eps I + A) H, the MLP's tanh output and its own output, and
 neither adjoint writes into an array its forward saved, so a graph can be
-walked twice. The contrastive loss treats every (stream,
+walked twice. The node-matrix-sized arrays of both ops come from a
+per-thread pool (:class:`_NodeBuffers`) that hands a buffer out again once
+nothing references it, so train steps reuse the memory of the steps
+before them. The contrastive loss treats every (stream,
 window) projection as an anchor whose positives are the same-stream
 windows at offset +-delta; for a batch of subjects it is one stack of
 per-subject cosine matrices and a masked log-sum-exp, a fixed 19 autodiff
@@ -23,6 +26,9 @@ takes only that batch; one subject is the B = 1 batch.
 from __future__ import annotations
 
 import functools
+import math
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +38,7 @@ from .errors import ConfigError, ShapeError, WindowBudgetError
 
 COSINE_NORM_FLOOR = 1e-12
 ADJACENCY_BLOCK_ENTRIES = 1 << 16  # adjacency entries per block of a neighbour product
+NODE_BUFFER_BYTES = 32 << 20  # most that a thread's node-buffer pool keeps
 
 
 @dataclass(frozen=True)
@@ -60,6 +67,50 @@ class GinLayerParams:
     w_k: dc.Tensor
 
 
+class _NodeBuffers(threading.local):
+    """Float64 buffers of one size, reused by the GIN ops from call to call.
+
+    A train step's graph holds about a dozen node matrices until its
+    backward frees them, and the next step allocates the same sizes again.
+    By default glibc returns a freed heap top to the OS once it exceeds a
+    trim threshold derived from the largest array freed so far, so whether
+    a step faults those pages in anew depends on where earlier allocations
+    happened to land, and the step's time with it. Buffers taken from here
+    stay with the pool instead. One is handed out again only when nothing
+    else references it (CPython's reference count), so a graph that is
+    still alive keeps its arrays, and no later call writes into an array
+    that a caller holds. The pool keeps buffers of the last size asked
+    for, at most NODE_BUFFER_BYTES of them; other requests get a new
+    array. Each thread has its own pool.
+    """
+
+    def __init__(self):
+        self.size, self.bufs = 0, []
+        for buf in [np.empty(0)]:  # the count of an unshared list entry, as take() sees it
+            self.unshared = sys.getrefcount(buf)
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialized float64 array of ``shape`` that nothing else holds."""
+        size = math.prod(shape)
+        if size != self.size:
+            self.size, self.bufs = size, []
+        for buf in self.bufs:
+            if sys.getrefcount(buf) == self.unshared:
+                return buf.reshape(shape)
+        buf = np.empty(size)
+        if (len(self.bufs) + 1) * buf.nbytes <= NODE_BUFFER_BYTES:
+            self.bufs.append(buf)
+        return buf.reshape(shape)
+
+
+_BUFFERS = _NodeBuffers()
+
+
+def release_buffers() -> None:
+    """Drop this thread's pooled node buffers; arrays still in use stay valid."""
+    _BUFFERS.size, _BUFFERS.bufs = 0, []
+
+
 def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A_t X_t for every window t: (N_w, M, M) @ (N_w, M, D) -> float64 (N_w, M, D).
 
@@ -70,7 +121,7 @@ def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     product is the one an unblocked batched product makes.
     """
     m = a.shape[1]
-    out = np.empty(x.shape)
+    out = _BUFFERS.take(x.shape)
     step = max(1, ADJACENCY_BLOCK_ENTRIES // (m * m))
     for lo in range(0, a.shape[0], step):
         blk = slice(lo, lo + step)
@@ -119,14 +170,18 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
     h = h_in.data.reshape(folds, -1, d)
     eps = p.eps.data.reshape(folds, 1, 1)
     w, w1, w2 = (t.data.reshape(folds, d, d) for t in (p.w, p.mlp_w1, p.mlp_w2))
+    take = _BUFFERS.take
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
         mixed = _neighbour_sum(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
-        mixed += h * eps  # (eps I + A) H; the sum commutes, so its bits are h * eps + A H
-        pre = np.matmul(np.matmul(mixed, w), w1)  # x = mixed W is not kept
+        # (eps I + A) H; the sum commutes, so its bits are h * eps + A H
+        mixed += np.multiply(h, eps, out=take(h.shape))
+        x = np.matmul(mixed, w, out=take(h.shape))  # x = mixed W is not kept
+        pre = np.matmul(x, w1, out=take(h.shape))
+        del x
         pre += p.mlp_b1.data.reshape(folds, 1, d)
         dc.check_finite(pre.reshape(rows, d), "gin_node_update", "MLP pre-activation in")
         h1 = np.tanh(pre, out=pre)
-        out = np.matmul(h1, w2)
+        out = np.matmul(h1, w2, out=take(h.shape))
         out += p.mlp_b2.data.reshape(folds, 1, d)
 
     def bk(g):
@@ -134,8 +189,8 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
         g = g.reshape(h.shape)
         ones = np.ones((1, 1, h.shape[1]))  # row sums as products
         grads = [(p.mlp_w2, np.matmul(h1.swapaxes(1, 2), g)), (p.mlp_b2, np.matmul(ones, g))]
-        g_pre = np.matmul(g, w2.swapaxes(1, 2))
-        tanh_slope = np.square(h1)
+        g_pre = np.matmul(g, w2.swapaxes(1, 2), out=take(h.shape))
+        tanh_slope = np.square(h1, out=take(h.shape))
         np.subtract(1.0, tanh_slope, out=tanh_slope)
         g_pre *= tanh_slope  # the gradient of the MLP pre-activation
         del tanh_slope
@@ -144,7 +199,8 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
         grads += [(p.mlp_w1, np.matmul(w.swapaxes(1, 2), mixed_t_g)),
                   (p.mlp_b1, np.matmul(ones, g_pre)),
                   (p.w, np.matmul(mixed_t_g, w1.swapaxes(1, 2)))]
-        g_rows = np.matmul(g_pre, np.matmul(w, w1).swapaxes(1, 2))  # of (eps I + A) H
+        g_rows = np.matmul(g_pre, np.matmul(w, w1).swapaxes(1, 2),  # of (eps I + A) H
+                           out=take(h.shape))
         del g_pre
         grads.append((p.eps, np.einsum("fij,fij->f", g_rows, h)))
         grads = [(t, grad.reshape(t.data.shape)) for t, grad in grads]
@@ -211,7 +267,7 @@ def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
             left = np.empty((n, m, 3))
             left[..., 0], left[..., 1], left[..., 2] = weights, g_logits, 1.0 / m
             right = np.stack([g, keyed.reshape(n, d), np.matmul(g_q, wq).reshape(n, d)], axis=1)
-            grads.append((h_nodes, np.matmul(left, right)))
+            grads.append((h_nodes, np.matmul(left, right, out=_BUFFERS.take(h.shape))))
         return grads
 
     return (dc._make(readout, "attention_readout", (h_nodes, w_q, w_k), bk),

@@ -279,9 +279,11 @@ class TestForward:
         graph_free = store.no_grad()  # lays the store out before anything is traced
 
         def held(params):
+            cdgin.release_buffers()  # node buffers made before the trace would go uncounted
             tracemalloc.start()
             try:
                 out = model.forward_batch(params, dims, preps)  # held while measured
+                cdgin.release_buffers()  # frees the pooled buffers that nothing holds
                 return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -302,14 +304,18 @@ class TestForward:
         The step's transient bytes are its traced peak over the forward and
         the backward, less what the forward's graph retains for the
         backward. They stay below one float64 (N_w, M, M) stack, 3.76 MB
-        here: the backward's gradient node matrices and one adjacency block
-        come to about 3.6 MB. Converting a whole stack to float64 per call
-        adds 3.76 MB and fails. A float64 copy that the graph keeps for the
-        backward is retained instead, and fails the bound on retained bytes
-        in ``test_graph_holds_three_node_matrices_per_gin_layer_call``.
+        here. The step measured is the second one, as in training: the
+        first fills the node-buffer pool, and later steps take their node
+        matrices from it, so the transient bytes are the backward's other
+        arrays and one adjacency block, about 0.9 MB. Converting a whole
+        stack to float64 per call adds 3.76 MB and fails. A float64 copy
+        that the graph keeps for the backward is retained instead, and
+        fails the bound on retained bytes in
+        ``test_graph_holds_three_node_matrices_per_gin_layer_call``.
         """
         _, cfg, preps, dims, store = long_scan_case()
         assert all(a.dtype == np.bool_ for a in preps[0].adjacency.values())
+        dc.backward(dc.sum_all(model.batch_loss_parts(store, dims, preps, cfg.contrastive())[0]))
         tracemalloc.start()
         try:
             total = model.batch_loss_parts(store, dims, preps, cfg.contrastive())[0]
@@ -321,6 +327,36 @@ class TestForward:
         n_w, m = len(preps[0].starts), dims.m
         assert (n_w, m) == (58, 90)
         assert peak - retained < 8 * n_w * m * m
+
+    def test_later_train_steps_allocate_under_the_trim_threshold(self):
+        """From its second step on, a long-scan train step allocates less
+        than two float64 (N_w, M, M) stacks, 7.5 MB, at its traced peak.
+
+        That is glibc's default heap trim threshold here: twice the largest
+        array freed so far, which is preparation's float64 similarity stack.
+        A step whose new arrays stay under it never frees enough at once to
+        make glibc hand the heap top back and fault it in again next step.
+        The node-buffer pool makes this hold: the graph's node matrices are
+        about 11 MB, and without the pool a step's traced peak is 14 MB.
+        """
+        _, cfg, preps, dims, store = long_scan_case()
+        cdgin.release_buffers()
+
+        def step():
+            store.zero_grad()
+            dc.backward(dc.sum_all(model.batch_loss_parts(store, dims, preps,
+                                                          cfg.contrastive())[0]))
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        n_w, m = len(preps[0].starts), dims.m
+        assert (n_w, m) == (58, 90)
+        assert peak < 2 * 8 * n_w * m * m
 
 
 class TestSubjectLoss:
