@@ -15,12 +15,12 @@ neither adjoint writes into an array its forward saved, so a graph can be
 walked twice. The node-matrix-sized arrays of both ops come from a
 per-thread pool (:class:`_NodeBuffers`) that hands a buffer out again once
 nothing references it, so train steps reuse the memory of the steps
-before them. The contrastive loss treats every (stream,
-window) projection as an anchor whose positives are the same-stream
-windows at offset +-delta; for a batch of subjects it is one stack of
-per-subject cosine matrices and a masked log-sum-exp, a fixed 19 autodiff
-ops (18 for one stream) whatever the window count or batch size. The loss
-takes only that batch; one subject is the B = 1 batch.
+before them. The shared projection (linear, tanh, linear) is one fused
+op. The contrastive loss treats every (stream, window) projection as an
+anchor whose positives are the same-stream windows at offset +-delta; for
+a batch of subjects it is one stack of per-subject cosine matrices and a
+masked log-sum-exp, one fused op whatever the window count or batch size.
+The loss takes only that batch; one subject is the B = 1 batch.
 """
 
 from __future__ import annotations
@@ -287,9 +287,23 @@ def gin_layer(h_in: dc.Tensor, a: np.ndarray,
 
 def project(h: dc.Tensor, w1: dc.Tensor, b1: dc.Tensor, w2: dc.Tensor,
             b2: dc.Tensor) -> dc.Tensor:
-    """Shared two-layer projection head over the rows of ``h`` (N, D) -> (N, P);
-    nonlinearity between layers only."""
-    return dc.linear(dc.tanh(dc.linear(h, w1, b1)), w2, b2)
+    """Shared two-layer projection head over the rows of ``h`` (N, D) -> (N, P),
+    nonlinearity between layers only, as one op.
+
+    Weights and biases stacked on a fold axis F apply to F fold-major
+    blocks of rows (:func:`diffcore.tanh_mlp`). A non-finite pre-activation
+    raises NumericsError with its row index.
+    """
+    if h.data.ndim != 2:
+        raise ShapeError(f"project: (N, D) rows required, got {h.data.shape}")
+    rows = h.data.shape[0]
+    out, adjoint = dc.tanh_mlp(h.data, w1, b1, w2, b2, "project")
+
+    def bk(g):
+        grads, g_h = adjoint(g, h.requires_grad)
+        return grads if g_h is None else grads + [(h, g_h)]
+
+    return dc._make(out.reshape(rows, -1), "project", (h, w1, b1, w2, b2), bk)
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,19 +325,31 @@ def _pair_weights(n: int, streams: int, delta: int) -> tuple[np.ndarray, np.ndar
 
 def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
                      cfg: ContrastiveConfig) -> dc.Tensor:
-    """Mean InfoNCE-style loss over all (stream, window) anchors, per subject.
+    """Mean InfoNCE-style loss over all (stream, window) anchors, per subject,
+    as one op.
 
     ``z_r`` and ``z_d`` hold one projection per window as a (B, N_w, P)
     batch of subjects, and the result is the (B,) per-subject losses. For
     anchor i of a stream, positives are the in-range same-stream windows
     at i - delta and i + delta (loss averaged when both exist). Each
     denominator holds the positive's own term once, every cross-stream
-    window, and all same-stream windows outside {i, i - delta, i + delta}. ``z_d = None`` is the one-stream
-    case: anchors come from ``z_r`` alone, there are no cross-stream terms,
-    and an anchor without negatives has denominator exp(s_pos), so it
-    contributes 0. A batch is one (B, K, K) stack of cosine matrices with
-    the constant (K, K) masks broadcast over subjects; one subject is the
-    B = 1 batch.
+    window, and all same-stream windows outside {i, i - delta, i + delta}.
+    ``z_d = None`` is the one-stream case: anchors come from ``z_r`` alone,
+    there are no cross-stream terms, and an anchor without negatives has
+    denominator exp(s_pos), so it contributes 0. A batch is one (B, K, K)
+    stack of cosine matrices with the constant (K, K) masks of
+    :func:`_pair_weights` broadcast over subjects; one subject is the
+    B = 1 batch. Norms are floored at COSINE_NORM_FLOOR and log arguments
+    at ``diffcore.LOG_FLOOR``, with a zero gradient below either floor. A
+    non-finite cosine raises NumericsError with its (subject, row, column)
+    index, since exp would map -inf to 0.
+
+    The forward makes the numpy calls of the op-by-op form in
+    ``tests/composite_layers.py``. The adjoint works on unit rows
+    u_k = z_k / n_k: with G the cosines' gradient and S = G + G^T, row k's
+    gradient is (S U - (S * cos) 1 u_k^T)_k / n_k, the second term only
+    where the norm is above its floor, so it takes one (K, K) @ (K, P)
+    product per subject.
     """
     if z_r.data.ndim != 3:
         raise ShapeError(f"projections must be a (B, N_w, P) stack, got {z_r.data.shape}")
@@ -335,16 +361,34 @@ def contrastive_loss(z_r: dc.Tensor, z_d: dc.Tensor | None,
         raise WindowBudgetError(
             f"need at least delta+1={cfg.delta + 1} windows, got {n}")
 
-    z = z_r if z_d is None else dc.concat([z_r, z_d], axis=-2)  # (B, K, P)
-    k = z.data.shape[-2]
+    parts = (z_r,) if z_d is None else (z_r, z_d)
+    z = z_r.data if z_d is None else np.concatenate([z_r.data, z_d.data], axis=-2)  # (B, K, P)
+    k = z.shape[-2]
     negative, weights = _pair_weights(n, k // n, cfg.delta)
-    sq = dc.bmm(dc.mul(z, z), dc.const(np.ones((b, width, 1))))
-    norms = dc.sqrt(dc.clip_min(sq, COSINE_NORM_FLOOR ** 2))  # (B, K, 1)
-    cos = dc.div(dc.bmm(z, dc.transpose(z)),
-                 dc.bmm(norms, dc.transpose(norms)))
-    e = dc.exp(cos)
-    base = dc.bmm(dc.mul(e, dc.const(negative)), dc.const(np.ones((b, k, 1))))
-    per_pair = dc.sub(dc.log(dc.add(base, e)), cos)  # base broadcasts along rows
+    with np.errstate(over="ignore", invalid="ignore"):  # the checks report it
+        sq = np.matmul(z * z, np.ones((b, width, 1)))
+        above = sq > COSINE_NORM_FLOOR ** 2
+        norms = np.sqrt(np.maximum(sq, COSINE_NORM_FLOOR ** 2))  # (B, K, 1)
+        cos = np.matmul(z, z.swapaxes(-1, -2)) / np.matmul(norms, norms.swapaxes(-1, -2))
+    dc.check_finite(cos, "contrastive_loss", "cosine in")
+    e = np.exp(cos)
+    arg = np.matmul(e * negative, np.ones((b, k, 1))) + e  # the base broadcasts along rows
+    clipped = np.maximum(arg, dc.LOG_FLOOR)
+    per_pair = np.log(clipped) - cos
     pair_weights = np.broadcast_to(weights.reshape(k * k, 1), (b, k * k, 1))
-    loss = dc.bmm(dc.reshape(per_pair, (b, 1, k * k)), dc.const(pair_weights))
-    return dc.reshape(loss, (b,))
+    loss = np.matmul(per_pair.reshape(b, 1, k * k), pair_weights).reshape(b)
+
+    def bk(g):
+        g_pair = g.reshape(b, 1, 1) * weights  # (B, K, K)
+        g_arg = g_pair * (arg > dc.LOG_FLOOR) / clipped
+        # exp's gradient: its own term, and the row sum through the masked base
+        g_cos = (g_arg + g_arg.sum(axis=2, keepdims=True) * negative) * e
+        g_cos -= g_pair
+        s = g_cos + g_cos.swapaxes(1, 2)
+        unit = z / norms
+        g_z = np.matmul(s, unit)
+        g_z -= (s * cos).sum(axis=2, keepdims=True) * above * unit
+        g_z /= norms
+        return [(t, g_z[:, i * n:(i + 1) * n]) for i, t in enumerate(parts)]
+
+    return dc._make(loss, "contrastive_loss", parts, bk)

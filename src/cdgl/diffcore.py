@@ -9,25 +9,27 @@ whole-array operations. Forward passes build a fresh op graph each time;
 :func:`backward` walks it once in reverse topological order, holding each
 node's pending gradient in a slot of the node, accumulates gradients into
 the leaves and releases each adjoint once it has run, so a graph can be
-walked only once. The primitive set is deliberately small and every
-primitive has a hand-written adjoint that is finite-difference tested;
-adjoints compute contributions only for operands that carry gradients, so
-constant operands (adjacencies, masks) cost nothing on the way back. The
-LSTM here and the GIN and attention layers in ``cdgin`` and
-``fusion_head`` are fused ops: one graph node each, with an adjoint for
-the whole step, because at this library's shapes the time goes to
-per-op overhead rather than to arithmetic.
+walked only once. The primitives are only those the model joins its fused
+ops with: ``add``, ``mul_scalar``, ``reshape``, ``sum_all`` and
+``concat``. Every op has a hand-written adjoint that is finite-difference
+tested; adjoints compute contributions only for operands that carry
+gradients, so constant operands (adjacencies, masks) cost nothing on the
+way back. The LSTM here and every other step of the model, in
+``temporal_encoder``, ``cdgin`` and ``fusion_head``, are fused ops: one
+graph node each, with an adjoint for the whole step, because at this
+library's shapes the time goes to per-op overhead rather than to
+arithmetic. ``tests/composite_layers.py`` keeps the smaller primitives the
+fused ops replaced, and builds each fused op from them as its oracle.
 
 A store may also hold F models of one shape stacked on a leading fold
 axis, laid out fold-major so that each model is one row of the buffers.
 Ops that apply a parameter accept such a stack, read F from its rank
 (:func:`fold_count`) and treat their operand's rows as F fold-major
-blocks: ``linear`` applies weight and bias f to block f, and the LSTM runs
-every fold's sequences in one time loop. ``take_rows`` takes rows of every
-matrix of a stack. Each fold's block sees the same numpy calls as a lone
-model's, through batched ``np.matmul``, so its values and gradients are
-bit-identical to that model's. The other primitives know nothing of
-folds; ``add`` and ``mul`` keep their one broadcast rule.
+blocks: :func:`tanh_mlp` applies weights and biases f to block f, and the
+LSTM runs every fold's sequences in one time loop. Each fold's block sees
+the same numpy calls as a lone model's, through batched ``np.matmul``, so
+its values and gradients are bit-identical to that model's. The
+primitives know nothing of folds; ``add`` keeps its one broadcast rule.
 :func:`adam_step` steps only the folds marked active, each with its own
 step count.
 
@@ -115,11 +117,11 @@ def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     """The output Tensor of one op, after an exact check that every entry is finite.
 
     Every op calls it once per output: the primitives here and the fused
-    layer ops of ``cdgin`` and ``fusion_head``. ``backward(g)`` yields
-    (parent, gradient) pairs; a parent that carries no gradient may be
-    left out or is skipped. It fills the slots directly, as
-    ``Tensor(out, ...)`` would, without a second float64 conversion of an
-    array that already is one.
+    ops of ``temporal_encoder``, ``cdgin`` and ``fusion_head``.
+    ``backward(g)`` yields (parent, gradient) pairs; a parent that carries
+    no gradient may be left out or is skipped. It fills the slots
+    directly, as ``Tensor(out, ...)`` would, without a second float64
+    conversion of an array that already is one.
     """
     if np.count_nonzero(np.isfinite(out)) != out.size:
         _raise_non_finite(out, op, "values produced by")
@@ -198,111 +200,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, "add", (a, b), bk)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"sub: {a.data.shape} vs {b.data.shape}")
-    out = a.data - b.data
-
-    def bk(g):
-        if a.requires_grad:
-            yield a, g
-        if b.requires_grad:
-            yield b, -g
-
-    return _make(out, "sub", (a, b), bk)
-
-
-def neg(a: Tensor) -> Tensor:
-    return _make(-a.data, "neg", (a,), lambda g: ((a, -g),))
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product; broadcasts as :func:`add` does."""
-    _check_broadcast("mul", a.data.shape, b.data.shape)
-    out = a.data * b.data
-
-    def bk(g):
-        if a.requires_grad:
-            yield a, _unbroadcast(g * b.data, a.data.shape)
-        if b.requires_grad:
-            yield b, _unbroadcast(g * a.data, b.data.shape)
-
-    return _make(out, "mul", (a, b), bk)
-
-
 def mul_scalar(a: Tensor, c: float) -> Tensor:
     c = float(c)
     return _make(a.data * c, "mul_scalar", (a,), lambda g: ((a, g * c),))
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"div: {a.data.shape} vs {b.data.shape}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = a.data / b.data
-
-    def bk(g):
-        if a.requires_grad:
-            yield a, g / b.data
-        if b.requires_grad:
-            yield b, -g * a.data / (b.data * b.data)
-
-    return _make(out, "div", (a, b), bk)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x @ w^T (+ b) over the rows of an (R, K) ``x``, for an (N, K) weight
-    and an (N,) bias: an (R, N) result.
-
-    Weight and bias stacked on a leading fold axis, (F, N, K) and (F, N),
-    apply entry f to the f-th of F fold-major blocks of R / F rows.
-    """
-    sx, sw = x.data.shape, w.data.shape
-    if len(sx) != 2 or len(sw) not in (2, 3) or sx[1] != sw[-1] \
-            or (b is not None and b.data.shape != sw[:-1]):
-        raise ShapeError(f"linear: {sx} by weight {sw}"
-                         + ("" if b is None else f" and bias {b.data.shape}"))
-    folds = fold_count(w.data, 2, sx[0])
-    x_blocks = x.data.reshape(folds, sx[0] // folds, sx[1])  # (F, R / F, K)
-    out = np.matmul(x_blocks, w.data.swapaxes(-1, -2))
-    if b is not None:
-        out += b.data.reshape(folds, 1, sw[-2])
-    out = out.reshape(sx[0], sw[-2])
-
-    def bk(g):
-        g_blocks = g.reshape(folds, -1, sw[-2])
-        if x.requires_grad:
-            yield x, np.matmul(g_blocks, w.data).reshape(sx)
-        if w.requires_grad:
-            yield w, np.matmul(x_blocks.swapaxes(1, 2), g_blocks).swapaxes(-1, -2).reshape(sw)
-        if b is not None and b.requires_grad:
-            yield b, g_blocks.sum(axis=1).reshape(b.data.shape)
-
-    return _make(out, "linear", (x, w) if b is None else (x, w, b), bk)
-
-
-def bmm(a: Tensor, b: Tensor) -> Tensor:
-    """Batched matrix product of (B, M, K) and (B, K, N) stacks: one product per batch entry."""
-    sa, sb = a.data.shape, b.data.shape
-    if len(sa) != 3 or len(sb) != 3 or sa[0] != sb[0] or sa[2] != sb[1]:
-        raise ShapeError(f"bmm: {sa} @ {sb}")
-    out = np.matmul(a.data, b.data)
-
-    def bk(g):
-        if a.requires_grad:
-            yield a, np.matmul(g, b.data.transpose(0, 2, 1))
-        if b.requires_grad:
-            yield b, np.matmul(a.data.transpose(0, 2, 1), g)
-
-    return _make(out, "bmm", (a, b), bk)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes: the transpose of a matrix, or of each matrix in a stack."""
-    if a.data.ndim < 2:
-        raise ShapeError(f"transpose: needs 2 or more axes, got {a.data.shape}")
-    return _make(np.swapaxes(a.data, -1, -2), "transpose", (a,),
-                 lambda g: ((a, np.swapaxes(g, -1, -2)),))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -323,56 +223,49 @@ def sigmoid_array(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
-def sigmoid(a: Tensor) -> Tensor:
-    out = sigmoid_array(a.data)
-    return _make(out, "sigmoid", (a,), lambda g: ((a, g * out * (1.0 - out)),))
+def tanh_mlp(x: np.ndarray, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, op: str):
+    """W_2 tanh(W_1 x + b_1) + b_2 over the rows of an (R, K) array, for a fused op.
 
+    The weights and biases are (N, K), (N,), (O, N) and (O,), or stacked
+    on a fold axis F, applying entry f to the f-th of F fold-major blocks
+    of R / F rows. Returns the (F, R / F, O) output and its adjoint:
+    ``adjoint(g, input_grad)`` maps the output's gradient to the four
+    parameters' (parameter, gradient) pairs and, if ``input_grad``, the
+    (R, K) gradient of ``x`` (else None). Both layers compute what two
+    ``linear`` ops with a tanh between them compute, call for call. A
+    non-finite pre-activation raises NumericsError in ``op``, with its
+    row index, since tanh would hide an infinity.
+    """
+    r, k = x.shape
+    lead = w1.data.shape[:-2]
+    n, o = w1.data.shape[-2], w2.data.shape[-2]
+    if w1.data.shape != (*lead, n, k) or b1.data.shape != (*lead, n) \
+            or w2.data.shape != (*lead, o, n) or b2.data.shape != (*lead, o):
+        raise ShapeError(f"{op}: ({r}, {k}) rows by weights {w1.data.shape}, "
+                         f"{w2.data.shape} and biases {b1.data.shape}, {b2.data.shape}")
+    folds = fold_count(w1.data, 2, r)
+    x_blocks = x.reshape(folds, r // folds, k)
+    with np.errstate(over="ignore", invalid="ignore"):  # the check and _make report it
+        pre = np.matmul(x_blocks, w1.data.swapaxes(-1, -2))
+        pre += b1.data.reshape(folds, 1, n)
+        check_finite(pre.reshape(r, n), op, "MLP pre-activation in")
+        hid = np.tanh(pre, out=pre)
+        out = np.matmul(hid, w2.data.swapaxes(-1, -2))
+        out += b2.data.reshape(folds, 1, o)
 
-def tanh(a: Tensor) -> Tensor:
-    out = np.tanh(a.data)
-    return _make(out, "tanh", (a,), lambda g: ((a, g * (1.0 - out * out)),))
+    def adjoint(g: np.ndarray, input_grad: bool):
+        g_out = g.reshape(folds, -1, o)
+        g_pre = np.matmul(g_out, w2.data)
+        g_pre *= 1.0 - hid * hid
+        grads = [(w2, np.matmul(hid.swapaxes(1, 2), g_out).swapaxes(-1, -2)
+                  .reshape(w2.data.shape)),
+                 (b2, g_out.sum(axis=1).reshape(b2.data.shape)),
+                 (w1, np.matmul(x_blocks.swapaxes(1, 2), g_pre).swapaxes(-1, -2)
+                  .reshape(w1.data.shape)),
+                 (b1, g_pre.sum(axis=1).reshape(b1.data.shape))]
+        return grads, np.matmul(g_pre, w1.data).reshape(r, k) if input_grad else None
 
-
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out = np.exp(a.data)
-    return _make(out, "exp", (a,), lambda g: ((a, g * out),))
-
-
-def log(a: Tensor) -> Tensor:
-    """Natural log with the argument floored at LOG_FLOOR; zero grad below the floor."""
-    clipped = np.maximum(a.data, LOG_FLOOR)
-    out = np.log(clipped)
-    mask = a.data > LOG_FLOOR
-    return _make(out, "log", (a,), lambda g: ((a, g * mask / clipped),))
-
-
-def sqrt(a: Tensor) -> Tensor:
-    out = np.sqrt(a.data)
-    return _make(out, "sqrt", (a,), lambda g: ((a, g * 0.5 / out),))
-
-
-def clip_min(a: Tensor, lo: float) -> Tensor:
-    lo = float(lo)
-    out = np.maximum(a.data, lo)
-    mask = a.data > lo
-    return _make(out, "clip_min", (a,), lambda g: ((a, g * mask),))
-
-
-def mean_pool(a: Tensor, axis: int) -> Tensor:
-    """Mean over one axis of an array of any rank >= 1."""
-    if not 0 <= axis < a.data.ndim:
-        raise ShapeError(f"mean_pool: axis {axis} of a {a.data.ndim}-D input")
-    shape = a.data.shape
-    kept = shape[:axis] + (1,) + shape[axis + 1:]  # the pooled axis kept at length 1
-    out = a.data.sum(axis=axis) / shape[axis]  # what ndarray.mean computes, without its wrapper
-
-    def bk(g):
-        ga = np.empty(shape)
-        ga[...] = (g / shape[axis]).reshape(kept)
-        return ((a, ga),)
-
-    return _make(out, "mean_pool", (a,), bk)
+    return out, adjoint
 
 
 def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
@@ -394,24 +287,6 @@ def concat(parts: list[Tensor], axis: int = 0) -> Tensor:
     return _make(out, "concat", tuple(parts), bk)
 
 
-def take_rows(m: Tensor, idx) -> Tensor:
-    """Rows ``idx`` of a 2-D tensor, in order, as a (len(idx), C) matrix; of
-    a stack of matrices, those rows of each."""
-    idx = np.asarray(idx, dtype=np.intp)
-    if m.data.ndim not in (2, 3) or idx.ndim != 1:
-        raise ShapeError(f"take_rows: 2-D tensor or stack and 1-D indices, got {m.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= m.data.shape[-2]):
-        raise ShapeError(f"take_rows: index out of range for {m.data.shape[-2]} rows")
-    out = m.data[..., idx, :]
-
-    def bk(g):
-        gm = np.zeros_like(m.data)
-        np.add.at(gm, (Ellipsis, idx, slice(None)), g)
-        return ((m, gm),)
-
-    return _make(out, "take_rows", (m,), bk)
-
-
 def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     """Single-layer LSTM over a constant (B, T, M) batch; returns the (B, T, D)
     hidden sequences.
@@ -428,7 +303,11 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     Each time loop keeps only the recurrence, and most of its calls cover
     one contiguous block. Once per call the weights are stacked as [W_h;
     W_x; b], with the gate columns reordered to [i, f, o | g] and the
-    sigmoid gates' columns negated, which is exact. Step t's
+    sigmoid gates' columns negated, which is exact, and copied to C order:
+    the column reordering leaves it F-ordered, which numpy passes to BLAS
+    as a transposed operand, and that product took about twice as long per
+    step at the README lockstep shape (4 folds of 4 sequences, one BLAS
+    thread). Step t's
     pre-activations are then one product of the rows [h_{t-1} | x_t | 1]
     with that matrix: each entry is one dot product of length D + M + 1,
     summed in that order, and for the sigmoid gates it is the negated
@@ -489,8 +368,9 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     TC = np.empty((T, D, folds, B))
     out = np.empty((folds, B, T, D))
     reorder = np.r_[0:2 * D, 3 * D:four_d, 2 * D:3 * D]  # [i, f, o | g]
-    w = np.concatenate((w_h3, w_x.data.reshape(folds, M, four_d),
-                        b.data.reshape(folds, 1, four_d)), axis=1)[..., reorder]
+    w = np.ascontiguousarray(np.concatenate((w_h3, w_x.data.reshape(folds, M, four_d),
+                                             b.data.reshape(folds, 1, four_d)),
+                                            axis=1)[..., reorder])
     np.negative(w[..., :3 * D], out=w[..., :3 * D])
     z = np.empty((T + 1, folds, B, D + M + 1))  # row t is [h_{t-1} | x_t | 1]; h_{T-1} in row T
     z[0, ..., :D] = 0.0
@@ -884,7 +764,9 @@ def adam_step(store: ParamStore, state: AdamState, active=None) -> None:
 
     The update runs on whole rows of the store's parameter, gradient and
     moment buffers, with the same elementwise expression per entry as a
-    per-tensor loop. ``active`` (one boolean per fold; every fold when
+    per-tensor loop. Its terms are written into two scratch rows instead
+    of a fresh temporary each, with the same operations in the same order,
+    so every value is that expression's bit for bit. ``active`` (one boolean per fold; every fold when
     None) names the folds that take this step. The others keep their
     parameters, moments and step count bit for bit: with weight decay, a
     step moves parameters even on a zero gradient. Each fold's bias
@@ -914,13 +796,22 @@ def adam_step(store: ParamStore, state: AdamState, active=None) -> None:
         bc1 = np.array([[1.0 - state.beta1 ** t] for t in steps])
         bc2 = np.array([[1.0 - state.beta2 ** t] for t in steps])
         p, gr, m, v = data[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi]
+        step, denom = np.empty((2, *p.shape))  # every term is formed in these two rows
         if state.weight_decay:
-            p -= state.lr * state.weight_decay * p
+            p -= np.multiply(p, state.lr * state.weight_decay, out=step)
         m *= state.beta1
-        m += (1.0 - state.beta1) * gr
+        m += np.multiply(gr, 1.0 - state.beta1, out=step)
         v *= state.beta2
-        v += (1.0 - state.beta2) * gr * gr
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        np.multiply(gr, 1.0 - state.beta2, out=step)
+        step *= gr
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= state.lr
+        np.divide(v, bc2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step /= denom
+        p -= step
 
 
 # ---------------------------------------------------------------------------

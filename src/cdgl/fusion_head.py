@@ -10,9 +10,11 @@ one probability per subject.
 
 Channel attention, temporal attention and the gating that applies them are
 one fused autodiff op each, with hand-written adjoints, so a fusion layer
-is three ops; ``tests/composite_layers.py`` keeps the op-by-op forms they
-replaced as their oracle. Each checks the arrays it feeds into tanh or
-the sigmoid, which would turn an infinity into a finite value.
+is three ops. The classifier (pooling, concat, MLP and sigmoid) and the
+binary cross-entropy are one op each. ``tests/composite_layers.py`` keeps
+the op-by-op forms they replaced as their oracle. Each op checks the
+arrays it feeds into tanh, the sigmoid or the log, which would turn an
+infinity into a finite value or hide it.
 """
 
 from __future__ import annotations
@@ -207,23 +209,58 @@ class ClassifierParams:
 
 def classify(h_a_layers: list[dc.Tensor], p: ClassifierParams) -> dc.Tensor:
     """Mean-pool each layer's attended windows, concat, two-layer MLP, sigmoid:
-    (B,) probabilities."""
-    pooled = [dc.mean_pool(h_a, axis=1) for h_a in h_a_layers]  # (B, C) each
-    feat = pooled[0] if len(pooled) == 1 else dc.concat(pooled, axis=1)
-    logit = dc.linear(dc.tanh(dc.linear(feat, p.w1, p.b1)), p.w2, p.b2)  # (B, 1)
-    return dc.sigmoid(dc.reshape(logit, (logit.data.shape[0],)))
+    (B,) probabilities, as one op.
+
+    Every layer's features are (B, N_w, C). Parameters stacked on a fold
+    axis F apply to F fold-major blocks of subjects
+    (:func:`diffcore.tanh_mlp`). A non-finite MLP pre-activation or
+    sigmoid argument raises NumericsError with its subject index.
+    """
+    for h_a in h_a_layers:
+        _check_features(h_a)
+    shape = h_a_layers[0].data.shape
+    if any(h_a.data.shape != shape for h_a in h_a_layers):
+        raise ShapeError(f"classify: layer features {[h.data.shape for h in h_a_layers]} "
+                         f"differ in shape")
+    b, n_w, c = shape
+    pooled = [h_a.data.sum(axis=1) / n_w for h_a in h_a_layers]  # (B, C) each, as mean_pool
+    feat = pooled[0] if len(pooled) == 1 else np.concatenate(pooled, axis=1)
+    logits, adjoint = dc.tanh_mlp(feat, p.w1, p.b1, p.w2, p.b2, "classify")
+    logits = logits.reshape(b)
+    dc.check_finite(logits, "classify", "sigmoid argument in")
+    out = dc.sigmoid_array(logits)
+
+    def bk(g):
+        grads, g_feat = adjoint(g * out * (1.0 - out), True)
+        for layer, h_a in enumerate(h_a_layers):
+            if h_a.requires_grad:
+                g_h = np.empty(shape)
+                g_h[...] = (g_feat[:, layer * c:(layer + 1) * c] / n_w).reshape(b, 1, c)
+                grads.append((h_a, g_h))
+        return grads
+
+    return dc._make(out, "classify", (*h_a_layers, p.w1, p.b1, p.w2, p.b2), bk)
 
 
 def bce(y_hat: dc.Tensor, y) -> dc.Tensor:
-    """Binary cross-entropy -log(y p + (1 - y)(1 - p)), elementwise.
+    """Binary cross-entropy -log(y p + (1 - y)(1 - p)), elementwise, as one op.
 
     ``y_hat`` holds probabilities p, one or a (B,) vector, and ``y`` the 0/1
     labels in the same shape. The log's argument is formed as
-    (1 - y) + (2y - 1) p, which for a 0/1 label is exactly p or 1 - p; log
-    arguments are floored inside dc.log.
+    (1 - y) + (2y - 1) p, which for a 0/1 label is exactly p or 1 - p, and
+    floored at ``diffcore.LOG_FLOOR``, with a zero gradient below the
+    floor: a saturated wrong prediction costs -log(LOG_FLOOR), about 27.6.
     """
     y = np.asarray(y, dtype=np.float64)
     if y.shape != y_hat.data.shape:
         raise ShapeError(f"bce: labels {y.shape} vs probabilities {y_hat.data.shape}")
-    arg = dc.add(dc.mul(y_hat, dc.const(2.0 * y - 1.0)), dc.const(1.0 - y))
-    return dc.neg(dc.log(arg))
+    sign = 2.0 * y - 1.0
+    arg = y_hat.data * sign + (1.0 - y)
+    dc.check_finite(arg, "bce", "log argument in")
+    clipped = np.maximum(arg, dc.LOG_FLOOR)
+    out = -np.log(clipped)
+
+    def bk(g):
+        return ((y_hat, -g * (arg > dc.LOG_FLOOR) / clipped * sign),)
+
+    return dc._make(out, "bce", (y_hat,), bk)

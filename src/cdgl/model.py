@@ -382,18 +382,23 @@ def batch_loss_parts(
         ccfg: cdgin.ContrastiveConfig,
 ) -> tuple[dc.Tensor, dc.Tensor, dc.Tensor | None]:
     """(total, bce term, contrastive term or None), each (B,), for subjects
-    that share their windows; total = bce + alpha * contrastive."""
+    that share their windows; total = bce + alpha * contrastive. A
+    non-finite value in either loss raises NumericsError naming the subject."""
     out = forward_batch(store, dims, preps)
     l_info = None
-    if ccfg.alpha > 0.0:
-        n_w = len(preps[0].starts)
-        if n_w < ccfg.delta + 1:
-            raise WindowBudgetError(
-                f"subject {preps[0].subject_id!r}: {n_w} windows < delta+1="
-                f"{ccfg.delta + 1} required by the contrastive term")
-        z = [out.projections[s] for s in dims.streams]
-        l_info = cdgin.contrastive_loss(z[0], z[1] if len(z) == 2 else None, ccfg)
-    l_bce = fh.bce(out.y_hat, [p.label for p in preps])
+    n_w = len(preps[0].starts)
+    if ccfg.alpha > 0.0 and n_w < ccfg.delta + 1:
+        raise WindowBudgetError(
+            f"subject {preps[0].subject_id!r}: {n_w} windows < delta+1="
+            f"{ccfg.delta + 1} required by the contrastive term")
+    try:
+        if ccfg.alpha > 0.0:
+            z = [out.projections[s] for s in dims.streams]
+            l_info = cdgin.contrastive_loss(z[0], z[1] if len(z) == 2 else None, ccfg)
+        l_bce = fh.bce(out.y_hat, [p.label for p in preps])
+    except NumericsError as err:
+        raise NumericsError(f"{_subject_of(err, preps, dims.m)}: {err}",
+                            err.index, err.shape) from err
     total = l_bce
     if l_info is not None:
         total = dc.add(total, dc.mul_scalar(l_info, ccfg.alpha))

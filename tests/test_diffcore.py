@@ -1,7 +1,9 @@
 """Gradient, optimizer, and checkpoint tests for the autodiff core.
 
-Every primitive's adjoint is checked against central finite differences on
-random inputs; tiny closed-form cases are asserted exactly.
+Every ``diffcore`` primitive's adjoint is checked against central finite
+differences on random inputs; tiny closed-form cases are asserted exactly.
+The graphs of the backward-walk tests are built from the primitives of
+``composite_layers`` too, which ``test_layer_kernels`` checks the same way.
 """
 
 import struct
@@ -19,7 +21,9 @@ from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries
 from cdgl.errors import NumericsError, ParseError, ShapeError, StateError
 
-from composite_layers import matmul, scale, softmax
+from composite_layers import (
+    bmm, div, exp, linear, matmul, mean_pool, mul, scale, sigmoid, softmax, sqrt, sub,
+    take_rows, tanh, textbook_adam_step, transpose)
 
 
 def fd_grad(build_loss, tensor, h=1e-6):
@@ -71,14 +75,14 @@ def header_claiming(shape):
 
 def test_square_at_three_grad_is_six():
     w = dc.param(3.0)
-    y = dc.mul(w, w)
+    y = mul(w, w)
     dc.backward(y)
     assert w.grad == pytest.approx(6.0, abs=1e-15)
 
 
 def test_sigmoid_sum_grad_at_zero_is_quarter():
     x = dc.param(np.zeros(4))
-    loss = dc.sum_all(dc.sigmoid(x))
+    loss = dc.sum_all(sigmoid(x))
     dc.backward(loss)
     np.testing.assert_allclose(x.grad, 0.25, rtol=0, atol=1e-15)
 
@@ -88,9 +92,9 @@ def test_backward_twice_doubles_leaf_grads():
     rng = np.random.default_rng(0)
     a = rmat(rng, 3, 4)
     b = rmat(rng, 4, 2)
-    dc.backward(dc.sum_all(dc.tanh(matmul(a, b))))
+    dc.backward(dc.sum_all(tanh(matmul(a, b))))
     first = a.grad.copy(), b.grad.copy()
-    dc.backward(dc.sum_all(dc.tanh(matmul(a, b))))
+    dc.backward(dc.sum_all(tanh(matmul(a, b))))
     np.testing.assert_array_equal(a.grad, 2.0 * first[0])
     np.testing.assert_array_equal(b.grad, 2.0 * first[1])
 
@@ -100,7 +104,7 @@ def test_scalar_node_with_many_consumers():
     # dropped every accumulation past the second into a shared node
     for k in (2, 3, 4, 7):
         a = dc.param(2.0)
-        s = dc.sqrt(a)
+        s = sqrt(a)
         total = dc.mul_scalar(s, 1.0)
         for i in range(1, k):
             total = dc.add(total, dc.mul_scalar(s, 1.0 + 0.1 * i))
@@ -114,10 +118,10 @@ def test_grad_accumulation_is_linear():
     x = rmat(rng, 5)
 
     def l1():
-        return dc.sum_all(dc.mul(x, x))
+        return dc.sum_all(mul(x, x))
 
     def l2():
-        return dc.sum_all(dc.sigmoid(x))
+        return dc.sum_all(sigmoid(x))
 
     x.grad = None
     dc.backward(l1())
@@ -135,123 +139,34 @@ class TestPrimitiveGradients:
 
     def test_add(self):
         a, b = rmat(self.rng, 3, 4), rmat(self.rng, 3, 4)
-        check_op(lambda: dc.sum_all(dc.mul(dc.add(a, b), dc.add(a, b))), [a, b])
+        check_op(lambda: dc.sum_all(mul(dc.add(a, b), dc.add(a, b))), [a, b])
 
     def test_add_broadcast(self):
         m, v = rmat(self.rng, 3, 4), rmat(self.rng, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(m, v))), [m, v])  # bias row
+        check_op(lambda: dc.sum_all(tanh(dc.add(m, v))), [m, v])  # bias row
         u, w = rmat(self.rng, 3, 1, 4), rmat(self.rng, 1, 5, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(u, w))), [u, w])  # same rank
+        check_op(lambda: dc.sum_all(tanh(dc.add(u, w))), [u, w])  # same rank
         col = rmat(self.rng, 3, 1)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.add(col, m))), [col, m])
+        check_op(lambda: dc.sum_all(tanh(dc.add(col, m))), [col, m])
         for a, b in (((4,), (4, 1)),  # rank mismatch: would be a (4, 4) outer sum
                      ((3, 4), (3,)),  # rank mismatch on a leading axis
                      ((2, 3), (3, 3)), ((3, 1, 4), (5, 4))):
             with pytest.raises(ShapeError):
                 dc.add(dc.const(np.zeros(a)), dc.const(np.zeros(b)))
 
-    def test_sub_neg(self):
-        a, b = rmat(self.rng, 3, 4), rmat(self.rng, 3, 4)
-        check_op(lambda: dc.sum_all(dc.mul(dc.sub(a, b), dc.neg(b))), [a, b])
-
     def test_mul_scalar_scale(self):
         a = rmat(self.rng, 3, 4)
         for c in (1.3, -0.4):
-            check_op(lambda c=c: dc.sum_all(dc.tanh(dc.mul_scalar(a, c))), [a])
-
-    def test_div(self):
-        a = rmat(self.rng, 3, 4)
-        b = dc.param(self.rng.uniform(0.5, 2.0, (3, 4)))
-        check_op(lambda: dc.sum_all(dc.div(a, b)), [a, b])
+            check_op(lambda c=c: dc.sum_all(tanh(dc.mul_scalar(a, c))), [a])
 
     def test_matmul(self):
         a, b = rmat(self.rng, 3, 4), rmat(self.rng, 4, 2)
-        check_op(lambda: dc.sum_all(dc.tanh(matmul(a, b))), [a, b])
+        check_op(lambda: dc.sum_all(tanh(matmul(a, b))), [a, b])
 
-    def test_bmm(self):
-        a, b = rmat(self.rng, 3, 2, 4), rmat(self.rng, 3, 4, 5)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.bmm(a, b))), [a, b])
-        for sa, sb in (((2, 4), (4, 5)),  # not stacks
-                       ((3, 2, 4), (2, 4, 5)),  # batch sizes differ
-                       ((3, 2, 4), (3, 5, 4))):  # inner sizes differ
-            with pytest.raises(ShapeError):
-                dc.bmm(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
-
-    def test_mul_broadcast(self):
-        a, row = rmat(self.rng, 2, 3, 4), rmat(self.rng, 3, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.mul(a, row))), [a, row])  # trailing axes
-        col, cell = rmat(self.rng, 2, 3, 1), rmat(self.rng, 2, 1, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.mul(dc.mul(a, col), cell))), [a, col, cell])
-        for sa, sb in (((4,), (4, 1)), ((3, 4), (4, 3)), ((2, 3, 4), (3,))):
-            with pytest.raises(ShapeError):
-                dc.mul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
-
-    def test_transpose_reshape(self):
-        a = rmat(self.rng, 3, 4)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.reshape(dc.transpose(a), (2, 6)))), [a])
-        stack = rmat(self.rng, 2, 3, 4)  # each matrix of a stack
-        np.testing.assert_array_equal(dc.transpose(stack).data[1], stack.data[1].T)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.bmm(dc.transpose(stack), stack))), [stack])
-        with pytest.raises(ShapeError):
-            dc.transpose(rmat(self.rng, 3))
-
-    def test_sigmoid_tanh_exp_sqrt(self):
-        a = dc.param(self.rng.uniform(0.2, 1.5, (3, 4)))
-        check_op(lambda: dc.sum_all(dc.sigmoid(a)), [a])
-        check_op(lambda: dc.sum_all(dc.tanh(a)), [a])
-        check_op(lambda: dc.sum_all(dc.exp(a)), [a])
-        check_op(lambda: dc.sum_all(dc.sqrt(a)), [a])
-
-    def test_log(self):
-        a = dc.param(self.rng.uniform(0.3, 2.0, (3, 4)))
-        check_op(lambda: dc.sum_all(dc.log(a)), [a])
-
-    def test_log_floor_zero_grad(self):
-        a = dc.param(np.array([0.0, 1e-15, 0.5]))
-        loss = dc.sum_all(dc.log(a))
-        dc.backward(loss)
-        assert a.grad[0] == 0.0 and a.grad[1] == 0.0
-        assert a.grad[2] == pytest.approx(2.0)
-
-    def test_clip_min(self):
-        a = dc.param(np.array([-1.0, 0.5, 2.0]))
-        check_op(lambda: dc.sum_all(dc.mul(dc.clip_min(a, 0.0), dc.clip_min(a, 0.0))), [a])
-
-    def test_pools(self):
-        a = rmat(self.rng, 4, 5)
-        for axis in (0, 1):
-            check_op(lambda ax=axis: dc.sum_all(dc.tanh(
-                dc.reshape(dc.mean_pool(a, ax), (-1,)))), [a])
-        c = rmat(self.rng, 2, 3, 4)
-        for axis in (0, 1, 2):
-            check_op(lambda ax=axis: dc.sum_all(dc.tanh(dc.mean_pool(c, ax))), [c])
-        with pytest.raises(ShapeError):
-            dc.mean_pool(c, 3)
-
-    def test_mean_pool_adjoint_equals_broadcast_form(self):
-        # the adjoint fills an empty array with one broadcast assignment;
-        # it must equal the broadcast view of g / n it replaced, bit for bit
-        for shape in ((7,), (4, 5), (2, 3, 4), (3, 1, 2, 5)):
-            a = rmat(self.rng, *shape)
-            for axis in range(len(shape)):
-                out = dc.mean_pool(a, axis)
-                g = self.rng.standard_normal(out.data.shape)
-                ((_, got),) = out._backward(g)
-                expect = np.broadcast_to(np.expand_dims(g / shape[axis], axis), shape)
-                assert got.shape == shape and np.array_equal(got, expect), (shape, axis)
-
-    def test_concat_take_rows(self):
+    def test_concat(self):
         a, b = rmat(self.rng, 2, 3), rmat(self.rng, 2, 3)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.concat([a, b], axis=0))), [a, b])
-        check_op(lambda: dc.sum_all(dc.tanh(dc.concat([a, b], axis=1))), [a, b])
-        m = rmat(self.rng, 3, 4)
-        np.testing.assert_array_equal(dc.take_rows(m, [2, 0]).data, m.data[[2, 0]])
-        # a repeated row accumulates both gradients
-        check_op(lambda: dc.sum_all(dc.tanh(dc.take_rows(m, [1, 2, 1]))), [m])
-        with pytest.raises(ShapeError):
-            dc.take_rows(rmat(self.rng, 4), [0])  # rows of a matrix only
-        with pytest.raises(ShapeError):
-            dc.take_rows(m, [3])  # past the last row
+        check_op(lambda: dc.sum_all(tanh(dc.concat([a, b], axis=0))), [a, b])
+        check_op(lambda: dc.sum_all(tanh(dc.concat([a, b], axis=1))), [a, b])
 
     def test_lstm_matches_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -260,8 +175,8 @@ class TestPrimitiveGradients:
         w_x = rmat(rng, M, 4 * D)
         w_h = rmat(rng, D, 4 * D)
         b = rmat(rng, 4 * D)
-        check_op(lambda: dc.sum_all(dc.mul(dc.lstm(x, w_x, w_h, b),
-                                           dc.lstm(x, w_x, w_h, b))),
+        check_op(lambda: dc.sum_all(mul(dc.lstm(x, w_x, w_h, b),
+                                        dc.lstm(x, w_x, w_h, b))),
                  [w_x, w_h, b], tol=2e-6)
 
 
@@ -295,14 +210,16 @@ def oracle_lstm(x, w_x, w_h, b):
     Returns the hidden sequence and its adjoint, g -> (dw_x, dw_h, db).
 
     A step's pre-activation is the op's own product: the rows [h | x_t | 1]
-    times [W_h; W_x; b], gate columns reordered to [i, f, o, g] and the
-    sigmoid gates' columns negated, so its sums run in the op's order. A
+    times [W_h; W_x; b], gate columns reordered to [i, f, o, g], the
+    sigmoid gates' columns negated and the matrix in C order, so its sums
+    run in the op's order. A
     (B, T, M) batch multiplies its B rows at once, as the op does, and a
     (T, M) sequence is the batch of one."""
     xs = (x if x.ndim == 3 else x[None]).swapaxes(0, 1)  # (T, B, M)
     T, B = xs.shape[:2]
     D = w_x.shape[1] // 4
-    w = np.concatenate([w_h, w_x, b[None]])[:, np.r_[0:2 * D, 3 * D:4 * D, 2 * D:3 * D]]
+    w = np.ascontiguousarray(
+        np.concatenate([w_h, w_x, b[None]])[:, np.r_[0:2 * D, 3 * D:4 * D, 2 * D:3 * D]])
     w[:, :3 * D] *= -1.0
     I, F, G, O, C, TC, Hprev = (np.empty((T, B, D)) for _ in range(7))
     h = np.zeros((B, D))
@@ -368,7 +285,7 @@ def test_lstm_matches_per_step_oracle(pattern):
             expect_h, expect_bk = oracle_lstm(x, w_x, w_h, b)
             out = dc.lstm(x[None], *params)
         assert np.array_equal(out.data[0], expect_h), (T, M, D, scale)
-        dc.backward(dc.sum_all(dc.mul(out, dc.const(g[None]))))
+        dc.backward(dc.sum_all(mul(out, dc.const(g[None]))))
         for p, want in zip(params, expect_bk(g)):
             if pattern == "zero":
                 assert not p.grad.any()
@@ -391,7 +308,7 @@ def test_lstm_batch_matches_per_sequence_oracle():
         params = [dc.param(w_x), dc.param(w_h), dc.param(b)]
         out = dc.lstm(x, *params)
         assert out.data.shape == (B, T, D)
-        dc.backward(dc.sum_all(dc.mul(out, dc.const(g))))
+        dc.backward(dc.sum_all(mul(out, dc.const(g))))
         expect = [np.zeros_like(p.data) for p in params]
         for xb, hb, gb in zip(x, out.data, g):
             expect_h, expect_bk = oracle_lstm(xb, w_x, w_h, b)
@@ -466,14 +383,14 @@ def test_composite_model_gradcheck():
     q = rmat(rng, 4)
 
     def build():
-        h = dc.tanh(dc.add(matmul(dc.const(x), w1), b1))
+        h = tanh(dc.add(matmul(dc.const(x), w1), b1))
         b_row = dc.reshape(b1, (1, 5))
-        s = softmax(dc.reshape(matmul(h, dc.transpose(
-            dc.take_rows(dc.concat([b_row, b_row], axis=0), [0]))), (4,)))
-        ws = dc.sum_all(dc.mul(s, q))
+        s = softmax(dc.reshape(matmul(h, transpose(
+            take_rows(dc.concat([b_row, b_row], axis=0), [0]))), (4,)))
+        ws = dc.sum_all(mul(s, q))
         out = matmul(h, w2)
-        mean = dc.reshape(dc.mean_pool(dc.sigmoid(out), axis=0), ())
-        return dc.add(mean, dc.mul(ws, ws))
+        mean = dc.reshape(mean_pool(sigmoid(out), axis=0), ())
+        return dc.add(mean, mul(ws, ws))
 
     check_op(build, [w1, b1, w2, q], tol=1e-4)
 
@@ -482,7 +399,7 @@ def test_numerics_error_names_offending_op():
     a = dc.param(np.array([-1.0, 1.0]))
     big = dc.mul_scalar(a, 1e308)
     with pytest.raises(NumericsError, match="exp") as info:
-        dc.exp(big)
+        exp(big)
     assert info.value.index == (1,) and info.value.shape == (2,)
 
 
@@ -493,7 +410,7 @@ def test_finite_outputs_whose_sum_overflows_pass():
     with np.errstate(over="ignore"):
         assert np.isinf(out.data.sum())
     assert np.all(np.isfinite(out.data))
-    assert np.all(np.isfinite(dc.transpose(out).data))
+    assert np.all(np.isfinite(transpose(out).data))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -511,7 +428,7 @@ def test_non_finite_transposed_output_indexed_as_its_own_shape(bad):
     x = np.zeros((2, 3))
     x[0, 2] = x[1, 1] = bad
     with pytest.raises(NumericsError, match="op 'transpose'") as info:
-        dc.transpose(dc.param(x))
+        transpose(dc.param(x))
     assert info.value.index == (1, 1) and info.value.shape == (3, 2)
 
 
@@ -520,9 +437,9 @@ def test_adjoints_skip_constant_operands():
     x, k = rmat(rng, 3, 3), dc.const(rng.uniform(0.5, 2.0, (3, 3)))
     x3, k3 = rmat(rng, 2, 3, 3), dc.const(rng.standard_normal((2, 3, 3)))
     v, kv = rmat(rng, 3), dc.const(rng.standard_normal(3))
-    cases = [(matmul, x, k), (dc.linear, x, k), (dc.bmm, x3, k3), (dc.mul, x, k), (dc.div, x, k),
-             (dc.add, x, k), (dc.sub, x, k), (dc.add, x, kv), (dc.mul, x, kv),
-             (dc.add, v, k), (dc.mul, v, k)]
+    cases = [(matmul, x, k), (linear, x, k), (bmm, x3, k3), (mul, x, k), (div, x, k),
+             (dc.add, x, k), (sub, x, k), (dc.add, x, kv), (mul, x, kv),
+             (dc.add, v, k), (mul, v, k)]
     for op, live, fixed in cases:
         for args in ((live, fixed), (fixed, live)):
             out = op(*args)
@@ -533,7 +450,7 @@ def test_adjoints_skip_constant_operands():
 def test_non_scalar_backward_rejected():
     a = dc.param(np.ones(3))
     with pytest.raises(ShapeError):
-        dc.backward(dc.sigmoid(a))
+        dc.backward(sigmoid(a))
 
 
 class TestAdam:
@@ -576,7 +493,7 @@ class TestAdam:
             state = dc.AdamState(lr=0.01, weight_decay=0.01)
             for _ in range(5):
                 store.zero_grad()
-                loss = dc.sum_all(dc.sigmoid(dc.add(
+                loss = dc.sum_all(sigmoid(dc.add(
                     matmul(store["a"], store["a"]), store["b"])))
                 dc.backward(loss)
                 dc.adam_step(store, state)
@@ -594,7 +511,7 @@ class TestAdam:
         losses = []
         for _ in range(30):
             store.zero_grad()
-            loss = dc.sum_all(dc.mul(store["w"], store["w"]))
+            loss = dc.sum_all(mul(store["w"], store["w"]))
             dc.backward(loss)
             dc.adam_step(store, state)
             losses.append(float(loss.data))
@@ -649,24 +566,10 @@ def oracle_backward(loss):
                     accumulate(parent, contrib)
 
 
-def oracle_adam_step(params, grads, state):
-    """One step over {name: array} in sorted-name order, moments in per-name dicts."""
-    state.step_count += 1
-    t = state.step_count
-    bc1 = 1.0 - state.beta1 ** t
-    bc2 = 1.0 - state.beta2 ** t
-    for name in sorted(params):
-        p, g = params[name], grads[name]
-        if state.weight_decay:
-            p -= state.lr * state.weight_decay * p
-        if name not in state.m:
-            state.m[name], state.v[name] = np.zeros_like(p), np.zeros_like(p)
-        m, v = state.m[name], state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        p -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+def adam_state(weight_decay):
+    """Hyperparameters and empty moments for ``textbook_adam_step``."""
+    return SimpleNamespace(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
+                           weight_decay=weight_decay, step_count=0, m={}, v={})
 
 
 @pytest.mark.parametrize("weight_decay", [0.0, 0.03])
@@ -683,8 +586,7 @@ def test_adam_matches_per_tensor_oracle(weight_decay):
             store.add(str(name), rng.standard_normal(shapes[name]))
         expect = {name: t.data.copy() for name, t in store.items()}
         state = dc.AdamState(lr=0.01, weight_decay=weight_decay)
-        ostate = SimpleNamespace(lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8,
-                                 weight_decay=weight_decay, step_count=0, m={}, v={})
+        ostate = adam_state(weight_decay)
         for step in range(10):
             store.zero_grad()
             grads = {name: 10.0 ** rng.uniform(-6, 2) * rng.standard_normal(shape)
@@ -694,7 +596,7 @@ def test_adam_matches_per_tensor_oracle(weight_decay):
             for name, t in store.items():
                 t.grad[...] = grads[name]
             dc.adam_step(store, state)
-            oracle_adam_step(expect, grads, ostate)
+            textbook_adam_step(expect, grads, ostate)
         for name, t in store.items():
             assert np.array_equal(t.data, expect[name]), (case, name)
 
@@ -730,16 +632,16 @@ def diamond():
     rng = np.random.default_rng(31)
     x, w = rmat(rng, 3, 4), rmat(rng, 4, 4)
     h = matmul(x, w)
-    left, right = dc.tanh(h), dc.sigmoid(h)  # h has two consumers that meet again
-    return [x, w], dc.sum_all(dc.mul(dc.add(left, h), right))
+    left, right = tanh(h), sigmoid(h)  # h has two consumers that meet again
+    return [x, w], dc.sum_all(mul(dc.add(left, h), right))
 
 
 def multi_consumer():
     rng = np.random.default_rng(32)
     a, v = rmat(rng, 5), dc.param(1.7)
-    s = dc.sqrt(dc.mul(v, v))  # a 0-d node with seven consumers
-    h = dc.tanh(a)  # a vector node with four, one through a broadcast
-    total = dc.sum_all(dc.mul(h, h))
+    s = sqrt(mul(v, v))  # a 0-d node with seven consumers
+    h = tanh(a)  # a vector node with four, one through a broadcast
+    total = dc.sum_all(mul(h, h))
     for i in range(7):
         total = dc.add(total, dc.mul_scalar(s, 1.0 + 0.1 * i))
     total = dc.add(total, dc.sum_all(dc.add(dc.reshape(h, (1, 5)), dc.const(np.ones((3, 5))))))
@@ -760,7 +662,7 @@ def test_backward_matches_dict_walk_on_shared_nodes(build):
 
 def test_backward_interrupted_by_an_adjoint_leaves_no_walk_state():
     x = dc.param(np.arange(3.0))
-    h = dc.tanh(x)
+    h = tanh(x)
 
     def failing(g):
         raise RuntimeError("adjoint failed")
@@ -861,9 +763,9 @@ class TestNoGradView:
         store = stores(1)[0]
         view = store.no_grad()
         x = dc.const(np.ones((4, 3)))
-        out = dc.sum_all(dc.tanh(dc.linear(x, view["w"])))
+        out = dc.sum_all(tanh(linear(x, view["w"])))
         assert not out.requires_grad and out._parents == () and out._backward is None
-        with_graph = dc.sum_all(dc.tanh(dc.linear(x, store["w"])))
+        with_graph = dc.sum_all(tanh(linear(x, store["w"])))
         assert out.data == with_graph.data and with_graph._parents
 
     def test_dropped_when_the_store_is_laid_out_again(self, tmp_path):
@@ -1061,7 +963,7 @@ def test_matmul_grad_matches_fd_property(seed, n, m):
     rng = np.random.default_rng(seed)
     a = dc.param(rng.standard_normal((n, m)))
     b = dc.param(rng.standard_normal((m, n)))
-    check_op(lambda: dc.sum_all(dc.tanh(matmul(a, b))), [a, b], tol=1e-5)
+    check_op(lambda: dc.sum_all(tanh(matmul(a, b))), [a, b], tol=1e-5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -1080,45 +982,6 @@ def test_glorot_within_limit(seed):
 class TestFoldStacks:
     rng = np.random.default_rng(40)
 
-    @pytest.mark.parametrize("folds", [1, 3])
-    @pytest.mark.parametrize("bias", [True, False])
-    def test_linear_matches_finite_differences(self, folds, bias):
-        lead = (folds,) if folds > 1 else ()
-        x, w = rmat(self.rng, 2 * folds, 4), rmat(self.rng, *lead, 3, 4)
-        b = rmat(self.rng, *lead, 3) if bias else None
-        assert dc.linear(x, w, b).data.shape == (2 * folds, 3)
-        check_op(lambda: dc.sum_all(dc.tanh(dc.linear(x, w, b))),
-                 [x, w] + ([b] if bias else []))
-
-    def test_linear_with_a_weight_stack_is_each_folds_own_linear(self):
-        x, w, b = rmat(self.rng, 6, 4), rmat(self.rng, 3, 5, 4), rmat(self.rng, 3, 5)
-        g = self.rng.standard_normal((6, 5))
-        out = dc.linear(x, w, b)
-        grads = {id(t): grad for t, grad in out._backward(g)}
-        for f in range(3):
-            rows = slice(2 * f, 2 * f + 2)
-            xf, wf, bf = (dc.param(a) for a in (x.data[rows], w.data[f], b.data[f]))
-            one = dc.linear(xf, wf, bf)
-            np.testing.assert_array_equal(out.data[rows], one.data)
-            np.testing.assert_array_equal(out.data[rows], x.data[rows] @ w.data[f].T + b.data[f])
-            for t, grad in one._backward(g[rows]):
-                whole = {id(xf): grads[id(x)][rows], id(wf): grads[id(w)][f],
-                         id(bf): grads[id(b)][f]}[id(t)]
-                np.testing.assert_array_equal(whole, grad)
-
-    @pytest.mark.parametrize("sx, sw, sb", [
-        ((5, 4), (3, 2, 4), None),  # rows do not split into the folds
-        ((6, 4), (3, 2, 4), (3, 3)),  # weight and bias widths disagree
-        ((6, 4), (2, 4), (3,)),  # the same at one fold
-        ((6, 4), (3, 2, 4), (2,)),  # a stacked weight with a lone bias
-        ((6, 4), (2, 5), None),  # inner sizes differ
-        ((2, 3, 4), (2, 4), None),  # x must be a matrix
-        ((6, 4), (4,), None)])  # and w a matrix or a stack of them
-    def test_linear_shape_errors(self, sx, sw, sb):
-        with pytest.raises(ShapeError):
-            dc.linear(dc.const(np.zeros(sx)), dc.const(np.zeros(sw)),
-                      None if sb is None else dc.const(np.zeros(sb)))
-
     @pytest.mark.parametrize("sa, sb", [((3, 3), (6, 3)), ((2, 4), (4, 4)), ((6, 4), (3, 4)),
                                         ((2, 3), (3, 3))])
     def test_plain_add_keeps_its_broadcast_rule(self, sa, sb):
@@ -1126,13 +989,6 @@ class TestFoldStacks:
         operands whose first axes differ, neither being 1, raise."""
         with pytest.raises(ShapeError):
             dc.add(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
-
-    def test_take_rows_of_a_stack(self):
-        m = rmat(self.rng, 2, 5, 3)
-        np.testing.assert_array_equal(dc.take_rows(m, [4, 0]).data, m.data[:, [4, 0]])
-        check_op(lambda: dc.sum_all(dc.tanh(dc.take_rows(m, [1, 3, 1]))), [m])
-        with pytest.raises(ShapeError):
-            dc.take_rows(m, [5])
 
     @staticmethod
     def assert_stacked_lstm_equals_each_fold_alone(x, w_x, w_h, b, g):
@@ -1263,19 +1119,41 @@ def test_masked_adam_steps_only_the_active_folds(weight_decay):
         dc.adam_step(stacked, state, [True, False])
 
 
+def test_adam_equals_the_textbook_expression_bit_for_bit():
+    """Parameters, moments and step counts of a stacked store after six
+    steps, with weight decay and a fold idle on every other step, equal
+    those of the textbook update run on each fold's row when it is active."""
+    rng = np.random.default_rng(4)
+    store = dc.ParamStore.stack(stores(3, seed=2))
+    state = dc.AdamState(lr=0.01, weight_decay=0.03)
+    rows = [{"row": row.copy()} for row in store.rows()[0]]
+    textbook = [adam_state(0.03) for _ in rows]
+    for step in range(6):
+        grad = 10.0 ** rng.uniform(-6, 2) * rng.standard_normal(store.rows()[1].shape)
+        active = [True, step % 2 == 0, True]
+        store.zero_grad()
+        store.rows()[1][...] = grad
+        dc.adam_step(store, state, active)
+        for f in np.flatnonzero(active):
+            textbook_adam_step(rows[f], {"row": grad[f]}, textbook[f])
+    assert state.step_count.tolist() == [t.step_count for t in textbook] == [6, 3, 6]
+    for f, t in enumerate(textbook):
+        assert np.array_equal(store.rows()[0][f], rows[f]["row"])
+        assert np.array_equal(state.m[f], t.m["row"]) and np.array_equal(state.v[f], t.v["row"])
+
 def test_backward_releases_adjoints():
     """A walked graph's nodes drop their adjoints: a second walk through any
     of them raises, while a rebuilt graph gives the same gradients."""
     rng = np.random.default_rng(2)
     a, b = rmat(rng, 3, 4), rmat(rng, 4, 2)
-    h = dc.tanh(matmul(a, b))
+    h = tanh(matmul(a, b))
     loss = dc.sum_all(h)
     dc.backward(loss)
     expect = a.grad.copy()
     a.grad = None
-    dc.backward(dc.sum_all(dc.tanh(matmul(a, b))))
+    dc.backward(dc.sum_all(tanh(matmul(a, b))))
     np.testing.assert_array_equal(a.grad, expect)
     with pytest.raises(StateError, match="released"):
         dc.backward(loss)
     with pytest.raises(StateError, match="released"):
-        dc.backward(dc.sum_all(dc.mul(h, h)))  # a new graph over a walked node
+        dc.backward(dc.sum_all(mul(h, h)))  # a new graph over a walked node

@@ -1,12 +1,15 @@
 """Fused layer kernels against their op-by-op oracle in ``composite_layers``.
 
-Each of ``cdgin.gin_node_update``, ``cdgin.attention_readout``,
-``fusion_head.channel_attention``, ``temporal_attention`` and
-``apply_attention`` is one autodiff op. On random shapes its values must
-equal the composite's bit for bit and its gradients, for every input and
-parameter, agree within 1e-9 of max(|g|, 1); each also passes central
-finite differences. With parameters on a fold axis, the GIN node update
-and readout must equal the composite run on each fold's block. Every
+Each of ``temporal_encoder.assemble_node_features``,
+``cdgin.gin_node_update``, ``attention_readout``, ``project`` and
+``contrastive_loss``, and ``fusion_head.channel_attention``,
+``temporal_attention``, ``apply_attention``, ``classify`` and ``bce`` is
+one autodiff op. On random shapes its values must equal the composite's
+bit for bit and its gradients, for every input and parameter, agree
+within 1e-9 of max(|g|, 1); each also passes central finite differences.
+With parameters on a fold axis, the GIN node update and readout must
+equal the composite run on each fold's block, and the node features,
+projection and classifier the composite given the same stacks. Every
 fused op, ``diffcore.lstm`` too, must leave its forward's arrays intact
 in its adjoint. The oracle's own primitives are finite-difference tested
 here too.
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 from cdgl import cdgin
 from cdgl import diffcore as dc
 from cdgl import fusion_head as fh
+from cdgl import temporal_encoder as te
 from cdgl.errors import NumericsError, ShapeError
 
 import composite_layers as oracle
@@ -111,7 +115,7 @@ def values_and_grads(build, leaves, weights):
     outs = build()
     if np.ndim(weights) == 0:
         weights = np.random.default_rng(weights).standard_normal(outs[0].data.shape)
-    dc.backward(dc.sum_all(dc.mul(outs[0], dc.const(weights))))
+    dc.backward(dc.sum_all(oracle.mul(outs[0], dc.const(weights))))
     grads = {name: np.zeros_like(t.data) if t.grad is None else t.grad.copy()
              for name, t in leaves}
     return [o.data.copy() for o in outs], grads
@@ -154,7 +158,7 @@ def assert_finite_differences(build, leaves):
     weights = np.random.default_rng(0).standard_normal(build().data.shape)
 
     def loss():
-        return dc.sum_all(dc.mul(build(), dc.const(weights)))
+        return dc.sum_all(oracle.mul(build(), dc.const(weights)))
 
     coords = {name: np.arange(t.data.size) for name, t in leaves}
     report = dc.finite_diff_check(loss, leaves, coords)
@@ -248,7 +252,7 @@ class TestGinLayer:
 
             def through(layer):  # the loss reads the node output and the readout
                 h_out, readout, weights = layer(h, a, p)
-                return [dc.add(dc.sum_all(h_out), dc.sum_all(dc.tanh(readout))), h_out,
+                return [dc.add(dc.sum_all(h_out), dc.sum_all(oracle.tanh(readout))), h_out,
                         readout, weights]
 
             assert_matches_oracle(lambda: through(cdgin.gin_layer),
@@ -327,6 +331,180 @@ class TestCbam:
         assert op_names == ["channel_attention", "temporal_attention", "apply_attention"]
 
 
+def mlp_params(rng, folds, n_in, hidden, n_out):
+    """Weights and biases of a two-layer MLP, on a fold axis when folds > 1."""
+    lead = (folds,) if folds > 1 else ()
+    return (dc.param(rng.standard_normal((*lead, hidden, n_in)) / np.sqrt(n_in)),
+            dc.param(0.3 * rng.standard_normal((*lead, hidden))),
+            dc.param(rng.standard_normal((*lead, n_out, hidden)) / np.sqrt(hidden)),
+            dc.param(0.3 * rng.standard_normal((*lead, n_out))))
+
+
+def named(*tensors):
+    return [(str(i), t) for i, t in enumerate(tensors) if t is not None]
+
+
+def project_case(rng):
+    """(rows, w1, b1, w2, b2): 1-3 folds of 1-8 rows each, D 1-16, P 1-8."""
+    folds, d, p = int(rng.integers(1, 4)), int(rng.integers(1, 17)), int(rng.integers(1, 9))
+    h = dc.param(rng.standard_normal((folds * int(rng.integers(1, 9)), d)))
+    return (h, *mlp_params(rng, folds, d, p, p))
+
+
+def contrastive_case(rng, zero_rows=False, scale=None):
+    """(z_r, z_d or None, config): B 1-4 subjects, N_w 2-8, P 1-6, projections
+    of magnitude ``scale``, or 1e-3 to 1e2 at random; if ``zero_rows``, some
+    rows are zero and some nonzero but under COSINE_NORM_FLOOR."""
+    b, n, width = int(rng.integers(1, 5)), int(rng.integers(2, 9)), int(rng.integers(1, 7))
+    scale = 10.0 ** rng.uniform(-3, 2) if scale is None else scale
+
+    def stack():
+        z = scale * rng.standard_normal((b, n, width))
+        if zero_rows:
+            pick = rng.random((b, n))
+            z[pick < 0.1] = 0.0
+            z[pick > 0.9] = rng.uniform(-1e-14, 1e-14, (np.count_nonzero(pick > 0.9), width))
+        return dc.param(z)
+
+    z_d = stack() if rng.random() < 0.7 else None
+    return stack(), z_d, cdgin.ContrastiveConfig(delta=int(rng.integers(1, n)))
+
+
+def classify_case(rng):
+    """(per-layer (B, N_w, C) features, params): 1-3 layers and 1-3 folds."""
+    folds, layers = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+    b, n_w, c = folds * int(rng.integers(1, 4)), int(rng.integers(1, 9)), int(rng.integers(1, 17))
+    h_a = [dc.param(rng.standard_normal((b, n_w, c))) for _ in range(layers)]
+    return h_a, fh.ClassifierParams(*mlp_params(rng, folds, layers * c, 2 * c, 1))
+
+
+def bce_case(rng, saturated=False):
+    """(probabilities, labels) of 1-6 subjects; exact 0s and 1s if ``saturated``."""
+    b = int(rng.integers(1, 7))
+    p = rng.uniform(0.05, 0.95, b)
+    if saturated:
+        p[rng.random(b) < 0.4] = rng.integers(0, 2)
+    return dc.param(p), rng.integers(0, 2, b).astype(float)
+
+
+def assemble_case(rng):
+    """(hidden, starts, window size, W_M, M): 1-3 folds of 1-3 sequences of
+    T 4-20, D 1-8, M 1-8 and windows at a random size and stride."""
+    folds, t = int(rng.integers(1, 4)), int(rng.integers(4, 21))
+    d, m = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+    size = int(rng.integers(1, t + 1))
+    starts = list(range(0, t - size + 1, int(rng.integers(1, 6))))
+    hidden = dc.param(rng.standard_normal((folds * int(rng.integers(1, 4)), t, d)))
+    lead = (folds,) if folds > 1 else ()
+    return hidden, starts, size, dc.param(rng.standard_normal((*lead, d, m + d))), m
+
+
+HEAD_OPS = {  # fused op, its composite, a case and the case's leaves
+    "assemble_node_features": (te.assemble_node_features, oracle.assemble_node_features,
+                               assemble_case, lambda c: named(c[0], c[3])),
+    "project": (cdgin.project, oracle.project, project_case, lambda c: named(*c)),
+    "contrastive_loss": (cdgin.contrastive_loss, oracle.contrastive_loss, contrastive_case,
+                         lambda c: named(c[0], c[1])),
+    "classify": (fh.classify, oracle.classify, classify_case,
+                 lambda c: named(*c[0], c[1].w1, c[1].b1, c[1].w2, c[1].b2)),
+    "bce": (fh.bce, oracle.bce, lambda rng: bce_case(rng, saturated=True),
+            lambda c: named(c[0])),
+}
+
+
+class TestHeadOps:
+    """The node features and the loss head, one fused op each."""
+
+    @pytest.mark.parametrize("op", list(HEAD_OPS))
+    def test_matches_oracle(self, op):
+        fused, composite, make_case, leaves = HEAD_OPS[op]
+        rng = np.random.default_rng(sorted(HEAD_OPS).index(op))
+        for case in range(60):
+            args = make_case(rng)
+            assert_matches_oracle(lambda: [fused(*args)], lambda: [composite(*args)],
+                                  leaves(args), case)
+
+    @pytest.mark.parametrize("op", list(HEAD_OPS))
+    def test_finite_differences(self, op):
+        fused, _, make_case, leaves = HEAD_OPS[op]
+        rng = np.random.default_rng(40 + sorted(HEAD_OPS).index(op))
+        # finite differences need smooth cases: no floors, no tiny projections
+        cases = {"contrastive_loss": lambda rng: contrastive_case(rng, scale=1.0),
+                 "bce": bce_case}
+        for _ in range(4):
+            args = cases.get(op, make_case)(rng)
+            assert_finite_differences(lambda: fused(*args), leaves(args))
+
+    def test_rows_under_the_norm_floor_match_the_oracle(self):
+        """A row under COSINE_NORM_FLOOR has its norm taken as the floor, and
+        no gradient through it. Its cosine gradient is then the sum over
+        the other rows divided by the floor, so roundoff in that sum reaches
+        1e12 times its size, in the oracle and the fused op alike: gradients
+        are compared to 1e-9 of the largest in each tensor."""
+        rng = np.random.default_rng(35)
+        for case in range(60):
+            args = contrastive_case(rng, zero_rows=True)
+            leaves = named(args[0], args[1])
+            values, grads = values_and_grads(lambda: [cdgin.contrastive_loss(*args)],
+                                             leaves, case)
+            expect, expect_grads = values_and_grads(
+                lambda: [oracle.contrastive_loss(*args)], leaves, case)
+            assert np.array_equal(values[0], expect[0]), case
+            for name, g in grads.items():
+                ge = expect_grads[name]
+                assert np.all(np.abs(g - ge) <= 1e-9 * max(np.abs(ge).max(), 1.0)), (case, name)
+
+    def test_a_step_is_one_op_each(self, op_names):
+        rng = np.random.default_rng(29)
+        for op, (fused, _, make_case, _) in HEAD_OPS.items():
+            op_names.clear()
+            fused(*make_case(rng))
+            assert op_names == [op]
+
+    def test_saturated_classifier_gives_the_floored_bce_and_no_gradient(self):
+        """Logits of +800 and -800 make probabilities of exactly 1 and 0.
+        Against the wrong labels, each BCE is -log(LOG_FLOOR), about 27.6,
+        and its gradient is 0; against the right labels, each is 0 and its
+        gradient is -(2y - 1) / a, with the log's argument a = 1. Either way
+        the saturated sigmoid passes no gradient to the classifier."""
+        h_a = dc.param(np.array([1.0, -1.0]).reshape(2, 1, 1))
+        p = fh.ClassifierParams(dc.param([[100.0]]), dc.param([0.0]),  # tanh(+-100) = +-1
+                                dc.param([[800.0]]), dc.param([0.0]))
+        leaves = (h_a, p.w1, p.b1, p.w2, p.b2)
+        floored = -np.log(dc.LOG_FLOOR)
+        assert floored == pytest.approx(27.631, abs=1e-3)
+        for labels, loss, g_p in (([0, 1], floored, [0.0, 0.0]), ([1, 0], 0.0, [-1.0, 1.0])):
+            y_hat = fh.classify([h_a], p)
+            assert y_hat.data.tolist() == [1.0, 0.0]
+            out = fh.bce(y_hat, labels)
+            assert out.data.tolist() == [loss, loss]
+            assert [g for _, g in out._backward(np.ones(2))][0].tolist() == g_p
+            for t in leaves:
+                t.grad = None
+            dc.backward(dc.sum_all(fh.bce(fh.classify([h_a], p), labels)))
+            assert all(np.all(t.grad == 0.0) for t in leaves)
+
+    def test_zero_projection_rows_hit_the_norm_floor(self):
+        """A zero row's norm is COSINE_NORM_FLOOR, so its cosine with every
+        row is 0. All-zero projections of two streams at delta = 1 give each
+        anchor ln(1 + 2) = ln 3, as the hand-computed case does, and no
+        gradient; one zero row among unit rows gives the hand-computed mean
+        (3 ln(1 + 2e) + ln 3 - 2) / 4 and a finite gradient."""
+        cfg = cdgin.ContrastiveConfig(delta=1)
+        zeros = [dc.param(np.zeros((1, 2, 3))) for _ in range(2)]
+        loss = cdgin.contrastive_loss(*zeros, cfg)
+        assert float(loss.data[0]) == pytest.approx(np.log(3.0), abs=1e-12)
+        dc.backward(dc.sum_all(loss))
+        assert all(np.all(z.grad == 0.0) for z in zeros)
+        e1 = [1.0, 0.0, 0.0]
+        z_r, z_d = dc.param([[e1, [0.0] * 3]]), dc.param([[e1, e1]])
+        loss = cdgin.contrastive_loss(z_r, z_d, cfg)
+        expect = (3.0 * np.log(1.0 + 2.0 * np.e) + np.log(3.0) - 2.0) / 4.0
+        assert float(loss.data[0]) == pytest.approx(expect, abs=1e-12)
+        dc.backward(dc.sum_all(loss))
+        assert np.all(np.isfinite(z_r.grad)) and np.all(np.isfinite(z_d.grad))
+
+
 def gated_case(rng):
     h, _ = cbam_case(rng)
     b, n_w, c = h.data.shape
@@ -350,6 +528,7 @@ FUSED_OPS = {
     "temporal_attention": lambda rng: fh.temporal_attention(*cbam_case(rng)),
     "apply_attention": gated_case,
     "lstm": lstm_case,
+    **{op: lambda rng, op=op: HEAD_OPS[op][0](*HEAD_OPS[op][2](rng)) for op in HEAD_OPS},
 }
 
 
@@ -375,8 +554,8 @@ def test_adjoint_leaves_its_forward_intact(op):
 
 
 class TestNonFiniteIntermediates:
-    """Each fused op checks the arrays it feeds into tanh, softmax or the
-    sigmoid, which could map an infinity to a finite value."""
+    """Each fused op checks the arrays it feeds into tanh, softmax, the
+    sigmoid, exp or log, which could map an infinity to a finite value."""
 
     def test_gin_mlp_pre_activation(self):
         h, a, p = gin_case(np.random.default_rng(18))
@@ -418,6 +597,42 @@ class TestNonFiniteIntermediates:
         assert info.value.shape == h.data.shape[:2]
         assert info.value.index[0] == h.data.shape[0] - 1
 
+    def test_projection_pre_activation(self):
+        h, w1, b1, w2, b2 = project_case(np.random.default_rng(30))
+        h.data[-1] = 1e300  # only the last row overflows
+        w1.data[...] = 1e10
+        with pytest.raises(NumericsError, match="pre-activation in op 'project'") as info:
+            cdgin.project(h, w1, b1, w2, b2)
+        assert info.value.shape[0] == h.data.shape[0] and info.value.index[0] == len(h) - 1
+
+    def test_classifier_pre_activation_and_sigmoid_argument(self):
+        h_a, p = classify_case(np.random.default_rng(31))
+        b = h_a[0].data.shape[0]
+        h_a[-1].data[-1] = 1e300  # only the last subject's pooled features overflow
+        p.w1.data[...] = 1e10
+        with pytest.raises(NumericsError, match="pre-activation in op 'classify'") as info:
+            fh.classify(h_a, p)
+        assert info.value.index[0] == b - 1
+        h_a, p = classify_case(np.random.default_rng(31))
+        p.b2.data[...] = np.inf  # tanh bounds the hidden units; the logits' own check
+        with pytest.raises(NumericsError, match="sigmoid argument in op 'classify'") as info:
+            fh.classify(h_a, p)
+        assert info.value.shape == (b,)
+
+    def test_contrastive_cosine(self):
+        z_r, _, cfg = contrastive_case(np.random.default_rng(32), scale=1.0)
+        b = z_r.data.shape[0]
+        z_r.data[-1, 0] = 1e200  # its square overflows, and its cosines are inf / inf
+        with pytest.raises(NumericsError, match="cosine in op 'contrastive_loss'") as info:
+            cdgin.contrastive_loss(z_r, None, cfg)
+        assert info.value.shape[0] == b and info.value.index[0] == b - 1
+
+    def test_bce_log_argument(self):
+        y_hat = dc.const([0.5, np.nan, 0.5])  # a constant escapes _make's check
+        with pytest.raises(NumericsError, match="log argument in op 'bce'") as info:
+            fh.bce(y_hat, [1.0, 0.0, 1.0])
+        assert info.value.index == (1,)
+
     def test_shape_errors(self):
         h, a, p = gin_case(np.random.default_rng(22))
         d = h.data.shape[1]
@@ -431,6 +646,16 @@ class TestNonFiniteIntermediates:
             fh.temporal_attention(hf, cp)
         with pytest.raises(ShapeError):
             fh.channel_attention(dc.param(np.ones((1, 2, hf.data.shape[2] + 1))), cp)
+        h, w1, b1, w2, b2 = project_case(np.random.default_rng(33))
+        with pytest.raises(ShapeError):  # a bias one wider than its weight
+            cdgin.project(h, w1, b1, w2, dc.param(np.ones(w2.data.shape[-2] + 1)))
+        with pytest.raises(ShapeError):
+            cdgin.project(dc.param(np.ones((2, 3, h.data.shape[1]))), w1, b1, w2, b2)
+        h_a, p = classify_case(np.random.default_rng(34))
+        with pytest.raises(ShapeError):  # layers of other shapes
+            fh.classify(h_a + [dc.param(np.ones((1, 1, 1)))], p)
+        with pytest.raises(ShapeError):
+            fh.bce(dc.param([0.5, 0.5]), [1.0])
 
 
 class TestOraclePrimitives:
@@ -443,9 +668,9 @@ class TestOraclePrimitives:
     def test_softmax(self):
         a = rmat(self.rng, 6)
         w = rmat(self.rng, 6)
-        check_op(lambda: dc.sum_all(dc.mul(oracle.softmax(a), w)), [a, w])
+        check_op(lambda: dc.sum_all(oracle.mul(oracle.softmax(a), w)), [a, w])
         rows, wr = rmat(self.rng, 3, 5), rmat(self.rng, 3, 5)
-        check_op(lambda: dc.sum_all(dc.mul(oracle.softmax(rows), wr)), [rows, wr])
+        check_op(lambda: dc.sum_all(oracle.mul(oracle.softmax(rows), wr)), [rows, wr])
         np.testing.assert_allclose(oracle.softmax(rows).data.sum(axis=1), 1.0, atol=1e-15)
         for shape in ((), (2, 3, 4)):
             with pytest.raises(ShapeError):
@@ -454,12 +679,12 @@ class TestOraclePrimitives:
     def test_max_pool(self):
         b = dc.param(self.rng.permutation(20).astype(float).reshape(4, 5))
         for axis in (0, 1):
-            check_op(lambda ax=axis: dc.sum_all(dc.mul(
+            check_op(lambda ax=axis: dc.sum_all(oracle.mul(
                 oracle.max_pool(b, ax), oracle.max_pool(b, ax))), [b])
         e = dc.param(self.rng.permutation(24).astype(float).reshape(2, 3, 4))
         for axis in (0, 1, 2):
             np.testing.assert_array_equal(oracle.max_pool(e, axis).data, e.data.max(axis=axis))
-            check_op(lambda ax=axis: dc.sum_all(dc.mul(
+            check_op(lambda ax=axis: dc.sum_all(oracle.mul(
                 oracle.max_pool(e, ax), oracle.max_pool(e, ax))), [e])
         with pytest.raises(ShapeError):
             oracle.max_pool(e, 3)
@@ -467,15 +692,158 @@ class TestOraclePrimitives:
     def test_conv1d_same(self):
         x = rmat(self.rng, 2, 9)
         k = rmat(self.rng, 2, 5)
-        check_op(lambda: dc.sum_all(dc.mul(oracle.conv1d_same(x, k),
-                                           oracle.conv1d_same(x, k))), [x, k])
+        check_op(lambda: dc.sum_all(oracle.mul(oracle.conv1d_same(x, k),
+                                               oracle.conv1d_same(x, k))), [x, k])
         batch = rmat(self.rng, 3, 2, 9)  # a leading batch axis: one output row per entry
         out = oracle.conv1d_same(batch, k)
         for row, xb in zip(out.data, batch.data):
             np.testing.assert_allclose(row, oracle.conv1d_same(dc.const(xb), k).data,
                                        rtol=0, atol=1e-14)
-        check_op(lambda: dc.sum_all(dc.mul(oracle.conv1d_same(batch, k),
-                                           oracle.conv1d_same(batch, k))), [batch, k])
+        check_op(lambda: dc.sum_all(oracle.mul(oracle.conv1d_same(batch, k),
+                                               oracle.conv1d_same(batch, k))), [batch, k])
+
+    def test_sub_neg(self):
+        a, b = rmat(self.rng, 3, 4), rmat(self.rng, 3, 4)
+        check_op(lambda: dc.sum_all(oracle.mul(oracle.sub(a, b), oracle.neg(b))), [a, b])
+
+    def test_div(self):
+        a = rmat(self.rng, 3, 4)
+        b = dc.param(self.rng.uniform(0.5, 2.0, (3, 4)))
+        check_op(lambda: dc.sum_all(oracle.div(a, b)), [a, b])
+
+    def test_bmm(self):
+        a, b = rmat(self.rng, 3, 2, 4), rmat(self.rng, 3, 4, 5)
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.bmm(a, b))), [a, b])
+        for sa, sb in (((2, 4), (4, 5)),  # not stacks
+                       ((3, 2, 4), (2, 4, 5)),  # batch sizes differ
+                       ((3, 2, 4), (3, 5, 4))):  # inner sizes differ
+            with pytest.raises(ShapeError):
+                oracle.bmm(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
+
+    def test_mul_broadcast(self):
+        a, row = rmat(self.rng, 2, 3, 4), rmat(self.rng, 3, 4)
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.mul(a, row))), [a, row])  # trailing axes
+        col, cell = rmat(self.rng, 2, 3, 1), rmat(self.rng, 2, 1, 4)
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.mul(oracle.mul(a, col), cell))), [a, col, cell])
+        for sa, sb in (((4,), (4, 1)), ((3, 4), (4, 3)), ((2, 3, 4), (3,))):
+            with pytest.raises(ShapeError):
+                oracle.mul(dc.const(np.zeros(sa)), dc.const(np.zeros(sb)))
+
+    def test_transpose_reshape(self):
+        a = rmat(self.rng, 3, 4)
+        check_op(lambda: dc.sum_all(oracle.tanh(dc.reshape(oracle.transpose(a), (2, 6)))), [a])
+        stack = rmat(self.rng, 2, 3, 4)  # each matrix of a stack
+        np.testing.assert_array_equal(oracle.transpose(stack).data[1], stack.data[1].T)
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.bmm(oracle.transpose(stack), stack))), [stack])
+        with pytest.raises(ShapeError):
+            oracle.transpose(rmat(self.rng, 3))
+
+    def test_sigmoid_tanh_exp_sqrt(self):
+        a = dc.param(self.rng.uniform(0.2, 1.5, (3, 4)))
+        check_op(lambda: dc.sum_all(oracle.sigmoid(a)), [a])
+        check_op(lambda: dc.sum_all(oracle.tanh(a)), [a])
+        check_op(lambda: dc.sum_all(oracle.exp(a)), [a])
+        check_op(lambda: dc.sum_all(oracle.sqrt(a)), [a])
+
+    def test_log(self):
+        a = dc.param(self.rng.uniform(0.3, 2.0, (3, 4)))
+        check_op(lambda: dc.sum_all(oracle.log(a)), [a])
+
+    def test_log_floor_zero_grad(self):
+        a = dc.param(np.array([0.0, 1e-15, 0.5]))
+        loss = dc.sum_all(oracle.log(a))
+        dc.backward(loss)
+        assert a.grad[0] == 0.0 and a.grad[1] == 0.0
+        assert a.grad[2] == pytest.approx(2.0)
+
+    def test_clip_min(self):
+        a = dc.param(np.array([-1.0, 0.5, 2.0]))
+        check_op(lambda: dc.sum_all(oracle.mul(oracle.clip_min(a, 0.0), oracle.clip_min(a, 0.0))), [a])
+
+    def test_pools(self):
+        a = rmat(self.rng, 4, 5)
+        for axis in (0, 1):
+            check_op(lambda ax=axis: dc.sum_all(oracle.tanh(
+                dc.reshape(oracle.mean_pool(a, ax), (-1,)))), [a])
+        c = rmat(self.rng, 2, 3, 4)
+        for axis in (0, 1, 2):
+            check_op(lambda ax=axis: dc.sum_all(oracle.tanh(oracle.mean_pool(c, ax))), [c])
+        with pytest.raises(ShapeError):
+            oracle.mean_pool(c, 3)
+
+    def test_mean_pool_adjoint_equals_broadcast_form(self):
+        # the adjoint fills an empty array with one broadcast assignment;
+        # it must equal the broadcast view of g / n it replaced, bit for bit
+        for shape in ((7,), (4, 5), (2, 3, 4), (3, 1, 2, 5)):
+            a = rmat(self.rng, *shape)
+            for axis in range(len(shape)):
+                out = oracle.mean_pool(a, axis)
+                g = self.rng.standard_normal(out.data.shape)
+                ((_, got),) = out._backward(g)
+                expect = np.broadcast_to(np.expand_dims(g / shape[axis], axis), shape)
+                assert got.shape == shape and np.array_equal(got, expect), (shape, axis)
+
+    def test_take_rows(self):
+        m = rmat(self.rng, 3, 4)
+        np.testing.assert_array_equal(oracle.take_rows(m, [2, 0]).data, m.data[[2, 0]])
+        # a repeated row accumulates both gradients
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.take_rows(m, [1, 2, 1]))), [m])
+        with pytest.raises(ShapeError):
+            oracle.take_rows(rmat(self.rng, 4), [0])  # rows of a matrix only
+        with pytest.raises(ShapeError):
+            oracle.take_rows(m, [3])  # past the last row
+
+
+class TestOracleFoldStacks:
+    """``linear`` and ``take_rows`` with parameters on a leading fold axis."""
+
+    rng = np.random.default_rng(40)
+
+    @pytest.mark.parametrize("folds", [1, 3])
+    @pytest.mark.parametrize("bias", [True, False])
+    def test_linear_matches_finite_differences(self, folds, bias):
+        lead = (folds,) if folds > 1 else ()
+        x, w = rmat(self.rng, 2 * folds, 4), rmat(self.rng, *lead, 3, 4)
+        b = rmat(self.rng, *lead, 3) if bias else None
+        assert oracle.linear(x, w, b).data.shape == (2 * folds, 3)
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.linear(x, w, b))),
+                 [x, w] + ([b] if bias else []))
+
+    def test_linear_with_a_weight_stack_is_each_folds_own_linear(self):
+        x, w, b = rmat(self.rng, 6, 4), rmat(self.rng, 3, 5, 4), rmat(self.rng, 3, 5)
+        g = self.rng.standard_normal((6, 5))
+        out = oracle.linear(x, w, b)
+        grads = {id(t): grad for t, grad in out._backward(g)}
+        for f in range(3):
+            rows = slice(2 * f, 2 * f + 2)
+            xf, wf, bf = (dc.param(a) for a in (x.data[rows], w.data[f], b.data[f]))
+            one = oracle.linear(xf, wf, bf)
+            np.testing.assert_array_equal(out.data[rows], one.data)
+            np.testing.assert_array_equal(out.data[rows], x.data[rows] @ w.data[f].T + b.data[f])
+            for t, grad in one._backward(g[rows]):
+                whole = {id(xf): grads[id(x)][rows], id(wf): grads[id(w)][f],
+                         id(bf): grads[id(b)][f]}[id(t)]
+                np.testing.assert_array_equal(whole, grad)
+
+    @pytest.mark.parametrize("sx, sw, sb", [
+        ((5, 4), (3, 2, 4), None),  # rows do not split into the folds
+        ((6, 4), (3, 2, 4), (3, 3)),  # weight and bias widths disagree
+        ((6, 4), (2, 4), (3,)),  # the same at one fold
+        ((6, 4), (3, 2, 4), (2,)),  # a stacked weight with a lone bias
+        ((6, 4), (2, 5), None),  # inner sizes differ
+        ((2, 3, 4), (2, 4), None),  # x must be a matrix
+        ((6, 4), (4,), None)])  # and w a matrix or a stack of them
+    def test_linear_shape_errors(self, sx, sw, sb):
+        with pytest.raises(ShapeError):
+            oracle.linear(dc.const(np.zeros(sx)), dc.const(np.zeros(sw)),
+                          None if sb is None else dc.const(np.zeros(sb)))
+
+    def test_take_rows_of_a_stack(self):
+        m = rmat(self.rng, 2, 5, 3)
+        np.testing.assert_array_equal(oracle.take_rows(m, [4, 0]).data, m.data[:, [4, 0]])
+        check_op(lambda: dc.sum_all(oracle.tanh(oracle.take_rows(m, [1, 3, 1]))), [m])
+        with pytest.raises(ShapeError):
+            oracle.take_rows(m, [5])
 
 
 @settings(max_examples=60, deadline=None)

@@ -12,7 +12,9 @@ from cdgl import train_eval as tv
 from cdgl.data_io import RoiTimeSeries, zscore_columns
 from cdgl.errors import NumericsError, ShapeError, WindowBudgetError
 
-from composite_layers import conv1d_same, matmul, max_pool, scale, softmax
+from composite_layers import (
+    clip_min, conv1d_same, div, exp, log, matmul, max_pool, mean_pool, mul, neg, scale,
+    sigmoid, softmax, sqrt, sub, take_rows, tanh, transpose)
 
 
 def toy_subject(rng, m=4, t=24, label=1, sid="s0"):
@@ -455,7 +457,7 @@ def test_op_counts_at_readme_shape(op_names):
     out = model.forward_batch(store, dims, preps)
     n_forward = len(op_names)
     cdgin.contrastive_loss(out.projections["r"], out.projections["d"], cfg.contrastive())
-    assert (n_forward, len(op_names) - n_forward) == (50, 19)
+    assert (n_forward, len(op_names) - n_forward) == (29, 1)
 
 
 def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
@@ -466,7 +468,7 @@ def test_batch_of_four_builds_the_graph_of_a_batch_of_one(op_names):
         model.batch_loss_parts(store, dims, batch, cfg.contrastive())
         sequences.append(list(op_names))
     assert sequences[0] == sequences[1]
-    assert len(sequences[0]) == 50 + 19 + 6  # forward, contrastive, bce and total
+    assert len(sequences[0]) == 29 + 1 + 3  # forward, contrastive, bce and total
 
 
 def test_four_fold_lockstep_step_builds_the_graph_of_one_fold(op_names):
@@ -483,7 +485,7 @@ def test_four_fold_lockstep_step_builds_the_graph_of_one_fold(op_names):
         sequences.append(list(op_names))
     assert sequences[0] == sequences[1]
     # forward, contrastive, bce and total, then the step's sum and mean
-    assert len(sequences[0]) == 50 + 19 + 6 + 2
+    assert len(sequences[0]) == 29 + 1 + 3 + 2
     assert sequences[0][-2:] == ["sum", "mul_scalar"]
 
 
@@ -514,25 +516,25 @@ def per_subject_fusion(h_f, p):
     """Oracle: CBAM fusion of one subject's (N_w, C) features, one subject
     at a time; (attended features, channel factors (C,), temporal factors (N_w,))."""
     def mlp(v):
-        hidden = dc.tanh(dc.add(matvec(p.chan_w1, v), p.chan_b1))
+        hidden = tanh(dc.add(matvec(p.chan_w1, v), p.chan_b1))
         return dc.add(matvec(p.chan_w2, hidden), p.chan_b2)
 
     n_w, c = h_f.data.shape
-    cf = dc.sigmoid(dc.add(mlp(max_pool(h_f, axis=0)), mlp(dc.mean_pool(h_f, axis=0))))
+    cf = sigmoid(dc.add(mlp(max_pool(h_f, axis=0)), mlp(mean_pool(h_f, axis=0))))
     traces = dc.concat([dc.reshape(max_pool(h_f, axis=1), (1, n_w)),
-                        dc.reshape(dc.mean_pool(h_f, axis=1), (1, n_w))], axis=0)
-    tf = dc.sigmoid(conv1d_same(traces, p.temporal_kernel))
+                        dc.reshape(mean_pool(h_f, axis=1), (1, n_w))], axis=0)
+    tf = sigmoid(conv1d_same(traces, p.temporal_kernel))
     chan_grid = matmul(dc.const(np.ones((n_w, 1))), dc.reshape(cf, (1, c)))
     temp_grid = matmul(dc.reshape(tf, (n_w, 1)), dc.const(np.ones((1, c))))
-    return dc.mul(dc.mul(h_f, chan_grid), temp_grid), cf, tf
+    return mul(mul(h_f, chan_grid), temp_grid), cf, tf
 
 
 def per_subject_classify(h_a_layers, p):
     """Oracle: one subject's classifier over its per-layer (N_w, C) features."""
-    pooled = [dc.mean_pool(h_a, axis=0) for h_a in h_a_layers]
+    pooled = [mean_pool(h_a, axis=0) for h_a in h_a_layers]
     feat = pooled[0] if len(pooled) == 1 else dc.concat(pooled, axis=0)
-    hidden = dc.tanh(dc.add(matvec(p.w1, feat), p.b1))
-    return dc.sigmoid(dc.reshape(dc.add(matvec(p.w2, hidden), p.b2), ()))
+    hidden = tanh(dc.add(matvec(p.w1, feat), p.b1))
+    return sigmoid(dc.reshape(dc.add(matvec(p.w2, hidden), p.b2), ()))
 
 
 def per_window_forward(store, dims, prep):
@@ -547,10 +549,10 @@ def per_window_forward(store, dims, prep):
     hidden = dc.reshape(hidden, hidden.data.shape[1:])  # the B = 1 batch's (T, D)
     eye = dc.const(np.eye(m))
     ones = dc.const(np.ones((m, 1)))
-    w_m_t = dc.transpose(store["encoder.w_m"])
+    w_m_t = transpose(store["encoder.w_m"])
     blocks = []
     for tau in te.window_endpoints(prep.starts, prep.window_size, hidden.data.shape[0]):
-        stacked = dc.concat([eye, matmul(ones, dc.take_rows(hidden, [tau]))], axis=1)
+        stacked = dc.concat([eye, matmul(ones, take_rows(hidden, [tau]))], axis=1)
         blocks.append(matmul(stacked, w_m_t))
 
     def stack(vectors):
@@ -565,13 +567,13 @@ def per_window_forward(store, dims, prep):
                 p = model.gin_params(store, layer, s)
                 mixed = dc.add(scale(h, p.eps),
                                matmul(dc.const(prep.adjacency[s][t]), h))
-                hidden1 = dc.tanh(dc.add(matmul(matmul(mixed, p.w), p.mlp_w1),
-                                         p.mlp_b1))
+                hidden1 = tanh(dc.add(matmul(matmul(mixed, p.w), p.mlp_w1),
+                                      p.mlp_b1))
                 h = dc.add(matmul(hidden1, p.mlp_w2), p.mlp_b2)
-                q = matvec(p.w_q, dc.mean_pool(h, axis=0))
-                keys = matmul(h, dc.transpose(p.w_k))
+                q = matvec(p.w_q, mean_pool(h, axis=0))
+                keys = matmul(h, transpose(p.w_k))
                 attn = softmax(dc.mul_scalar(matvec(keys, q), 1.0 / np.sqrt(d)))
-                readouts[s][layer].append(matvec(dc.transpose(h), attn))
+                readouts[s][layer].append(matvec(transpose(h), attn))
                 weights[s][layer].append(attn)
 
     h_a_layers, channel, temporal = [], [], []
@@ -587,7 +589,7 @@ def per_window_forward(store, dims, prep):
     y_hat = per_subject_classify(h_a_layers, model.classifier_params(store))
 
     def project(vec):
-        hid = dc.tanh(dc.add(matvec(store["project.w1"], vec), store["project.b1"]))
+        hid = tanh(dc.add(matvec(store["project.w1"], vec), store["project.b1"]))
         return dc.add(matvec(store["project.w2"], hid), store["project.b2"])
 
     projections = {s: stack([project(v) for v in readouts[s][-1]]) for s in dims.streams}
@@ -618,7 +620,7 @@ def test_matches_per_window_oracle():
             y_hat, proj, channel, temporal, attn = forward(store, dims, p)
             loss = y_hat
             for s in streams:  # a scalar that every projection entry feeds
-                loss = dc.add(loss, dc.sum_all(dc.mul(proj[s], weights[s])))
+                loss = dc.add(loss, dc.sum_all(mul(proj[s], weights[s])))
             dc.backward(loss)
             values = [y_hat, *channel, *temporal]
             values += [proj[s] for s in streams] + [a for s in streams for a in attn[s]]
@@ -724,6 +726,52 @@ def test_numerics_error_names_the_subject_of_an_overflowing_channel_mlp(monkeypa
     assert "MLP pre-activation in op 'channel_attention'" in message
 
 
+def test_numerics_error_in_the_head_names_that_subject(monkeypatch):
+    """A non-finite classifier pre-activation, cosine or log argument in a
+    batch names the subject whose features, projections or probability
+    hold it."""
+    rng = np.random.default_rng(21)
+    dims = small_dims()
+    store = model.init_params(dims, seed=1)
+    preps = [prep(toy_subject(rng, sid=f"s{i}")) for i in range(3)]
+    ccfg = cdgin.ContrastiveConfig()
+
+    def expect_error(subject, what):
+        with pytest.raises(NumericsError) as info:
+            model.batch_loss_parts(store, dims, preps, ccfg)
+        message = str(info.value)
+        assert f"subject '{subject}'" in message and what in message
+        assert all(f"'s{i}'" not in message for i in range(3) if f"s{i}" != subject)
+        monkeypatch.undo()
+
+    apply_attention = fh.apply_attention
+
+    def huge_features(h_f, channel, temporal):  # subject s2's attended features
+        out = apply_attention(h_f, channel, temporal).data.copy()
+        out[2] = 1e300
+        return dc.const(out)
+
+    monkeypatch.setattr(fh, "apply_attention", huge_features)
+    monkeypatch.setattr(store["classifier.w1"], "data", 1e10 * store["classifier.w1"].data)
+    expect_error("s2", "MLP pre-activation in op 'classify'")
+
+    forward_batch = model.forward_batch
+
+    def planted(projection, probability):
+        def forward(*args):
+            out = forward_batch(*args)
+            z, y = out.projections["d"].data.copy(), out.y_hat.data.copy()
+            z[1, 2], y[2] = projection, probability
+            out.projections["d"], out.y_hat = dc.const(z), dc.const(y)
+            return out
+        monkeypatch.setattr(model, "forward_batch", forward)
+
+    planted(1e200, 0.5)  # window 2 of s1: its square overflows
+    expect_error("s1", "cosine in op 'contrastive_loss'")
+    planted(0.5, np.nan)
+    expect_error("s2", "log argument in op 'bce'")
+
+
 def test_batch_rejects_subjects_with_other_windows():
     rng = np.random.default_rng(17)
     dims = small_dims()
@@ -740,13 +788,13 @@ def per_subject_contrastive(z_r, z_d, cfg):
     k, width = z.data.shape
     negative, weights = cdgin._pair_weights(z_r.data.shape[0], k // z_r.data.shape[0],
                                             cfg.delta)
-    sq = matmul(dc.mul(z, z), dc.const(np.ones((width, 1))))
-    norms = dc.sqrt(dc.clip_min(sq, cdgin.COSINE_NORM_FLOOR ** 2))
-    cos = dc.div(matmul(z, dc.transpose(z)), matmul(norms, dc.transpose(norms)))
-    e = dc.exp(cos)
-    base = matmul(dc.mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
-    per_pair = dc.sub(dc.log(dc.add(base, e)), cos)
-    return dc.sum_all(dc.mul(per_pair, dc.const(weights)))
+    sq = matmul(mul(z, z), dc.const(np.ones((width, 1))))
+    norms = sqrt(clip_min(sq, cdgin.COSINE_NORM_FLOOR ** 2))
+    cos = div(matmul(z, transpose(z)), matmul(norms, transpose(norms)))
+    e = exp(cos)
+    base = matmul(mul(e, dc.const(negative)), dc.const(np.ones((k, 1))))
+    per_pair = sub(log(dc.add(base, e)), cos)
+    return dc.sum_all(mul(per_pair, dc.const(weights)))
 
 
 def per_subject_forward(store, dims, prep):
@@ -785,9 +833,9 @@ def per_subject_total(store, dims, prep, ccfg):
     """Oracle: one subject's bce + alpha * contrastive loss."""
     y_hat, proj, *_ = per_subject_forward(store, dims, prep)
     if prep.label == 1:
-        total = dc.neg(dc.log(y_hat))
+        total = neg(log(y_hat))
     else:
-        total = dc.neg(dc.log(dc.sub(dc.const(1.0), y_hat)))
+        total = neg(log(sub(dc.const(1.0), y_hat)))
     if ccfg.alpha > 0.0:
         z = [proj[s] for s in dims.streams]
         info = per_subject_contrastive(z[0], z[1] if len(z) == 2 else None, ccfg)

@@ -7,6 +7,8 @@ from cdgl import diffcore as dc
 from cdgl import temporal_encoder as te
 from cdgl.errors import ShapeError
 
+from composite_layers import tanh
+
 
 def make_params(rng, m, d, scale=0.4):
     w_x = dc.param(scale * rng.standard_normal((m, 4 * d)))
@@ -147,7 +149,7 @@ class TestAssembleNodeFeatures:
         hidden = dc.param(self.rng.standard_normal((1, 9, d)))
         w_m = dc.param(self.rng.standard_normal((d, m + d)))
         feats = te.assemble_node_features(hidden, [0, 3], 4, w_m, m)
-        loss = dc.sum_all(dc.tanh(feats))
+        loss = dc.sum_all(tanh(feats))
         dc.backward(loss)
         assert w_m.grad is not None and np.any(w_m.grad != 0)
         # only the two window endpoints (timepoints 3 and 6) feed the features
@@ -163,6 +165,6 @@ class TestAssembleNodeFeatures:
             single = te.assemble_node_features(dc.const(hidden.data[b:b + 1]), starts, ws,
                                                w_m, m)
             np.testing.assert_array_equal(block, single.data)
-        dc.backward(dc.sum_all(dc.tanh(feats)))
+        dc.backward(dc.sum_all(tanh(feats)))
         for b in range(2):  # each subject's endpoints 5, 10 and 15, and no other row
             assert set(np.flatnonzero(np.abs(hidden.grad[b]).sum(axis=1))) == {5, 10, 15}
