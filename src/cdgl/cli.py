@@ -16,6 +16,7 @@ import argparse
 import ctypes
 import dataclasses
 import json
+import math
 import os
 import re
 import sys
@@ -258,6 +259,10 @@ def _gradcheck_defaults() -> tv.TrainConfig:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.coords < 1:
+        raise ConfigError(f"--coords must be >= 1, got {args.coords}")
+    if not 0.0 < args.tolerance < math.inf:  # false for nan
+        raise ConfigError(f"--tolerance must be a finite positive number, got {args.tolerance}")
     cfg, _ = resolve_config(args.config, args.set, base=_gradcheck_defaults())
     rng = np.random.default_rng(cfg.seed)
     signals = rng.standard_normal((GRADCHECK_TIMEPOINTS, GRADCHECK_ROIS))

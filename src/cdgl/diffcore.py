@@ -4,20 +4,21 @@ Everything trainable in the model lives in a :class:`ParamStore` of named
 :class:`Tensor` objects. The store keeps all parameter values in one
 contiguous float64 buffer and all gradients in another, each tensor's
 ``data`` and ``grad`` being a view into them; the Adam moments are two more
-such buffers. So zeroing the gradients is one fill and an Adam step is a few
-whole-array operations. Forward passes build a fresh op graph each time;
-:func:`backward` walks it once in reverse topological order, holding each
-node's pending gradient in a slot of the node, accumulates gradients into
-the leaves and releases each adjoint once it has run, so a graph can be
-walked only once. The primitives are only those the model joins its fused
-ops with: ``add``, ``mul_scalar``, ``reshape``, ``sum_all`` and
-``concat``. Every op has a hand-written adjoint that is finite-difference
-tested; adjoints compute contributions only for operands that carry
-gradients, so constant operands (adjacencies, masks) cost nothing on the
-way back. The LSTM here and every other step of the model, in
-``temporal_encoder``, ``cdgin`` and ``fusion_head``, are fused ops: one
-graph node each, with an adjoint for the whole step, because at this
-library's shapes the time goes to per-op overhead rather than to
+such buffers. So zeroing the gradients is one fill and an Adam step is a
+few whole-array operations. A store lays its buffers out once, when it is
+built, and a checkpoint loads into them in place (:func:`load_into`).
+Forward passes build a fresh op graph each time; :func:`backward` walks it
+once in reverse topological order, holding each node's pending gradient in
+a slot of the node, accumulates gradients into the leaves and releases each
+adjoint once it has run, so a graph can be walked only once. The primitives
+are only those the model joins its fused ops with: ``add``, ``mul_scalar``,
+``reshape``, ``sum_all`` and ``concat``. Every op has a hand-written
+adjoint that is finite-difference tested; adjoints compute contributions
+only for operands that carry gradients, so constant operands (adjacencies,
+masks) cost nothing on the way back. The LSTM here and every other step of
+the model, in ``temporal_encoder``, ``cdgin`` and ``fusion_head``, are
+fused ops: one graph node each, with an adjoint for the whole step, because
+at this library's shapes the time goes to per-op overhead rather than to
 arithmetic. ``tests/composite_layers.py`` keeps the smaller primitives the
 fused ops replaced, and builds each fused op from them as its oracle.
 
@@ -550,110 +551,85 @@ def backward(loss: Tensor) -> None:
 class ParamStore:
     """Named parameter tensors in one flat arena; iteration is always sorted by name.
 
-    Parameter values and gradients each live in one contiguous float64
-    buffer, laid out in sorted-name order, and every tensor's ``data`` and
-    ``grad`` is a view into it. So :meth:`zero_grad` is one fill and
-    :func:`adam_step` works on whole buffers. The buffers are laid out
-    afresh on the first use of the store after an :meth:`add` or a
-    :func:`load_into`, so building or loading a store costs one copy. Write
-    into a tensor's arrays (``t.data[...] = x``); assigning it a new array
-    detaches it from the arena, which :func:`adam_step` rejects.
+    ``ParamStore(arrays)`` copies a name -> array mapping into one
+    contiguous float64 value buffer, in sorted-name order, beside a zeroed
+    gradient buffer of the same layout, and makes every tensor's ``data``
+    and ``grad`` a view into them. So :meth:`zero_grad` is one fill and
+    :func:`adam_step` works on whole buffers. The layout is fixed when the
+    store is built; :func:`load_into` writes a checkpoint's values into the
+    buffers in place. Write into a tensor's arrays (``t.data[...] = x``);
+    assigning it a new array detaches it from the arena, which
+    :func:`adam_step` rejects.
 
     A store may hold F models of one shape, one per fold (:meth:`stack`).
     Its buffers are then fold-major, F rows of one model's buffer each
     (:meth:`rows`), and every tensor has a leading fold axis, (F, *shape).
     :meth:`folds` gives a contiguous range of the folds as a store that
     shares the buffers. A range of one fold has tensors of the plain
-    shapes, so it runs wherever a one-model store does, and its checkpoint
-    is that fold's row. :meth:`no_grad` gives the store's parameters over
-    the same buffers as tensors that carry no gradient, for forwards that
-    build no graph.
+    shapes, so it runs wherever a one-model store does: its checkpoint is
+    that fold's row, and a checkpoint loaded into it is written into that
+    row. :meth:`no_grad` gives the store's parameters over the same buffers
+    as tensors that carry no gradient, for forwards that build no graph.
+    Every such view shares the buffers for as long as it lives, so a view
+    taken before a load sees the loaded values.
     """
 
-    def __init__(self):
-        self._params: dict[str, Tensor] = {}
-        self._names: list[str] = []
-        self._data = np.zeros(0)
-        self._grad = np.zeros(0)
-        self._views: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = []
-        self._laid_out = True
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        names = sorted(arrays)
+        values = [np.asarray(arrays[n], dtype=np.float64) for n in names]
+        data = np.concatenate([v.reshape(-1) for v in values] or [np.zeros(0)])
+        self._point(names, [v.shape for v in values], data, np.zeros(data.size), 1)
+
+    def _point(self, names: list[str], shapes: list[tuple], data: np.ndarray,
+               grad: np.ndarray | None, folds: int) -> None:
+        """Take ``data`` and ``grad`` as the buffers, ``folds`` rows of one model
+        each, and make every tensor's arrays views into them; ``shapes`` are
+        the per-fold shapes in sorted-name order. Without ``grad`` the
+        tensors carry no gradient."""
+        self.n_folds, self._names, self._shapes = folds, names, shapes
+        self._data, self._grad = data, grad
         self._zeroed = False
-        self.n_folds = 1
-        self._shared = False  # the buffers belong to the store this one ranges over
         self._ranges: dict[tuple[int, int], ParamStore] = {}
         self._no_grad: ParamStore | None = None
-
-    def add(self, name: str, data) -> Tensor:
-        if self.n_folds != 1 or self._shared:
-            raise StateError("parameters are added to a one-model store that owns its buffers")
-        if name in self._params:
-            raise StateError(f"duplicate parameter name {name!r}")
-        t = param(data)
-        self._params[name] = t
-        self._laid_out = False
-        return t
-
-    def _layout(self) -> None:
-        """Unless laid out already, copy every tensor's data and grad into fresh
-        buffers in sorted-name order and point the tensors at them."""
-        if self._laid_out:
-            return
-        self._names = sorted(self._params)
-        tensors = [self._params[n] for n in self._names]
-        data = np.concatenate([t.data.reshape(-1) for t in tensors] or [np.zeros(0)])
-        grad = np.zeros_like(data)
-        lo = 0
-        for t in tensors:
-            if t.grad is not None:
-                grad[lo:lo + t.data.size] = t.grad.reshape(-1)
-            lo += t.data.size
-        self._point(data, grad, [t.data.shape for t in tensors])
-        self._laid_out = True
-        self._no_grad = None  # its tensors point into the old buffers
-
-    def _point(self, data: np.ndarray, grad: np.ndarray, shapes: list[tuple]) -> None:
-        """Take ``data`` and ``grad`` as the buffers, F rows of one model each,
-        and make every tensor's arrays views into them; ``shapes`` are the
-        per-fold shapes in sorted-name order."""
-        folds = self.n_folds
-        rows_d, rows_g = data.reshape(folds, -1), grad.reshape(folds, -1)
+        self._params: dict[str, Tensor] = {}
+        self._views: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = []
+        rows_d = data.reshape(folds, -1)
+        rows_g = None if grad is None else grad.reshape(folds, -1)
         lead = () if folds == 1 else (folds,)
-        self._views = []
         lo = 0
-        for name, shape in zip(self._names, shapes):
-            t = self._params[name]
+        for name, shape in zip(names, shapes):
             hi = lo + math.prod(shape)
-            t.data = rows_d[:, lo:hi].reshape(lead + tuple(shape))
-            t.grad = rows_g[:, lo:hi].reshape(lead + tuple(shape))
-            self._views.append((name, t, t.data, t.grad))
+            t = Tensor(rows_d[:, lo:hi].reshape(lead + shape), requires_grad=grad is not None)
+            if grad is not None:
+                t.grad = rows_g[:, lo:hi].reshape(lead + shape)
+                self._views.append((name, t, t.data, t.grad))
+            self._params[name] = t
             lo = hi
-        self._data, self._grad = data, grad
+
+    @classmethod
+    def _over(cls, names, shapes, data, grad, folds) -> ParamStore:
+        """A store over existing buffers, as :meth:`_point` takes them."""
+        store = cls.__new__(cls)
+        store._point(names, shapes, data, grad, folds)
+        return store
 
     @classmethod
     def stack(cls, stores: list[ParamStore]) -> ParamStore:
         """One store of F = len(stores) folds holding these one-model stores'
         values in order; a single store is returned as it is."""
         first = stores[0]
-        names = first.names()
-        shapes = [first[n].data.shape for n in names]
         for other in stores:
-            if other.n_folds != 1 or other.names() != names \
-                    or [other[n].data.shape for n in names] != shapes:
+            if other.n_folds != 1 or other._names != first._names \
+                    or other._shapes != first._shapes:
                 raise StateError("stacked stores must each hold one model of the same "
                                  "names and shapes")
         if len(stores) == 1:
             return first
-        out = cls()
-        out.n_folds = len(stores)
-        out._names = names
-        out._params = {n: Tensor(np.zeros(0), requires_grad=True) for n in names}
         data = np.concatenate([s._data for s in stores])
-        out._point(data, np.zeros_like(data), shapes)
-        return out
+        return cls._over(first._names, first._shapes, data, np.zeros(data.size), len(stores))
 
     def folds(self, lo: int, hi: int) -> ParamStore:
         """Folds lo, ..., hi - 1 as a store of hi - lo folds over the same buffers."""
-        self._layout()
         if not 0 <= lo < hi <= self.n_folds:
             raise StateError(f"fold range [{lo}, {hi}) of a store of {self.n_folds}")
         if (lo, hi) == (0, self.n_folds):
@@ -661,11 +637,9 @@ class ParamStore:
         view = self._ranges.get((lo, hi))
         if view is None:
             width = self._data.size // self.n_folds
-            view = ParamStore()
-            view.n_folds, view._shared, view._names = hi - lo, True, self._names
-            view._params = {n: Tensor(np.zeros(0), requires_grad=True) for n in self._names}
-            view._point(self._data[lo * width:hi * width], self._grad[lo * width:hi * width],
-                        [self._params[n].data.shape[1:] for n in self._names])
+            rows = slice(lo * width, hi * width)
+            grad = None if self._grad is None else self._grad[rows]
+            view = self._over(self._names, self._shapes, self._data[rows], grad, hi - lo)
             self._ranges[(lo, hi)] = view
         return view
 
@@ -680,32 +654,18 @@ class ParamStore:
         An op on them alone keeps no parents and no adjoint (:func:`_make`),
         so a forward on this view builds no graph, and each intermediate is
         freed once its consumer has returned; its values are those of a
-        forward on the store. The view is cached until the store is laid
-        out afresh. It holds no gradient buffer, so :func:`adam_step`
-        rejects it.
+        forward on the store. The view is built once per store. It holds no
+        gradient buffer, so :func:`adam_step` rejects it.
         """
-        self._layout()
         if self._no_grad is None:
-            view = ParamStore()
-            view.n_folds, view._shared, view._names = self.n_folds, True, self._names
-            view._params = {n: Tensor(self._params[n].data) for n in self._names}
-            view._data = self._data
-            self._no_grad = view
+            self._no_grad = self._over(self._names, self._shapes, self._data, None, self.n_folds)
         return self._no_grad
 
     def rows(self) -> tuple[np.ndarray, np.ndarray]:
         """(F, P) views of the value and gradient buffers: row f is fold f's model."""
-        self._layout()
         return self._data.reshape(self.n_folds, -1), self._grad.reshape(self.n_folds, -1)
 
-    def _adopt(self, arrays: dict[str, np.ndarray]) -> None:
-        """Take ``arrays`` as the tensors' values; the next use lays them out in the arena."""
-        for name, t in self._params.items():
-            t.data = arrays[name]
-        self._laid_out = False
-
     def __getitem__(self, name: str) -> Tensor:
-        self._layout()
         return self._params[name]
 
     def __contains__(self, name: str) -> bool:
@@ -715,15 +675,12 @@ class ParamStore:
         return len(self._params)
 
     def names(self) -> list[str]:
-        self._layout()
         return list(self._names)
 
     def items(self):
-        self._layout()
         return [(n, self._params[n]) for n in self._names]
 
     def zero_grad(self) -> None:
-        self._layout()
         self._grad.fill(0.0)
         self._zeroed = True
 
@@ -774,7 +731,8 @@ def adam_step(store: ParamStore, state: AdamState, active=None) -> None:
     zeroed and are all exactly zero has seen no backward pass, and is
     rejected.
     """
-    store._layout()
+    if store._grad is None:
+        raise StateError("a no_grad view holds no gradients to step")
     for name, t, data, grad in store._views:
         if t.data is not data or t.grad is not grad:
             raise StateError(f"parameter {name!r} was given a new array, outside the "
@@ -980,25 +938,31 @@ def load_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     return header, out
 
 
+def check_tensors(path: str, values: dict[str, np.ndarray],
+                  shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise a ParseError naming the file at ``path`` and the first tensor, in
+    name order, that ``values`` lacks, holds in excess or holds in another
+    shape than ``shapes`` gives it."""
+    for name in sorted(shapes.keys() | values.keys()):
+        stored = values[name].shape if name in values else "absent"
+        want = shapes.get(name, "absent")
+        if stored != want:
+            raise ParseError(f"{path}: tensor {name!r} is {stored} in the file but "
+                             f"{want} in the model")
+
+
 def load_into(store: ParamStore, path: str) -> None:
-    """Give every parameter of ``store`` its value from the checkpoint at ``path``.
+    """Write every parameter's value from the checkpoint at ``path`` into
+    ``store``'s buffers, in place.
 
     The header is not read: ``train_eval.load_model`` builds a model from
-    it. Names and shapes are checked before anything is written, so on an
-    error the store keeps its values.
+    it. Names and shapes are checked (:func:`check_tensors`) before
+    anything is written, so on an error the store keeps its values. A fold
+    of a stacked store loads its own row.
     """
-    if store.n_folds != 1 or store._shared:
-        raise StateError("a checkpoint loads into a one-model store that owns its buffers")
+    if store.n_folds != 1:
+        raise StateError(f"a checkpoint holds one model, the store {store.n_folds} folds")
     _, values = load_params(path)
-    names = sorted(store._params)
-    missing = set(names) - set(values)
-    extra = set(values) - set(names)
-    if missing or extra:
-        raise ParseError(f"{path}: parameter names do not match model "
-                         f"(missing={sorted(missing)}, extra={sorted(extra)})")
-    for name in names:
-        shape = store._params[name].data.shape
-        if values[name].shape != shape:
-            raise ShapeError(f"{path}: shape mismatch for {name!r}: "
-                             f"{values[name].shape} vs {shape}")
-    store._adopt(values)
+    check_tensors(path, values, dict(zip(store._names, store._shapes)))
+    for name, t in store.items():
+        t.data[...] = values[name]

@@ -105,11 +105,9 @@ def param_specs(dims: ModelDims) -> list[tuple[str, tuple[int, ...], tuple[int, 
 def init_params(dims: ModelDims, seed: int) -> dc.ParamStore:
     """Glorot-initialized store; epsilons exactly zero, biases zero."""
     rng = np.random.default_rng(seed)
-    store = dc.ParamStore()
-    for name, shape, fans in param_specs(dims):
-        store.add(name, np.zeros(shape) if fans is None
-                  else dc.glorot_uniform(rng, shape, *fans))
-    return store
+    return dc.ParamStore({name: np.zeros(shape) if fans is None
+                          else dc.glorot_uniform(rng, shape, *fans)
+                          for name, shape, fans in param_specs(dims)})
 
 
 def gin_params(store: dc.ParamStore, layer: int, stream: str) -> cdgin.GinLayerParams:

@@ -56,6 +56,8 @@ class SynthSpec:
             raise SpecError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.amp_factor <= 0 or self.amp_tilt <= 0:
             raise SpecError("amp_factor and amp_tilt must be positive")
+        if self.seed < 0:
+            raise SpecError(f"seed must be >= 0, got {self.seed}")
 
 
 def _blocks(m: int) -> tuple[np.ndarray, np.ndarray]:

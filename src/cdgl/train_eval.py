@@ -128,8 +128,8 @@ class TrainConfig:
                 f"distance_kind must be one of {dfc.DISTANCE_KINDS}, got {self.distance_kind!r}")
         if self.streams not in STREAM_CHOICES:
             raise ConfigError(f"streams must be one of {STREAM_CHOICES}, got {self.streams!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
+            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         if not isinstance(self.normalize_fc, bool):
             raise ConfigError(f"normalize_fc must be true or false, got {self.normalize_fc!r}")
 
@@ -460,16 +460,8 @@ def load_model(path: str) -> tuple[dc.ParamStore, model.ModelDims, TrainConfig]:
     if want != header:
         raise ParseError(f"{path}: checkpoint header {header} disagrees with the "
                          f"config and dims it resolves to, {want}")
-    shapes = {name: shape for name, shape, _ in model.param_specs(dims)}
-    for name in sorted(shapes.keys() | values.keys()):
-        stored = values[name].shape if name in values else "absent"
-        if stored != shapes.get(name, "absent"):
-            raise ParseError(f"{path}: tensor {name!r} is {stored} in the file but "
-                             f"{shapes.get(name, 'absent')} under the header's dims")
-    store = dc.ParamStore()
-    for name, value in values.items():
-        store.add(name, value)
-    return store, dims, cfg
+    dc.check_tensors(path, values, {name: shape for name, shape, _ in model.param_specs(dims)})
+    return dc.ParamStore(values), dims, cfg
 
 
 def auc_mann_whitney(scores, labels) -> float | None:

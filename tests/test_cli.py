@@ -240,6 +240,21 @@ class TestExitCodes:
         assert code == 2
         assert "lr must be a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["train", "cv", "gradcheck"])
+    def test_negative_seed_exit_2(self, dataset, tmp_path, capsys, command):
+        paths = [] if command == "gradcheck" else ["--data", dataset,
+                                                   "--out", str(tmp_path / "r")]
+        assert run([command, "--set", "seed=-1"] + paths) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "r").exists()
+
+    def test_negative_synth_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["synth", "--kind", "correlation", "--subjects", "4",
+                    "--seed", "-1", "--out", str(out)]) == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("noise", ["nan", "inf"])
     def test_non_finite_synth_noise_exit_2(self, tmp_path, noise):
         out = tmp_path / "x"
@@ -328,9 +343,7 @@ class TestExitCodes:
         header, values = dc.load_params(os.path.join(run_dir, "checkpoint.ckpt"))
         ckpt = str(tmp_path / "planted.ckpt")
         for bad in (np.nan, np.inf, -np.inf):
-            store = dc.ParamStore()
-            for name, value in values.items():
-                store.add(name, value)
+            store = dc.ParamStore(values)
             store["classifier.b2"].data[0] = bad
             dc.save_params(ckpt, store, header)
             capsys.readouterr()
@@ -366,11 +379,8 @@ class TestExitCodes:
         assert run(["train", "--data", dataset, "--out", run_dir] + TINY) == 0
         header, values = dc.load_params(os.path.join(run_dir, "checkpoint.ckpt"))
         header["train_config"]["epochs"] = 0
-        store = dc.ParamStore()
-        for name, value in values.items():
-            store.add(name, value)
         ckpt = str(tmp_path / "edited.ckpt")
-        dc.save_params(ckpt, store, header)
+        dc.save_params(ckpt, dc.ParamStore(values), header)
         capsys.readouterr()
         code = run(["attn-export", "--checkpoint", ckpt, "--data", dataset,
                     "--out", str(tmp_path / "a")])
@@ -615,6 +625,19 @@ class TestGradcheckCommand:
     def test_fails_at_absurd_tolerance(self):
         assert run(["gradcheck", "--set", "seed=1", "--coords", "8",
                     "--tolerance", "1e-18"]) == 4
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--coords", "0"], "--coords must be >= 1, got 0"),
+        (["--coords", "-5"], "--coords must be >= 1, got -5"),
+        (["--tolerance", "nan"], "--tolerance must be a finite positive number, got nan"),
+        (["--tolerance", "inf"], "--tolerance must be a finite positive number, got inf"),
+        (["--tolerance", "0"], "--tolerance must be a finite positive number, got 0.0"),
+        (["--tolerance", "-0.5"], "--tolerance must be a finite positive number, got -0.5"),
+    ])
+    def test_meaningless_inputs_exit_2(self, capsys, flags, message):
+        assert run(["gradcheck"] + flags) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "gradcheck:" not in captured.out
 
     def test_seed_comes_from_the_config(self, capsys):
         # the line that the removed --seed 1 flag printed

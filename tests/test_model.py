@@ -278,7 +278,7 @@ class TestForward:
         x = (eps I + A) H W, adds 4 U and fails.
         """
         x, cfg, preps, dims, store = long_scan_case()
-        graph_free = store.no_grad()  # lays the store out before anything is traced
+        graph_free = store.no_grad()  # built before anything is traced
 
         def held(params):
             cdgin.release_buffers()  # node buffers made before the trace would go uncounted

@@ -463,10 +463,7 @@ class TestLoadModel:
         """Save the checkpoint at ``path`` again with ``edit`` applied to its header."""
         header, values = dc.load_params(path)
         edit(header)
-        store = dc.ParamStore()
-        for name, value in values.items():
-            store.add(name, value)
-        dc.save_params(path, store, header)
+        dc.save_params(path, dc.ParamStore(values), header)
 
     def test_scores_bit_identical_to_the_trained_model(self, trained):
         subs, cfg, result, path = trained
@@ -497,10 +494,10 @@ class TestLoadModel:
         (lambda h: h["dims"].update(d=5), "disagrees"),
         (lambda h: h["dims"].update(streams=["r", "d"]), "disagrees"),
         (lambda h: h["dims"].update(n_windows_ref=2),
-         "'fusion.layer0.temporal.kernel' is (2, 5) in the file but (2, 1) under"),
+         "'fusion.layer0.temporal.kernel' is (2, 5) in the file but (2, 1) in the model"),
         (lambda h: h["dims"].update(m=7), "'encoder.lstm.w_x' is (6, 24) in the file"),
         (lambda h: (h["train_config"].update(layers=2), h["dims"].update(layers=2)),
-         "'cdgin.layer1.d.eps' is absent in the file but () under"),
+         "'cdgin.layer1.d.eps' is absent in the file but () in the model"),
     ])
     def test_bad_header_is_a_parse_error(self, trained, edit, message):
         path = trained[3]
@@ -512,13 +509,35 @@ class TestLoadModel:
     def test_non_finite_value_blamed_on_the_tensor(self, trained):
         path = trained[3]
         header, values = dc.load_params(path)
-        store = dc.ParamStore()
-        for name, value in values.items():
-            store.add(name, value)
+        store = dc.ParamStore(values)
         store["classifier.b1"].data[1] = np.inf
         dc.save_params(path, store, header)
         with pytest.raises(ParseError, match=r"non-finite value in 'classifier\.b1'"):
             tv.load_model(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda v: v.pop("classifier.b2"), "'classifier.b2' is absent in the file but (1,)"),
+        (lambda v: v.update({"extra.w": np.zeros(2)}), "'extra.w' is (2,) in the file but absent"),
+        (lambda v: v.update({"classifier.w2": v["classifier.w2"].T}),
+         "'classifier.w2' is (12, 1) in the file but (1, 12)"),
+    ])
+    def test_malformed_tensors_same_error_from_both_loaders(self, trained, edit, message):
+        """``load_model`` and ``load_into`` share one check of a checkpoint's
+        tensors: a tensor missing, one too many or one of another shape is
+        the same ParseError from both, and ``load_into`` writes nothing."""
+        _, _, result, path = trained
+        header, values = dc.load_params(path)
+        edit(values)
+        dc.save_params(path, dc.ParamStore(values), header)
+        with pytest.raises(ParseError) as from_model:
+            tv.load_model(path)
+        store = model.init_params(result.dims, 0)
+        before = store.rows()[0].copy()
+        with pytest.raises(ParseError) as from_store:
+            dc.load_into(store, path)
+        assert str(from_model.value) == str(from_store.value)
+        assert str(from_model.value) == f"{path}: tensor {message} in the model"
+        np.testing.assert_array_equal(store.rows()[0], before)
 
 
 def toy_cohort(rng, n=8, m=6, t=30, separation=3.0):
