@@ -40,6 +40,7 @@ reliable below that precision.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -553,13 +554,13 @@ class ParamStore:
 
     ``ParamStore(arrays)`` copies a name -> array mapping into one
     contiguous float64 value buffer, in sorted-name order, beside a zeroed
-    gradient buffer of the same layout, and makes every tensor's ``data``
-    and ``grad`` a view into them. So :meth:`zero_grad` is one fill and
-    :func:`adam_step` works on whole buffers. The layout is fixed when the
-    store is built; :func:`load_into` writes a checkpoint's values into the
-    buffers in place. Write into a tensor's arrays (``t.data[...] = x``);
-    assigning it a new array detaches it from the arena, which
-    :func:`adam_step` rejects.
+    gradient buffer of the same layout; every tensor's ``data`` and
+    ``grad`` is a view into them, made on the first use of the tensors. So
+    :meth:`zero_grad` is one fill and :func:`adam_step` works on whole
+    buffers. The layout is fixed when the store is built; :func:`load_into`
+    writes a checkpoint's values into the buffers in place. Write into a
+    tensor's arrays (``t.data[...] = x``); assigning it a new array
+    detaches it from the arena, which :func:`adam_step` rejects.
 
     A store may hold F models of one shape, one per fold (:meth:`stack`).
     Its buffers are then fold-major, F rows of one model's buffer each
@@ -577,34 +578,42 @@ class ParamStore:
     def __init__(self, arrays: dict[str, np.ndarray]):
         names = sorted(arrays)
         values = [np.asarray(arrays[n], dtype=np.float64) for n in names]
-        data = np.concatenate([v.reshape(-1) for v in values] or [np.zeros(0)])
+        data = np.concatenate(values or [np.zeros(0)], axis=None)
         self._point(names, [v.shape for v in values], data, np.zeros(data.size), 1)
 
     def _point(self, names: list[str], shapes: list[tuple], data: np.ndarray,
                grad: np.ndarray | None, folds: int) -> None:
         """Take ``data`` and ``grad`` as the buffers, ``folds`` rows of one model
-        each, and make every tensor's arrays views into them; ``shapes`` are
-        the per-fold shapes in sorted-name order. Without ``grad`` the
-        tensors carry no gradient."""
+        each; ``shapes`` are the per-fold shapes in sorted-name order. Without
+        ``grad`` the tensors carry no gradient."""
         self.n_folds, self._names, self._shapes = folds, names, shapes
         self._data, self._grad = data, grad
         self._zeroed = False
         self._ranges: dict[tuple[int, int], ParamStore] = {}
         self._no_grad: ParamStore | None = None
-        self._params: dict[str, Tensor] = {}
-        self._views: list[tuple[str, Tensor, np.ndarray, np.ndarray]] = []
-        rows_d = data.reshape(folds, -1)
-        rows_g = None if grad is None else grad.reshape(folds, -1)
-        lead = () if folds == 1 else (folds,)
-        lo = 0
-        for name, shape in zip(names, shapes):
+
+    @functools.cached_property
+    def _views(self) -> list[tuple[str, Tensor, np.ndarray, np.ndarray | None]]:
+        """(name, tensor, its data, its grad) in name order, the arrays views
+        into the buffers. Made on first use: a store that is only stacked,
+        loaded into or viewed never needs its own tensors."""
+        # one model's tensors slice the flat buffers, F folds' the (F, P) rows
+        lead = () if self.n_folds == 1 else (self.n_folds,)
+        rows_d = self._data.reshape(lead + (-1,))
+        rows_g = None if self._grad is None else self._grad.reshape(lead + (-1,))
+        views, lo = [], 0
+        for name, shape in zip(self._names, self._shapes):
             hi = lo + math.prod(shape)
-            t = Tensor(rows_d[:, lo:hi].reshape(lead + shape), requires_grad=grad is not None)
-            if grad is not None:
-                t.grad = rows_g[:, lo:hi].reshape(lead + shape)
-                self._views.append((name, t, t.data, t.grad))
-            self._params[name] = t
+            t = Tensor(rows_d[..., lo:hi].reshape(lead + shape), requires_grad=rows_g is not None)
+            if rows_g is not None:
+                t.grad = rows_g[..., lo:hi].reshape(lead + shape)
+            views.append((name, t, t.data, t.grad))
             lo = hi
+        return views
+
+    @functools.cached_property
+    def _params(self) -> dict[str, Tensor]:
+        return {name: t for name, t, _, _ in self._views}
 
     @classmethod
     def _over(cls, names, shapes, data, grad, folds) -> ParamStore:
@@ -655,7 +664,7 @@ class ParamStore:
         so a forward on this view builds no graph, and each intermediate is
         freed once its consumer has returned; its values are those of a
         forward on the store. The view is built once per store. It holds no
-        gradient buffer, so :func:`adam_step` rejects it.
+        gradient buffer, so :func:`adam_step` and :func:`load_into` reject it.
         """
         if self._no_grad is None:
             self._no_grad = self._over(self._names, self._shapes, self._data, None, self.n_folds)
@@ -672,13 +681,13 @@ class ParamStore:
         return name in self._params
 
     def __len__(self) -> int:
-        return len(self._params)
+        return len(self._names)
 
     def names(self) -> list[str]:
         return list(self._names)
 
     def items(self):
-        return [(n, self._params[n]) for n in self._names]
+        return [(name, t) for name, t, _, _ in self._views]
 
     def zero_grad(self) -> None:
         self._grad.fill(0.0)
@@ -883,8 +892,9 @@ def save_params(path: str, store: ParamStore, header: dict | None = None) -> Non
 def load_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
     """The header and the tensors of the checkpoint at ``path``.
 
-    Anything malformed, from the magic to a non-finite value, is a
-    ParseError naming the file.
+    Each tensor is a read-only view of the bytes read for it. Anything
+    malformed, from the magic to a non-finite value, is a ParseError naming
+    the file.
     """
     with open(path, "rb") as f:
         magic = f.read(len(CHECKPOINT_MAGIC))
@@ -923,8 +933,7 @@ def load_params(path: str) -> tuple[dict, dict[str, np.ndarray]]:
                 if nbytes > left:
                     raise ParseError(f"{path}: truncated checkpoint ({name!r} "
                                      f"needs {nbytes} bytes, {left} left)")
-                buf = f.read(nbytes)
-                out[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+                out[name] = np.frombuffer(f.read(nbytes), dtype="<f8").reshape(shape)
         except (struct.error, UnicodeDecodeError) as err:
             raise ParseError(f"{path}: truncated or corrupt checkpoint ({err})") from None
     # one check over all values; the per-tensor search runs only on a failure
@@ -943,6 +952,8 @@ def check_tensors(path: str, values: dict[str, np.ndarray],
     """Raise a ParseError naming the file at ``path`` and the first tensor, in
     name order, that ``values`` lacks, holds in excess or holds in another
     shape than ``shapes`` gives it."""
+    if {name: v.shape for name, v in values.items()} == shapes:
+        return
     for name in sorted(shapes.keys() | values.keys()):
         stored = values[name].shape if name in values else "absent"
         want = shapes.get(name, "absent")
@@ -957,12 +968,17 @@ def load_into(store: ParamStore, path: str) -> None:
 
     The header is not read: ``train_eval.load_model`` builds a model from
     it. Names and shapes are checked (:func:`check_tensors`) before
-    anything is written, so on an error the store keeps its values. A fold
-    of a stacked store loads its own row.
+    anything is written, so on an error the store keeps its values. The
+    values go into the value buffer itself, not through the tensors'
+    arrays, so a tensor given a new array does not take them. A fold of a
+    stacked store loads its own row; a :meth:`ParamStore.no_grad` view is
+    refused, as it is by :func:`adam_step`.
     """
+    if store._grad is None:
+        raise StateError("a no_grad view takes no checkpoint: load into its store")
     if store.n_folds != 1:
         raise StateError(f"a checkpoint holds one model, the store {store.n_folds} folds")
     _, values = load_params(path)
     check_tensors(path, values, dict(zip(store._names, store._shapes)))
-    for name, t in store.items():
-        t.data[...] = values[name]
+    np.concatenate([values[n].reshape(-1) for n in store._names] or [np.zeros(0)],
+                   out=store._data)

@@ -765,10 +765,16 @@ class TestNoGradView:
         one = stacked.fold(1).no_grad()
         assert one.n_folds == 1 and np.shares_memory(one["w"].data, stacked["w"].data[1])
 
-    def test_takes_no_adam_step(self):
-        view = stores(1)[0].no_grad()
+    def test_takes_no_adam_step_and_no_parameters(self, tmp_path):
+        store = stores(1)[0]
+        view = store.no_grad()
         with pytest.raises(StateError, match="no gradients"):
             dc.adam_step(view, dc.AdamState(lr=0.1))
+        before = store._data.copy()
+        dc.save_params(str(tmp_path / "m.ckpt"), stores(2, seed=1)[1])
+        with pytest.raises(StateError, match="no_grad view"):
+            dc.load_into(view, str(tmp_path / "m.ckpt"))
+        np.testing.assert_array_equal(store._data, before)
 
 
 class TestCheckpoint:
@@ -923,6 +929,20 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match=r"'cdgin\.layer0\.r\.mlp\.w1' is \(4, 8\) "
                                              r"in the file but \(8, 4\)"):
             dc.load_into(other, path)
+
+    def test_detached_tensor_leaves_the_arena_loaded(self, tmp_path):
+        store = self.make_store()
+        path = str(tmp_path / "model.ckpt")
+        dc.save_params(path, store)
+        other = self.make_store(seed=1)
+        other["eps"].data = np.zeros(2)
+        dc.load_into(other, path)
+        np.testing.assert_array_equal(other._data, store._data)
+        for name, t in other.no_grad().items():
+            np.testing.assert_array_equal(t.data, store[name].data)
+        np.testing.assert_array_equal(other["eps"].data, np.zeros(2))
+        with pytest.raises(StateError, match="'eps' was given a new array"):
+            dc.adam_step(other, dc.AdamState(lr=0.1))
 
 
 @settings(max_examples=40, deadline=None)
