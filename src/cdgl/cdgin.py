@@ -34,10 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import diffcore as dc
+from . import dynamic_fc as dfc
 from .errors import ConfigError, ShapeError, WindowBudgetError
 
 COSINE_NORM_FLOOR = 1e-12
-ADJACENCY_BLOCK_ENTRIES = 1 << 16  # adjacency entries per block of a neighbour product
 NODE_BUFFER_BYTES = 32 << 20  # most that a thread's node-buffer pool keeps
 
 
@@ -114,7 +114,7 @@ def release_buffers() -> None:
 def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A_t X_t for every window t: (N_w, M, M) @ (N_w, M, D) -> float64 (N_w, M, D).
 
-    The windows go in blocks of at most ADJACENCY_BLOCK_ENTRIES adjacency
+    The windows go in blocks of at most dynamic_fc.BLOCK_ENTRIES adjacency
     entries, 512 KiB as float64, which fits a core's L2 cache. So a bool
     stack is cast to float64 one block at a time, never whole, and a
     float64 stack takes the same path with a no-op cast. Every window's
@@ -122,7 +122,7 @@ def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """
     m = a.shape[1]
     out = _BUFFERS.take(x.shape)
-    step = max(1, ADJACENCY_BLOCK_ENTRIES // (m * m))
+    step = max(1, dfc.BLOCK_ENTRIES // (m * m))
     for lo in range(0, a.shape[0], step):
         blk = slice(lo, lo + step)
         np.matmul(a[blk], x[blk], out=out[blk], dtype=np.float64)

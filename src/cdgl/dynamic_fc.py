@@ -31,6 +31,14 @@ adjacency stack is bool, an eighth of float64's bytes, and every matrix in
 it is symmetric with a zero diagonal and exactly 2k true entries: the GIN
 layers (:func:`cdgl.cdgin.gin_node_update`) rely on the symmetry.
 
+A stream is built in blocks of whole windows (:func:`stream_graphs`), each
+of at most BLOCK_ENTRIES matrix entries (512 KiB as float64, which fits a
+core's L2 cache): runs of whole subjects while a subject's windows fit,
+else ranges of one subject's windows. Each block's similarities and
+adjacencies are written into one float64 and one bool output stack, so
+the kernels' temporaries are a block's, never the stack's, and the outputs
+are bit-identical to an unblocked call's.
+
 Every finiteness check takes one sum; a non-finite sum starts the search
 for the first non-finite entry.
 """
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +57,7 @@ from .errors import NumericsError, ShapeError
 EDGE_FRACTION = 0.3
 PEARSON_STD_FLOOR = 1e-12
 MANHATTAN_PAIRS = 256  # ROI pairs per chunk of the Manhattan difference
+BLOCK_ENTRIES = 1 << 16  # matrix entries per block of windows, 512 KiB as float64
 
 DISTANCE_KINDS = ("manhattan", "euclidean", "mahalanobis")
 
@@ -139,8 +149,12 @@ def _set_diagonal(x: np.ndarray, value: float) -> None:
 
 
 def pearson_matrix(windows: np.ndarray) -> np.ndarray:
-    """Pairwise Pearson correlation of each window's ROI columns; flat columns
-    get zero rows. (..., WS, M) -> (..., M, M)."""
+    """Pairwise Pearson correlation of each window's ROI columns.
+    (..., WS, M) -> (..., M, M).
+
+    A flat column (standard deviation below PEARSON_STD_FLOOR) correlates 0
+    with every other column and keeps 1.0 on the diagonal: with the third of
+    four ROIs flat, that row is [0, 0, 1, 0]."""
     x = _as_windows(windows, "pearson_matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
         z = x - x.mean(axis=-2, keepdims=True)
@@ -285,6 +299,33 @@ def binarize_topk(s: np.ndarray) -> np.ndarray:
     return np.take(flags, source, axis=-1).reshape(s.shape)
 
 
+def _window_blocks(lead: tuple[int, ...], entries: int) -> Iterator[tuple]:
+    """Indexes that cut a stack of ``lead`` leading shape, with ``entries``
+    per matrix, into blocks of whole windows in order, each of at most
+    BLOCK_ENTRIES entries (or one window, if that is larger): runs along
+    the first axis when one of its items fits, else one item at a time,
+    blocked within. Every index is of ints and slices, so it takes a view."""
+    if not lead:
+        yield ()
+        return
+    item = math.prod(lead[1:]) * entries
+    if item <= BLOCK_ENTRIES or len(lead) == 1:
+        step = max(1, BLOCK_ENTRIES // item)
+        for lo in range(0, lead[0], step):
+            yield (slice(lo, lo + step),)
+    else:
+        for i in range(lead[0]):
+            for rest in _window_blocks(lead[1:], entries):
+                yield (i,) + rest
+
+
+def _in_stack(err: NumericsError, block: tuple, lead: tuple[int, ...]) -> NumericsError:
+    """``err`` of one block, with its index and shape in the whole stack."""
+    local = iter(err.index)
+    index = tuple(b if isinstance(b, int) else b.start + next(local) for b in block)
+    return NumericsError(str(err), index + tuple(local), lead + err.shape[-2:])
+
+
 def _stream_error(err: NumericsError, stream: str) -> NumericsError:
     window = f", window {err.index[-3]}" if err.shape is not None and len(err.shape) >= 3 else ""
     return NumericsError(f"stream {stream!r}{window}: {err}", err.index, err.shape)
@@ -296,15 +337,31 @@ def stream_graphs(windows: np.ndarray, stream: str,
     window stack: Pearson correlation for ``"r"``, negative ``kind``
     distance for ``"d"``, and its top-k binarization.
 
+    Both are built in blocks of whole windows (:func:`_window_blocks`) and
+    written into one float64 and one bool stack, so the kernels'
+    temporaries are a block's, not the stack's. The window view is only
+    indexed, never reshaped, which would copy the overlapping windows.
+
     A non-finite matrix raises :class:`NumericsError` naming the stream and
     the first window holding it; with more leading axes than the windows',
-    the error's index locates it in them.
+    the error's index locates it in them. Blocks are built and checked in
+    order, so the error is the first failing block's, with its index and
+    shape in the whole stack.
     """
-    try:
-        s = pearson_matrix(windows) if stream == "r" else distance_matrix(windows, kind)
-    except NumericsError as err:
-        raise _stream_error(err, stream) from err
-    return s, binarize_topk(s)
+    x = _as_windows(windows, "pearson_matrix" if stream == "r" else "distance_matrix")
+    lead, m = x.shape[:-2], x.shape[-1]
+    s = np.empty(lead + (m, m))
+    a = np.empty(s.shape, dtype=bool)
+    for blk in _window_blocks(lead, m * m):
+        try:
+            s[blk] = pearson_matrix(x[blk]) if stream == "r" else distance_matrix(x[blk], kind)
+        except NumericsError as err:
+            raise _stream_error(_in_stack(err, blk, lead), stream) from err
+        try:
+            a[blk] = binarize_topk(s[blk])
+        except NumericsError as err:
+            raise _in_stack(err, blk, lead) from err
+    return s, a
 
 
 def build_fc_pairs(signals: np.ndarray, spec: WindowSpec, kind: DistanceKind) -> FcStacks:

@@ -166,15 +166,16 @@ def prepare_batch(subjects: list[RoiTimeSeries], wspec: dfc.WindowSpec,
     scale-invariant, so it matters to the distance stream alone.
 
     Subjects are a batch axis: their (S, T, M) signals give one
-    (S, N_w, WS, M) window stack, so each step below is one call for all of
-    them, and each subject's arrays are bit-identical to preparing it
-    alone. One subject is the S = 1 case and runs on its (T, M) signals
-    without a subject axis. The streams are built one at a time,
-    correlation first: each stream's similarity stack is binarized
-    (:func:`dynamic_fc.stream_graphs`) and dropped before the next is
-    built, so only one similarity stack is held at a time. A stream not in
-    ``streams`` is not built. The subjects' arrays are views of the
-    stacked results.
+    (S, N_w, WS, M) window stack, so each step below covers all of them,
+    and each subject's arrays are bit-identical to preparing it alone. One
+    subject is the S = 1 case and runs on its (T, M) signals without a
+    subject axis. The streams are built one at a time, correlation first,
+    each in cache-sized blocks of whole windows
+    (:func:`dynamic_fc.stream_graphs`); a stream's similarity stack is
+    dropped once it is binarized, before the next is built, so one
+    similarity stack and one block's temporaries are held at a time. A
+    stream not in ``streams`` is not built. The subjects' arrays are views
+    of the stacked results.
 
     Every subject's window budget is checked before any stack is built. A
     non-finite value raises :class:`NumericsError` naming the subject; in

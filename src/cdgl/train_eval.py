@@ -207,12 +207,14 @@ def prepare_dataset(subjects: list[RoiTimeSeries],
     (:func:`model.prepare_batch`), in chunks that stack at most
     LOCKSTEP_STACK_ROWS node rows (subjects x windows x ROIs); a subject
     above that budget is prepared alone. Below it each numpy call's fixed
-    cost dominates, so the README demo's 60 subjects take one chunk, while
-    at large shapes a chunk holds one subject's similarity stack, as when
-    subjects were prepared one at a time. Every subject's window budget is
-    checked before any stack is built. When a chunk fails, the subjects are
-    prepared again one at a time, so the error is the first failing
-    subject's own.
+    cost dominates, so the README demo's 60 subjects take one chunk, which
+    is also one block of the similarity kernels. At large shapes a chunk
+    is one subject, whose windows go in cache-sized blocks
+    (:func:`dynamic_fc.stream_graphs`), so preparation holds one
+    similarity stack and one block's temporaries. Every subject's window
+    budget is checked before any stack is built. When a chunk fails, the
+    subjects are prepared again one at a time, so the error is the first
+    failing subject's own.
     """
     if not subjects:
         raise ConfigError("dataset is empty")

@@ -409,6 +409,123 @@ class TestSubjectAxis:
         assert info.value.index[:2] == (1, 3) and info.value.shape == (3, 7, 6, 6)
 
 
+def kernel_shapes(monkeypatch):
+    """Shapes of the window stacks handed to the similarity kernels, in call order."""
+    shapes = []
+    for name in ("pearson_matrix", "distance_matrix"):
+        def record(windows, *args, kernel=getattr(dfc, name), **kwargs):
+            shapes.append(windows.shape)
+            return kernel(windows, *args, **kwargs)
+        monkeypatch.setattr(dfc, name, record)
+    return shapes
+
+
+def blocked_error(windows, stream, kind, budget, monkeypatch):
+    """The NumericsError of ``stream_graphs`` at ``budget`` entries per block."""
+    with monkeypatch.context() as mp:
+        mp.setattr(dfc, "BLOCK_ENTRIES", budget)
+        with pytest.raises(NumericsError) as info:
+            dfc.stream_graphs(windows, stream, kind)
+    return info.value
+
+
+class TestWindowBlocks:
+    """stream_graphs in blocks of whole windows. Seven windows of 7 ROIs
+    are 343 entries a subject: a budget of 150 splits each subject's
+    windows 3 + 3 + 1, and one of 700 runs whole subjects 2 + 2 + 1."""
+
+    SPLIT, RUNS = 150, 700
+
+    @pytest.mark.parametrize("kind", KINDS, ids=lambda k: k.kind)
+    @pytest.mark.parametrize("budget, blocks", [
+        (SPLIT, [(3, 10, 7), (3, 10, 7), (1, 10, 7)] * 5),
+        (RUNS, [(2, 7, 10, 7), (2, 7, 10, 7), (1, 7, 10, 7)])], ids=["windows", "subjects"])
+    def test_blocking_changes_no_bit(self, kind, budget, blocks, monkeypatch):
+        rng = np.random.default_rng(18)
+        x = rng.standard_normal((5, 47, 7)) * rng.uniform(0.5, 20.0, 7)
+        x[3, :, 2] = -4.0  # a flat ROI in one subject
+        spec = dfc.WindowSpec(10, 6)
+        windows = dfc.extract_windows(x, spec)
+        whole = {stream: dfc.stream_graphs(windows, stream, kind) for stream in ("r", "d")}
+        alone = [dfc.build_fc_pairs(x[i], spec, kind) for i in range(len(x))]
+        monkeypatch.setattr(dfc, "BLOCK_ENTRIES", budget)
+        shapes = kernel_shapes(monkeypatch)
+        for stream in ("r", "d"):
+            shapes.clear()
+            s, a = dfc.stream_graphs(windows, stream, kind)
+            assert shapes == blocks
+            assert s.dtype == np.float64 and a.dtype == np.bool_
+            assert np.array_equal(s, whole[stream][0]) and np.array_equal(a, whole[stream][1])
+            for i, fc in enumerate(alone):
+                sim, adj = (fc.r, fc.a_r) if stream == "r" else (fc.d, fc.a_d)
+                assert np.array_equal(s[i], sim) and np.array_equal(a[i], adj)
+        for i, fc in enumerate(alone):  # each subject alone, blocked, against the oracle
+            blocked = assert_matches_oracle(x[i], spec, kind)
+            for name in ("r", "d", "a_r", "a_d"):
+                assert np.array_equal(getattr(blocked, name), getattr(fc, name))
+
+    def test_the_readme_demo_chunk_is_one_block(self, monkeypatch):
+        """60 subjects of 4 windows and 10 ROIs, 24,000 entries: one kernel
+        call per stream. A long-scan subject's 58 windows of 90 ROIs go in
+        eight blocks of at most 8 windows."""
+        shapes = kernel_shapes(monkeypatch)
+        x = np.random.default_rng(19).standard_normal((60, 120, 10))
+        windows = dfc.extract_windows(x, dfc.WindowSpec(35, 25))
+        for stream in ("r", "d"):
+            dfc.stream_graphs(windows, stream, dfc.DistanceKind())
+        assert shapes == [(60, 4, 35, 10)] * 2
+        shapes.clear()
+        long_scan = np.random.default_rng(20).standard_normal((600, 90))
+        dfc.stream_graphs(dfc.extract_windows(long_scan, dfc.WindowSpec(30, 10)), "r",
+                          dfc.DistanceKind())
+        assert shapes == [(8, 30, 90)] * 7 + [(2, 30, 90)]
+
+    def overflow(self, batch=False):
+        """Windows of a subject whose squares overflow from window 3 (rows
+        15-24) on, alone or as subject 1 of three: 7 windows of 36 entries."""
+        x = np.random.default_rng(12).standard_normal((3, 40, 6))
+        x[1, 20:, 4] *= 1e160
+        return dfc.extract_windows(x if batch else x[1], dfc.WindowSpec(10, 5))
+
+    @pytest.mark.parametrize("stream, kind, message, shape", [
+        ("d", dfc.DistanceKind(), "stream 'd', window 3: non-finite euclidean distance",
+         (7, 6, 6)),
+        ("d", dfc.DistanceKind("mahalanobis"),
+         "stream 'd', window 3: non-finite mahalanobis covariance", (7, 10, 10)),
+        ("r", dfc.DistanceKind(), "stream 'r', window 3: non-finite pearson correlation",
+         (7, 6, 6))], ids=["d", "d-covariance", "r"])
+    @pytest.mark.parametrize("batch, budgets, where", [
+        (False, (72,), (3,)), (True, (252, 72), (1, 3))], ids=["subject", "batch"])
+    def test_error_in_a_later_block_names_the_whole_stack(self, stream, kind, message, shape,
+                                                          batch, budgets, where, monkeypatch):
+        """Window 3 fails, past the first block: blocks of two windows, and
+        in a batch also blocks of one subject each, so subject 1 fills the
+        second. Each error is the one a single block raises."""
+        windows = self.overflow(batch)
+        if stream == "r":  # the overflow leaves correlations finite; a NaN does not
+            windows = windows.copy()
+            windows[where + (9, 1)] = np.nan  # in this copy only window 3 holds it
+        one = blocked_error(windows, stream, kind, 1 << 16, monkeypatch)
+        for budget in budgets:
+            err = blocked_error(windows, stream, kind, budget, monkeypatch)
+            assert str(err) == str(one) == message
+            assert err.shape == one.shape == windows.shape[:-2] + shape[1:]
+            assert err.index == one.index and err.index[:len(where)] == where
+
+    def test_top_k_error_in_a_later_block_indexes_the_stack(self, monkeypatch):
+        """Finite Manhattan distances whose symmetrized sum overflows fail in
+        binarize_topk, with its own message and an index into the stack."""
+        x = np.random.default_rng(22).standard_normal((40, 6))
+        x[20:, 0], x[20:, 1] = 0.0, 4e307  # windows 5 on: four steps of 4e307 each
+        windows = dfc.extract_windows(x, dfc.WindowSpec(4, 4))
+        with np.errstate(over="ignore"):
+            one = blocked_error(windows, "d", dfc.DistanceKind("manhattan"), 1 << 16,
+                                monkeypatch)
+            err = blocked_error(windows, "d", dfc.DistanceKind("manhattan"), 72, monkeypatch)
+        assert str(err) == str(one) == "non-finite similarity"
+        assert err.index == one.index == (5, 0, 1) and err.shape == one.shape == (10, 6, 6)
+
+
 class TestBatchedMatchesOracle:
     @pytest.mark.parametrize("family", sg.KINDS)
     def test_synth_families(self, family):

@@ -197,6 +197,29 @@ class TestPrepare:
                 with pytest.raises(NumericsError, match="^subject 'bad_d': stream 'd'"):
                     tv.prepare_dataset(cohort, cfg)
 
+    @pytest.mark.parametrize("kind, blocks", [("euclidean", 4), ("mahalanobis", 4),
+                                              ("manhattan", 6)])
+    def test_preparation_holds_one_similarity_stack_and_a_block(self, kind, blocks):
+        """One subject at 90 ROIs and 40 windows. Above what it returns, the
+        traced peak of preparing it is the float64 (N_w, M, M) similarity
+        stack being built, 2.59 MB, plus the temporaries of one block of
+        windows: about 3 block sizes (512 KiB each) for the Gram distances
+        (centered windows, the Gram matrix and its symmetrized copy), about
+        5 for Manhattan (its two pair-difference buffers and gathered sums).
+        Computing each kernel over the whole stack at once took 2.3
+        (Euclidean), 2.8 (Mahalanobis) and 4.5 (Manhattan) stacks, and fails."""
+        ts = RoiTimeSeries("s0", np.random.default_rng(33).standard_normal((230, 90)), 1)
+        spec = dfc.WindowSpec(35, 5)
+        tracemalloc.start()
+        try:
+            p = model.prepare_subject(ts, spec, dfc.DistanceKind(kind))
+            returned, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_w, m = len(p.starts), ts.signals.shape[1]
+        assert (n_w, m) == (40, 90)
+        assert peak - returned < 8 * (n_w * m * m + blocks * dfc.BLOCK_ENTRIES)
+
     def test_a_stream_left_out_is_not_built(self):
         x = np.random.default_rng(4).standard_normal((40, 6))
         x[:, 4] = 1e160  # a flat ROI far from the others: only its distances overflow
