@@ -2,33 +2,30 @@
 cross-window/cross-stream contrastive loss.
 
 Each stream updates node features as MLP((eps I + A) H W) with its own
-parameters, where A is a symmetric 0/1 adjacency stack, bool or float64;
-graph-level vectors come from a single-head query-key attention
-over nodes. Windows are a batch axis: one layer call updates and reads out
-every window of a stream, so the op count does not grow with the window
-count. The node update and the readout are one fused autodiff op each,
-with hand-written adjoints, so a layer call is three ops (a reshape joins
-them); ``tests/composite_layers.py`` keeps the op-by-op forms they
-replaced as their oracle. The node update keeps three node matrices for
-its adjoint, (eps I + A) H, the MLP's tanh output and its own output, and
-neither adjoint writes into an array its forward saved, so a graph can be
-walked twice. The node-matrix-sized arrays of both ops come from a
-per-thread pool (:class:`_NodeBuffers`) that hands a buffer out again once
-nothing references it, so train steps reuse the memory of the steps
-before them. The shared projection (linear, tanh, linear) is one fused
-op. The contrastive loss treats every (stream, window) projection as an
-anchor whose positives are the same-stream windows at offset +-delta; for
-a batch of subjects it is one stack of per-subject cosine matrices and a
-masked log-sum-exp, one fused op whatever the window count or batch size.
+parameters, where A is a symmetric 0/1 adjacency stack, bool as the model
+builds it (a float64 stack of 0 and 1 gives the same bits); graph-level
+vectors come from a single-head query-key attention over nodes. Windows
+are a batch axis: one layer call updates and reads out every window of a
+stream, so the op count does not grow with the window count. The node
+update and the readout are one fused autodiff op each, with hand-written
+adjoints, so a layer call is three ops (a reshape joins them);
+``tests/composite_layers.py`` keeps the op-by-op forms they replaced as
+their oracle. The node update keeps three node matrices for its adjoint,
+(eps I + A) H, the MLP's tanh output and its own output, and neither
+adjoint writes into an array its forward saved, so a graph can be walked
+twice. The node-matrix-sized arrays of both ops come from the fused ops'
+buffer pool (:func:`diffcore.buffer`). The shared projection (linear,
+tanh, linear) is one fused op. The contrastive loss treats every (stream,
+window) projection as an anchor whose positives are the same-stream
+windows at offset +-delta; for a batch of subjects it is one stack of
+per-subject cosine matrices and a masked log-sum-exp, one fused op
+whatever the window count or batch size.
 The loss takes only that batch; one subject is the B = 1 batch.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +35,6 @@ from . import dynamic_fc as dfc
 from .errors import ConfigError, ShapeError, WindowBudgetError
 
 COSINE_NORM_FLOOR = 1e-12
-NODE_BUFFER_BYTES = 32 << 20  # most that a thread's node-buffer pool keeps
 
 
 @dataclass(frozen=True)
@@ -67,50 +63,6 @@ class GinLayerParams:
     w_k: dc.Tensor
 
 
-class _NodeBuffers(threading.local):
-    """Float64 buffers of one size, reused by the GIN ops from call to call.
-
-    A train step's graph holds about a dozen node matrices until its
-    backward frees them, and the next step allocates the same sizes again.
-    By default glibc returns a freed heap top to the OS once it exceeds a
-    trim threshold derived from the largest array freed so far, so whether
-    a step faults those pages in anew depends on where earlier allocations
-    happened to land, and the step's time with it. Buffers taken from here
-    stay with the pool instead. One is handed out again only when nothing
-    else references it (CPython's reference count), so a graph that is
-    still alive keeps its arrays, and no later call writes into an array
-    that a caller holds. The pool keeps buffers of the last size asked
-    for, at most NODE_BUFFER_BYTES of them; other requests get a new
-    array. Each thread has its own pool.
-    """
-
-    def __init__(self):
-        self.size, self.bufs = 0, []
-        for buf in [np.empty(0)]:  # the count of an unshared list entry, as take() sees it
-            self.unshared = sys.getrefcount(buf)
-
-    def take(self, shape: tuple[int, ...]) -> np.ndarray:
-        """An uninitialized float64 array of ``shape`` that nothing else holds."""
-        size = math.prod(shape)
-        if size != self.size:
-            self.size, self.bufs = size, []
-        for buf in self.bufs:
-            if sys.getrefcount(buf) == self.unshared:
-                return buf.reshape(shape)
-        buf = np.empty(size)
-        if (len(self.bufs) + 1) * buf.nbytes <= NODE_BUFFER_BYTES:
-            self.bufs.append(buf)
-        return buf.reshape(shape)
-
-
-_BUFFERS = _NodeBuffers()
-
-
-def release_buffers() -> None:
-    """Drop this thread's pooled node buffers; arrays still in use stay valid."""
-    _BUFFERS.size, _BUFFERS.bufs = 0, []
-
-
 def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     """A_t X_t for every window t: (N_w, M, M) @ (N_w, M, D) -> float64 (N_w, M, D).
 
@@ -121,7 +73,7 @@ def _neighbour_sum(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     product is the one an unblocked batched product makes.
     """
     m = a.shape[1]
-    out = _BUFFERS.take(x.shape)
+    out = dc.buffer(x.shape)
     step = max(1, dfc.BLOCK_ENTRIES // (m * m))
     for lo in range(0, a.shape[0], step):
         blk = slice(lo, lo + step)
@@ -170,18 +122,17 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
     h = h_in.data.reshape(folds, -1, d)
     eps = p.eps.data.reshape(folds, 1, 1)
     w, w1, w2 = (t.data.reshape(folds, d, d) for t in (p.w, p.mlp_w1, p.mlp_w2))
-    take = _BUFFERS.take
     with np.errstate(over="ignore", invalid="ignore"):  # the checks below report it
         mixed = _neighbour_sum(a, h_in.data.reshape(n, m, d)).reshape(h.shape)
         # (eps I + A) H; the sum commutes, so its bits are h * eps + A H
-        mixed += np.multiply(h, eps, out=take(h.shape))
-        x = np.matmul(mixed, w, out=take(h.shape))  # x = mixed W is not kept
-        pre = np.matmul(x, w1, out=take(h.shape))
+        mixed += np.multiply(h, eps, out=dc.buffer(h.shape))
+        x = np.matmul(mixed, w, out=dc.buffer(h.shape))  # x = mixed W is not kept
+        pre = np.matmul(x, w1, out=dc.buffer(h.shape))
         del x
         pre += p.mlp_b1.data.reshape(folds, 1, d)
         dc.check_finite(pre.reshape(rows, d), "gin_node_update", "MLP pre-activation in")
         h1 = np.tanh(pre, out=pre)
-        out = np.matmul(h1, w2, out=take(h.shape))
+        out = np.matmul(h1, w2, out=dc.buffer(h.shape))
         out += p.mlp_b2.data.reshape(folds, 1, d)
 
     def bk(g):
@@ -189,8 +140,8 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
         g = g.reshape(h.shape)
         ones = np.ones((1, 1, h.shape[1]))  # row sums as products
         grads = [(p.mlp_w2, np.matmul(h1.swapaxes(1, 2), g)), (p.mlp_b2, np.matmul(ones, g))]
-        g_pre = np.matmul(g, w2.swapaxes(1, 2), out=take(h.shape))
-        tanh_slope = np.square(h1, out=take(h.shape))
+        g_pre = np.matmul(g, w2.swapaxes(1, 2), out=dc.buffer(h.shape))
+        tanh_slope = np.square(h1, out=dc.buffer(h.shape))
         np.subtract(1.0, tanh_slope, out=tanh_slope)
         g_pre *= tanh_slope  # the gradient of the MLP pre-activation
         del tanh_slope
@@ -200,7 +151,7 @@ def gin_node_update(h_in: dc.Tensor, a: np.ndarray, p: GinLayerParams) -> dc.Ten
                   (p.mlp_b1, np.matmul(ones, g_pre)),
                   (p.w, np.matmul(mixed_t_g, w1.swapaxes(1, 2)))]
         g_rows = np.matmul(g_pre, np.matmul(w, w1).swapaxes(1, 2),  # of (eps I + A) H
-                           out=take(h.shape))
+                           out=dc.buffer(h.shape))
         del g_pre
         grads.append((p.eps, np.einsum("fij,fij->f", g_rows, h)))
         grads = [(t, grad.reshape(t.data.shape)) for t, grad in grads]
@@ -267,7 +218,7 @@ def attention_readout(h_nodes: dc.Tensor, w_q: dc.Tensor,
             left = np.empty((n, m, 3))
             left[..., 0], left[..., 1], left[..., 2] = weights, g_logits, 1.0 / m
             right = np.stack([g, keyed.reshape(n, d), np.matmul(g_q, wq).reshape(n, d)], axis=1)
-            grads.append((h_nodes, np.matmul(left, right, out=_BUFFERS.take(h.shape))))
+            grads.append((h_nodes, np.matmul(left, right, out=dc.buffer(h.shape))))
         return grads
 
     return (dc._make(readout, "attention_readout", (h_nodes, w_q, w_k), bk),

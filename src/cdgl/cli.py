@@ -13,7 +13,6 @@ inputs and seed.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import math
@@ -48,12 +47,6 @@ from .errors import (
 GRADCHECK_ROIS = 6
 GRADCHECK_TIMEPOINTS = 40
 PATH_KEYS = ("data", "out")
-# glibc's mallopt parameters (malloc.h) and the values main() gives them
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-HEAP_MMAP_THRESHOLD = 32 << 20  # glibc's largest allowed value on 64-bit hosts
-# the README demo's cv stops faulting its train steps in at 8 MiB (4 MiB does
-# not); 64 MiB leaves room for graphs eight times as large
-HEAP_TRIM_THRESHOLD = 64 << 20
 
 _USAGE_ERRORS = (ConfigError, SpecError)
 _DATA_ERRORS = (ParseError, ShapeError, StratificationError, WindowBudgetError,
@@ -433,37 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _keep_freed_memory() -> None:
-    """Keep memory that the process frees for its next allocations.
-
-    A train step frees its graph's arrays, and the next step allocates
-    arrays of the same sizes again. By default glibc gives each block of
-    128 KiB or more its own mapping and hands the heap's free top back to
-    the OS, so the next step faults those pages in again. With blocks up to
-    HEAP_MMAP_THRESHOLD served from the heap and up to HEAP_TRIM_THRESHOLD
-    of free heap kept, the pages stay resident. Only the command line sets
-    this; the library changes no process state. ``cv --jobs`` workers
-    inherit it only where they are forked (Linux's default start method
-    before Python 3.14); workers started otherwise run with glibc's
-    defaults. The parameters are glibc's, so this does nothing off Linux
-    or where the C library has no ``mallopt``.
-    """
-    if not sys.platform.startswith("linux"):
-        return
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError):
-        return
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, HEAP_MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, HEAP_TRIM_THRESHOLD)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _keep_freed_memory()
     try:
         return args.func(args)
     except _USAGE_ERRORS as err:

@@ -34,17 +34,24 @@ primitives know nothing of folds; ``add`` keeps its one broadcast rule.
 :func:`adam_step` steps only the folds marked active, each with its own
 step count.
 
+The fused ops and :func:`adam_step` take their large arrays from one
+per-thread pool (:func:`buffer`), so a train step reuses the memory of the
+steps before it.
+
 All arithmetic is 64-bit; gradient checks at 1e-4 relative tolerance are not
 reliable below that precision.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import json
 import math
 import os
 import struct
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +59,7 @@ import numpy as np
 from .errors import NumericsError, ParseError, ShapeError, StateError
 
 LOG_FLOOR = 1e-12
+BUFFER_POOL_BYTES = 32 << 20  # most that a thread's buffer pool keeps
 
 
 class Tensor:
@@ -144,6 +152,53 @@ def _make(out: np.ndarray, op: str, parents: tuple, backward) -> Tensor:
     t._parents = ()
     t._backward = None
     return t
+
+
+class _BufferPool(threading.local):
+    """Float64 buffers that the fused ops and Adam reuse from call to call.
+
+    A train step frees its graph's arrays in backward, and the next step
+    asks for the same sizes again. Left to the C library, whether a step
+    faults those pages in anew depends on its heap heuristics (glibc's mmap
+    and trim thresholds); buffers taken from here stay resident instead.
+    One is handed out again only when nothing else references it (CPython's
+    reference count), so a live graph keeps its arrays and no call writes
+    into an array that a caller holds. A request gets the smallest free
+    buffer that holds it, so a 15-subject scoring batch reuses a 16-subject
+    training batch's buffers. The pool keeps at most BUFFER_POOL_BYTES;
+    beyond that a request that finds no free buffer gets a new array.
+    """
+
+    def __init__(self):
+        self.bufs = []  # one-dimensional, by size
+        for buf in [np.empty(0)]:  # the count of an unshared list entry, as take() sees it
+            self.unshared = sys.getrefcount(buf)
+
+    def take(self, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        bufs, unshared = self.bufs, self.unshared
+        for i in range(bisect.bisect_left(bufs, size, key=len), len(bufs)):
+            buf = bufs[i]  # by size, so the first free one that holds the request fits best
+            if sys.getrefcount(buf) == unshared:
+                return buf[:size].reshape(shape)
+        buf = np.empty(size)
+        if sum(b.nbytes for b in bufs) + buf.nbytes <= BUFFER_POOL_BYTES:
+            bisect.insort(bufs, buf, key=len)
+        return buf.reshape(shape)
+
+
+_POOL = _BufferPool()
+
+
+def buffer(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialized float64 array of ``shape`` that nothing else holds,
+    from this thread's pool (:class:`_BufferPool`)."""
+    return _POOL.take(shape)
+
+
+def release_buffers() -> None:
+    """Drop this thread's pooled buffers; arrays still in use stay valid."""
+    _POOL.bufs = []
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +374,9 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     (4D, B) block of the gate buffer, where one sigmoid covers the first 3D
     rows and a tanh the cell gate's last D rows in place; the cell and
     hidden updates run on (D, B) blocks of the cell buffer, whose step 0 is
-    the zero initial state, and of the buffer of tanh c.
+    the zero initial state, and of the buffer of tanh c. These buffers, the
+    output and the adjoint's factor buffers K and P come from the buffer
+    pool (:func:`buffer`), and every entry that is read is written first.
 
     Products stay row-form, rows times weights, so that a sequence's sums
     do not depend on the other rows of a batch of two or more. Weights
@@ -362,19 +419,19 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     T, M = x.shape[-2], x.shape[-1]
     seq = x.reshape(folds, B, T, M)
     w_h3 = w_h.data.reshape(folds, D, four_d)
-    gates = np.empty((T, four_d, folds, B))  # step t is one feature-major (4D, F, B / F) block
+    gates = buffer((T, four_d, folds, B))  # step t is one feature-major (4D, F, B / F) block
     sig = gates[:, :3 * D]
     in_g, forget_g, out_g, G = (gates[:, k * D:(k + 1) * D] for k in range(4))
-    C = np.empty((T + 1, D, folds, B))  # C[t + 1] is c_t; step 0 is the initial state
+    C = buffer((T + 1, D, folds, B))  # C[t + 1] is c_t; step 0 is the initial state
     C[0] = 0.0
-    TC = np.empty((T, D, folds, B))
-    out = np.empty((folds, B, T, D))
+    TC = buffer((T, D, folds, B))
+    out = buffer((folds, B, T, D))
     reorder = np.r_[0:2 * D, 3 * D:four_d, 2 * D:3 * D]  # [i, f, o | g]
     w = np.ascontiguousarray(np.concatenate((w_h3, w_x.data.reshape(folds, M, four_d),
                                              b.data.reshape(folds, 1, four_d)),
                                             axis=1)[..., reorder])
     np.negative(w[..., :3 * D], out=w[..., :3 * D])
-    z = np.empty((T + 1, folds, B, D + M + 1))  # row t is [h_{t-1} | x_t | 1]; h_{T-1} in row T
+    z = buffer((T + 1, folds, B, D + M + 1))  # row t is [h_{t-1} | x_t | 1]; h_{T-1} in row T
     z[0, ..., :D] = 0.0
     z[:T, ..., D:-1] = seq.transpose(2, 0, 1, 3)
     z[:T, ..., -1] = 1.0
@@ -403,9 +460,9 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     def bk(g):
         I, F, O = in_g, forget_g, out_g
         dw_x, dw_h, db = (np.empty((folds, n, four_d)) for n in (M, D, 1))
-        K = np.empty((T, four_d, folds, B))  # laid out as the gate buffer
+        K = buffer((T, four_d, folds, B))  # laid out as the gate buffer
         k_i, k_f, k_g, k_o = (K[:, j * D:(j + 1) * D] for j in range(4))
-        P = np.empty((T, D, folds, B))  # the factors' scratch, then P
+        P = buffer((T, D, folds, B))  # the factors' scratch, then P
         np.subtract(1.0, I, out=P)
         np.multiply(G, I, out=k_i)
         k_i *= P
@@ -730,15 +787,15 @@ def adam_step(store: ParamStore, state: AdamState, active=None) -> None:
 
     The update runs on whole rows of the store's parameter, gradient and
     moment buffers, with the same elementwise expression per entry as a
-    per-tensor loop. Its terms are written into two scratch rows instead
-    of a fresh temporary each, with the same operations in the same order,
-    so every value is that expression's bit for bit. ``active`` (one boolean per fold; every fold when
-    None) names the folds that take this step. The others keep their
-    parameters, moments and step count bit for bit: with weight decay, a
-    step moves parameters even on a zero gradient. Each fold's bias
-    correction uses its own step count. A store whose gradients were never
-    zeroed and are all exactly zero has seen no backward pass, and is
-    rejected.
+    per-tensor loop. Its terms are written into two scratch rows from the
+    buffer pool instead of a fresh temporary each, with the same operations
+    in the same order, so every value is that expression's bit for bit.
+    ``active`` (one boolean per fold; every fold when None) names the folds
+    that take this step. The others keep their parameters, moments and step
+    count bit for bit: with weight decay, a step moves parameters even on a
+    zero gradient. Each fold's bias correction uses its own step count. A
+    store whose gradients were never zeroed and are all exactly zero has
+    seen no backward pass, and is rejected.
     """
     if store._grad is None:
         raise StateError("a no_grad view holds no gradients to step")
@@ -763,7 +820,7 @@ def adam_step(store: ParamStore, state: AdamState, active=None) -> None:
         bc1 = np.array([[1.0 - state.beta1 ** t] for t in steps])
         bc2 = np.array([[1.0 - state.beta2 ** t] for t in steps])
         p, gr, m, v = data[lo:hi], g[lo:hi], state.m[lo:hi], state.v[lo:hi]
-        step, denom = np.empty((2, *p.shape))  # every term is formed in these two rows
+        step, denom = buffer((2, *p.shape))  # every term is formed in these two rows
         if state.weight_decay:
             p -= np.multiply(p, state.lr * state.weight_decay, out=step)
         m *= state.beta1

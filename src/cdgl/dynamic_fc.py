@@ -236,8 +236,8 @@ def distance_matrix(windows: np.ndarray, kind: DistanceKind) -> np.ndarray:
             d += g[..., None, :]
             np.maximum(d, 0.0, out=d)
             np.sqrt(d, out=d)
-    _require_finite(d, f"{kind.kind} distance")
-    out = d + d.swapaxes(-1, -2)
+        out = d + d.swapaxes(-1, -2)  # finite distances can overflow here too
+    _require_finite(out, f"{kind.kind} distance")
     out *= -0.5  # negated: larger similarity = closer
     _set_diagonal(out, 0.0)
     return out

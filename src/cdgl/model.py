@@ -231,9 +231,9 @@ def _stack(preps: list[PreparedSubject]) -> tuple[np.ndarray, dict[str, np.ndarr
     subjects of different lengths need no padding.
 
     One subject's stacks are its own bool views. A batch's are concatenated
-    as float64, since the concatenation copies anyway and the GIN products
-    then read them without a cast; 0 and 1 are exact in either dtype, so
-    the products give the same bits.
+    in their own dtype, bool, with no float64 copy: the GIN products cast
+    them block by block (:func:`cdgin._neighbour_sum`), and 0 and 1 are
+    exact in either dtype, so the products give the same bits.
     """
     if not preps:
         raise ShapeError("empty batch")
@@ -247,7 +247,7 @@ def _stack(preps: list[PreparedSubject]) -> tuple[np.ndarray, dict[str, np.ndarr
     if len(preps) == 1:  # views, no copies
         return first.encoder_input[None, :t], first.adjacency
     return (np.stack([p.encoder_input[:t] for p in preps]),
-            {s: np.concatenate([p.adjacency[s] for p in preps], dtype=np.float64)
+            {s: np.concatenate([p.adjacency[s] for p in preps])
              for s in first.adjacency})
 
 

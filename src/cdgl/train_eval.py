@@ -44,11 +44,11 @@ from .errors import (ConfigError, NumericsError, ParseError, ShapeError, Stratif
 
 STREAM_CHOICES = ("rd", "r", "d")
 # Adjacency entries per stream that one scoring forward may stack. Scoring
-# builds no graph, and its forward then peaks at about 28 bytes per stacked
-# entry per stream: tracemalloc measured 350 MiB for 40 subjects at M = 90
-# and 40 windows (12.96 M entries), against 560 MiB with the graph; the
-# float64 copies of the two stacked adjacencies are 16 of those bytes. So
-# this budget caps a forward near 28 MiB (45 MiB with the graph). Stacking
+# builds no graph, and its forward then peaks at about 11 bytes per stacked
+# entry per stream: tracemalloc measured 140 MiB for 40 subjects at M = 90
+# and 40 windows (12.96 M entries), against 286 MiB with the graph; the bool
+# copies of the two stacked adjacencies are 2 of those bytes. So this budget
+# caps a forward near 11 MiB (23 MiB with the graph). Stacking
 # more would not pay: on a 2-CPU host with one BLAS thread, time per subject
 # stopped falling at 0.1-0.6 M entries per forward (M = 30 and 60) and rose
 # beyond about 1.3 M (M = 90 and 40 windows: 11.4-11.5 ms at 4 subjects per
@@ -334,6 +334,24 @@ def _lockstep_step(store: dc.ParamStore, dims: model.ModelDims,
     dc.backward(dc.mul_scalar(objective, 1.0 / sum(len(g) for g in groups[0])))
 
 
+def _step_error(err: NumericsError, f0: int, f1: int, epoch: int,
+                step: int) -> NumericsError:
+    """``err`` from a train step of models f0 to f1 - 1, with the model, the
+    epoch and the step appended, and whether Adam has updated the parameters.
+
+    The step's arrays are fold-major along their first axis, so the model is
+    the fold block of that axis that holds the error's first index.
+    """
+    folds, rows = f1 - f0, (err.shape or (0,))[0]
+    if folds == 1 or (rows and rows % folds == 0):
+        where = f"model {f0 + err.index[0] * folds // rows if folds > 1 else f0}"
+    else:
+        where = f"models {f0} to {f1 - 1}"
+    updated = "parameters already updated" if epoch or step else "before any parameter update"
+    return NumericsError(f"{err} ({where}, epoch {epoch}, step {step}, {updated})",
+                         err.index, err.shape)
+
+
 def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
               seeds: list[int]) -> list[TrainResult]:
     """Shuffled-minibatch Adam training of one model per fold, in lockstep.
@@ -359,7 +377,9 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
     largest L2 norm of the model's gradient among the epoch's steps
     (``grad_norm``), the L2 norm of its parameters after its last step
     (``param_norm``) and, after that step, each stream's GIN epsilon per
-    layer (``gin_eps``). Bit-reproducible for a fixed cfg.
+    layer (``gin_eps``). Bit-reproducible for a fixed cfg. A step's
+    NumericsError is raised again with the model, the epoch and the step
+    appended (:func:`_step_error`).
     """
     for preps in fold_preps:
         _check_window_budget(preps, cfg)
@@ -377,12 +397,15 @@ def fit_folds(fold_preps: list[list[model.PreparedSubject]], cfg: TrainConfig,
         orders = [rng.permutation(n) for rng, n in zip(rngs, sizes)]
         sums = [dict.fromkeys(_SUM_KEYS, 0.0) for _ in range(folds)]
         grad_norm = np.zeros(folds)
-        for lo in range(0, max(sizes), cfg.batch_size):
+        for step, lo in enumerate(range(0, max(sizes), cfg.batch_size)):
             groups = [model.group_by_windows([preps[i] for i in order[lo:lo + cfg.batch_size]])
                       for preps, order in zip(fold_preps, orders)]
             store.zero_grad()
             for f0, f1 in _lockstep_runs(groups, dims.m):
-                _lockstep_step(store.folds(f0, f1), dims, groups[f0:f1], ccfg, sums[f0:f1])
+                try:
+                    _lockstep_step(store.folds(f0, f1), dims, groups[f0:f1], ccfg, sums[f0:f1])
+                except NumericsError as err:
+                    raise _step_error(err, f0, f1, epoch, step) from err
             # a fold without a minibatch has a zero gradient row
             grad_norm = np.maximum(grad_norm, _norms(store.rows()[1]))
             dc.adam_step(store, adam, [bool(g) for g in groups])

@@ -82,53 +82,6 @@ class TestGinLayer:
             cdgin.gin_layer(dc.const(np.zeros((3, 3))), np.zeros((2, 3, 3)), p)
 
 
-class TestNodeBuffers:
-    """The GIN ops' buffer pool hands out only buffers that nothing references."""
-
-    @staticmethod
-    def address(x):
-        return x.__array_interface__["data"][0]
-
-    def test_a_buffer_returns_once_its_last_view_is_gone(self):
-        cdgin.release_buffers()
-        take = cdgin._BUFFERS.take
-        a, b = take((3, 4)), take((4, 3))
-        first = self.address(a)
-        assert first != self.address(b)
-        view = a.reshape(12)
-        del a
-        assert self.address(take((2, 6))) not in (first, self.address(b))
-        del view
-        assert self.address(take((2, 6))) == first
-
-    def test_another_size_starts_over_and_the_cap_holds(self, monkeypatch):
-        cdgin.release_buffers()
-        take = cdgin._BUFFERS.take
-        first = self.address(take((3, 4)))
-        assert self.address(take((3, 4))) == first
-        take((5,))
-        assert len(cdgin._BUFFERS.bufs) == 1 and cdgin._BUFFERS.size == 5
-        monkeypatch.setattr(cdgin, "NODE_BUFFER_BYTES", 8 * 12)
-        held = take((3, 4))  # the one buffer that fits under the cap
-        extra = take((3, 4))
-        assert not np.shares_memory(extra, held) and len(cdgin._BUFFERS.bufs) == 1
-
-    def test_a_held_output_survives_later_calls(self):
-        rng = np.random.default_rng(40)
-        d, m, n = 4, 5, 3
-        p = make_layer_params(rng, d)
-        upper = np.triu(rng.random((n, m, m)) < 0.5, 1)
-        a = upper | upper.transpose(0, 2, 1)
-        first = cdgin.gin_node_update(dc.param(rng.standard_normal((n * m, d))), a, p)
-        kept = first.data.copy()
-        for _ in range(3):
-            out = cdgin.gin_node_update(dc.param(rng.standard_normal((n * m, d))), a, p)
-            dc.backward(dc.sum_all(out))
-        np.testing.assert_array_equal(first.data, kept)
-        dc.backward(dc.sum_all(first))  # its graph is intact too
-        np.testing.assert_array_equal(first.data, kept)
-
-
 class TestAttentionReadout:
     def test_identical_features_uniform(self):
         rng = np.random.default_rng(2)

@@ -1,15 +1,14 @@
 """CLI contract: exit codes, config parsing, determinism, file outputs."""
 
 import argparse
-import ctypes
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
 import sys
-import textwrap
 import warnings
 
 import numpy as np
@@ -213,6 +212,16 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert "subject '" in err and "stream 'd', layer 0, window 3" in err
+        assert err.endswith(" (model 0, epoch 0, step 0, before any parameter update)\n")
+
+    def test_diverging_training_names_the_epoch_and_the_step(self, dataset, tmp_path, capsys):
+        """The data trains at the default lr, so the step that fails at a huge
+        one is named, and the message says Adam has moved the parameters."""
+        code = run(["train", "--data", dataset, "--out", str(tmp_path / "r")] + TINY
+                   + ["--set", "lr=1e300", "--set", "epochs=3"])
+        assert code == 3
+        assert re.fullmatch(r"error: subject '[^']+': .* \(model 0, epoch \d+, step \d+, "
+                            r"parameters already updated\)\n", capsys.readouterr().err)
 
     @pytest.mark.parametrize("overrides", [
         ["lr=nan"], ["alpha=nan"], ["weight_decay=inf"],
@@ -859,74 +868,6 @@ class TestAttnExport:
         assert run(base + ["--subject", "ghost"]) == 2
         assert "error: subject 'ghost' not in dataset (ids: sub000, sub001" \
             in capsys.readouterr().err
-
-
-class RecordingLibc:
-    """A C library whose ``mallopt`` records its calls.
-
-    ``mallopt`` is a plain function, which takes ``argtypes`` and
-    ``restype`` as a ctypes function does (a bound method would not).
-    """
-
-    def __init__(self, calls):
-        def mallopt(param, value):
-            calls.append((param, value))
-            return 1
-        self.mallopt = mallopt
-
-
-class TestResidentHeap:
-    """``cli.main`` keeps freed memory in the heap; the library sets nothing."""
-
-    SYNTH = ["synth", "--kind", "correlation", "--subjects", "2", "--rois", "4",
-             "--timepoints", "20", "--out"]
-
-    def test_main_raises_the_thresholds(self, tmp_path, monkeypatch):
-        calls = []
-        monkeypatch.setattr(sys, "platform", "linux")
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: RecordingLibc(calls))
-        assert run(self.SYNTH + [str(tmp_path / "d")]) == 0
-        assert calls == [(-3, cli.HEAP_MMAP_THRESHOLD), (-1, cli.HEAP_TRIM_THRESHOLD)]
-
-    def test_off_linux_no_c_library_is_loaded(self, tmp_path, monkeypatch):
-        def windows_cdll(name):  # CPython's CDLL(None) on Windows
-            raise TypeError("argument of type 'NoneType' is not iterable")
-        monkeypatch.setattr(sys, "platform", "win32")
-        monkeypatch.setattr(ctypes, "CDLL", windows_cdll)
-        assert run(self.SYNTH + [str(tmp_path / "d")]) == 0
-
-    def test_library_sets_nothing(self, dataset):
-        cdgl_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        script = textwrap.dedent(f"""
-            import ctypes
-            calls = []
-            class Libc:
-                def mallopt(self, *args):
-                    calls.append(args)
-            ctypes.CDLL = lambda name: Libc()
-            from cdgl import cli, train_eval as tv
-            cfg, _ = cli.resolve_config(None, {TINY[1::2]!r})
-            cv = tv.cross_validate(cli._load_subjects({dataset!r}), cfg, k=2)
-            assert len(cv.folds) == 2
-            print(calls)
-        """)
-        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": cdgl_root}, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stdout == "[]\n"
-
-    def test_cv_without_mallopt_writes_the_same_files(self, dataset, tmp_path, monkeypatch):
-        with_heap, without = str(tmp_path / "heap"), str(tmp_path / "plain")
-        base = ["cv", "--data", dataset, "--folds", "2"] + TINY
-        assert run(base + ["--out", with_heap]) == 0
-        monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
-        assert run(base + ["--out", without]) == 0
-        names = sorted(os.listdir(with_heap))
-        assert "fold1.ckpt" in names and names == sorted(os.listdir(without))
-        for name in names:
-            b1 = open(os.path.join(with_heap, name), "rb").read()
-            b2 = open(os.path.join(without, name), "rb").read()
-            assert b1 == b2, name
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -30,6 +30,13 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert not outside, sorted(outside)
 
 
+def test_no_module_imports_ctypes():
+    """The package sets no allocator or other C-library state: the fused ops'
+    buffer pool is its one memory rule, for the CLI and library callers alike."""
+    modules = sorted(Path(cdgl.__file__).parent.glob("*.py"))
+    assert not [path.name for path in modules if "ctypes" in imported_roots(path)]
+
+
 def diffcore_aliases(tree: ast.Module) -> set[str]:
     """Names under which a package module imports ``diffcore``."""
     return {alias.asname or alias.name for node in ast.walk(tree)

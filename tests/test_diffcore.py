@@ -7,6 +7,7 @@ The graphs of the backward-walk tests are built from the primitives of
 """
 
 import struct
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdgl import cdgin
 from cdgl import diffcore as dc
 from cdgl import model
 from cdgl import train_eval as tv
@@ -24,6 +26,7 @@ from cdgl.errors import NumericsError, ParseError, ShapeError, StateError
 from composite_layers import (
     bmm, div, exp, linear, matmul, mean_pool, mul, scale, sigmoid, softmax, sqrt, sub,
     take_rows, tanh, textbook_adam_step, transpose)
+from test_cdgin import make_layer_params
 
 
 def fd_grad(build_loss, tensor, h=1e-6):
@@ -1157,3 +1160,123 @@ def test_backward_releases_adjoints():
         dc.backward(loss)
     with pytest.raises(StateError, match="released"):
         dc.backward(dc.sum_all(mul(h, h)))  # a new graph over a walked node
+
+
+@pytest.fixture
+def poisoned_pool(monkeypatch):
+    """Before each request, every free pooled buffer is filled with NaN, so
+    an entry that a fused op reads before writing it shows in the result."""
+    take = dc._BufferPool.take
+
+    def poisoned(pool, shape):
+        for buf in pool.bufs:
+            if sys.getrefcount(buf) == pool.unshared:
+                buf.fill(np.nan)
+        return take(pool, shape)
+
+    monkeypatch.setattr(dc._BufferPool, "take", poisoned)
+
+
+class TestBufferPool:
+    """The fused ops' buffer pool hands out only buffers that nothing references."""
+
+    @staticmethod
+    def address(x):
+        return x.__array_interface__["data"][0]
+
+    def test_a_buffer_returns_once_its_last_view_is_gone(self):
+        dc.release_buffers()
+        a, b = dc.buffer((3, 4)), dc.buffer((4, 3))
+        first = self.address(a)
+        assert first != self.address(b)
+        view = a.reshape(12)
+        del a
+        assert self.address(dc.buffer((2, 6))) not in (first, self.address(b))
+        del view
+        assert self.address(dc.buffer((2, 6))) == first
+
+    def test_a_request_gets_the_smallest_free_buffer_that_holds_it(self):
+        dc.release_buffers()
+        large, small = dc.buffer((16, 4)), dc.buffer((8, 4))
+        at_large, at_small = self.address(large), self.address(small)
+        del large, small
+        assert self.address(dc.buffer((2, 4))) == at_small  # though the large one came first
+        scoring = dc.buffer((15, 4))  # a 15-subject batch after training's 16
+        assert scoring.shape == (15, 4) and self.address(scoring) == at_large
+        assert [buf.size for buf in dc._POOL.bufs] == [32, 64]
+
+    def test_the_cap_holds(self, monkeypatch):
+        dc.release_buffers()
+        monkeypatch.setattr(dc, "BUFFER_POOL_BYTES", 8 * 20)
+        held = dc.buffer((3, 4))
+        extra = dc.buffer((3, 4))  # 24 entries would pass the cap of 20
+        assert not np.shares_memory(extra, held) and len(dc._POOL.bufs) == 1
+        small = dc.buffer((2, 4))  # 12 + 8 entries fit
+        assert [buf.size for buf in dc._POOL.bufs] == [8, 12]
+        del extra
+        assert not np.shares_memory(dc.buffer((3, 4)), small)
+
+    def test_a_held_view_is_never_handed_out(self):
+        dc.release_buffers()
+        kept = dc.buffer((4, 5))[1:, ::2].T  # only a strided view of the buffer is held
+        kept[...] = 7.0
+        for shape in [(4, 5), (20,), (3, 2), (1,)]:
+            assert not np.shares_memory(dc.buffer(shape), kept)
+        assert np.all(kept == 7.0)
+
+    def test_a_held_gin_output_survives_later_calls(self):
+        rng = np.random.default_rng(40)
+        d, m, n = 4, 5, 3
+        p = make_layer_params(rng, d)
+        upper = np.triu(rng.random((n, m, m)) < 0.5, 1)
+        a = upper | upper.transpose(0, 2, 1)
+        first = cdgin.gin_node_update(dc.param(rng.standard_normal((n * m, d))), a, p)
+        kept = first.data.copy()
+        for _ in range(3):
+            out = cdgin.gin_node_update(dc.param(rng.standard_normal((n * m, d))), a, p)
+            dc.backward(dc.sum_all(out))
+        np.testing.assert_array_equal(first.data, kept)
+        dc.backward(dc.sum_all(first))  # its graph is intact too
+        np.testing.assert_array_equal(first.data, kept)
+
+    def test_a_poisoned_pool_leaves_the_lstm_bit_identical(self, request):
+        """Two folds of three sequences, forward and gradients, with a fresh
+        pool and then with every free buffer NaN at every request."""
+        rng = np.random.default_rng(41)
+        f, b, t, m, d = 2, 3, 7, 4, 5
+        x = rng.standard_normal((f * b, t, m))
+        weights = [0.5 * rng.standard_normal(s) for s in ((f, m, 4 * d), (f, d, 4 * d),
+                                                          (f, 4 * d))]
+        g = rng.standard_normal((f * b, t, d))
+        g[:, -2:] = 0.0  # steps without an output gradient
+
+        def run():
+            params = [dc.param(w) for w in weights]
+            out = dc.lstm(x, *params)
+            dc.backward(dc.sum_all(mul(out, dc.const(g))))
+            return [out.data.copy()] + [p.grad.copy() for p in params]
+
+        dc.release_buffers()
+        fresh = run()
+        request.getfixturevalue("poisoned_pool")
+        for _ in range(2):
+            for want, got in zip(fresh, run()):
+                assert want.tobytes() == got.tobytes()
+
+    def test_a_poisoned_pool_leaves_a_lockstep_train_step_bit_identical(self, request):
+        rng = np.random.default_rng(42)
+        subjects = [RoiTimeSeries(f"s{i}", rng.standard_normal((30, 5)), i % 2)
+                    for i in range(8)]
+        cfg = tv.TrainConfig(layers=2, batch_size=4, window_size=10, stride=5, hidden_dim=4,
+                             proj_dim=4, epochs=2, seed=3)
+        preps = tv.prepare_dataset(subjects, cfg)
+
+        def run():
+            results = tv.fit_folds([preps[:4], preps[4:]], cfg, [3, 4])
+            return [r.store.rows()[0].tobytes() for r in results], \
+                [r.epoch_log for r in results]
+
+        dc.release_buffers()
+        fresh = run()
+        request.getfixturevalue("poisoned_pool")
+        assert run() == fresh

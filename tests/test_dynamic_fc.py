@@ -512,17 +512,19 @@ class TestWindowBlocks:
             assert err.shape == one.shape == windows.shape[:-2] + shape[1:]
             assert err.index == one.index and err.index[:len(where)] == where
 
-    def test_top_k_error_in_a_later_block_indexes_the_stack(self, monkeypatch):
+    def test_overflowing_symmetrized_distance_names_the_stream_and_window(self, monkeypatch):
         """Finite Manhattan distances whose symmetrized sum overflows fail in
-        binarize_topk, with its own message and an index into the stack."""
+        distance_matrix, with no warning, naming the stream and the window,
+        with an index into the stack."""
         x = np.random.default_rng(22).standard_normal((40, 6))
         x[20:, 0], x[20:, 1] = 0.0, 4e307  # windows 5 on: four steps of 4e307 each
         windows = dfc.extract_windows(x, dfc.WindowSpec(4, 4))
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             one = blocked_error(windows, "d", dfc.DistanceKind("manhattan"), 1 << 16,
                                 monkeypatch)
             err = blocked_error(windows, "d", dfc.DistanceKind("manhattan"), 72, monkeypatch)
-        assert str(err) == str(one) == "non-finite similarity"
+        assert str(err) == str(one) == "stream 'd', window 5: non-finite manhattan distance"
         assert err.index == one.index == (5, 0, 1) and err.shape == one.shape == (10, 6, 6)
 
 

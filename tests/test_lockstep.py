@@ -15,6 +15,7 @@ import cdgl.train_eval as tv
 from cdgl import diffcore as dc
 from cdgl import model
 from cdgl.data_io import RoiTimeSeries, SplitPlan
+from cdgl.errors import NumericsError
 
 
 def cohort(rng, lengths, m=5):
@@ -236,3 +237,14 @@ def test_runs_cut_at_the_row_budget_match_each_fold_alone(tmp_path, steps, monke
     record = assert_lockstep_matches_alone(preps, cfg, plan, tmp_path, steps)
     assert record["graphs"] and max(n for n, _ in record["graphs"]) == 2
     assert {tuple(a) for a in record["active"]} == {(True,) * 5}
+
+
+def test_a_step_error_names_the_model_holding_its_first_index():
+    """A lockstep step's arrays are fold-major: in 8 rows of models 2 to 5,
+    row 5 is model 4's. Rows that do not split into the folds name them all."""
+    err = NumericsError("subject 's5': non-finite x", index=(5, 1), shape=(8, 3))
+    assert str(tv._step_error(err, 2, 6, 1, 0)) == (
+        "subject 's5': non-finite x (model 4, epoch 1, step 0, parameters already updated)")
+    moved = tv._step_error(NumericsError("y", index=(0,), shape=(3,)), 0, 2, 0, 0)
+    assert str(moved) == "y (models 0 to 1, epoch 0, step 0, before any parameter update)"
+    assert (moved.index, moved.shape) == ((0,), (3,))

@@ -304,11 +304,11 @@ class TestForward:
         graph_free = store.no_grad()  # built before anything is traced
 
         def held(params):
-            cdgin.release_buffers()  # node buffers made before the trace would go uncounted
+            dc.release_buffers()  # node buffers made before the trace would go uncounted
             tracemalloc.start()
             try:
                 out = model.forward_batch(params, dims, preps)  # held while measured
-                cdgin.release_buffers()  # frees the pooled buffers that nothing holds
+                dc.release_buffers()  # frees the pooled buffers that nothing holds
                 return tracemalloc.get_traced_memory()[0]
             finally:
                 tracemalloc.stop()
@@ -365,7 +365,7 @@ class TestForward:
         about 11 MB, and without the pool a step's traced peak is 14 MB.
         """
         _, cfg, preps, dims, store = long_scan_case()
-        cdgin.release_buffers()
+        dc.release_buffers()
 
         def step():
             store.zero_grad()

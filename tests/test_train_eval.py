@@ -420,6 +420,7 @@ class TestGraphFreeScoring:
         store = model.init_params(dims, 0)
 
         def peak(params):
+            dc.release_buffers()  # pooled buffers of earlier calls would go uncounted
             tracemalloc.start()
             try:
                 model.forward_batch(params, dims, preps)
