@@ -26,18 +26,23 @@ A distance is negated and symmetrized in one scale, -(d + d^T) / 2.
 Both streams are thresholded independently. Binarization is rank-based top-k
 over the off-diagonal values with k = ceil(0.3 E), E = M(M-1)/2, which gives
 every graph the exact same edge density regardless of the value distribution.
-It reads the upper triangles through flat indices cached per M. An
-adjacency stack is bool, an eighth of float64's bytes, and every matrix in
-it is symmetric with a zero diagonal and exactly 2k true entries: the GIN
-layers (:func:`cdgl.cdgin.gin_node_update`) rely on the symmetry.
+Each matrix's cut, its k-th largest upper value, comes from the upper
+triangle gathered through flat indices cached per M; the adjacency is then
+one compare of the whole matrix against its cut, kept to the upper
+triangle and mirrored. Only a stack where ties straddle some matrix's cut
+falls back to ranking them in (i, j) order. An adjacency stack is bool, an
+eighth of float64's bytes, and every matrix in it is symmetric with a zero
+diagonal and exactly 2k true entries: the GIN layers
+(:func:`cdgl.cdgin.gin_node_update`) rely on the symmetry.
 
 A stream is built in blocks of whole windows (:func:`stream_graphs`), each
 of at most BLOCK_ENTRIES matrix entries (512 KiB as float64, which fits a
 core's L2 cache): runs of whole subjects while a subject's windows fit,
-else ranges of one subject's windows. Each block's similarities and
-adjacencies are written into one float64 and one bool output stack, so
-the kernels' temporaries are a block's, never the stack's, and the outputs
-are bit-identical to an unblocked call's.
+else ranges of one subject's windows. Each kernel writes a block's
+similarities and adjacencies straight into its slice of one float64 and
+one bool output stack (their ``out=``), so the kernels' temporaries are a
+block's, never the stack's, and the outputs are bit-identical to an
+unblocked call's.
 
 Every finiteness check takes one sum; a non-finite sum starts the search
 for the first non-finite entry.
@@ -148,14 +153,25 @@ def _set_diagonal(x: np.ndarray, value: float) -> None:
     x[..., idx, idx] = value
 
 
-def pearson_matrix(windows: np.ndarray) -> np.ndarray:
+def _output(out, shape: tuple[int, ...], dtype, name: str) -> np.ndarray:
+    """``out``, once checked to be a ``dtype`` array of ``shape``, or a new one."""
+    if out is None:
+        return np.empty(shape, dtype=dtype)
+    if not isinstance(out, np.ndarray) or out.shape != shape or out.dtype != dtype:
+        raise ShapeError(f"{name}: out must be a {np.dtype(dtype).name} array of shape "
+                         f"{shape}, got {getattr(out, 'shape', type(out).__name__)}")
+    return out
+
+
+def pearson_matrix(windows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pairwise Pearson correlation of each window's ROI columns.
-    (..., WS, M) -> (..., M, M).
+    (..., WS, M) -> (..., M, M), written into ``out`` if given.
 
     A flat column (standard deviation below PEARSON_STD_FLOOR) correlates 0
     with every other column and keeps 1.0 on the diagonal: with the third of
     four ROIs flat, that row is [0, 0, 1, 0]."""
     x = _as_windows(windows, "pearson_matrix")
+    out = _output(out, x.shape[:-2] + (x.shape[-1],) * 2, np.float64, "pearson_matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
         z = x - x.mean(axis=-2, keepdims=True)
         std = np.square(z).sum(axis=-2, keepdims=True)  # x.std(axis=-2), from z
@@ -169,11 +185,11 @@ def pearson_matrix(windows: np.ndarray) -> np.ndarray:
     dead = ~live
     if dead.any():
         r[dead | dead.swapaxes(-1, -2)] = 0.0
-    r = r + r.swapaxes(-1, -2)
-    r *= 0.5
-    np.clip(r, -1.0, 1.0, out=r)
-    _set_diagonal(r, 1.0)
-    return r
+    np.add(r, r.swapaxes(-1, -2), out=out)
+    out *= 0.5
+    np.clip(out, -1.0, 1.0, out=out)
+    _set_diagonal(out, 1.0)
+    return out
 
 
 def _manhattan(x: np.ndarray) -> np.ndarray:
@@ -209,10 +225,12 @@ def _manhattan(x: np.ndarray) -> np.ndarray:
     return np.take(np.moveaxis(sums, 0, -1), source, axis=-1).reshape(x.shape[:-2] + (m, m))
 
 
-def distance_matrix(windows: np.ndarray, kind: DistanceKind) -> np.ndarray:
+def distance_matrix(windows: np.ndarray, kind: DistanceKind,
+                    out: np.ndarray | None = None) -> np.ndarray:
     """Negative pairwise distance between each window's ROI column vectors (diag 0).
-    (..., WS, M) -> (..., M, M)."""
+    (..., WS, M) -> (..., M, M), written into ``out`` if given."""
     x = _as_windows(windows, "distance_matrix")
+    out = _output(out, x.shape[:-2] + (x.shape[-1],) * 2, np.float64, "distance_matrix")
     with np.errstate(over="ignore", invalid="ignore"):  # reported by _require_finite
         if kind.kind == "manhattan":
             d = _manhattan(x)
@@ -236,7 +254,7 @@ def distance_matrix(windows: np.ndarray, kind: DistanceKind) -> np.ndarray:
             d += g[..., None, :]
             np.maximum(d, 0.0, out=d)
             np.sqrt(d, out=d)
-        out = d + d.swapaxes(-1, -2)  # finite distances can overflow here too
+        np.add(d, d.swapaxes(-1, -2), out=out)  # finite distances can overflow here too
     _require_finite(out, f"{kind.kind} distance")
     out *= -0.5  # negated: larger similarity = closer
     _set_diagonal(out, 0.0)
@@ -262,41 +280,61 @@ def _upper_flat(m: int) -> tuple[np.ndarray, np.ndarray]:
     return upper, source
 
 
-def binarize_topk(s: np.ndarray) -> np.ndarray:
+@functools.lru_cache(maxsize=None)
+def _upper_mask(m: int) -> np.ndarray:
+    """Read-only (M, M) bool mask of the strict upper triangle."""
+    mask = np.triu(np.ones((m, m), dtype=bool), k=1)
+    mask.setflags(write=False)
+    return mask
+
+
+def binarize_topk(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Keep the k largest off-diagonal values as symmetric edges.
 
-    (..., M, M) float -> (..., M, M) bool: each matrix is symmetric, with a
-    zero diagonal and exactly 2k true entries. Every entry must be finite;
-    only the upper triangle is ranked. Ties at the cut go to the
-    lexicographically smallest (i, j) pairs, so the result is a pure function
-    of the input values.
+    (..., M, M) float -> (..., M, M) bool, written into ``out`` if given:
+    each matrix is symmetric, with a zero diagonal and exactly 2k true
+    entries. Every entry must be finite; only the upper triangle is ranked.
+    Ties at the cut go to the lexicographically smallest (i, j) pairs, so
+    the result is a pure function of the input values.
 
-    The upper triangle is read through flat (..., M*M) indices cached per
-    M, and the output is one gather from the kept flags behind a leading
-    zero. The cut is the k-th largest value; the values at or above it are
-    kept, and only when some window has more of them than k (values equal to
-    the cut straddle it) does a cumulative count over the ties keep the
-    first ones in (i, j) order.
+    The upper triangle is gathered through flat (..., M*M) indices cached
+    per M and partitioned in place for each matrix's cut, its k-th largest
+    value. The adjacency is then one pass over the block: every entry is
+    compared with its matrix's cut, the upper triangle kept through a
+    cached mask and mirrored. Only when some matrix has more than k upper
+    entries at or above its cut (values equal to the cut straddle it) does
+    the stack fall back to ranking: the upper values are gathered again in
+    (i, j) order, a cumulative count over the ties keeps the first ones,
+    and the output is one gather from the kept flags behind a leading zero.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim < 2 or s.shape[-2] != s.shape[-1] or s.shape[-1] < 2:
         raise ShapeError(f"binarize_topk: square (..., M, M) input with M >= 2 "
                          f"required, got {s.shape}")
+    out = _output(out, s.shape, np.bool_, "binarize_topk")
     _require_finite(s, "similarity")
     m = s.shape[-1]
     upper, source = _upper_flat(m)
-    vals = np.take(s.reshape(s.shape[:-2] + (m * m,)), upper, axis=-1)  # (i, j) order
+    flat = s.reshape(s.shape[:-2] + (m * m,))
+    vals = np.take(flat, upper, axis=-1)
     e, k = len(upper), topk_edge_count(m)
-    cut = np.partition(vals, e - k, axis=-1)[..., e - k:e - k + 1]  # k-th largest
-    keep = vals >= cut
-    if np.count_nonzero(keep) > k * (keep.size // e):  # some window has ties across the cut
+    vals.partition(e - k, axis=-1)
+    cut = vals[..., e - k:e - k + 1, None]  # k-th largest, (..., 1, 1)
+    np.greater_equal(s, cut, out=out)
+    out &= _upper_mask(m)
+    if np.count_nonzero(out) > k * (vals.size // e):  # some matrix has ties across the cut
+        vals = np.take(flat, upper, axis=-1)  # (i, j) order
+        cut = cut[..., 0]
         above = vals > cut
-        tie = keep ^ above
+        tie = vals == cut
         tie &= np.cumsum(tie, axis=-1) <= k - np.count_nonzero(above, axis=-1, keepdims=True)
         keep = above | tie
-    flags = np.zeros(s.shape[:-2] + (e + 1,), dtype=bool)
-    flags[..., 1:] = keep
-    return np.take(flags, source, axis=-1).reshape(s.shape)
+        flags = np.zeros(s.shape[:-2] + (e + 1,), dtype=bool)
+        flags[..., 1:] = keep
+        out[...] = np.take(flags, source, axis=-1).reshape(s.shape)
+        return out
+    out |= out.swapaxes(-1, -2)
+    return out
 
 
 def _window_blocks(lead: tuple[int, ...], entries: int) -> Iterator[tuple]:
@@ -337,10 +375,14 @@ def stream_graphs(windows: np.ndarray, stream: str,
     window stack: Pearson correlation for ``"r"``, negative ``kind``
     distance for ``"d"``, and its top-k binarization.
 
-    Both are built in blocks of whole windows (:func:`_window_blocks`) and
-    written into one float64 and one bool stack, so the kernels'
-    temporaries are a block's, not the stack's. The window view is only
-    indexed, never reshaped, which would copy the overlapping windows.
+    Both are built in blocks of whole windows (:func:`_window_blocks`).
+    The similarity kernel writes each block into its slice of one float64
+    stack, and :func:`binarize_topk` compares that slice against its
+    matrices' cuts into the same slice of one bool stack, so every block is
+    written once and the kernels' temporaries are a block's, not the
+    stack's. The kernels are looked up as this module's names on every
+    call. The window view is only indexed, never reshaped, which would copy
+    the overlapping windows.
 
     A non-finite matrix raises :class:`NumericsError` naming the stream and
     the first window holding it; with more leading axes than the windows',
@@ -354,11 +396,14 @@ def stream_graphs(windows: np.ndarray, stream: str,
     a = np.empty(s.shape, dtype=bool)
     for blk in _window_blocks(lead, m * m):
         try:
-            s[blk] = pearson_matrix(x[blk]) if stream == "r" else distance_matrix(x[blk], kind)
+            if stream == "r":
+                pearson_matrix(x[blk], out=s[blk])
+            else:
+                distance_matrix(x[blk], kind, out=s[blk])
         except NumericsError as err:
             raise _stream_error(_in_stack(err, blk, lead), stream) from err
         try:
-            a[blk] = binarize_topk(s[blk])
+            binarize_topk(s[blk], out=a[blk])
         except NumericsError as err:
             raise _in_stack(err, blk, lead) from err
     return s, a

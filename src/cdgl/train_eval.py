@@ -278,8 +278,20 @@ def resolved_config(cfg: TrainConfig, dims: model.ModelDims) -> dict:
 
 
 def _norms(rows: np.ndarray) -> np.ndarray:
-    """L2 norm of each row of a store's (F, P) buffer: one per fold's model."""
-    return np.sqrt((rows * rows).sum(axis=1))
+    """L2 norm of each row of a store's (F, P) buffer: one per fold's model.
+
+    A row whose squares overflow is summed again divided by its largest
+    magnitude, so its norm stays finite wherever the norm itself is.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.sqrt((rows * rows).sum(axis=1))
+    for f in np.flatnonzero(~np.isfinite(norms)):
+        big = np.abs(rows[f]).max()
+        if np.isfinite(big):
+            scaled = rows[f] / big
+            with np.errstate(over="ignore"):
+                norms[f] = big * np.sqrt((scaled * scaled).sum())
+    return norms
 
 
 def _shape_key(groups: list[list[model.PreparedSubject]]) -> list[tuple]:

@@ -50,3 +50,17 @@ def test_workload_runs_and_passes_its_checks(name, tmp_path):
     checks = wl.check(state, outputs)
     checks.update(workloads.common_checks(wl))
     assert checks and all(checks.values()), checks
+
+
+def test_traced_scoring_times_every_preparation_kernel(tmp_path):
+    """The preparation figures of a traced score-mahalanobis unit are nonzero:
+    preparation still reaches the kernels through the names the tracer wraps."""
+    wl = workloads.WORKLOADS["score-mahalanobis"]()
+    wl.make_inputs(str(tmp_path), seed=1)
+    state = wl.setup()
+    with spans.Tracer() as tracer:
+        tracer.run_unit(wl.run_unit, state, 0)
+    metrics = tracer.layer_metrics(1)
+    for name in ("dynamic_fc.pearson_ms", "dynamic_fc.distance_ms", "dynamic_fc.binarize_ms",
+                 "dynamic_fc.windows"):
+        assert metrics[name] > 0, name

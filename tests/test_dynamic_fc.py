@@ -263,6 +263,64 @@ class TestBinarize:
         s = s + s.T
         np.testing.assert_array_equal(dfc.binarize_topk(s), dfc.binarize_topk(3.7 * s + 0.0))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 14),
+           st.lists(st.integers(1, 3), max_size=2), st.sampled_from([0, 1, 2, 3, 6]),
+           st.booleans(), st.sampled_from(["fresh", "view", "strided"]))
+    def test_matches_brute_force_oracle(self, seed, m, lead, levels, symmetric, layout):
+        """Random or integer-level (tied) values, symmetric or not, under
+        leading axes, into a fresh array or ``out=`` views of a larger stack
+        (contiguous, or strided along the leading axes) that stay in place
+        and write nothing else."""
+        rng = np.random.default_rng(seed)
+        shape = tuple(lead) + (m, m)
+        s = rng.integers(0, levels, shape).astype(float) if levels else rng.standard_normal(shape)
+        if symmetric:
+            s = s + np.swapaxes(s, -1, -2)
+        expected = topk_oracle(s)
+        if layout == "fresh":
+            np.testing.assert_array_equal(dfc.binarize_topk(s), expected)
+            return
+        stack = np.ones((3,) + shape if layout == "view" else shape[:-2] + (3, m, m), dtype=bool)
+        out = stack[1] if layout == "view" else stack[..., 1, :, :]
+        assert dfc.binarize_topk(s, out=out) is out
+        np.testing.assert_array_equal(out, expected)
+        others = np.delete(stack, 1, axis=0 if layout == "view" else -3)
+        assert others.all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(3, 14), st.integers(1, 4), st.booleans())
+    def test_tie_fallback_agrees_with_the_one_compare_pass(self, seed, m, n, symmetric):
+        """One all-tied matrix sends its whole stack down the ranked
+        fallback; the tie-free matrices in it come out as the one-compare
+        pass gives them alone."""
+        rng = np.random.default_rng(seed)
+        s = rng.standard_normal((n, m, m))
+        if symmetric:
+            s = s + s.swapaxes(1, 2)
+        iu, ju = np.triu_indices(m, k=1)
+        assert all(len(np.unique(w[iu, ju])) == len(iu) for w in s)  # no ties: one compare
+        stack = np.concatenate((s, np.zeros((1, m, m))))
+        a = dfc.binarize_topk(stack)
+        np.testing.assert_array_equal(a, topk_oracle(stack))
+        np.testing.assert_array_equal(a[:n], dfc.binarize_topk(s))
+
+    @pytest.mark.parametrize("out", [np.empty((2, 5, 5)), np.empty((5, 5), dtype=bool),
+                                     np.empty((2, 5, 4), dtype=bool)],
+                             ids=["float", "unbatched", "narrow"])
+    def test_out_of_another_shape_or_dtype_is_rejected(self, out):
+        with pytest.raises(ShapeError, match="binarize_topk: out must be a bool array"):
+            dfc.binarize_topk(np.zeros((2, 5, 5)), out=out)
+
+
+def topk_oracle(s):
+    """:func:`window_binarize`, the sort of each matrix's upper triangle
+    (largest first, ties in (i, j) order), over any leading axes."""
+    a = np.zeros(s.shape, dtype=bool)
+    for lead in np.ndindex(s.shape[:-2]):
+        a[lead] = window_binarize(s[lead])
+    return a
+
 
 class TestBuildPairs:
     def test_pair_fields(self):
@@ -708,3 +766,31 @@ class TestRequireFinite:
                 dfc._require_finite(values, "things")
         assert info.value.index == index
         assert info.value.shape == (3, 4, 5)
+
+
+class TestKernelOut:
+    @pytest.mark.parametrize("kind", [None] + KINDS, ids=lambda k: k.kind if k else "pearson")
+    def test_out_is_bit_equal_to_a_fresh_result(self, kind):
+        """Into a strided view of a larger stack, with a flat ROI in one window."""
+        rng = np.random.default_rng(23)
+        x = rng.standard_normal((3, 12, 7)) * rng.uniform(0.5, 20.0, 7)
+        x[1, :, 2] = 4.0
+
+        def kernel(out=None):
+            if kind is None:
+                return dfc.pearson_matrix(x, out=out)
+            return dfc.distance_matrix(x, kind, out=out)
+
+        fresh = kernel()
+        stack = np.full((3, 2, 7, 7), np.nan)
+        out = stack[:, 0]
+        assert kernel(out=out) is out
+        assert out.tobytes() == fresh.tobytes()
+        assert np.isnan(stack[:, 1]).all()
+
+    def test_out_of_another_shape_is_rejected(self):
+        x = np.zeros((3, 12, 7))
+        with pytest.raises(ShapeError, match="pearson_matrix: out must be a float64 array"):
+            dfc.pearson_matrix(x, out=np.empty((7, 7)))
+        with pytest.raises(ShapeError, match="distance_matrix: out must be a float64 array"):
+            dfc.distance_matrix(x, KINDS[1], out=np.empty((3, 7, 7), dtype=np.float32))

@@ -138,6 +138,23 @@ class TestConfusionAndReport:
         assert tv.format_m_s(None, None) == "n/a"
 
 
+class TestNorms:
+    def test_a_row_whose_squares_overflow_keeps_a_finite_norm(self):
+        """Under the suite's warnings-as-errors: 1e200 squared overflows, the
+        norm of five of them does not; a row that does not overflow keeps
+        the plain norm's bits."""
+        rng = np.random.default_rng(5)
+        rows = np.stack([np.full(5, 1e200), rng.standard_normal(5), np.array([-1e200, 3e199,
+                                                                              0.0, 0.0, 0.0])])
+        norms = tv._norms(rows)
+        assert norms[0] == pytest.approx(1e200 * np.sqrt(5.0), rel=1e-15)
+        assert norms[1] == np.sqrt((rows[1] * rows[1]).sum())
+        assert norms[2] == pytest.approx(np.hypot(1e200, 3e199), rel=1e-15)
+
+    def test_a_norm_beyond_the_float_range_is_infinite(self):
+        assert tv._norms(np.full((1, 4), 1e308))[0] == np.inf
+
+
 def toy_pair(rng, m=6, t=30, separation=3.0):
     """Two tiny subjects whose ROI means differ by class."""
     x0 = rng.standard_normal((t, m))
