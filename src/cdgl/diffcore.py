@@ -371,14 +371,12 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     pre-activation that ``exp`` takes. The rows live in a (T + 1, F, B / F,
     D + M + 1) buffer, and each h_t is written into the hidden columns of
     row t + 1. The product is copied once into step t's feature-major
-    (4D, B) block of the gate buffer, or written straight into it for a
-    lone sequence (F = B = 1), whose block already is a row. There one
-    sigmoid covers the first 3D rows and a tanh the cell gate's last D
-    rows in place; the cell and hidden updates run on (D, B) blocks of the
-    cell buffer, whose step 0 is the zero initial state, and of the buffer
-    of tanh c. These buffers, the output and the adjoint's factor buffers
-    K and P come from the buffer pool (:func:`buffer`), and every entry
-    that is read is written first.
+    (4D, B) block of the gate buffer, where one sigmoid covers the first 3D
+    rows and a tanh the cell gate's last D rows in place; the cell and
+    hidden updates run on (D, B) blocks of the cell buffer, whose step 0 is
+    the zero initial state, and of the buffer of tanh c. These buffers, the
+    output and the adjoint's factor buffers K and P come from the buffer
+    pool (:func:`buffer`), and every entry that is read is written first.
 
     Products stay row-form, rows times weights, so that a sequence's sums
     do not depend on the other rows of a batch of two or more. Weights
@@ -438,20 +436,15 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
     z[:T, ..., D:-1] = seq.transpose(2, 0, 1, 3)
     z[:T, ..., -1] = 1.0
     h_next = z[1:, ..., :D].transpose(0, 3, 1, 2)  # (T, D, F, B / F): h_t's slot
-    lone = rows == 1  # its feature-major blocks are rows already
-    gate_rows = gates.reshape(T, folds, B, four_d)  # a lone sequence's row view of the gates
-    a_rows = None if lone else np.empty((folds, B, four_d))
+    a_rows = np.empty((folds, B, four_d))
     ig = np.empty((D, folds, B))
-    steps = zip(z, gates, gate_rows, sig, G, C, C[1:], in_g, forget_g, out_g, TC, h_next)
+    steps = zip(z, gates, sig, G, C, C[1:], in_g, forget_g, out_g, TC, h_next)
     # a pre-activation below about -709 overflows the gate exp to inf, and
     # 1 / (1 + inf) is the saturated gate's exact 0
     with np.errstate(over="ignore"):
-        for z_t, a, a_row, s, g_t, c_prev, c, i_t, f_t, o_t, tc, h_t in steps:
-            if lone:
-                np.matmul(z_t, w, out=a_row)
-            else:
-                np.matmul(z_t, w, out=a_rows)
-                a[...] = a_rows.transpose(2, 0, 1)
+        for z_t, a, s, g_t, c_prev, c, i_t, f_t, o_t, tc, h_t in steps:
+            np.matmul(z_t, w, out=a_rows)
+            a[...] = a_rows.transpose(2, 0, 1)
             np.exp(s, out=s)  # s holds -a: the sigmoid gates' weight columns are negated
             s += 1.0
             np.divide(1.0, s, out=s)
@@ -490,6 +483,7 @@ def lstm(x: np.ndarray, w_x: Tensor, w_h: Tensor, b: Tensor) -> Tensor:
         d_k = d.reshape(four_d, folds, B)
         dc, dc_copies, dh = d[0], d[1:3], d[3]
         dh_p = np.empty((D, folds, B))
+        lone = rows == 1  # its feature-major blocks are rows already
         K_rows = K.reshape(T, folds, B, four_d)  # a lone sequence's row view of K
         da_rows = None if lone else np.empty((folds, B, four_d))
         dh_rows = dh.reshape(folds, B, D) if lone else np.empty((folds, B, D))

@@ -29,8 +29,9 @@ every graph the exact same edge density regardless of the value distribution.
 Each matrix's cut, its k-th largest upper value, comes from the upper
 triangle gathered through flat indices cached per M; the adjacency is then
 one compare of the whole matrix against its cut, kept to the upper
-triangle and mirrored. Only a stack where ties straddle some matrix's cut
-falls back to ranking them in (i, j) order. An adjacency stack is bool, an
+triangle and mirrored. Only in a stack where ties straddle some matrix's
+cut are the kept ties ranked in (i, j) order before the mirror, and those
+past the k slots cleared. An adjacency stack is bool, an
 eighth of float64's bytes, and every matrix in it is symmetric with a zero
 diagonal and exactly 2k true entries: the GIN layers
 (:func:`cdgl.cdgin.gin_node_update`) rely on the symmetry.
@@ -302,10 +303,11 @@ def binarize_topk(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     value. The adjacency is then one pass over the block: every entry is
     compared with its matrix's cut, the upper triangle kept through a
     cached mask and mirrored. Only when some matrix has more than k upper
-    entries at or above its cut (values equal to the cut straddle it) does
-    the stack fall back to ranking: the upper values are gathered again in
-    (i, j) order, a cumulative count over the ties keeps the first ones,
-    and the output is one gather from the kept flags behind a leading zero.
+    entries at or above its cut (values equal to the cut straddle it) are
+    the stack's ties trimmed before the mirror: a cumulative count ranks
+    each matrix's kept entries equal to its cut in row-major, that is
+    (i, j), order, and those past the slots that the entries above the cut
+    leave are cleared.
     """
     s = np.asarray(s, dtype=np.float64)
     if s.ndim < 2 or s.shape[-2] != s.shape[-1] or s.shape[-1] < 2:
@@ -314,25 +316,20 @@ def binarize_topk(s: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     out = _output(out, s.shape, np.bool_, "binarize_topk")
     _require_finite(s, "similarity")
     m = s.shape[-1]
-    upper, source = _upper_flat(m)
-    flat = s.reshape(s.shape[:-2] + (m * m,))
-    vals = np.take(flat, upper, axis=-1)
+    upper, _ = _upper_flat(m)
+    vals = np.take(s.reshape(s.shape[:-2] + (m * m,)), upper, axis=-1)
     e, k = len(upper), topk_edge_count(m)
     vals.partition(e - k, axis=-1)
     cut = vals[..., e - k:e - k + 1, None]  # k-th largest, (..., 1, 1)
     np.greater_equal(s, cut, out=out)
     out &= _upper_mask(m)
     if np.count_nonzero(out) > k * (vals.size // e):  # some matrix has ties across the cut
-        vals = np.take(flat, upper, axis=-1)  # (i, j) order
-        cut = cut[..., 0]
-        above = vals > cut
-        tie = vals == cut
-        tie &= np.cumsum(tie, axis=-1) <= k - np.count_nonzero(above, axis=-1, keepdims=True)
-        keep = above | tie
-        flags = np.zeros(s.shape[:-2] + (e + 1,), dtype=bool)
-        flags[..., 1:] = keep
-        out[...] = np.take(flags, source, axis=-1).reshape(s.shape)
-        return out
+        tie = out & (s == cut)  # row-major order of the upper entries is (i, j) order
+        room = k - np.count_nonzero(out & ~tie, axis=(-2, -1), keepdims=True)
+        # a count below M*M fits int32 for any M < 46341, which sums it twice as fast
+        rank = np.cumsum(tie.reshape(tie.shape[:-2] + (m * m,)), axis=-1, dtype=np.int32)
+        tie &= rank.reshape(tie.shape) > room
+        out &= ~tie  # drops the ties past each matrix's first ``room``
     out |= out.swapaxes(-1, -2)
     return out
 
